@@ -15,9 +15,19 @@ exactly zero weight. Rows with empty support produce all-zero rows rather
 than NaN, which keeps image-free text prefixes and the image rows' text
 component well-defined.
 
-Every forward has a matching `_vjp` function that recomputes the forward
-internals and returns gradients for all inputs; `grad_check` compares
-those against central finite differences.
+Two implementations share these semantics:
+
+* The single-head ``mmca_/causal_/cross_forward`` functions and their
+  ``_vjp``s work on the dense d x d mask. They are the inspectable
+  reference.
+* ``segment_attention`` and ``segment_attention_vjp`` are the one kernel
+  behind the multi-head wrapper. They work from an ``AttentionLayout``
+  built once per sequence: image rows run a softmax over their own block
+  only, and the "prefix rows" (text rows, or every row for causal) run one
+  gathered pass per key class. No d x d array is formed.
+
+``grad_check`` compares analytic gradients against central finite
+differences; ``variant_grad_check`` points it at the segment kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mask import AttentionVariant, MmcaMask, build_mask, partition
+from .mask import AttentionLayout, AttentionVariant, MmcaMask, build_layout, partition
 from .modseq import ModalitySequence
 
 GradDict = dict[str, np.ndarray]
@@ -111,32 +121,39 @@ class CrossParams:
         object.__setattr__(self, "vx", vx)
 
 
-def masked_softmax(scores: np.ndarray, allow: np.ndarray) -> np.ndarray:
-    """Row-wise softmax restricted to the allowed support.
+def masked_softmax(scores: np.ndarray, allow: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax over the last axis, restricted to the allowed
+    support.
 
-    Disallowed entries are exactly 0 in the output. Rows whose support is
-    empty come back all-zero. Each non-empty row is max-shifted for
-    stability and sums to 1 up to rounding.
+    ``allow`` has the shape of the scores' trailing (rows, keys) axes, or
+    of all of them; leading axes such as heads share it. ``None`` allows
+    every key. Disallowed entries are exactly 0 in the output. Rows whose
+    support is empty come back all-zero. Each non-empty row is max-shifted
+    for stability and sums to 1 up to rounding.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    allow = np.asarray(allow, dtype=bool)
-    if scores.shape != allow.shape or scores.ndim != 2:
-        raise ValueError("scores and allow must be matching 2-d arrays")
+    if allow is not None:
+        allow = np.asarray(allow, dtype=bool)
+    if scores.ndim < 2 or (
+        allow is not None and scores.shape[scores.ndim - allow.ndim :] != allow.shape
+    ):
+        raise ValueError("scores must be 2-d or more, and allow must match their trailing axes")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    nonempty = allow.any(axis=1, keepdims=True)
-    filled = np.where(allow, scores, -np.inf)
-    shift = np.max(filled, axis=1, keepdims=True)
-    shift = np.where(nonempty, shift, 0.0)
-    weights = np.exp(filled - shift)
-    total = weights.sum(axis=1, keepdims=True)
-    return np.where(nonempty, weights / np.where(total == 0.0, 1.0, total), 0.0)
+    if allow is not None:
+        scores = np.where(allow, scores, -np.inf)
+    shift = scores.max(axis=-1, keepdims=True)
+    shift[np.isneginf(shift)] = 0.0  # empty support: every entry is -inf
+    weights = np.exp(scores - shift)
+    total = weights.sum(axis=-1, keepdims=True)
+    total[total == 0.0] = 1.0
+    return weights / total
 
 
 def masked_softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Gradient of masked_softmax w.r.t. the scores, given the forward
     output. Zero rows and masked entries receive zero gradient."""
-    inner = np.sum(probs * dprobs, axis=1, keepdims=True)
+    inner = np.sum(probs * dprobs, axis=-1, keepdims=True)
     return probs * (dprobs - inner)
 
 
@@ -268,6 +285,79 @@ def cross_vjp(
 
 
 # ---------------------------------------------------------------------------
+# Segment-structured kernel
+
+
+def _check_inputs(layout: AttentionLayout, inputs: dict[str, np.ndarray | None]) -> None:
+    if layout.reads_cross and (inputs["kx"] is None or inputs["vx"] is None):
+        raise ValueError("this layout reads Kx and Vx; pass both")
+    shape = inputs["q"].shape
+    if len(shape) < 2 or shape[-2] != layout.d:
+        raise ValueError(f"inputs must have {layout.d} rows (the layout dimension)")
+    for name, a in inputs.items():
+        if a is None:
+            continue
+        if a.shape != shape:
+            raise ValueError("Q, K, V (and Kx, Vx) must have equal shapes")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name.capitalize()} contains non-finite values")
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def segment_attention(
+    layout: AttentionLayout,
+    scale: float,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    kx: np.ndarray | None = None,
+    vx: np.ndarray | None = None,
+) -> np.ndarray:
+    """Attention output for Q/K/V (and Kx/Vx when the layout reads them),
+    all of one shape (..., d, h); leading axes are independent heads.
+    Matches the dense reference of the layout's variant."""
+    _check_inputs(layout, {"q": q, "k": k, "v": v, "kx": kx, "vx": vx})
+    sources = {False: (k, v), True: (kx, vx)}
+    out = np.zeros(q.shape)
+    for rows, keys, allow, cross in layout.terms():
+        kk, vv = sources[cross]
+        probs = masked_softmax(scale * (q[..., rows, :] @ _swap(kk[..., keys, :])), allow)
+        out[..., rows, :] += probs @ vv[..., keys, :]
+    return layout.weight * out
+
+
+def segment_attention_vjp(
+    layout: AttentionLayout,
+    scale: float,
+    dout: np.ndarray,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    kx: np.ndarray | None = None,
+    vx: np.ndarray | None = None,
+) -> GradDict:
+    """Gradients of ``sum(dout * segment_attention(...))`` for every input
+    given; the softmaxes are recomputed term by term."""
+    inputs = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
+    _check_inputs(layout, inputs)
+    grads = {name: np.zeros_like(a) for name, a in inputs.items() if a is not None}
+    dout = layout.weight * dout
+    for rows, keys, allow, cross in layout.terms():
+        kn, vn = ("kx", "vx") if cross else ("k", "v")
+        qr, kk, vv = q[..., rows, :], inputs[kn][..., keys, :], inputs[vn][..., keys, :]
+        probs = masked_softmax(scale * (qr @ _swap(kk)), allow)
+        do = dout[..., rows, :]
+        grads[vn][..., keys, :] += _swap(probs) @ do
+        ds = scale * masked_softmax_vjp(probs, do @ _swap(vv))
+        grads["q"][..., rows, :] += ds @ kk
+        grads[kn][..., keys, :] += _swap(ds) @ qr
+    return grads
+
+
+# ---------------------------------------------------------------------------
 # Multi-head wrapper
 
 
@@ -312,70 +402,70 @@ def init_multi_head_params(
     return params
 
 
+def _resolve_layout(
+    config: AttentionConfig, seq: ModalitySequence | AttentionLayout
+) -> AttentionLayout:
+    if not isinstance(seq, AttentionLayout):
+        return build_layout(seq, config.variant, config.image_self, config.normalize_dual_softmax)
+    built_for = (seq.variant, seq.image_self, seq.normalize)
+    if built_for != (config.variant, config.image_self, config.normalize_dual_softmax):
+        raise ValueError("layout was built for a different attention config")
+    return seq
+
+
+def _project_heads(
+    config: AttentionConfig, x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
+) -> dict[str, np.ndarray]:
+    """Per-head Q/K/V (and Kx/Vx when the layout reads them), each
+    (num_heads, d, head_dim)."""
+    if x.ndim != 2 or x.shape[1] != config.model_dim:
+        raise ValueError(f"x must be d x {config.model_dim}")
+    if x.shape[0] != layout.d:
+        raise ValueError("x row count must match the sequence length")
+    heads = {"q": x @ params.wq, "k": x @ params.wk, "v": x @ params.wv}
+    if layout.reads_cross:
+        if params.wkx is None or params.wvx is None:
+            raise ValueError("cross variant needs wkx/wvx projections")
+        heads["kx"] = x @ params.wkx
+        heads["vx"] = x @ params.wvx
+    return heads
+
+
 def multi_head_forward(
     config: AttentionConfig,
     x: np.ndarray,
     params: MultiHeadParams,
-    seq: ModalitySequence,
+    seq: ModalitySequence | AttentionLayout,
 ) -> np.ndarray:
-    """Per-head projections, per-head variant forward over the variant's
-    mask built from ``seq``, concatenation, output projection."""
+    """Per-head projections, the segment kernel over ``seq``'s layout
+    (pass a prebuilt ``AttentionLayout`` to reuse it), concatenation of
+    the heads, output projection."""
+    layout = _resolve_layout(config, seq)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.model_dim:
-        raise ValueError(f"x must be d x {config.model_dim}")
-    if x.shape[0] != seq.d:
-        raise ValueError("x row count must match the sequence length")
-    mask = build_mask(seq, config.variant, config.image_self)
-    scale = config.effective_scale
-    heads = []
-    for h in range(config.num_heads):
-        inp = AttentionInputs(x @ params.wq[h], x @ params.wk[h], x @ params.wv[h])
-        if config.variant is AttentionVariant.MMCA:
-            out, _, _ = mmca_forward(inp, mask, scale, config.normalize_dual_softmax)
-        elif config.variant is AttentionVariant.CAUSAL_ONLY:
-            out = causal_forward(inp, mask, scale)
-        else:
-            if params.wkx is None or params.wvx is None:
-                raise ValueError("cross variant needs wkx/wvx projections")
-            cross = CrossParams(x @ params.wkx[h], x @ params.wvx[h])
-            out = cross_forward(inp, cross, mask, scale)
-        heads.append(out)
-    return np.concatenate(heads, axis=1) @ params.wo
+    heads = _project_heads(config, x, params, layout)
+    out = segment_attention(layout, config.effective_scale, **heads)
+    return np.concatenate(out, axis=1) @ params.wo
 
 
 def multi_head_input_vjp(
     config: AttentionConfig,
     x: np.ndarray,
     params: MultiHeadParams,
-    seq: ModalitySequence,
+    seq: ModalitySequence | AttentionLayout,
     dout: np.ndarray,
 ) -> np.ndarray:
     """Gradient of multi_head_forward w.r.t. its input activations. Head
     parameters receive no gradient here; the decoder that uses this wrapper
     keeps them frozen."""
+    layout = _resolve_layout(config, seq)
     x = np.asarray(x, dtype=np.float64)
-    mask = build_mask(seq, config.variant, config.image_self)
-    scale = config.effective_scale
-    hd = config.head_dim
-    dconcat = dout @ params.wo.T
-    dx = np.zeros_like(x)
-    for h in range(config.num_heads):
-        dh = dconcat[:, h * hd : (h + 1) * hd]
-        inp = AttentionInputs(x @ params.wq[h], x @ params.wk[h], x @ params.wv[h])
-        if config.variant is AttentionVariant.MMCA:
-            grads = mmca_vjp(inp, mask, scale, dh, config.normalize_dual_softmax)
-        elif config.variant is AttentionVariant.CAUSAL_ONLY:
-            grads = causal_vjp(inp, mask, scale, dh)
-        else:
-            cross = CrossParams(x @ params.wkx[h], x @ params.wvx[h])
-            grads = cross_vjp(inp, cross, mask, scale, dh)
-            dx += grads["kx"] @ params.wkx[h].T + grads["vx"] @ params.wvx[h].T
-        dx += (
-            grads["q"] @ params.wq[h].T
-            + grads["k"] @ params.wk[h].T
-            + grads["v"] @ params.wv[h].T
-        )
-    return dx
+    heads = _project_heads(config, x, params, layout)
+    dheads = (dout @ params.wo.T).reshape(x.shape[0], config.num_heads, config.head_dim)
+    grads = segment_attention_vjp(
+        layout, config.effective_scale, dheads.transpose(1, 0, 2), **heads
+    )
+    weights = {"q": params.wq, "k": params.wk, "v": params.wv, "kx": params.wkx, "vx": params.wvx}
+    return sum((g @ _swap(weights[name])).sum(axis=0) for name, g in grads.items())
 
 
 # ---------------------------------------------------------------------------
@@ -428,37 +518,22 @@ def variant_grad_check(
     image_self: str = "block",
     corrupt: bool = False,
 ) -> float:
-    """Run grad_check for one variant on random Q/K/V (plus Kx/Vx for the
-    cross variant) with the loss sum(output). ``corrupt`` deliberately
-    breaks the analytic gradient; it exists to prove the harness can fail.
+    """Run grad_check on the segment kernel for one variant, on random
+    Q/K/V (plus Kx/Vx when the layout reads them) with the loss
+    sum(output). ``corrupt`` deliberately breaks the analytic gradient; it
+    exists to prove the harness can fail.
     """
-    rng = np.random.default_rng(seed)
-    d = seq.d
-    mask = build_mask(seq, variant, image_self)
+    layout = build_layout(seq, variant, image_self, normalize)
     if scale is None:
         scale = 1.0 / math.sqrt(head_dim)
-    params: GradDict = {
-        "q": rng.standard_normal((d, head_dim)),
-        "k": rng.standard_normal((d, head_dim)),
-        "v": rng.standard_normal((d, head_dim)),
-    }
-    if variant is AttentionVariant.CAUSAL_PLUS_CROSS:
-        params["kx"] = rng.standard_normal((d, head_dim))
-        params["vx"] = rng.standard_normal((d, head_dim))
+    rng = np.random.default_rng(seed)
+    names = ("q", "k", "v", "kx", "vx") if layout.reads_cross else ("q", "k", "v")
+    params: GradDict = {name: rng.standard_normal((seq.d, head_dim)) for name in names}
+    dout = np.ones((seq.d, head_dim))
 
     def loss_and_grad(p: GradDict) -> tuple[float, GradDict]:
-        inp = AttentionInputs(p["q"], p["k"], p["v"])
-        dout = np.ones((d, head_dim))
-        if variant is AttentionVariant.MMCA:
-            out, _, _ = mmca_forward(inp, mask, scale, normalize)
-            grads = mmca_vjp(inp, mask, scale, dout, normalize)
-        elif variant is AttentionVariant.CAUSAL_ONLY:
-            out = causal_forward(inp, mask, scale)
-            grads = causal_vjp(inp, mask, scale, dout)
-        else:
-            cross = CrossParams(p["kx"], p["vx"])
-            out = cross_forward(inp, cross, mask, scale)
-            grads = cross_vjp(inp, cross, mask, scale, dout)
+        out = segment_attention(layout, scale, **p)
+        grads = segment_attention_vjp(layout, scale, dout, **p)
         if corrupt:
             grads["q"] = grads["q"] + 1.0
         return float(out.sum()), grads

@@ -3,7 +3,8 @@ rendering, gradient checking, and a small attention benchmark.
 
 Every command is deterministic for fixed flags and seed (timings
 excepted). Exit status is 0 only when no errors occurred and all checks
-passed.
+passed; a data or file error (bad value, unreadable input, unwritable
+output) prints one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,10 @@ attention is forbidden (0), allowed with a text key (1), or allowed with an
 image key (2). The boolean partitions M1 = [M == 1] and M2 = [M == 2] drive
 the dual-softmax attention computation.
 
+The dense mask is the inspectable reference. The attention hot path uses
+``build_layout`` instead: the same edges as image blocks, gathered prefix
+rows and per-key-class supports, with no d x d array.
+
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. Three builders cover the
 three attention variants:
@@ -21,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
-from .modseq import ModalitySequence
+from .modseq import ModalitySequence, image_blocks
 
 FORBIDDEN = 0
 TEXT_KEY = 1
@@ -65,9 +70,13 @@ class MmcaMask:
         return self.entries != FORBIDDEN
 
 
-def _modality_mask(seq: ModalitySequence, image_self: str) -> MmcaMask:
+def _check_image_self(image_self: str) -> None:
     if image_self not in ("block", "diagonal"):
         raise ValueError(f"image_self must be 'block' or 'diagonal', got {image_self!r}")
+
+
+def _modality_mask(seq: ModalitySequence, image_self: str) -> MmcaMask:
+    _check_image_self(image_self)
     d = seq.d
     is_img = seq.is_image()
     bid = seq.block_ids()
@@ -134,6 +143,105 @@ def partition(mask: MmcaMask) -> tuple[np.ndarray, np.ndarray]:
     m1 = mask.entries == TEXT_KEY
     m2 = mask.entries == IMAGE_KEY
     return m1, m2
+
+
+# ---------------------------------------------------------------------------
+# Structured layout
+
+
+@dataclass(frozen=True)
+class KeyClass:
+    """One softmax term of the prefix rows: the key positions it reads,
+    which of them each prefix row may attend to (``allow``, rows x keys),
+    and whether it reads them through Kx/Vx instead of K/V."""
+
+    keys: np.ndarray
+    allow: np.ndarray
+    cross: bool
+
+
+@dataclass(frozen=True)
+class AttentionLayout:
+    """The attention pattern of one sequence for one variant, as
+    structure rather than a d x d mask.
+
+    ``blocks`` stacks equal-size image blocks into (count, size) position
+    arrays; each image row attends over its own block through K/V (with
+    ``image_self="diagonal"`` every image token is a one-token block).
+    ``rows`` are the prefix rows: text rows for mmca/cross, every row for
+    causal. ``key_classes`` split their allowed keys into one softmax term
+    per key class. ``weight`` scales the summed terms (0.5 for the
+    normalized dual softmax, else 1).
+    """
+
+    d: int
+    variant: AttentionVariant
+    image_self: str
+    normalize: bool
+    weight: float
+    blocks: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    key_classes: tuple[KeyClass, ...]
+
+    @property
+    def reads_cross(self) -> bool:
+        return any(kc.cross for kc in self.key_classes)
+
+    def terms(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]]:
+        """(query rows, keys, allow, cross) per softmax term."""
+        for block in self.blocks:
+            yield block, block, None, False
+        for kc in self.key_classes:
+            yield self.rows, kc.keys, kc.allow, kc.cross
+
+
+def build_layout(
+    seq: ModalitySequence,
+    variant: AttentionVariant,
+    image_self: str = "block",
+    normalize: bool = False,
+) -> AttentionLayout:
+    """Layout of ``seq`` for the given variant, ``image_self`` rule and
+    dual-softmax normalization: the same edges as ``build_mask``, as
+    structure. Build it once per sequence and reuse it for every layer,
+    head and pass."""
+    _check_image_self(image_self)
+    positions = np.arange(seq.d)
+    is_image = seq.is_image()
+    blocks: tuple[np.ndarray, ...] = ()
+    if variant is AttentionVariant.CAUSAL_ONLY:
+        rows = positions
+        classes = [(positions, False)]
+    else:
+        rows = positions[~is_image]
+        if image_self == "block":
+            spans = [np.arange(start, end) for _, start, end in image_blocks(seq)]
+        else:
+            spans = [positions[i : i + 1] for i in positions[is_image]]
+        by_size: dict[int, list[np.ndarray]] = {}
+        for span in spans:
+            by_size.setdefault(span.size, []).append(span)
+        blocks = tuple(np.stack(group) for group in by_size.values())
+        classes = [
+            (rows, False),
+            (positions[is_image], variant is AttentionVariant.CAUSAL_PLUS_CROSS),
+        ]
+    key_classes = []
+    if rows.size:
+        for keys, cross in classes:
+            keys = keys[keys <= rows[-1]]  # no prefix row reads a later key
+            if keys.size:
+                key_classes.append(KeyClass(keys, keys[None, :] <= rows[:, None], cross))
+    return AttentionLayout(
+        d=seq.d,
+        variant=variant,
+        image_self=image_self,
+        normalize=normalize,
+        weight=0.5 if normalize and variant is AttentionVariant.MMCA else 1.0,
+        blocks=blocks,
+        rows=rows,
+        key_classes=tuple(key_classes),
+    )
 
 
 def render_mask(mask: MmcaMask) -> str:

@@ -35,7 +35,7 @@ from .attn import (
     multi_head_forward,
     multi_head_input_vjp,
 )
-from .mask import AttentionVariant
+from .mask import AttentionLayout, AttentionVariant, build_layout
 from .modseq import LayoutConfig, image_blocks
 from .template import Conversation, HashTokenizer, RenderedSample, Round, render
 
@@ -217,8 +217,13 @@ def _embed(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     return x
 
 
+def _layout(model: ToyModel, sample: RenderedSample) -> AttentionLayout:
+    c = model.config
+    return build_layout(sample.tags, c.variant, c.image_self, c.normalize_dual_softmax)
+
+
 def _decoder_states(
-    model: ToyModel, sample: RenderedSample, x: np.ndarray
+    model: ToyModel, layout: AttentionLayout, x: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Run the frozen blocks, keeping (input, post-attention) activations
     per block so the backward pass can recompute the rest."""
@@ -226,7 +231,7 @@ def _decoder_states(
     states = []
     h = x
     for block in model.blocks:
-        h_mid = h + multi_head_forward(cfg, h, block.attn, sample.tags)
+        h_mid = h + multi_head_forward(cfg, h, block.attn, layout)
         states.append((h, h_mid))
         h = h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2
     return h, states
@@ -236,7 +241,7 @@ def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     """Logits (d x vocab_size) for every position. Image positions enter as
     projected stub features, text positions as embedding rows; the head is
     the embedding transpose."""
-    h, _ = _decoder_states(model, sample, _embed(model, sample))
+    h, _ = _decoder_states(model, _layout(model, sample), _embed(model, sample))
     logits = h @ model.embedding.T
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
@@ -285,7 +290,8 @@ def loss_and_param_grads(
     (tied transpose) and input rows at text positions.
     """
     x = _embed(model, sample)
-    h, states = _decoder_states(model, sample, x)
+    layout = _layout(model, sample)
+    h, states = _decoder_states(model, layout, x)
     logits = h @ model.embedding.T
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
@@ -297,7 +303,7 @@ def loss_and_param_grads(
     for block, (h_in, h_mid) in zip(reversed(model.blocks), reversed(states)):
         a = np.tanh(h_mid @ block.w1 + block.b1)
         dh_mid = dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
-        dh = dh_mid + multi_head_input_vjp(cfg, h_in, block.attn, sample.tags, dh_mid)
+        dh = dh_mid + multi_head_input_vjp(cfg, h_in, block.attn, layout, dh_mid)
 
     token_ids = np.asarray(sample.token_ids)
     is_image = sample.tags.is_image()
@@ -495,7 +501,32 @@ def save_model(model: ToyModel, path: str | Path) -> None:
     np.savez(path, **arrays)
 
 
+def _tensor_shapes(config: ModelConfig, known_images: list[str]) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor a checkpoint of ``config`` holds."""
+    m, f = config.model_dim, config.ffn_dim
+    head = (config.num_heads, m, m // config.num_heads)
+    projections = ("wq", "wk", "wv")
+    if config.variant is AttentionVariant.CAUSAL_PLUS_CROSS:
+        projections += ("wkx", "wvx")
+    shapes = {"projection": (config.vision_dim, m), "embedding": (config.vocab_size, m)}
+    for i in range(config.num_layers):
+        shapes.update({f"block{i}.attn.{name}": head for name in projections})
+        shapes.update({
+            f"block{i}.attn.wo": (m, m),
+            f"block{i}.w1": (m, f),
+            f"block{i}.b1": (f,),
+            f"block{i}.w2": (f, m),
+            f"block{i}.b2": (m,),
+        })
+    for image_id in known_images:
+        shapes[f"stub.{image_id}"] = (config.image_token_count, config.vision_dim)
+    return shapes
+
+
 def load_model(path: str | Path) -> ToyModel:
+    """Load a checkpoint written by save_model. Every tensor must be
+    present, float64, finite and shaped as the manifest's config says;
+    otherwise ValueError names the offending tensor."""
     with np.load(path) as data:
         manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
         if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -503,34 +534,36 @@ def load_model(path: str | Path) -> ToyModel:
                 f"unsupported checkpoint format: {manifest.get('format_version')!r}"
             )
         config = _config_from_dict(manifest["config"])
-        blocks = []
-        for i in range(config.num_layers):
-            attn = MultiHeadParams(
-                wq=data[f"block{i}.attn.wq"],
-                wk=data[f"block{i}.attn.wk"],
-                wv=data[f"block{i}.attn.wv"],
-                wo=data[f"block{i}.attn.wo"],
-                wkx=data[f"block{i}.attn.wkx"] if f"block{i}.attn.wkx" in data else None,
-                wvx=data[f"block{i}.attn.wvx"] if f"block{i}.attn.wvx" in data else None,
-            )
-            blocks.append(
-                DecoderBlock(
-                    attn=attn,
-                    w1=data[f"block{i}.w1"],
-                    b1=data[f"block{i}.b1"],
-                    w2=data[f"block{i}.w2"],
-                    b2=data[f"block{i}.b2"],
-                )
-            )
-        stub = {
-            image_id: data[f"stub.{image_id}"]
-            for image_id in manifest["known_images"]
-        }
-        return ToyModel(
-            config=config,
-            projection=data["projection"],
-            embedding=data["embedding"],
-            blocks=tuple(blocks),
-            vision_stub=stub,
-            stub_seed=manifest["stub_seed"],
+        shapes = _tensor_shapes(config, manifest["known_images"])
+        unexpected = sorted(set(data.files) - set(shapes) - {"__manifest__"})
+        if unexpected:
+            raise ValueError(f"checkpoint has unexpected tensors: {', '.join(unexpected)}")
+        tensors: dict[str, np.ndarray] = {}
+        for name, shape in shapes.items():
+            if name not in data.files:
+                raise ValueError(f"checkpoint is missing tensor {name}")
+            array = data[name]
+            if array.dtype != np.float64:
+                raise ValueError(f"tensor {name} has dtype {array.dtype}, expected float64")
+            if array.shape != shape:
+                raise ValueError(f"tensor {name} has shape {array.shape}, expected {shape}")
+            if not np.isfinite(array).all():
+                raise ValueError(f"tensor {name} contains non-finite values")
+            tensors[name] = array
+    attn_names = ("wq", "wk", "wv", "wo", "wkx", "wvx")
+    blocks = tuple(
+        DecoderBlock(
+            attn=MultiHeadParams(**{w: tensors.get(f"block{i}.attn.{w}") for w in attn_names}),
+            **{w: tensors[f"block{i}.{w}"] for w in ("w1", "b1", "w2", "b2")},
         )
+        for i in range(config.num_layers)
+    )
+    known = manifest["known_images"]
+    return ToyModel(
+        config=config,
+        projection=tensors["projection"],
+        embedding=tensors["embedding"],
+        blocks=blocks,
+        vision_stub={image_id: tensors[f"stub.{image_id}"] for image_id in known},
+        stub_seed=manifest["stub_seed"],
+    )

@@ -127,9 +127,9 @@ def naive_cross(
 def naive_multi_head(config, x: np.ndarray, params, seq: ModalitySequence) -> np.ndarray:
     """Head loop over the naive single-head evaluators, then the output
     projection."""
-    from mmchat.mask import AttentionVariant, build_mask
+    from mmchat.mask import AttentionVariant
 
-    entries = build_mask(seq, config.variant, config.image_self).entries
+    entries = rule_mask(seq, config.variant.value, config.image_self)
     scale = config.effective_scale
     heads = []
     for h in range(config.num_heads):

@@ -168,6 +168,22 @@ def test_render_command_empty_input(tmp_path):
     assert payload == {"rendered": 0, "dropped": {"too_many_images": 0, "over_length": 0}}
 
 
+def test_missing_input_file_exits_2_without_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.jsonl")
+    out = str(tmp_path / "out.jsonl")
+    assert main(["render", "--input", missing, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "nonexistent.jsonl" in err
+    assert main(["blend", "--mode", "concat", "--input", missing, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    assert main(["mask", "i2,t2", "--out", str(tmp_path / "no-such-dir" / "grid.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--variant", "mmca", "--seeds", "2", "--d", "6"]) == 0
     out = capsys.readouterr().out

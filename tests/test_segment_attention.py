@@ -1,0 +1,299 @@
+"""The segment-structured multi-head kernel against the dense reference.
+
+The reference here is a per-head composition of the dense single-head
+functions (``mmca_/causal_/cross_forward`` and their ``_vjp``s over
+``build_mask``) plus the output projection, i.e. the multi-head path as it
+was before the kernel existed.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import mmchat.attn as attn_module
+import mmchat.mask as mask_module
+from mmchat.attn import (
+    AttentionConfig,
+    AttentionInputs,
+    CrossParams,
+    causal_forward,
+    causal_vjp,
+    cross_forward,
+    cross_vjp,
+    init_multi_head_params,
+    mmca_forward,
+    mmca_vjp,
+    multi_head_forward,
+    multi_head_input_vjp,
+    segment_attention,
+    segment_attention_vjp,
+)
+from mmchat.mask import AttentionVariant, build_layout, build_mask
+from mmchat.modseq import TokenKind, build_sequence
+from mmchat.toy_model import (
+    ModelConfig,
+    OptimState,
+    loss_and_param_grads,
+    make_copy_task,
+    make_model,
+    train_step,
+)
+
+I, T = TokenKind.IMAGE, TokenKind.TEXT
+TOLERANCE = 1e-12
+CONFIGS = list(
+    itertools.product(AttentionVariant, ("block", "diagonal"), (False, True))
+)
+
+
+def dense_heads(config, x, params, seq):
+    """Per-head (AttentionInputs, CrossParams | None) and the dense mask."""
+    mask = build_mask(seq, config.variant, config.image_self)
+    heads = []
+    for h in range(config.num_heads):
+        inputs = AttentionInputs(x @ params.wq[h], x @ params.wk[h], x @ params.wv[h])
+        cross = None
+        if config.variant is AttentionVariant.CAUSAL_PLUS_CROSS:
+            cross = CrossParams(x @ params.wkx[h], x @ params.wvx[h])
+        heads.append((inputs, cross))
+    return heads, mask
+
+
+def dense_forward(config, x, params, seq):
+    heads, mask = dense_heads(config, x, params, seq)
+    scale = config.effective_scale
+    outs = []
+    for inputs, cross in heads:
+        if config.variant is AttentionVariant.MMCA:
+            out, _, _ = mmca_forward(inputs, mask, scale, config.normalize_dual_softmax)
+        elif config.variant is AttentionVariant.CAUSAL_ONLY:
+            out = causal_forward(inputs, mask, scale)
+        else:
+            out = cross_forward(inputs, cross, mask, scale)
+        outs.append(out)
+    return np.concatenate(outs, axis=1) @ params.wo
+
+
+def dense_input_vjp(config, x, params, seq, dout):
+    heads, mask = dense_heads(config, x, params, seq)
+    scale, hd = config.effective_scale, config.head_dim
+    dconcat = dout @ params.wo.T
+    dx = np.zeros_like(x)
+    for h, (inputs, cross) in enumerate(heads):
+        dh = dconcat[:, h * hd : (h + 1) * hd]
+        if config.variant is AttentionVariant.MMCA:
+            g = mmca_vjp(inputs, mask, scale, dh, config.normalize_dual_softmax)
+        elif config.variant is AttentionVariant.CAUSAL_ONLY:
+            g = causal_vjp(inputs, mask, scale, dh)
+        else:
+            g = cross_vjp(inputs, cross, mask, scale, dh)
+            dx += g["kx"] @ params.wkx[h].T + g["vx"] @ params.wvx[h].T
+        dx += g["q"] @ params.wq[h].T + g["k"] @ params.wk[h].T + g["v"] @ params.wv[h].T
+    return dx
+
+
+def random_layout(rng):
+    """Layout of 1..64 tokens: text-only, image-only or mixed, with block
+    sizes from 1 and adjacent image blocks wherever two image segments
+    meet."""
+    mode = int(rng.integers(0, 6))  # 0 text-only, 1 image-only, else mixed
+    d = int(rng.integers(1, 65))
+    segments, total = [], 0
+    while total < d:
+        size = int(rng.integers(1, min(12, d - total) + 1))
+        kind = T if mode == 0 else I if mode == 1 else (I if rng.random() < 0.5 else T)
+        segments.append((kind, size))
+        total += size
+    return build_sequence(segments)
+
+
+def max_gaps(config, seq, seed):
+    """(forward gap, input-VJP gap) between the kernel and the reference."""
+    rng = np.random.default_rng(seed)
+    params = init_multi_head_params(config, rng)
+    x = rng.standard_normal((seq.d, config.model_dim))
+    dout = rng.standard_normal((seq.d, config.model_dim))
+    fwd = np.abs(multi_head_forward(config, x, params, seq) - dense_forward(config, x, params, seq))
+    vjp = np.abs(
+        multi_head_input_vjp(config, x, params, seq, dout)
+        - dense_input_vjp(config, x, params, seq, dout)
+    )
+    return float(fwd.max()), float(vjp.max())
+
+
+@pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
+def test_matches_dense_reference_on_random_layouts(variant, image_self, normalize):
+    config = AttentionConfig(
+        variant, num_heads=2, model_dim=4,
+        normalize_dual_softmax=normalize, image_self=image_self,
+    )
+    rng = np.random.default_rng(2309)
+    worst = (0.0, 0.0)
+    for trial in range(500):
+        gaps = max_gaps(config, random_layout(rng), seed=trial)
+        worst = (max(worst[0], gaps[0]), max(worst[1], gaps[1]))
+    assert worst[0] <= TOLERANCE and worst[1] <= TOLERANCE, worst
+
+
+_segments = st.lists(
+    st.tuples(st.sampled_from([T, I]), st.integers(1, 6)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    segments=_segments,
+    config_index=st.integers(0, len(CONFIGS) - 1),
+    seed=st.integers(0, 2**16),
+)
+@example(segments=[(T, 5)], config_index=0, seed=0)  # text-only
+@example(segments=[(I, 4)], config_index=10, seed=1)  # image-only
+@example(segments=[(I, 2), (I, 3), (T, 2)], config_index=11, seed=2)  # adjacent blocks
+# 1-token blocks
+@example(segments=[(I, 1), (T, 1), (I, 1), (I, 1), (T, 2)], config_index=5, seed=3)
+@example(segments=[(T, 1)], config_index=8, seed=4)  # d=1
+@example(segments=[(I, 1)], config_index=9, seed=5)  # d=1, image
+@example(segments=[(T, 3), (I, 2), (T, 2)], config_index=4, seed=6)  # text before the first image
+def test_edge_layouts_match_dense_reference(segments, config_index, seed):
+    variant, image_self, normalize = CONFIGS[config_index]
+    config = AttentionConfig(
+        variant, num_heads=2, model_dim=6,
+        normalize_dual_softmax=normalize, image_self=image_self,
+    )
+    fwd, vjp = max_gaps(config, build_sequence(segments), seed)
+    assert fwd <= TOLERANCE and vjp <= TOLERANCE
+
+
+def test_layout_structure():
+    seq = build_sequence([(T, 2), (I, 3), (T, 1), (I, 3), (I, 2), (T, 1), (I, 2)])
+    mmca = build_layout(seq, AttentionVariant.MMCA)
+    assert [b.tolist() for b in mmca.blocks] == [[[2, 3, 4], [6, 7, 8]], [[9, 10], [12, 13]]]
+    assert mmca.rows.tolist() == [0, 1, 5, 11]
+    text, image = mmca.key_classes
+    assert text.keys.tolist() == [0, 1, 5, 11] and not text.cross
+    # the trailing image block is after the last text row: no prefix row reads it
+    assert image.keys.tolist() == [2, 3, 4, 6, 7, 8, 9, 10]
+    assert image.allow[0].sum() == 0 and image.allow[2].sum() == 3 and image.allow[3].all()
+    cross = build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
+    assert cross.reads_cross and [kc.cross for kc in cross.key_classes] == [False, True]
+    diagonal = build_layout(seq, AttentionVariant.MMCA, "diagonal")
+    assert [b.shape for b in diagonal.blocks] == [(10, 1)]
+    causal = build_layout(seq, AttentionVariant.CAUSAL_ONLY)
+    assert causal.blocks == () and causal.rows.tolist() == list(range(seq.d))
+    assert build_layout(seq, AttentionVariant.MMCA, normalize=True).weight == 0.5
+    assert build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS, normalize=True).weight == 1.0
+    with pytest.raises(ValueError, match="image_self"):
+        build_layout(seq, AttentionVariant.MMCA, "row")
+
+
+def test_prebuilt_layout_reused_and_checked():
+    seq = build_sequence([(I, 2), (T, 3)])
+    config = AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=4)
+    rng = np.random.default_rng(0)
+    params = init_multi_head_params(config, rng)
+    x = rng.standard_normal((5, 4))
+    layout = build_layout(seq, config.variant)
+    assert np.array_equal(
+        multi_head_forward(config, x, params, layout), multi_head_forward(config, x, params, seq)
+    )
+    other = AttentionConfig(AttentionVariant.MMCA, 2, 4, normalize_dual_softmax=True)
+    with pytest.raises(ValueError, match="different attention config"):
+        multi_head_forward(other, x, params, layout)
+    with pytest.raises(ValueError, match="row count"):
+        multi_head_input_vjp(config, x[:4], params, layout, np.ones((4, 4)))
+
+
+def test_nonfinite_inputs_and_scores_rejected():
+    seq = build_sequence([(I, 2), (T, 2)])
+    layout = build_layout(seq, AttentionVariant.MMCA)
+    ok = np.ones((4, 2))
+    bad = ok.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="K contains non-finite"):
+        segment_attention(layout, 1.0, ok, bad, ok)
+    with pytest.raises(ValueError, match="Q contains non-finite"):
+        segment_attention_vjp(layout, 1.0, ok, bad, ok, ok)
+    with pytest.raises(ValueError, match="4 rows"):
+        segment_attention(layout, 1.0, ok[:3], ok[:3], ok[:3])
+    with pytest.raises(ValueError, match="equal shapes"):
+        segment_attention(layout, 1.0, ok, ok, np.ones((4, 3)))
+    cross = build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
+    with pytest.raises(ValueError, match="Kx and Vx"):
+        segment_attention(cross, 1.0, ok, ok, ok)
+    huge = np.full((4, 2), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="scores contain non-finite"):
+        segment_attention(layout, 1.0, huge, huge, ok)
+
+
+def test_empty_support_and_forbidden_edges_exactly_zero():
+    # text row 0 precedes every image: its image term has empty support
+    seq = build_sequence([(T, 1), (I, 2), (T, 2)])
+    layout = build_layout(seq, AttentionVariant.MMCA)
+    rng = np.random.default_rng(1)
+    q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
+    out = segment_attention(layout, 0.5, q, k, v)
+    assert np.array_equal(out[0], v[0])
+    dout = np.zeros((5, 3))
+    dout[0] = rng.standard_normal(3)
+    dout[1] = rng.standard_normal(3)  # image row: reads only its block
+    grads = segment_attention_vjp(layout, 0.5, dout, q, k, v)
+    assert not grads["v"][3:].any() and not grads["k"][3:].any()
+    assert not grads["q"][3:].any()
+
+
+def test_hot_path_builds_no_dense_mask(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense mask machinery on the hot path")
+
+    monkeypatch.setattr(mask_module, "build_mask", forbidden)
+    monkeypatch.setattr(attn_module, "partition", forbidden)
+    softmax_shapes = []
+    real_softmax = attn_module.masked_softmax
+
+    def recording_softmax(scores, allow):
+        softmax_shapes.append(scores.shape[-2:])
+        return real_softmax(scores, allow)
+
+    monkeypatch.setattr(attn_module, "masked_softmax", recording_softmax)
+    layouts = []
+    real_layout = mask_module.build_layout
+
+    def counting_layout(seq, *args):
+        layouts.append(seq.d)
+        return real_layout(seq, *args)
+
+    monkeypatch.setattr("mmchat.toy_model.build_layout", counting_layout)
+    for variant in AttentionVariant:
+        config = ModelConfig(variant=variant)
+        samples, ids = make_copy_task(config, num_images=3)
+        model = make_model(config, seed=0, known_images=ids)
+        layouts.clear()
+        softmax_shapes.clear()
+        train_step(model, samples, OptimState(total_steps=2))
+        assert len(layouts) == len(samples)  # once per sample, not per layer, head or pass
+        d = samples[0].d
+        if variant is not AttentionVariant.CAUSAL_ONLY:  # causal's one term is the d x d prefix
+            assert softmax_shapes and all(shape != (d, d) for shape in softmax_shapes)
+        layouts.clear()
+        loss_and_param_grads(model, samples[0])
+        assert len(layouts) == 1
+
+
+def test_masked_softmax_shares_allow_across_leading_axes():
+    rng = np.random.default_rng(3)
+    scores = rng.standard_normal((2, 3, 4))
+    allow = rng.random((3, 4)) < 0.5
+    allow[0] = False
+    batched = attn_module.masked_softmax(scores, allow)
+    for h in range(2):
+        assert np.array_equal(batched[h], attn_module.masked_softmax(scores[h], allow))
+    assert not batched[:, 0].any()
+    full = attn_module.masked_softmax(scores, None)
+    assert np.array_equal(full, attn_module.masked_softmax(scores, np.ones((3, 4), dtype=bool)))
+    with pytest.raises(ValueError, match="2-d"):
+        attn_module.masked_softmax(scores, np.ones((2, 4), dtype=bool))
+    with pytest.raises(ValueError, match="2-d"):
+        attn_module.masked_softmax(np.zeros(3))

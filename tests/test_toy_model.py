@@ -339,3 +339,29 @@ def test_checkpoint_version_check(tmp_path):
     np.savez(bad, **arrays)
     with pytest.raises(ValueError, match="unsupported checkpoint format"):
         load_model(bad)
+
+
+@pytest.mark.parametrize(
+    ("name", "corrupt", "message"),
+    [
+        ("projection", lambda a: np.zeros((3, 3)), r"shape \(3, 3\), expected \(8, 16\)"),
+        ("embedding", lambda a: a * np.nan, "embedding contains non-finite"),
+        ("block1.w1", lambda a: a.astype(np.float32), "block1.w1 has dtype float32"),
+        ("block0.attn.wo", lambda a: None, "missing tensor block0.attn.wo"),
+        ("stub.img0", lambda a: np.zeros((5, 8)), r"stub.img0 has shape \(5, 8\)"),
+        ("block0.attn.wkx", lambda a: np.zeros((2, 16, 8)), "unexpected tensors: block0.attn.wkx"),
+    ],
+)
+def test_checkpoint_tensors_validated(tmp_path, name, corrupt, message):
+    model = make_model(ModelConfig(), seed=0, known_images=("img0",))
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    value = corrupt(arrays.pop(name, None))
+    if value is not None:
+        arrays[name] = value
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    with pytest.raises(ValueError, match=message):
+        load_model(bad)
