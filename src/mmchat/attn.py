@@ -24,7 +24,9 @@ Two implementations share these semantics:
   behind the multi-head wrapper. They work from an ``AttentionLayout``
   built once per sequence: image rows run a softmax over their own block
   only, and the "prefix rows" (text rows, or every row for causal) run one
-  gathered pass per key class. No d x d array is formed.
+  gathered pass per key class. No d x d array is formed. The forward
+  pass returns each term's softmax and the VJP reads it, so a backward
+  pass forms no scores and takes no softmax.
 
 ``grad_check`` compares analytic gradients against central finite
 differences; ``variant_grad_check`` points it at the segment kernel.
@@ -140,21 +142,25 @@ def masked_softmax(scores: np.ndarray, allow: np.ndarray | None = None) -> np.nd
         raise ValueError("scores must be 2-d or more, and allow must match their trailing axes")
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite values")
-    if allow is not None:
-        scores = np.where(allow, scores, -np.inf)
-    shift = scores.max(axis=-1, keepdims=True)
+    # one fresh buffer, worked in place: the caller's scores are never written
+    out = scores.copy() if allow is None else np.where(allow, scores, -np.inf)
+    shift = out.max(axis=-1, keepdims=True)
     shift[np.isneginf(shift)] = 0.0  # empty support: every entry is -inf
-    weights = np.exp(scores - shift)
-    total = weights.sum(axis=-1, keepdims=True)
+    out -= shift
+    np.exp(out, out=out)
+    total = out.sum(axis=-1, keepdims=True)
     total[total == 0.0] = 1.0
-    return weights / total
+    out /= total
+    return out
 
 
 def masked_softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Gradient of masked_softmax w.r.t. the scores, given the forward
     output. Zero rows and masked entries receive zero gradient."""
-    inner = np.sum(probs * dprobs, axis=-1, keepdims=True)
-    return probs * (dprobs - inner)
+    out = probs * dprobs
+    np.subtract(dprobs, out.sum(axis=-1, keepdims=True), out=out)
+    out *= probs
+    return out
 
 
 def _check_dims(inputs: AttentionInputs, mask: MmcaMask) -> None:
@@ -315,45 +321,52 @@ def segment_attention(
     v: np.ndarray,
     kx: np.ndarray | None = None,
     vx: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Attention output for Q/K/V (and Kx/Vx when the layout reads them),
     all of one shape (..., d, h); leading axes are independent heads.
-    Matches the dense reference of the layout's variant."""
+    Matches the dense reference of the layout's variant. Also returns the
+    softmax of each ``layout.terms()`` entry, which the VJP reads."""
     _check_inputs(layout, {"q": q, "k": k, "v": v, "kx": kx, "vx": vx})
     sources = {False: (k, v), True: (kx, vx)}
     out = np.zeros(q.shape)
+    probs = []
     for rows, keys, allow, cross in layout.terms():
         kk, vv = sources[cross]
-        probs = masked_softmax(scale * (q[..., rows, :] @ _swap(kk[..., keys, :])), allow)
-        out[..., rows, :] += probs @ vv[..., keys, :]
-    return layout.weight * out
+        p = masked_softmax(scale * (q[..., rows, :] @ _swap(kk[..., keys, :])), allow)
+        out[..., rows, :] += p @ vv[..., keys, :]
+        probs.append(p)
+    return layout.weight * out, tuple(probs)
 
 
 def segment_attention_vjp(
     layout: AttentionLayout,
     scale: float,
     dout: np.ndarray,
+    probs: tuple[np.ndarray, ...],
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
     kx: np.ndarray | None = None,
     vx: np.ndarray | None = None,
 ) -> GradDict:
-    """Gradients of ``sum(dout * segment_attention(...))`` for every input
-    given; the softmaxes are recomputed term by term."""
+    """Gradients of ``sum(dout * out)`` for every input given, where
+    ``out, probs = segment_attention(layout, scale, q, k, v, kx, vx)``.
+    Each term's softmax is read from ``probs``, not recomputed."""
     inputs = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
     _check_inputs(layout, inputs)
+    terms = list(layout.terms())
+    if len(probs) != len(terms):
+        raise ValueError("probs must hold one softmax per layout term")
     grads = {name: np.zeros_like(a) for name, a in inputs.items() if a is not None}
     dout = layout.weight * dout
-    for rows, keys, allow, cross in layout.terms():
+    for p, (rows, keys, _, cross) in zip(probs, terms):
         kn, vn = ("kx", "vx") if cross else ("k", "v")
-        qr, kk, vv = q[..., rows, :], inputs[kn][..., keys, :], inputs[vn][..., keys, :]
-        probs = masked_softmax(scale * (qr @ _swap(kk)), allow)
         do = dout[..., rows, :]
-        grads[vn][..., keys, :] += _swap(probs) @ do
-        ds = scale * masked_softmax_vjp(probs, do @ _swap(vv))
-        grads["q"][..., rows, :] += ds @ kk
-        grads[kn][..., keys, :] += _swap(ds) @ qr
+        grads[vn][..., keys, :] += _swap(p) @ do
+        ds = masked_softmax_vjp(p, do @ _swap(inputs[vn][..., keys, :]))
+        ds *= scale
+        grads["q"][..., rows, :] += ds @ inputs[kn][..., keys, :]
+        grads[kn][..., keys, :] += _swap(ds) @ q[..., rows, :]
     return grads
 
 
@@ -431,38 +444,48 @@ def _project_heads(
     return heads
 
 
+@dataclass(frozen=True)
+class SavedAttention:
+    """State of one ``multi_head_forward`` pass that ``multi_head_input_vjp`` reads."""
+
+    config: AttentionConfig
+    layout: AttentionLayout
+    heads: dict[str, np.ndarray]
+    probs: tuple[np.ndarray, ...]
+
+
 def multi_head_forward(
     config: AttentionConfig,
     x: np.ndarray,
     params: MultiHeadParams,
     seq: ModalitySequence | AttentionLayout,
-) -> np.ndarray:
+) -> tuple[np.ndarray, SavedAttention]:
     """Per-head projections, the segment kernel over ``seq``'s layout
     (pass a prebuilt ``AttentionLayout`` to reuse it), concatenation of
-    the heads, output projection."""
+    the heads, output projection; plus the state the input VJP reads."""
     layout = _resolve_layout(config, seq)
     x = np.asarray(x, dtype=np.float64)
     heads = _project_heads(config, x, params, layout)
-    out = segment_attention(layout, config.effective_scale, **heads)
-    return np.concatenate(out, axis=1) @ params.wo
+    out, probs = segment_attention(layout, config.effective_scale, **heads)
+    return np.concatenate(out, axis=1) @ params.wo, SavedAttention(config, layout, heads, probs)
 
 
 def multi_head_input_vjp(
     config: AttentionConfig,
-    x: np.ndarray,
     params: MultiHeadParams,
-    seq: ModalitySequence | AttentionLayout,
+    saved: SavedAttention,
     dout: np.ndarray,
 ) -> np.ndarray:
-    """Gradient of multi_head_forward w.r.t. its input activations. Head
-    parameters receive no gradient here; the decoder that uses this wrapper
-    keeps them frozen."""
-    layout = _resolve_layout(config, seq)
-    x = np.asarray(x, dtype=np.float64)
-    heads = _project_heads(config, x, params, layout)
-    dheads = (dout @ params.wo.T).reshape(x.shape[0], config.num_heads, config.head_dim)
+    """Gradient of multi_head_forward w.r.t. its input activations, from
+    the ``saved`` state of that forward pass. Head parameters receive no
+    gradient here; the decoder that uses this wrapper keeps them frozen."""
+    if saved.config != config:
+        raise ValueError("saved state was built for a different attention config")
+    if dout.shape != (saved.layout.d, config.model_dim):
+        raise ValueError("dout must have the saved pass's row count and model_dim columns")
+    dheads = (dout @ params.wo.T).reshape(-1, config.num_heads, config.head_dim)
     grads = segment_attention_vjp(
-        layout, config.effective_scale, dheads.transpose(1, 0, 2), **heads
+        saved.layout, config.effective_scale, dheads.transpose(1, 0, 2), saved.probs, **saved.heads
     )
     weights = {"q": params.wq, "k": params.wk, "v": params.wv, "kx": params.wkx, "vx": params.wvx}
     return sum((g @ _swap(weights[name])).sum(axis=0) for name, g in grads.items())
@@ -473,20 +496,20 @@ def multi_head_input_vjp(
 
 
 def grad_check(
-    loss_and_grad: Callable[[GradDict], tuple[float, GradDict]],
+    loss: Callable[[GradDict], float],
+    analytic: GradDict,
     params: GradDict,
     eps: float = 1e-5,
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``loss_and_grad(params)`` returns the scalar loss and a gradient per
-    parameter. Returns the max over all parameter entries of
+    ``analytic`` is the gradient of ``loss`` at ``params``; the probes
+    call ``loss`` alone. Returns the max over all parameter entries of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError("eps must lie in [1e-7, 1e-3]")
-    loss, analytic = loss_and_grad(params)
-    if not np.isfinite(loss):
+    if not np.isfinite(loss(params)):
         raise FloatingPointError("non-finite loss in grad_check")
     worst = 0.0
     for name, values in params.items():
@@ -494,9 +517,9 @@ def grad_check(
         for idx in np.ndindex(values.shape):
             original = values[idx]
             values[idx] = original + eps
-            plus = loss_and_grad(params)[0]
+            plus = loss(params)
             values[idx] = original - eps
-            minus = loss_and_grad(params)[0]
+            minus = loss(params)
             values[idx] = original
             numeric[idx] = (plus - minus) / (2.0 * eps)
         if not np.isfinite(numeric).all():
@@ -529,13 +552,12 @@ def variant_grad_check(
     rng = np.random.default_rng(seed)
     names = ("q", "k", "v", "kx", "vx") if layout.reads_cross else ("q", "k", "v")
     params: GradDict = {name: rng.standard_normal((seq.d, head_dim)) for name in names}
-    dout = np.ones((seq.d, head_dim))
 
-    def loss_and_grad(p: GradDict) -> tuple[float, GradDict]:
-        out = segment_attention(layout, scale, **p)
-        grads = segment_attention_vjp(layout, scale, dout, **p)
-        if corrupt:
-            grads["q"] = grads["q"] + 1.0
-        return float(out.sum()), grads
+    def loss(p: GradDict) -> float:
+        return float(segment_attention(layout, scale, **p)[0].sum())
 
-    return grad_check(loss_and_grad, params, eps)
+    _, probs = segment_attention(layout, scale, **params)
+    analytic = segment_attention_vjp(layout, scale, np.ones((seq.d, head_dim)), probs, **params)
+    if corrupt:
+        analytic["q"] = analytic["q"] + 1.0
+    return grad_check(loss, analytic, params, eps)

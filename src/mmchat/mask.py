@@ -10,15 +10,14 @@ The dense mask is the inspectable reference. The attention hot path uses
 rows and per-key-class supports, with no d x d array.
 
 The entry value encodes the KEY token's modality; the query's modality
-determines which rows can carry which values. Three builders cover the
+determines which rows can carry which values. Two builders cover the
 three attention variants:
 
 * causal      - plain lower-triangular mask, modality ignored (all 1s).
 * multi-modal - image queries attend only within their own image block;
                 text queries attend causally, with text keys labeled 1 and
-                image keys labeled 2.
-* cross       - same mask geometry as multi-modal; the variants differ in
-                how attention consumes the mask, not in the mask itself.
+                image keys labeled 2. The cross variant uses this mask
+                too; it differs in how attention consumes the mask.
 """
 
 from __future__ import annotations
@@ -75,7 +74,14 @@ def _check_image_self(image_self: str) -> None:
         raise ValueError(f"image_self must be 'block' or 'diagonal', got {image_self!r}")
 
 
-def _modality_mask(seq: ModalitySequence, image_self: str) -> MmcaMask:
+def build_mmca_mask(seq: ModalitySequence, image_self: str = "block") -> MmcaMask:
+    """Multi-modal causal mask, which the causal-plus-cross variant uses too.
+
+    Image query in block b: key allowed iff it lies in block b (value 2);
+    with ``image_self="diagonal"`` only the query token itself. Text query
+    i: keys j <= i allowed, labeled 1 for text keys and 2 for image keys.
+    Image tokens never attend to text, and text never sees a later image.
+    """
     _check_image_self(image_self)
     d = seq.d
     is_img = seq.is_image()
@@ -97,28 +103,11 @@ def _modality_mask(seq: ModalitySequence, image_self: str) -> MmcaMask:
     return MmcaMask(entries)
 
 
-def build_mmca_mask(seq: ModalitySequence, image_self: str = "block") -> MmcaMask:
-    """Multi-modal causal mask.
-
-    Image query in block b: key allowed iff it lies in block b (value 2);
-    with ``image_self="diagonal"`` only the query token itself. Text query
-    i: keys j <= i allowed, labeled 1 for text keys and 2 for image keys.
-    Image tokens never attend to text, and text never sees a later image.
-    """
-    return _modality_mask(seq, image_self)
-
-
 def build_causal_mask(seq: ModalitySequence) -> MmcaMask:
     """Standard lower-triangular causal mask; modality ignored, every
     allowed key labeled as text."""
     entries = np.tril(np.ones((seq.d, seq.d), dtype=np.int8))
     return MmcaMask(entries)
-
-
-def build_cross_mask(seq: ModalitySequence, image_self: str = "block") -> MmcaMask:
-    """Mask for the causal-plus-cross variant: identical geometry to the
-    multi-modal mask; the attention computation, not the mask, differs."""
-    return _modality_mask(seq, image_self)
 
 
 def build_mask(
@@ -127,10 +116,8 @@ def build_mask(
     """Build the mask for the given attention variant."""
     if variant is AttentionVariant.CAUSAL_ONLY:
         return build_causal_mask(seq)
-    if variant is AttentionVariant.MMCA:
+    if variant in (AttentionVariant.MMCA, AttentionVariant.CAUSAL_PLUS_CROSS):
         return build_mmca_mask(seq, image_self)
-    if variant is AttentionVariant.CAUSAL_PLUS_CROSS:
-        return build_cross_mask(seq, image_self)
     raise ValueError(f"unknown attention variant {variant!r}")
 
 

@@ -137,17 +137,3 @@ def image_blocks(seq: ModalitySequence) -> list[tuple[int, int, int]]:
         else:
             spans.append((tag.block_id, pos, pos + 1))
     return spans
-
-
-def segments(seq: ModalitySequence) -> list[tuple[TokenKind, int]]:
-    """Reconstruct the (kind, count) segment list. Adjacent image blocks
-    stay separate segments; adjacent text runs merge."""
-    out: list[tuple[TokenKind, int]] = []
-    last_block: int | None = None
-    for tag in seq.tags:
-        if out and tag.kind is out[-1][0] and tag.block_id == last_block:
-            out[-1] = (tag.kind, out[-1][1] + 1)
-        else:
-            out.append((tag.kind, 1))
-            last_block = tag.block_id
-    return out

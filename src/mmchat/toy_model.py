@@ -11,8 +11,9 @@ is tied to the embedding transpose, so the trainable set is exactly
 
 The loss is next-token cross-entropy restricted to positions whose target
 token carries the loss mask, i.e. answer tokens only. Gradients are
-hand-written (double precision, recompute-style backward) and reach only
-the two trainable tensors; frozen parameters have no gradient storage and
+hand-written (double precision; the backward pass reads each block's
+attention softmaxes from the forward pass) and reach only the two
+trainable tensors; frozen parameters have no gradient storage and
 are shared, bit-identical, between a model and its trained successors.
 """
 
@@ -31,6 +32,7 @@ import numpy as np
 from .attn import (
     AttentionConfig,
     MultiHeadParams,
+    SavedAttention,
     init_multi_head_params,
     multi_head_forward,
     multi_head_input_vjp,
@@ -224,15 +226,17 @@ def _layout(model: ToyModel, sample: RenderedSample) -> AttentionLayout:
 
 def _decoder_states(
     model: ToyModel, layout: AttentionLayout, x: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Run the frozen blocks, keeping (input, post-attention) activations
-    per block so the backward pass can recompute the rest."""
+) -> tuple[np.ndarray, list[tuple[np.ndarray, SavedAttention]]]:
+    """Run the frozen blocks, keeping per block the post-attention
+    activations and the attention's saved forward state for the backward
+    pass."""
     cfg = model.config.attention_config()
     states = []
     h = x
     for block in model.blocks:
-        h_mid = h + multi_head_forward(cfg, h, block.attn, layout)
-        states.append((h, h_mid))
+        attn_out, saved = multi_head_forward(cfg, h, block.attn, layout)
+        h_mid = h + attn_out
+        states.append((h_mid, saved))
         h = h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2
     return h, states
 
@@ -300,10 +304,12 @@ def loss_and_param_grads(
     d_embedding = dlogits.T @ h
     dh = dlogits @ model.embedding
     cfg = model.config.attention_config()
-    for block, (h_in, h_mid) in zip(reversed(model.blocks), reversed(states)):
+    for block in reversed(model.blocks):
+        h_mid, saved = states.pop()
         a = np.tanh(h_mid @ block.w1 + block.b1)
         dh_mid = dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
-        dh = dh_mid + multi_head_input_vjp(cfg, h_in, block.attn, layout, dh_mid)
+        dh = dh_mid + multi_head_input_vjp(cfg, block.attn, saved, dh_mid)
+        del saved  # free this layer's softmaxes before the next layer's VJP
 
     token_ids = np.asarray(sample.token_ids)
     is_image = sample.tags.is_image()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mmchat.attn as attn_module
 from mmchat.attn import (
     AttentionConfig,
     AttentionInputs,
@@ -22,7 +23,7 @@ from mmchat.attn import (
     multi_head_input_vjp,
     variant_grad_check,
 )
-from mmchat.mask import AttentionVariant, build_causal_mask, build_cross_mask, build_mmca_mask, partition
+from mmchat.mask import AttentionVariant, build_causal_mask, build_mask, build_mmca_mask, partition
 from mmchat.modseq import TokenKind, build_sequence
 
 from oracles import naive_causal, naive_cross, naive_mmca, naive_multi_head
@@ -192,7 +193,8 @@ def test_cross_text_only_equals_causal():
     rng = np.random.default_rng(6)
     inputs = rand_inputs(rng, 5, 3)
     cross = CrossParams(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
-    out_cross = cross_forward(inputs, cross, build_cross_mask(seq), 0.6)
+    mask = build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
+    out_cross = cross_forward(inputs, cross, mask, 0.6)
     out_causal = causal_forward(inputs, build_causal_mask(seq), 0.6)
     assert np.allclose(out_cross, out_causal, atol=1e-12)
 
@@ -201,7 +203,7 @@ def test_cross_degenerates_to_mmca_when_sharing_kv():
     seq = build_sequence([(I, 2), (T, 4)])
     rng = np.random.default_rng(7)
     inputs = rand_inputs(rng, 6, 3)
-    mask = build_cross_mask(seq)
+    mask = build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
     shared = CrossParams(inputs.k, inputs.v)
     out_cross = cross_forward(inputs, shared, mask, 0.5)
     out_mmca, _, _ = mmca_forward(inputs, build_mmca_mask(seq), 0.5)
@@ -213,10 +215,10 @@ def test_cross_requires_params():
     rng = np.random.default_rng(8)
     inputs = rand_inputs(rng, 4, 2)
     with pytest.raises(ValueError, match="cross parameters"):
-        cross_forward(inputs, None, build_cross_mask(seq), 0.5)
+        cross_forward(inputs, None, build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS), 0.5)
     with pytest.raises(ValueError, match="shape"):
         bad = CrossParams(np.zeros((3, 2)), np.zeros((3, 2)))
-        cross_forward(inputs, bad, build_cross_mask(seq), 0.5)
+        cross_forward(inputs, bad, build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS), 0.5)
 
 
 def test_dimension_mismatch_rejected():
@@ -263,7 +265,7 @@ def test_multi_head_single_head_reduction():
     single, _, _ = mmca_forward(
         inputs, build_mmca_mask(seq), config.effective_scale
     )
-    assert np.allclose(multi_head_forward(config, x, params, seq), single @ params.wo, atol=1e-14)
+    assert np.allclose(multi_head_forward(config, x, params, seq)[0], single @ params.wo, atol=1e-14)
 
 
 def test_multi_head_head_permutation_symmetry():
@@ -281,8 +283,8 @@ def test_multi_head_head_permutation_symmetry():
         wo=np.concatenate([params.wo[h * hd : (h + 1) * hd] for h in perm], axis=0),
     )
     assert np.allclose(
-        multi_head_forward(config, x, params, seq),
-        multi_head_forward(config, x, permuted, seq),
+        multi_head_forward(config, x, params, seq)[0],
+        multi_head_forward(config, x, permuted, seq)[0],
         atol=1e-14,
     )
 
@@ -295,7 +297,7 @@ def test_multi_head_matches_naive_oracle(variant):
     params = init_multi_head_params(config, rng)
     x = rng.standard_normal((8, 6))
     assert np.allclose(
-        multi_head_forward(config, x, params, seq),
+        multi_head_forward(config, x, params, seq)[0],
         naive_multi_head(config, x, params, seq),
         atol=1e-10,
     )
@@ -337,15 +339,16 @@ def test_multi_head_input_vjp_matches_finite_differences(variant):
     params = init_multi_head_params(config, rng)
     x = rng.standard_normal((5, 4))
     dout = np.ones((5, 4))
-    analytic = multi_head_input_vjp(config, x, params, seq, dout)
+    _, saved = multi_head_forward(config, x, params, seq)
+    analytic = multi_head_input_vjp(config, params, saved, dout)
     eps = 1e-6
     for i in range(5):
         for j in range(4):
             bumped = x.copy()
             bumped[i, j] += eps
-            plus = multi_head_forward(config, bumped, params, seq).sum()
+            plus = multi_head_forward(config, bumped, params, seq)[0].sum()
             bumped[i, j] -= 2 * eps
-            minus = multi_head_forward(config, bumped, params, seq).sum()
+            minus = multi_head_forward(config, bumped, params, seq)[0].sum()
             numeric = (plus - minus) / (2 * eps)
             denom = max(abs(analytic[i, j]), abs(numeric), 1e-8)
             assert abs(analytic[i, j] - numeric) / denom < 1e-5
@@ -392,12 +395,28 @@ def test_grad_check_detects_corrupted_gradient():
     assert err >= 1e-4
 
 
+def test_variant_grad_check_runs_the_vjp_once(monkeypatch):
+    calls = []
+    real_vjp = attn_module.segment_attention_vjp
+
+    def counting_vjp(*args, **kwargs):
+        calls.append(1)
+        return real_vjp(*args, **kwargs)
+
+    monkeypatch.setattr(attn_module, "segment_attention_vjp", counting_vjp)
+    seq = build_sequence([(T, 2), (I, 2), (T, 2)])
+    for variant in AttentionVariant:
+        calls.clear()
+        assert variant_grad_check(variant, seq, head_dim=3, seed=2) < 1e-4
+        assert len(calls) == 1
+
+
 def test_grad_check_rejects_nonfinite_loss():
     def bad(params):
-        return float("nan"), {"x": np.zeros(1)}
+        return float("nan")
 
     with pytest.raises(FloatingPointError):
-        grad_check(bad, {"x": np.zeros(1)})
+        grad_check(bad, {"x": np.zeros(1)}, {"x": np.zeros(1)})
 
 
 def test_vjp_matches_for_explicit_dout():
@@ -431,7 +450,7 @@ def test_causal_and_cross_vjp_explicit_dout():
     cross = CrossParams(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
     dout = rng.standard_normal((5, 2))
     mask_c = build_causal_mask(seq)
-    mask_x = build_cross_mask(seq)
+    mask_x = build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
     eps = 1e-6
 
     grads = causal_vjp(inputs, mask_c, 0.5, dout)

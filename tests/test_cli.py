@@ -225,6 +225,10 @@ def test_bench_command(tmp_path):
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 4
     header = lines[0].split(",")
+    assert header == [
+        "variant", "d", "num_heads", "model_dim", "param_count", "reps",
+        "median_seconds", "min_seconds",
+    ]
     rows = {line.split(",")[0]: dict(zip(header, line.split(","))) for line in lines[1:]}
     assert set(rows) == {"causal", "cross", "mmca"}
     assert int(rows["mmca"]["param_count"]) == int(rows["causal"]["param_count"])

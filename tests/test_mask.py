@@ -6,7 +6,6 @@ from mmchat.mask import (
     AttentionVariant,
     MmcaMask,
     build_causal_mask,
-    build_cross_mask,
     build_mask,
     build_mmca_mask,
     partition,
@@ -51,15 +50,18 @@ def test_causal_examples():
 
 def test_cross_mask_equals_mmca_geometry():
     seq = build_sequence([(I, 3), (T, 7)])
-    assert np.array_equal(build_cross_mask(seq).entries, build_mmca_mask(seq).entries)
+    assert np.array_equal(
+        build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS).entries, build_mmca_mask(seq).entries
+    )
 
 
 def test_cross_mask_text_only_and_image_only():
     assert np.array_equal(
-        build_cross_mask(build_sequence([(T, 4)])).entries,
+        build_mask(build_sequence([(T, 4)]), AttentionVariant.CAUSAL_PLUS_CROSS).entries,
         np.tril(np.ones((4, 4), dtype=np.int8)),
     )
-    assert build_cross_mask(build_sequence([(I, 3)])).entries.tolist() == [
+    image_only = build_mask(build_sequence([(I, 3)]), AttentionVariant.CAUSAL_PLUS_CROSS)
+    assert image_only.entries.tolist() == [
         [2, 2, 2],
         [2, 2, 2],
         [2, 2, 2],
@@ -83,8 +85,8 @@ def test_partition_examples():
 
 def test_partition_disjoint_and_lossless():
     seq = build_sequence([(T, 2), (I, 3), (T, 2), (I, 2)])
-    for builder in (build_mmca_mask, build_cross_mask, build_causal_mask):
-        mask = builder(seq)
+    for variant in AttentionVariant:
+        mask = build_mask(seq, variant)
         m1, m2 = partition(mask)
         assert not (m1 & m2).any()
         rebuilt = np.zeros_like(mask.entries)
@@ -134,7 +136,7 @@ def test_build_mask_dispatch():
     )
     assert np.array_equal(
         build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS).entries,
-        build_cross_mask(seq).entries,
+        build_mmca_mask(seq).entries,
     )
 
 
@@ -151,7 +153,8 @@ def test_builders_match_rule_evaluator(segs, image_self):
         build_mmca_mask(seq, image_self).entries, rule_mask(seq, "mmca", image_self)
     )
     assert np.array_equal(
-        build_cross_mask(seq, image_self).entries, rule_mask(seq, "cross", image_self)
+        build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS, image_self).entries,
+        rule_mask(seq, "cross", image_self),
     )
     assert np.array_equal(build_causal_mask(seq).entries, rule_mask(seq, "causal"))
 
@@ -162,8 +165,8 @@ def test_mask_invariants(segs):
     seq = build_sequence(segs)
     is_image = seq.is_image()
     bid = seq.block_ids()
-    for builder in (build_mmca_mask, build_cross_mask):
-        entries = builder(seq).entries
+    for variant in (AttentionVariant.MMCA, AttentionVariant.CAUSAL_PLUS_CROSS):
+        entries = build_mask(seq, variant).entries
         # key labeling: 1 => text key, 2 => image key
         assert not (entries[:, is_image] == 1).any()
         assert not (entries[:, ~is_image] == 2).any()
@@ -179,4 +182,4 @@ def test_mask_invariants(segs):
     if not is_image.any():
         causal = build_causal_mask(seq).entries
         assert np.array_equal(build_mmca_mask(seq).entries, causal)
-        assert np.array_equal(build_cross_mask(seq).entries, causal)
+        assert np.array_equal(build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS).entries, causal)

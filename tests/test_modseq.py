@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,6 @@ from mmchat.modseq import (
     TokenKind,
     build_sequence,
     image_blocks,
-    segments,
 )
 
 I, T = TokenKind.IMAGE, TokenKind.TEXT
@@ -118,9 +119,10 @@ def _merge_text_runs(segs):
 
 
 @given(segment_lists)
-def test_segments_roundtrip(segs):
+def test_build_sequence_roundtrip(segs):
     seq = build_sequence(segs)
-    assert segments(seq) == _merge_text_runs(segs)
+    runs = itertools.groupby(seq.tags, key=lambda tag: (tag.kind, tag.block_id))
+    assert [(kind, len(list(run))) for (kind, _), run in runs] == _merge_text_runs(segs)
 
 
 @given(segment_lists)

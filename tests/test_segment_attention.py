@@ -116,9 +116,10 @@ def max_gaps(config, seq, seed):
     params = init_multi_head_params(config, rng)
     x = rng.standard_normal((seq.d, config.model_dim))
     dout = rng.standard_normal((seq.d, config.model_dim))
-    fwd = np.abs(multi_head_forward(config, x, params, seq) - dense_forward(config, x, params, seq))
+    out, saved = multi_head_forward(config, x, params, seq)
+    fwd = np.abs(out - dense_forward(config, x, params, seq))
     vjp = np.abs(
-        multi_head_input_vjp(config, x, params, seq, dout)
+        multi_head_input_vjp(config, params, saved, dout)
         - dense_input_vjp(config, x, params, seq, dout)
     )
     return float(fwd.max()), float(vjp.max())
@@ -196,14 +197,16 @@ def test_prebuilt_layout_reused_and_checked():
     params = init_multi_head_params(config, rng)
     x = rng.standard_normal((5, 4))
     layout = build_layout(seq, config.variant)
-    assert np.array_equal(
-        multi_head_forward(config, x, params, layout), multi_head_forward(config, x, params, seq)
-    )
+    out, saved = multi_head_forward(config, x, params, layout)
+    assert saved.layout is layout
+    assert np.array_equal(out, multi_head_forward(config, x, params, seq)[0])
     other = AttentionConfig(AttentionVariant.MMCA, 2, 4, normalize_dual_softmax=True)
     with pytest.raises(ValueError, match="different attention config"):
         multi_head_forward(other, x, params, layout)
+    with pytest.raises(ValueError, match="different attention config"):
+        multi_head_input_vjp(other, params, saved, np.ones((5, 4)))
     with pytest.raises(ValueError, match="row count"):
-        multi_head_input_vjp(config, x[:4], params, layout, np.ones((4, 4)))
+        multi_head_input_vjp(config, params, saved, np.ones((4, 4)))
 
 
 def test_nonfinite_inputs_and_scores_rejected():
@@ -214,8 +217,11 @@ def test_nonfinite_inputs_and_scores_rejected():
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="K contains non-finite"):
         segment_attention(layout, 1.0, ok, bad, ok)
+    _, probs = segment_attention(layout, 1.0, ok, ok, ok)
     with pytest.raises(ValueError, match="Q contains non-finite"):
-        segment_attention_vjp(layout, 1.0, ok, bad, ok, ok)
+        segment_attention_vjp(layout, 1.0, ok, probs, bad, ok, ok)
+    with pytest.raises(ValueError, match="one softmax per layout term"):
+        segment_attention_vjp(layout, 1.0, ok, probs[:-1], ok, ok, ok)
     with pytest.raises(ValueError, match="4 rows"):
         segment_attention(layout, 1.0, ok[:3], ok[:3], ok[:3])
     with pytest.raises(ValueError, match="equal shapes"):
@@ -234,12 +240,12 @@ def test_empty_support_and_forbidden_edges_exactly_zero():
     layout = build_layout(seq, AttentionVariant.MMCA)
     rng = np.random.default_rng(1)
     q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
-    out = segment_attention(layout, 0.5, q, k, v)
+    out, probs = segment_attention(layout, 0.5, q, k, v)
     assert np.array_equal(out[0], v[0])
     dout = np.zeros((5, 3))
     dout[0] = rng.standard_normal(3)
     dout[1] = rng.standard_normal(3)  # image row: reads only its block
-    grads = segment_attention_vjp(layout, 0.5, dout, q, k, v)
+    grads = segment_attention_vjp(layout, 0.5, dout, probs, q, k, v)
     assert not grads["v"][3:].any() and not grads["k"][3:].any()
     assert not grads["q"][3:].any()
 
@@ -262,8 +268,8 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
     real_layout = mask_module.build_layout
 
     def counting_layout(seq, *args):
-        layouts.append(seq.d)
-        return real_layout(seq, *args)
+        layouts.append(real_layout(seq, *args))
+        return layouts[-1]
 
     monkeypatch.setattr("mmchat.toy_model.build_layout", counting_layout)
     for variant in AttentionVariant:
@@ -274,12 +280,17 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         softmax_shapes.clear()
         train_step(model, samples, OptimState(total_steps=2))
         assert len(layouts) == len(samples)  # once per sample, not per layer, head or pass
+        # one softmax per layout term and layer, all in the forward pass: the VJP takes none
+        terms = sum(len(list(layout.terms())) for layout in layouts)
+        assert len(softmax_shapes) == terms * config.num_layers
         d = samples[0].d
         if variant is not AttentionVariant.CAUSAL_ONLY:  # causal's one term is the d x d prefix
             assert softmax_shapes and all(shape != (d, d) for shape in softmax_shapes)
         layouts.clear()
+        softmax_shapes.clear()
         loss_and_param_grads(model, samples[0])
         assert len(layouts) == 1
+        assert len(softmax_shapes) == len(list(layouts[0].terms())) * config.num_layers
 
 
 def test_masked_softmax_shares_allow_across_leading_axes():
@@ -297,3 +308,13 @@ def test_masked_softmax_shares_allow_across_leading_axes():
         attn_module.masked_softmax(scores, np.ones((2, 4), dtype=bool))
     with pytest.raises(ValueError, match="2-d"):
         attn_module.masked_softmax(np.zeros(3))
+
+
+def test_masked_softmax_leaves_scores_unchanged():
+    rng = np.random.default_rng(4)
+    scores = rng.standard_normal((2, 3, 4))
+    allow = rng.random((3, 4)) < 0.5
+    for mask in (None, allow):
+        before = scores.copy()
+        attn_module.masked_softmax(scores, mask)
+        assert np.array_equal(scores, before)
