@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .modseq import LayoutConfig
-from .template import Conversation, HashTokenizer, OverLengthError, Round, render
+from .template import Conversation, HashTokenizer, OverLengthError, RenderedSample, Round, render
 
 
 class Dataset(str, Enum):
@@ -177,25 +177,27 @@ def llava_otter_blend(
 
 def filter_limits(
     records: list[SourceRecord], spec: BlendSpec, tokenizer: HashTokenizer
-) -> tuple[list[SourceRecord], dict[str, int]]:
+) -> tuple[list[SourceRecord], dict[str, int], list[RenderedSample]]:
     """Drop records with too many images or an over-long rendering.
 
-    Returns the kept records and per-reason drop counts. Idempotent: the
-    kept list passes the same filter untouched.
+    Returns the kept records, per-reason drop counts, and the rendering of
+    each kept record (same order). Idempotent: the kept list passes the
+    same filter untouched.
     """
     kept: list[SourceRecord] = []
+    samples: list[RenderedSample] = []
     dropped = {"too_many_images": 0, "over_length": 0}
     for record in records:
         if len(record.image_ids) > spec.max_images:
             dropped["too_many_images"] += 1
             continue
         try:
-            render(record.conversation, tokenizer, spec.layout)
+            samples.append(render(record.conversation, tokenizer, spec.layout))
         except OverLengthError:
             dropped["over_length"] += 1
             continue
         kept.append(record)
-    return kept, dropped
+    return kept, dropped, samples
 
 
 def dataset_stats(records: list[SourceRecord]) -> dict:

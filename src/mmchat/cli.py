@@ -99,7 +99,7 @@ def cmd_blend(args: argparse.Namespace) -> int:
             read_records(args.llava_dial),
             read_records(args.otter),
         )
-    kept, dropped = filter_limits(blended, spec, HashTokenizer())
+    kept, dropped, _ = filter_limits(blended, spec, HashTokenizer())
     write_records(kept, args.out)
     _write_json(args.stats_out, {"kept": dataset_stats(kept), "dropped": dropped})
     return 0
@@ -115,18 +115,14 @@ def cmd_render(args: argparse.Namespace) -> int:
     )
     tokenizer = HashTokenizer(args.vocab_size)
     records = read_records(args.input)
-    kept, dropped = filter_limits(records, spec, tokenizer)
-    from .template import render
-
+    kept, dropped, samples = filter_limits(records, spec, tokenizer)
     with open(args.out, "w", encoding="utf-8") as handle:
-        for record in kept:
-            sample = render(record.conversation, tokenizer, spec.layout)
+        for sample in samples:
+            block_ids = sample.tags.ids
             payload = {
                 "token_ids": list(sample.token_ids),
-                "kinds": "".join(
-                    "I" if tag.kind is TokenKind.IMAGE else "T" for tag in sample.tags.tags
-                ),
-                "block_ids": [tag.block_id or 0 for tag in sample.tags.tags],
+                "kinds": "".join("I" if bid else "T" for bid in block_ids),
+                "block_ids": list(block_ids),
                 "loss_mask": [int(flag) for flag in sample.loss_mask],
                 "image_count": sample.image_count,
                 "image_ids": list(sample.image_ids),

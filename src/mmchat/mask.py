@@ -84,8 +84,8 @@ def build_mmca_mask(seq: ModalitySequence, image_self: str = "block") -> MmcaMas
     """
     _check_image_self(image_self)
     d = seq.d
-    is_img = seq.is_image()
     bid = seq.block_ids()
+    is_img = bid > 0
     lower = np.tril(np.ones((d, d), dtype=bool))
     img_q = is_img[:, None]
     img_k = is_img[None, :]

@@ -1,14 +1,15 @@
 """Interleaved image/text token sequences and their segment structure.
 
 A ModalitySequence is the shared input of mask building, attention, and
-template rendering: an ordered list of per-token modality tags where each
-image token also carries the 1-based id of the image block it belongs to.
-Image blocks are contiguous by construction; a layout that splits one
-image's tokens across several runs is rejected.
+template rendering: one integer per token, 0 for a text token and the
+1-based id of its image block for an image token. That vector is the whole
+layout. Image blocks are contiguous by construction; a layout that splits
+one image's tokens across several runs is rejected.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -21,71 +22,59 @@ class TokenKind(Enum):
     IMAGE = "image"
 
 
-@dataclass(frozen=True)
-class ModalityTag:
-    """Modality label of one token. ``block_id`` is present exactly when
-    the token is part of an image block."""
-
-    kind: TokenKind
-    block_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is TokenKind.IMAGE:
-            if self.block_id is None or self.block_id < 1:
-                raise ValueError("image tokens need a positive block_id")
-        elif self.block_id is not None:
-            raise ValueError("text tokens must not carry a block_id")
+_NOT_IDS = "block ids must be a 1-d sequence of integers, got "
 
 
 @dataclass(frozen=True)
 class ModalitySequence:
-    """Ordered token stream tagged text/image.
+    """Ordered token stream as one block id per token: 0 for text, k >= 1
+    for a token of image block k.
 
-    Invariants enforced at construction: at least one token, each image
-    block contiguous, and block ids strictly increasing in order of first
-    occurrence.
+    Invariants enforced at construction: at least one token, no negative
+    id, each image block contiguous, and block ids strictly increasing in
+    order of first occurrence. ``ids`` may be given as any 1-d sequence of
+    ints or an integer array; it is stored as a tuple of ints.
     """
 
-    tags: tuple[ModalityTag, ...]
+    ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tags", tuple(self.tags))
-        if not self.tags:
+        values = self.ids.tolist() if isinstance(self.ids, np.ndarray) else self.ids
+        try:
+            ids = tuple(values)
+        except TypeError:
+            raise ValueError(_NOT_IDS + type(values).__name__) from None
+        other = set(map(type, ids)) - {int}  # bool, float, nested sequences, ...
+        if other:
+            raise ValueError(_NOT_IDS + ", ".join(sorted(t.__name__ for t in other)))
+        object.__setattr__(self, "ids", ids)
+        if not ids:
             raise ValueError("empty sequence")
-        seen_closed: set[int] = set()
-        last_block: int | None = None
-        prev_first = 0
-        for tag in self.tags:
-            bid = tag.block_id
-            if bid is None:
-                if last_block is not None:
-                    seen_closed.add(last_block)
-                    last_block = None
+        seen: list[int] = []  # block ids in order of first occurrence
+        for bid, _ in itertools.groupby(ids):
+            if bid == 0:
                 continue
-            if bid == last_block:
-                continue
-            if last_block is not None:
-                seen_closed.add(last_block)
-            if bid in seen_closed:
-                raise ValueError(f"image block {bid} is not contiguous")
-            if bid <= prev_first:
+            if bid < 0:
+                raise ValueError(f"block ids must be >= 0, got {bid}")
+            if seen and bid <= seen[-1]:
+                if bid in seen:
+                    raise ValueError(f"image block {bid} is not contiguous")
                 raise ValueError(
-                    f"block ids must be strictly increasing, got {bid} after {prev_first}"
+                    f"block ids must be strictly increasing, got {bid} after {seen[-1]}"
                 )
-            prev_first = bid
-            last_block = bid
+            seen.append(bid)
 
     @property
     def d(self) -> int:
-        return len(self.tags)
+        return len(self.ids)
 
     def is_image(self) -> np.ndarray:
-        """Boolean vector: True at image-tagged positions."""
-        return np.array([t.kind is TokenKind.IMAGE for t in self.tags], dtype=bool)
+        """Boolean vector: True at image positions."""
+        return np.array(self.ids, dtype=bool)
 
     def block_ids(self) -> np.ndarray:
         """Integer vector of block ids, 0 at text positions."""
-        return np.array([t.block_id or 0 for t in self.tags], dtype=np.int64)
+        return np.array(self.ids, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -111,29 +100,29 @@ def build_sequence(segments: Iterable[tuple[TokenKind, int]]) -> ModalitySequenc
     segs = list(segments)
     if not segs:
         raise ValueError("empty sequence")
-    tags: list[ModalityTag] = []
+    ids: list[int] = []
     next_block = 1
     for kind, count in segs:
         if count < 1:
             raise ValueError(f"segment token_count must be >= 1, got {count}")
         if kind is TokenKind.IMAGE:
-            tags.extend(ModalityTag(kind, next_block) for _ in range(count))
+            ids.extend([next_block] * count)
             next_block += 1
         else:
-            tags.extend(ModalityTag(kind) for _ in range(count))
-    return ModalitySequence(tuple(tags))
+            ids.extend([0] * count)
+    return ModalitySequence(tuple(ids))
 
 
 def image_blocks(seq: ModalitySequence) -> list[tuple[int, int, int]]:
     """Half-open (block_id, start, end) spans, one per image block, in
     block-id order."""
     spans: list[tuple[int, int, int]] = []
-    for pos, tag in enumerate(seq.tags):
-        if tag.block_id is None:
-            continue
-        if spans and spans[-1][0] == tag.block_id:
-            bid, start, _ = spans[-1]
-            spans[-1] = (bid, start, pos + 1)
-        else:
-            spans.append((tag.block_id, pos, pos + 1))
+    start = last = 0
+    for pos, bid in enumerate(seq.ids):
+        if bid != last:
+            if last:
+                spans.append((last, start, pos))
+            start, last = pos, bid
+    if last:
+        spans.append((last, start, len(seq.ids)))
     return spans

@@ -8,9 +8,10 @@ A Conversation renders to two coordinated forms:
   ``### Answer: ...`` line. ``parse`` inverts this form exactly.
 * a token form (RenderedSample): the same content tokenized, with each
   image slot expanded to ``image_token_count`` consecutive image tokens
-  sharing one block id, plus a per-token loss mask that is true exactly on
-  answer bodies and the end-of-turn token that closes each answer. Header
-  strings are tokenized as ordinary text; there are no special tokens.
+  sharing one block id (a ModalitySequence: 0 on text, k on image k), plus
+  a per-token loss mask that is true exactly on answer bodies and the
+  end-of-turn token that closes each answer. Header strings are tokenized
+  as ordinary text; there are no special tokens.
 
 Field texts are single-line; ids contain no whitespace or angle brackets.
 That restriction is what makes the text form a bijection (see
@@ -23,7 +24,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .modseq import LayoutConfig, ModalitySequence, ModalityTag, TokenKind, image_blocks
+from .modseq import LayoutConfig, ModalitySequence, image_blocks
 
 _IMAGE_LINE = re.compile(r"### Image (\d+): <image:([^\s<>]+)>")
 _ID_PATTERN = re.compile(r"[^\s<>]+")
@@ -101,8 +102,9 @@ class Conversation:
 
 @dataclass(frozen=True)
 class RenderedSample:
-    """Token form of a conversation: ids, modality tags, loss mask, and the
-    image ids backing each block (in block order)."""
+    """Token form of a conversation: token ids, per-token block ids
+    (``tags``), loss mask, and the image ids backing each block (in block
+    order)."""
 
     token_ids: tuple[int, ...]
     tags: ModalitySequence
@@ -115,11 +117,10 @@ class RenderedSample:
         object.__setattr__(self, "loss_mask", tuple(self.loss_mask))
         object.__setattr__(self, "image_ids", tuple(self.image_ids))
         d = len(self.token_ids)
-        if len(self.tags.tags) != d or len(self.loss_mask) != d:
+        if len(self.tags.ids) != d or len(self.loss_mask) != d:
             raise ValueError("token_ids, tags, and loss_mask must have equal length")
-        for flag, tag in zip(self.loss_mask, self.tags.tags):
-            if flag and tag.kind is not TokenKind.TEXT:
-                raise ValueError("loss mask may only cover text positions")
+        if any(flag and bid for flag, bid in zip(self.loss_mask, self.tags.ids)):
+            raise ValueError("loss mask may only cover text positions")
         blocks = image_blocks(self.tags)
         if len(blocks) != self.image_count or len(self.image_ids) != self.image_count:
             raise ValueError("image_count must match the number of blocks and ids")
@@ -178,15 +179,17 @@ def render(
     ``layout.max_sequence_length``.
     """
     token_ids: list[int] = []
-    tags: list[ModalityTag] = []
+    block_ids: list[int] = []
     loss_mask: list[bool] = []
     image_ids: list[str] = []
 
+    def emit(ids: list[int], block_id: int = 0, in_loss: bool = False) -> None:
+        token_ids.extend(ids)
+        block_ids.extend([block_id] * len(ids))
+        loss_mask.extend([in_loss] * len(ids))
+
     def emit_text(text: str, in_loss: bool = False) -> None:
-        for tid in tokenizer.encode(text):
-            token_ids.append(tid)
-            tags.append(ModalityTag(TokenKind.TEXT))
-            loss_mask.append(in_loss)
+        emit(tokenizer.encode(text), in_loss=in_loss)
 
     placeholder_id = tokenizer.word_id(_IMAGE_PLACEHOLDER)
     end_of_turn_id = tokenizer.word_id(END_OF_TURN)
@@ -197,17 +200,12 @@ def render(
         for image_id in rnd.images:
             image_number += 1
             emit_text(f"### Image {image_number}:")
-            for _ in range(layout.image_token_count):
-                token_ids.append(placeholder_id)
-                tags.append(ModalityTag(TokenKind.IMAGE, image_number))
-                loss_mask.append(False)
+            emit([placeholder_id] * layout.image_token_count, image_number)
             image_ids.append(image_id)
         emit_text(_QUESTION_PREFIX + rnd.question)
         emit_text(_ANSWER_PREFIX)
         emit_text(rnd.answer, in_loss=True)
-        token_ids.append(end_of_turn_id)
-        tags.append(ModalityTag(TokenKind.TEXT))
-        loss_mask.append(True)
+        emit([end_of_turn_id], in_loss=True)
 
     if len(token_ids) > layout.max_sequence_length:
         raise OverLengthError(
@@ -216,7 +214,7 @@ def render(
         )
     return RenderedSample(
         token_ids=tuple(token_ids),
-        tags=ModalitySequence(tuple(tags)),
+        tags=ModalitySequence(tuple(block_ids)),
         loss_mask=tuple(loss_mask),
         image_count=image_number,
         image_ids=tuple(image_ids),

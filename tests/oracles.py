@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from mmchat.blend import Dataset, SourceRecord
-from mmchat.modseq import LayoutConfig, ModalitySequence, TokenKind
+from mmchat.modseq import LayoutConfig, ModalitySequence
 from mmchat.template import Conversation, Round
 
 # ---------------------------------------------------------------------------
@@ -20,23 +20,24 @@ from mmchat.template import Conversation, Round
 
 
 def rule_mask(seq: ModalitySequence, variant: str, image_self: str = "block") -> np.ndarray:
-    """Evaluate the mask rules entry by entry."""
-    d = seq.d
-    tags = seq.tags
+    """Evaluate the mask rules entry by entry from the block-id vector
+    (0 = text, k = image block k)."""
+    ids = seq.ids
+    d = len(ids)
     out = np.zeros((d, d), dtype=np.int8)
     for i in range(d):
         for j in range(d):
             if variant == "causal":
                 out[i, j] = 1 if j <= i else 0
-            elif tags[i].kind is TokenKind.IMAGE:
+            elif ids[i] != 0:
                 if image_self == "block":
-                    same = tags[j].block_id == tags[i].block_id
+                    same = ids[j] == ids[i]
                 else:
                     same = i == j
                 out[i, j] = 2 if same else 0
             else:
                 if j <= i:
-                    out[i, j] = 2 if tags[j].kind is TokenKind.IMAGE else 1
+                    out[i, j] = 2 if ids[j] != 0 else 1
     return out
 
 
@@ -127,16 +128,15 @@ def naive_cross(
 def naive_multi_head(config, x: np.ndarray, params, seq: ModalitySequence) -> np.ndarray:
     """Head loop over the naive single-head evaluators, then the output
     projection."""
-    from mmchat.mask import AttentionVariant
-
-    entries = rule_mask(seq, config.variant.value, config.image_self)
+    variant = config.variant.value
+    entries = rule_mask(seq, variant, config.image_self)
     scale = config.effective_scale
     heads = []
     for h in range(config.num_heads):
         q, k, v = x @ params.wq[h], x @ params.wk[h], x @ params.wv[h]
-        if config.variant is AttentionVariant.MMCA:
+        if variant == "mmca":
             heads.append(naive_mmca(q, k, v, entries, scale, config.normalize_dual_softmax))
-        elif config.variant is AttentionVariant.CAUSAL_ONLY:
+        elif variant == "causal":
             heads.append(naive_causal(q, k, v, entries, scale))
         else:
             kx, vx = x @ params.wkx[h], x @ params.wvx[h]
@@ -146,14 +146,18 @@ def naive_multi_head(config, x: np.ndarray, params, seq: ModalitySequence) -> np
 
 def naive_model_logits(model, sample) -> np.ndarray:
     """Layer-by-layer reference evaluation of the toy model."""
-    from mmchat.modseq import image_blocks
-
-    d = sample.d
+    ids = sample.tags.ids
+    d = len(ids)
     x = np.zeros((d, model.config.model_dim))
+    spans: list[list[int]] = []  # half-open [start, end) per image block, in order
     for t in range(d):
-        if sample.tags.tags[t].kind is TokenKind.TEXT:
+        if ids[t] == 0:
             x[t] = model.embedding[sample.token_ids[t]]
-    for index, (_, start, end) in enumerate(image_blocks(sample.tags)):
+        elif t > 0 and ids[t - 1] == ids[t]:
+            spans[-1][1] = t + 1
+        else:
+            spans.append([t, t + 1])
+    for index, (start, end) in enumerate(spans):
         feats = model.vision_stub[sample.image_ids[index]]
         x[start:end] = feats @ model.projection
     cfg = model.config.attention_config()

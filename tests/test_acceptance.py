@@ -104,7 +104,7 @@ def test_criterion_01_mask_rule_suite():
         seq = build_sequence(_random_segments(rng, d))
         entries = build_mmca_mask(seq).entries
         is_image = seq.is_image()
-        block = np.array([tag.block_id or 0 for tag in seq.tags])
+        block = np.array(seq.ids)
         # key-modality labeling: 1 only on text keys, 2 only on image keys
         if (entries[:, is_image] == 1).any() or (entries[:, ~is_image] == 2).any():
             violations += 1
@@ -332,7 +332,7 @@ def test_criterion_08_blending_determinism_and_conservation(tmp_path):
         min_group=1, max_group=1, seed=0, max_images=8,
         layout=LayoutConfig(image_token_count=8, max_sequence_length=160),
     )
-    kept, dropped = filter_limits(mixed, filter_spec, HashTokenizer())
+    kept, dropped, _ = filter_limits(mixed, filter_spec, HashTokenizer())
     expect_kept, expect_too_many, expect_long = [], 0, 0
     for record in mixed:
         if len(record.image_ids) > filter_spec.max_images:

@@ -18,7 +18,7 @@ from mmchat.blend import (
     write_records,
 )
 from mmchat.modseq import LayoutConfig
-from mmchat.template import Conversation, HashTokenizer, Round
+from mmchat.template import Conversation, HashTokenizer, Round, render
 
 from oracles import join_oracle, llava_dial_record, llava_record, otter_record
 
@@ -210,8 +210,9 @@ def test_filter_too_many_images():
     conv = Conversation("s", (Round(ids, "q", "a"),))
     big = SourceRecord(Dataset.OTHER, ids, conv)
     ok = llava_record(rng, "fine")
-    kept, dropped = filter_limits([big, ok], small_spec(max_images=8), TOK)
+    kept, dropped, samples = filter_limits([big, ok], small_spec(max_images=8), TOK)
     assert kept == [ok]
+    assert samples == [render(ok.conversation, TOK, small_spec().layout)]
     assert dropped == {"too_many_images": 1, "over_length": 0}
 
 
@@ -226,17 +227,22 @@ def test_filter_over_length():
         seed=0,
         layout=LayoutConfig(image_token_count=4, max_sequence_length=30),
     )
-    kept, dropped = filter_limits([SourceRecord(Dataset.LLAVA, ("v",), conv), ok], spec, TOK)
+    kept, dropped, samples = filter_limits(
+        [SourceRecord(Dataset.LLAVA, ("v",), conv), ok], spec, TOK
+    )
     assert kept == [ok]
+    assert samples == [render(ok.conversation, TOK, spec.layout)]
     assert dropped == {"too_many_images": 0, "over_length": 1}
 
 
 def test_filter_empty_and_idempotent():
-    assert filter_limits([], small_spec(), TOK) == ([], {"too_many_images": 0, "over_length": 0})
+    empty = ([], {"too_many_images": 0, "over_length": 0}, [])
+    assert filter_limits([], small_spec(), TOK) == empty
     records = make_llava_corpus(5)
-    kept, _ = filter_limits(records, small_spec(), TOK)
-    again, dropped = filter_limits(kept, small_spec(), TOK)
+    kept, _, samples = filter_limits(records, small_spec(), TOK)
+    again, dropped, again_samples = filter_limits(kept, small_spec(), TOK)
     assert again == kept
+    assert again_samples == samples
     assert dropped == {"too_many_images": 0, "over_length": 0}
 
 

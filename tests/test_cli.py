@@ -168,6 +168,38 @@ def test_render_command_empty_input(tmp_path):
     assert payload == {"rendered": 0, "dropped": {"too_many_images": 0, "over_length": 0}}
 
 
+# Text-only, 1-image, 3-image and over-length (41+ tokens) records.
+_GOLDEN_CORPUS = [
+    '{"dataset": "other", "image_ids": [], "rounds": [{"answer": "hello", "images": [], "question": "hi there"}], "system": "be brief"}',
+    '{"dataset": "llava", "image_ids": ["cat"], "rounds": [{"answer": "a cat", "images": ["cat"], "question": "what is it"}], "system": "sys"}',
+    '{"dataset": "other", "image_ids": ["a", "b", "c"], "rounds": [{"answer": "same", "images": ["a", "b"], "question": "compare"}, {"answer": "different one", "images": ["c"], "question": "and this"}], "system": "s"}',
+    '{"dataset": "other", "image_ids": [], "rounds": [{"answer": "no", "images": [], "question": "w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w w"}], "system": "s"}',
+]
+
+# `mmchat render` output for _GOLDEN_CORPUS with --image-tokens 2
+# --max-seq-len 40 --vocab-size 16, one JSON object per kept record.
+_GOLDEN_RENDERED = [
+    '{"block_ids": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "image_count": 0, "image_ids": [], "kinds": "TTTTTTTTTT", "loss_mask": [0, 0, 0, 0, 0, 0, 0, 0, 1, 1], "token_ids": [8, 4, 0, 14, 6, 15, 0, 7, 13, 6]}',
+    '{"block_ids": [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "image_count": 1, "image_ids": ["cat"], "kinds": "TTTTIITTTTTTTTTT", "loss_mask": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1], "token_ids": [2, 0, 11, 5, 0, 0, 0, 14, 15, 2, 2, 0, 7, 15, 15, 6]}',
+    '{"block_ids": [0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0], "image_count": 3, "image_ids": ["a", "b", "c"], "kinds": "TTTTIITTTIITTTTTTTTTTIITTTTTTTTT", "loss_mask": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1], "token_ids": [14, 0, 11, 5, 0, 0, 0, 11, 8, 0, 0, 0, 14, 8, 0, 7, 13, 6, 0, 11, 0, 0, 0, 0, 14, 3, 5, 0, 7, 13, 9, 6]}',
+]
+
+_GOLDEN_STATS = '{\n  "dropped": {\n    "over_length": 1,\n    "too_many_images": 0\n  },\n  "rendered": 3\n}\n'
+
+
+def test_render_command_golden_bytes(tmp_path):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in _GOLDEN_CORPUS), encoding="utf-8")
+    out, stats = tmp_path / "out.jsonl", tmp_path / "stats.json"
+    argv = [
+        "render", "--input", str(src), "--out", str(out), "--stats-out", str(stats),
+        "--image-tokens", "2", "--max-seq-len", "40", "--vocab-size", "16",
+    ]
+    assert main(argv) == 0
+    assert out.read_bytes() == "".join(line + "\n" for line in _GOLDEN_RENDERED).encode()
+    assert stats.read_bytes() == _GOLDEN_STATS.encode()
+
+
 def test_missing_input_file_exits_2_without_traceback(tmp_path, capsys):
     missing = str(tmp_path / "nonexistent.jsonl")
     out = str(tmp_path / "out.jsonl")

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmchat.modseq import LayoutConfig, ModalitySequence, ModalityTag, TokenKind, image_blocks
+from mmchat.modseq import LayoutConfig, ModalitySequence, image_blocks
 from mmchat.template import (
     Conversation,
     HashTokenizer,
@@ -48,17 +50,8 @@ def test_tokenizer_deterministic_and_bounded():
 def test_render_structure_one_round():
     sample = render(conv_1round(), TOK, SMALL)
     # sys | ### Image 1: | <2 image tokens> | ### Question: q | ### Answer: | x y | eot
-    kinds = [t.kind for t in sample.tags.tags]
-    expected_kinds = (
-        [TokenKind.TEXT]
-        + [TokenKind.TEXT] * 3
-        + [TokenKind.IMAGE] * 2
-        + [TokenKind.TEXT] * 3
-        + [TokenKind.TEXT] * 2
-        + [TokenKind.TEXT] * 2
-        + [TokenKind.TEXT]
-    )
-    assert kinds == expected_kinds
+    expected_ids = [0] + [0] * 3 + [1] * 2 + [0] * 3 + [0] * 2 + [0] * 2 + [0]
+    assert sample.tags.ids == tuple(expected_ids)
     assert sample.d == 14
     assert image_blocks(sample.tags) == [(1, 4, 6)]
     assert sample.image_count == 1
@@ -156,6 +149,23 @@ def test_loss_spans_never_overlap_image_blocks():
         image_positions = set(np.flatnonzero(sample.tags.is_image()).tolist())
         for start, end in loss_positions(sample):
             assert not image_positions.intersection(range(start, end))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10**9), st.integers(1, 4))
+def test_render_invariants_random_conversations(seed, image_tokens):
+    conv = random_conversation(np.random.default_rng(seed))
+    sample = render(conv, TOK, LayoutConfig(image_tokens, 4096))
+    ids = sample.tags.ids
+    assert not any(flag and bid for flag, bid in zip(sample.loss_mask, ids))
+    runs = [(bid, len(list(run))) for bid, run in itertools.groupby(ids) if bid]
+    image_count = len(conv.image_ids())
+    assert [bid for bid, _ in runs] == list(range(1, image_count + 1))
+    assert all(count == image_tokens for _, count in runs)
+    assert sample.image_count == image_count
+    assert sample.image_ids == conv.image_ids()
+    loss_runs = [flag for flag, _ in itertools.groupby(sample.loss_mask) if flag]
+    assert len(loss_runs) == len(conv.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +270,7 @@ def test_conversation_validation():
 
 
 def test_rendered_sample_validation():
-    tags = ModalitySequence((ModalityTag(TokenKind.TEXT), ModalityTag(TokenKind.IMAGE, 1)))
+    tags = ModalitySequence((0, 1))
     with pytest.raises(ValueError, match="equal length"):
         RenderedSample((1,), tags, (False,), 1, ("a",))
     with pytest.raises(ValueError, match="text positions"):

@@ -7,7 +7,7 @@ import pytest
 
 from mmchat.mask import AttentionVariant
 from mmchat.template import Conversation, HashTokenizer, RenderedSample, Round, render
-from mmchat.modseq import ModalitySequence, ModalityTag, TokenKind
+from mmchat.modseq import ModalitySequence
 from mmchat.toy_model import (
     ModelConfig,
     OptimState,
@@ -195,7 +195,7 @@ def test_answer_loss_two_round_manual():
 
 
 def test_answer_loss_requires_targets():
-    tags = ModalitySequence((ModalityTag(TokenKind.TEXT), ModalityTag(TokenKind.TEXT)))
+    tags = ModalitySequence((0, 0))
     sample = RenderedSample((1, 2), tags, (False, False), 0, ())
     with pytest.raises(ValueError, match="loss-masked"):
         answer_loss(np.zeros((2, 8)), sample)
