@@ -22,11 +22,14 @@ Two implementations share these semantics:
   reference.
 * ``segment_attention`` and ``segment_attention_vjp`` are the one kernel
   behind the multi-head wrapper. They work from an ``AttentionLayout``
-  built once per sequence: image rows run a softmax over their own block
-  only, and the "prefix rows" (text rows, or every row for causal) run one
-  gathered pass per key class. No d x d array is formed. The forward
-  pass returns each term's softmax and the VJP reads it, so a backward
-  pass forms no scores and takes no softmax.
+  built once per sequence, one softmax term at a time: image rows over
+  their own block, text rows over text keys (every row, for causal), and
+  runs of text rows over exactly the image keys before them. No d x d
+  array is formed. Each term's scores are computed from the pre-scaled Q
+  into a fresh buffer that is masked and normalized in place. The forward
+  pass returns each term's softmax and output and the VJP reads them, so
+  a backward pass forms no scores, takes no softmax and needs no
+  rowsum(P * dP) pass over the rows x keys arrays.
 
 ``grad_check`` compares analytic gradients against central finite
 differences; ``variant_grad_check`` points it at the segment kernel.
@@ -140,18 +143,25 @@ def masked_softmax(scores: np.ndarray, allow: np.ndarray | None = None) -> np.nd
         allow is not None and scores.shape[scores.ndim - allow.ndim :] != allow.shape
     ):
         raise ValueError("scores must be 2-d or more, and allow must match their trailing axes")
-    if not np.isfinite(scores).all():
+    # a fresh buffer: the caller's scores are never written
+    return _softmax_in_place(scores.copy(), None if allow is None else ~allow)
+
+
+def _softmax_in_place(s: np.ndarray, forbid: np.ndarray | None) -> np.ndarray:
+    """``masked_softmax`` of the scores ``s``, written into ``s``, with the
+    support given by its complement ``forbid`` (``None``: every key)."""
+    if not np.isfinite(s).all():
         raise ValueError("scores contain non-finite values")
-    # one fresh buffer, worked in place: the caller's scores are never written
-    out = scores.copy() if allow is None else np.where(allow, scores, -np.inf)
-    shift = out.max(axis=-1, keepdims=True)
+    if forbid is not None:
+        np.copyto(s, -np.inf, where=forbid)
+    shift = s.max(axis=-1, keepdims=True)
     shift[np.isneginf(shift)] = 0.0  # empty support: every entry is -inf
-    out -= shift
-    np.exp(out, out=out)
-    total = out.sum(axis=-1, keepdims=True)
+    s -= shift
+    np.exp(s, out=s)
+    total = s.sum(axis=-1, keepdims=True)
     total[total == 0.0] = 1.0
-    out /= total
-    return out
+    s /= total
+    return s
 
 
 def masked_softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -321,28 +331,31 @@ def segment_attention(
     v: np.ndarray,
     kx: np.ndarray | None = None,
     vx: np.ndarray | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """Attention output for Q/K/V (and Kx/Vx when the layout reads them),
     all of one shape (..., d, h); leading axes are independent heads.
-    Matches the dense reference of the layout's variant. Also returns the
-    softmax of each ``layout.terms()`` entry, which the VJP reads."""
+    Matches the dense reference of the layout's variant. Also returns, per
+    ``layout.terms`` entry, its softmax P and its own output P @ V, which
+    the VJP reads."""
     _check_inputs(layout, {"q": q, "k": k, "v": v, "kx": kx, "vx": vx})
     sources = {False: (k, v), True: (kx, vx)}
+    q = scale * q  # scale the thin side, not the rows x keys scores
     out = np.zeros(q.shape)
-    probs = []
-    for rows, keys, allow, cross in layout.terms():
+    saved = []
+    for rows, keys, forbid, cross in layout.terms:
         kk, vv = sources[cross]
-        p = masked_softmax(scale * (q[..., rows, :] @ _swap(kk[..., keys, :])), allow)
-        out[..., rows, :] += p @ vv[..., keys, :]
-        probs.append(p)
-    return layout.weight * out, tuple(probs)
+        p = _softmax_in_place(q[..., rows, :] @ _swap(kk[..., keys, :]), forbid)
+        term_out = p @ vv[..., keys, :]
+        out[..., rows, :] += term_out
+        saved.append((p, term_out))
+    return layout.weight * out, tuple(saved)
 
 
 def segment_attention_vjp(
     layout: AttentionLayout,
     scale: float,
     dout: np.ndarray,
-    probs: tuple[np.ndarray, ...],
+    saved: tuple[tuple[np.ndarray, np.ndarray], ...],
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
@@ -350,23 +363,29 @@ def segment_attention_vjp(
     vx: np.ndarray | None = None,
 ) -> GradDict:
     """Gradients of ``sum(dout * out)`` for every input given, where
-    ``out, probs = segment_attention(layout, scale, q, k, v, kx, vx)``.
-    Each term's softmax is read from ``probs``, not recomputed."""
+    ``out, saved = segment_attention(layout, scale, q, k, v, kx, vx)``.
+
+    Each term's softmax P and output O are read from ``saved``. The score
+    gradient is P * (dO V^T - D) with the row term D = rowsum(dO * O),
+    which equals rowsum(P * dO V^T) (FlashAttention, Dao et al. 2022)."""
     inputs = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
     _check_inputs(layout, inputs)
-    terms = list(layout.terms())
-    if len(probs) != len(terms):
-        raise ValueError("probs must hold one softmax per layout term")
+    if len(saved) != len(layout.terms):
+        raise ValueError("saved must hold one softmax per layout term")
     grads = {name: np.zeros_like(a) for name, a in inputs.items() if a is not None}
     dout = layout.weight * dout
-    for p, (rows, keys, _, cross) in zip(probs, terms):
+    for (p, term_out), (rows, keys, _, cross) in zip(saved, layout.terms):
         kn, vn = ("kx", "vx") if cross else ("k", "v")
         do = dout[..., rows, :]
         grads[vn][..., keys, :] += _swap(p) @ do
-        ds = masked_softmax_vjp(p, do @ _swap(inputs[vn][..., keys, :]))
-        ds *= scale
+        ds = do @ _swap(inputs[vn][..., keys, :])
+        ds -= (do[..., None, :] @ term_out[..., :, None])[..., 0]  # D, one value per row
+        ds *= p
         grads["q"][..., rows, :] += ds @ inputs[kn][..., keys, :]
         grads[kn][..., keys, :] += _swap(ds) @ q[..., rows, :]
+    for name in ("q", "k", "kx"):
+        if name in grads:
+            grads[name] *= scale
     return grads
 
 
@@ -446,12 +465,13 @@ def _project_heads(
 
 @dataclass(frozen=True)
 class SavedAttention:
-    """State of one ``multi_head_forward`` pass that ``multi_head_input_vjp`` reads."""
+    """State of one ``multi_head_forward`` pass that ``multi_head_input_vjp``
+    reads: per-head projections and each layout term's (softmax, output)."""
 
     config: AttentionConfig
     layout: AttentionLayout
     heads: dict[str, np.ndarray]
-    probs: tuple[np.ndarray, ...]
+    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def multi_head_forward(
@@ -466,8 +486,8 @@ def multi_head_forward(
     layout = _resolve_layout(config, seq)
     x = np.asarray(x, dtype=np.float64)
     heads = _project_heads(config, x, params, layout)
-    out, probs = segment_attention(layout, config.effective_scale, **heads)
-    return np.concatenate(out, axis=1) @ params.wo, SavedAttention(config, layout, heads, probs)
+    out, terms = segment_attention(layout, config.effective_scale, **heads)
+    return np.concatenate(out, axis=1) @ params.wo, SavedAttention(config, layout, heads, terms)
 
 
 def multi_head_input_vjp(
@@ -485,7 +505,7 @@ def multi_head_input_vjp(
         raise ValueError("dout must have the saved pass's row count and model_dim columns")
     dheads = (dout @ params.wo.T).reshape(-1, config.num_heads, config.head_dim)
     grads = segment_attention_vjp(
-        saved.layout, config.effective_scale, dheads.transpose(1, 0, 2), saved.probs, **saved.heads
+        saved.layout, config.effective_scale, dheads.transpose(1, 0, 2), saved.terms, **saved.heads
     )
     weights = {"q": params.wq, "k": params.wk, "v": params.wv, "kx": params.wkx, "vx": params.wvx}
     return sum((g @ _swap(weights[name])).sum(axis=0) for name, g in grads.items())
@@ -556,8 +576,8 @@ def variant_grad_check(
     def loss(p: GradDict) -> float:
         return float(segment_attention(layout, scale, **p)[0].sum())
 
-    _, probs = segment_attention(layout, scale, **params)
-    analytic = segment_attention_vjp(layout, scale, np.ones((seq.d, head_dim)), probs, **params)
+    _, saved = segment_attention(layout, scale, **params)
+    analytic = segment_attention_vjp(layout, scale, np.ones((seq.d, head_dim)), saved, **params)
     if corrupt:
         analytic["q"] = analytic["q"] + 1.0
     return grad_check(loss, analytic, params, eps)

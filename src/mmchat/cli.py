@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .attn import AttentionConfig, init_multi_head_params, multi_head_forward, variant_grad_check
+from .attn import (
+    AttentionConfig,
+    init_multi_head_params,
+    multi_head_forward,
+    multi_head_input_vjp,
+    variant_grad_check,
+)
 from .blend import (
     BlendSpec,
     concat_blend,
@@ -206,23 +212,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seq = build_sequence(_bench_segments(args.d))
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.d, args.model_dim))
-    rows = ["variant,d,num_heads,model_dim,param_count,reps,median_seconds,min_seconds"]
+    dout = rng.standard_normal((args.d, args.model_dim))
+    rows = [
+        "variant,d,num_heads,model_dim,param_count,reps,median_seconds,min_seconds,"
+        "vjp_median_seconds,vjp_min_seconds"
+    ]
     for variant in AttentionVariant:
         config = AttentionConfig(
             variant=variant, num_heads=args.heads, model_dim=args.model_dim
         )
         params = init_multi_head_params(config, rng)
         layout = build_layout(seq, variant)  # built once, outside the timed loop
-        multi_head_forward(config, x, params, layout)  # untimed warm-up
-        times = []
+        _, saved = multi_head_forward(config, x, params, layout)  # untimed warm-up
+        multi_head_input_vjp(config, params, saved, dout)
+        forward, vjp = [], []
         for _ in range(args.reps):
             start = time.perf_counter()
             multi_head_forward(config, x, params, layout)
-            times.append(time.perf_counter() - start)
+            middle = time.perf_counter()
+            multi_head_input_vjp(config, params, saved, dout)
+            forward.append(middle - start)
+            vjp.append(time.perf_counter() - middle)
         rows.append(
             f"{variant.value},{args.d},{args.heads},{args.model_dim},"
             f"{params.param_count()},{args.reps},"
-            f"{statistics.median(times):.6f},{min(times):.6f}"
+            f"{statistics.median(forward):.6f},{min(forward):.6f},"
+            f"{statistics.median(vjp):.6f},{min(vjp):.6f}"
         )
     _write_text(args.out, "\n".join(rows))
     return 0
@@ -281,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--corrupt-analytic", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(func=cmd_gradcheck)
 
-    p_bench = sub.add_parser("bench", help="attention variant timing and parameter counts")
+    p_bench = sub.add_parser("bench", help="attention forward and VJP timing and parameter counts")
     p_bench.add_argument("--d", type=int, default=256)
     p_bench.add_argument("--heads", type=int, default=4)
     p_bench.add_argument("--model-dim", type=int, default=64)

@@ -6,8 +6,9 @@ image key (2). The boolean partitions M1 = [M == 1] and M2 = [M == 2] drive
 the dual-softmax attention computation.
 
 The dense mask is the inspectable reference. The attention hot path uses
-``build_layout`` instead: the same edges as image blocks, gathered prefix
-rows and per-key-class supports, with no d x d array.
+``build_layout`` instead: the same edges as a tuple of softmax terms
+(image blocks, text rows over text keys, and a staircase of text-row runs
+over exactly the image keys before them), with no d x d array.
 
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. Two builders cover the
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,28 +137,33 @@ def partition(mask: MmcaMask) -> tuple[np.ndarray, np.ndarray]:
 # Structured layout
 
 
-@dataclass(frozen=True)
-class KeyClass:
-    """One softmax term of the prefix rows: the key positions it reads,
-    which of them each prefix row may attend to (``allow``, rows x keys),
-    and whether it reads them through Kx/Vx instead of K/V."""
+class Term(NamedTuple):
+    """One softmax term: its query rows, the key positions they read, the
+    (rows, keys) entries they may not read (``forbid``; ``None`` when every
+    row reads every key), and whether the keys are read through Kx/Vx
+    instead of K/V. ``rows`` and ``keys`` may be (count, size) stacks of
+    equal-size image blocks, each block its own softmax."""
 
+    rows: np.ndarray
     keys: np.ndarray
-    allow: np.ndarray
+    forbid: np.ndarray | None
     cross: bool
 
 
 @dataclass(frozen=True)
 class AttentionLayout:
-    """The attention pattern of one sequence for one variant, as
-    structure rather than a d x d mask.
+    """The attention pattern of one sequence for one variant, as a sum of
+    softmax terms rather than a d x d mask.
 
-    ``blocks`` stacks equal-size image blocks into (count, size) position
-    arrays; each image row attends over its own block through K/V (with
+    Causal is one term: every row over every key, forbidding later keys.
+    For mmca and cross, equal-size image blocks are stacked into one term
+    each; every image row reads its own block through K/V (with
     ``image_self="diagonal"`` every image token is a one-token block).
-    ``rows`` are the prefix rows: text rows for mmca/cross, every row for
-    causal. ``key_classes`` split their allowed keys into one softmax term
-    per key class. ``weight`` scales the summed terms (0.5 for the
+    Text rows read text keys in one term, forbidding later keys, and image
+    keys in a staircase: one unmasked term per run of text rows with the
+    same number n of image tokens before them, reading exactly those n
+    image keys (through Kx/Vx for cross). Text rows before the first image
+    have no image term. ``weight`` scales the summed terms (0.5 for the
     normalized dual softmax, else 1).
     """
 
@@ -166,20 +172,11 @@ class AttentionLayout:
     image_self: str
     normalize: bool
     weight: float
-    blocks: tuple[np.ndarray, ...]
-    rows: np.ndarray
-    key_classes: tuple[KeyClass, ...]
+    terms: tuple[Term, ...]
 
     @property
     def reads_cross(self) -> bool:
-        return any(kc.cross for kc in self.key_classes)
-
-    def terms(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]]:
-        """(query rows, keys, allow, cross) per softmax term."""
-        for block in self.blocks:
-            yield block, block, None, False
-        for kc in self.key_classes:
-            yield self.rows, kc.keys, kc.allow, kc.cross
+        return any(term.cross for term in self.terms)
 
 
 def build_layout(
@@ -189,45 +186,38 @@ def build_layout(
     normalize: bool = False,
 ) -> AttentionLayout:
     """Layout of ``seq`` for the given variant, ``image_self`` rule and
-    dual-softmax normalization: the same edges as ``build_mask``, as
-    structure. Build it once per sequence and reuse it for every layer,
-    head and pass."""
+    dual-softmax normalization: the same edges as ``build_mask``, each in
+    exactly one term. Build it once per sequence and reuse it for every
+    layer, head and pass."""
     _check_image_self(image_self)
-    positions = np.arange(seq.d)
-    is_image = seq.is_image()
-    blocks: tuple[np.ndarray, ...] = ()
-    if variant is AttentionVariant.CAUSAL_ONLY:
-        rows = positions
-        classes = [(positions, False)]
-    else:
-        rows = positions[~is_image]
-        if image_self == "block":
-            spans = [np.arange(start, end) for _, start, end in image_blocks(seq)]
-        else:
-            spans = [positions[i : i + 1] for i in positions[is_image]]
+    causal = variant is AttentionVariant.CAUSAL_ONLY  # modality ignored: every token is text
+    is_image = np.zeros(seq.d, dtype=bool) if causal else seq.is_image()
+    positions, blocks = np.arange(seq.d), [] if causal else image_blocks(seq)
+    images, text = positions[is_image], positions[~is_image]
+    if image_self == "block":
         by_size: dict[int, list[np.ndarray]] = {}
-        for span in spans:
-            by_size.setdefault(span.size, []).append(span)
-        blocks = tuple(np.stack(group) for group in by_size.values())
-        classes = [
-            (rows, False),
-            (positions[is_image], variant is AttentionVariant.CAUSAL_PLUS_CROSS),
-        ]
-    key_classes = []
-    if rows.size:
-        for keys, cross in classes:
-            keys = keys[keys <= rows[-1]]  # no prefix row reads a later key
-            if keys.size:
-                key_classes.append(KeyClass(keys, keys[None, :] <= rows[:, None], cross))
+        for _, start, end in blocks:
+            by_size.setdefault(end - start, []).append(positions[start:end])
+        stacks = [np.stack(group) for group in by_size.values()]
+    else:
+        stacks = [images[:, None]] if images.size else []
+    terms = [Term(stack, stack, None, False) for stack in stacks]
+    if text.size:
+        terms.append(Term(text, text, text[None, :] > text[:, None], False))
+    cross = variant is AttentionVariant.CAUSAL_PLUS_CROSS
+    n = 0
+    stops = [start for _, start, _ in blocks[1:]] + [seq.d]
+    for (_, start, end), stop in zip(blocks, stops):
+        n += end - start
+        if stop > end:  # the text rows up to the next block read the n image keys before them
+            terms.append(Term(positions[end:stop], images[:n], None, cross))
     return AttentionLayout(
         d=seq.d,
         variant=variant,
         image_self=image_self,
         normalize=normalize,
         weight=0.5 if normalize and variant is AttentionVariant.MMCA else 1.0,
-        blocks=blocks,
-        rows=rows,
-        key_classes=tuple(key_classes),
+        terms=tuple(terms),
     )
 
 

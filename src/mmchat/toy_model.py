@@ -224,6 +224,16 @@ def _layout(model: ToyModel, sample: RenderedSample) -> AttentionLayout:
     return build_layout(sample.tags, c.variant, c.image_self, c.normalize_dual_softmax)
 
 
+def _run_block(
+    cfg: AttentionConfig, block: DecoderBlock, h: np.ndarray, layout: AttentionLayout
+) -> tuple[np.ndarray, np.ndarray, SavedAttention]:
+    """One frozen block: its output, its post-attention activations and the
+    attention's saved forward state."""
+    attn_out, saved = multi_head_forward(cfg, h, block.attn, layout)
+    h_mid = h + attn_out
+    return h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2, h_mid, saved
+
+
 def _decoder_states(
     model: ToyModel, layout: AttentionLayout, x: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, SavedAttention]]]:
@@ -234,18 +244,21 @@ def _decoder_states(
     states = []
     h = x
     for block in model.blocks:
-        attn_out, saved = multi_head_forward(cfg, h, block.attn, layout)
-        h_mid = h + attn_out
+        h, h_mid, saved = _run_block(cfg, block, h, layout)
         states.append((h_mid, saved))
-        h = h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2
     return h, states
 
 
 def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     """Logits (d x vocab_size) for every position. Image positions enter as
     projected stub features, text positions as embedding rows; the head is
-    the embedding transpose."""
-    h, _ = _decoder_states(model, _layout(model, sample), _embed(model, sample))
+    the embedding transpose. Each block's saved attention state is freed
+    before the next block runs."""
+    cfg = model.config.attention_config()
+    layout = _layout(model, sample)
+    h = _embed(model, sample)
+    for block in model.blocks:
+        h = _run_block(cfg, block, h, layout)[0]
     logits = h @ model.embedding.T
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")

@@ -259,7 +259,7 @@ def test_bench_command(tmp_path):
     header = lines[0].split(",")
     assert header == [
         "variant", "d", "num_heads", "model_dim", "param_count", "reps",
-        "median_seconds", "min_seconds",
+        "median_seconds", "min_seconds", "vjp_median_seconds", "vjp_min_seconds",
     ]
     rows = {line.split(",")[0]: dict(zip(header, line.split(","))) for line in lines[1:]}
     assert set(rows) == {"causal", "cross", "mmca"}
@@ -267,6 +267,7 @@ def test_bench_command(tmp_path):
     assert int(rows["cross"]["param_count"]) > int(rows["mmca"]["param_count"])
     for row in rows.values():
         assert float(row["median_seconds"]) >= float(row["min_seconds"]) >= 0.0
+        assert float(row["vjp_median_seconds"]) >= float(row["vjp_min_seconds"]) >= 0.0
 
 
 def test_bench_rejects_low_reps(capsys):

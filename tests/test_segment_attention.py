@@ -171,23 +171,85 @@ def test_edge_layouts_match_dense_reference(segments, config_index, seed):
 def test_layout_structure():
     seq = build_sequence([(T, 2), (I, 3), (T, 1), (I, 3), (I, 2), (T, 1), (I, 2)])
     mmca = build_layout(seq, AttentionVariant.MMCA)
-    assert [b.tolist() for b in mmca.blocks] == [[[2, 3, 4], [6, 7, 8]], [[9, 10], [12, 13]]]
-    assert mmca.rows.tolist() == [0, 1, 5, 11]
-    text, image = mmca.key_classes
-    assert text.keys.tolist() == [0, 1, 5, 11] and not text.cross
-    # the trailing image block is after the last text row: no prefix row reads it
-    assert image.keys.tolist() == [2, 3, 4, 6, 7, 8, 9, 10]
-    assert image.allow[0].sum() == 0 and image.allow[2].sum() == 3 and image.allow[3].all()
+    three, two, text, *stairs = mmca.terms
+    # equal-size image blocks stack into one term each, every block over itself
+    assert three.rows.tolist() == [[2, 3, 4], [6, 7, 8]] and two.rows.tolist() == [[9, 10], [12, 13]]
+    assert all(np.array_equal(t.keys, t.rows) and t.forbid is None for t in (three, two))
+    assert text.rows.tolist() == text.keys.tolist() == [0, 1, 5, 11]
+    assert np.array_equal(~text.forbid, np.tril(np.ones((4, 4), dtype=bool)))
+    # the image keys each text row reads: none for rows 0 and 1 (before every
+    # image), three for row 5, all eight for row 11; the trailing block comes
+    # after the last text row, so no row reads it
+    assert [(t.rows.tolist(), t.keys.tolist(), t.forbid) for t in stairs] == [
+        ([5], [2, 3, 4], None), ([11], [2, 3, 4, 6, 7, 8, 9, 10], None)
+    ]
+    assert not mmca.reads_cross
     cross = build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
-    assert cross.reads_cross and [kc.cross for kc in cross.key_classes] == [False, True]
+    assert cross.reads_cross and [t.cross for t in cross.terms] == [False] * 3 + [True] * 2
     diagonal = build_layout(seq, AttentionVariant.MMCA, "diagonal")
-    assert [b.shape for b in diagonal.blocks] == [(10, 1)]
-    causal = build_layout(seq, AttentionVariant.CAUSAL_ONLY)
-    assert causal.blocks == () and causal.rows.tolist() == list(range(seq.d))
+    assert diagonal.terms[0].rows.tolist() == [[p] for p in (2, 3, 4, 6, 7, 8, 9, 10, 12, 13)]
+    assert [t.keys.tolist() for t in diagonal.terms[1:]] == [t.keys.tolist() for t in mmca.terms[2:]]
+    (causal,) = build_layout(seq, AttentionVariant.CAUSAL_ONLY).terms
+    assert causal.rows.tolist() == causal.keys.tolist() == list(range(seq.d))
+    assert np.array_equal(~causal.forbid, np.tril(np.ones((seq.d, seq.d), dtype=bool)))
     assert build_layout(seq, AttentionVariant.MMCA, normalize=True).weight == 0.5
     assert build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS, normalize=True).weight == 1.0
     with pytest.raises(ValueError, match="image_self"):
         build_layout(seq, AttentionVariant.MMCA, "row")
+
+
+def assert_terms_account_for_mask(seq, variant, image_self, normalize):
+    """Every allowed edge of the dense mask lies in exactly one term, with
+    the term's key class; each term row is one whole softmax group of the
+    reference (one query row's text keys or image keys), never split across
+    terms; image-key terms carry no mask; cross flags mark exactly the text
+    rows' image terms of the cross variant."""
+    layout = build_layout(seq, variant, image_self, normalize)
+    entries = build_mask(seq, variant, image_self).entries
+    is_image = seq.is_image()
+    seen = np.zeros((3,) + entries.shape, dtype=int)  # edges per key class
+    groups = np.zeros((3, seq.d), dtype=int)  # terms per (key class, row)
+    for term in layout.terms:
+        for rows, keys in zip(np.atleast_2d(term.rows), np.atleast_2d(term.keys)):
+            allowed = np.ones((rows.size, keys.size), dtype=bool)
+            if term.forbid is not None:
+                allowed = ~term.forbid
+            labels = entries[np.ix_(rows, keys)][allowed]
+            assert labels.size and (labels == labels[0]).all()  # one key class per term
+            key_class = int(labels[0])
+            assert allowed.any(axis=1).all()  # no term row has an empty support
+            seen[key_class][np.ix_(rows, keys)] += allowed
+            groups[key_class][rows] += 1
+            if key_class == 2:
+                assert term.forbid is None
+            text_rows_reading_images = key_class == 2 and not is_image[rows].any()
+            assert term.cross == (variant is AttentionVariant.CAUSAL_PLUS_CROSS and text_rows_reading_images)
+    for key_class in (1, 2):
+        assert np.array_equal(seen[key_class], (entries == key_class).astype(int))
+        assert np.array_equal(groups[key_class], (entries == key_class).any(axis=1).astype(int))
+    assert not seen[0].any()
+
+
+@pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
+def test_terms_account_for_every_allowed_edge_once(variant, image_self, normalize):
+    rng = np.random.default_rng(2310)
+    for _ in range(100):
+        assert_terms_account_for_mask(random_layout(rng), variant, image_self, normalize)
+
+
+@settings(max_examples=100, deadline=None)
+@given(segments=_segments)
+@example(segments=[(T, 5)])  # text-only
+@example(segments=[(I, 4)])  # image-only
+@example(segments=[(I, 2), (I, 3), (T, 2)])  # adjacent blocks
+@example(segments=[(I, 1), (T, 1), (I, 1), (I, 1), (T, 2)])  # 1-token blocks
+@example(segments=[(T, 1)])  # d=1
+@example(segments=[(I, 1)])  # d=1, image
+@example(segments=[(T, 3), (I, 2), (T, 2)])  # text before the first image
+def test_edge_layout_terms_account_for_every_allowed_edge_once(segments):
+    seq = build_sequence(segments)
+    for config in CONFIGS:
+        assert_terms_account_for_mask(seq, *config)
 
 
 def test_prebuilt_layout_reused_and_checked():
@@ -234,6 +296,28 @@ def test_nonfinite_inputs_and_scores_rejected():
         segment_attention(layout, 1.0, huge, huge, ok)
 
 
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_overflowing_scores_and_wrong_saved_length_rejected(variant):
+    seq = build_sequence([(T, 1), (I, 2), (T, 2)])
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((5, 4))
+    huge_scale = AttentionConfig(variant, num_heads=2, model_dim=4, scale=1e308)
+    params = init_multi_head_params(huge_scale, rng)
+    config = AttentionConfig(variant, num_heads=2, model_dim=4)
+    for cfg, inputs in ((huge_scale, x), (config, 1e200 * x)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="scores contain non-finite"
+        ):
+            multi_head_forward(cfg, inputs, params, seq)
+    layout = build_layout(seq, variant)
+    q, k, v, kx, vx = (rng.standard_normal((5, 2)) for _ in range(5))
+    cross = (kx, vx) if layout.reads_cross else ()
+    _, saved = segment_attention(layout, 1.0, q, k, v, *cross)
+    for wrong in (saved[:-1], saved + saved[:1]):
+        with pytest.raises(ValueError, match="one softmax per layout term"):
+            segment_attention_vjp(layout, 1.0, q, wrong, q, k, v, *cross)
+
+
 def test_empty_support_and_forbidden_edges_exactly_zero():
     # text row 0 precedes every image: its image term has empty support
     seq = build_sequence([(T, 1), (I, 2), (T, 2)])
@@ -256,14 +340,15 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
 
     monkeypatch.setattr(mask_module, "build_mask", forbidden)
     monkeypatch.setattr(attn_module, "partition", forbidden)
+    monkeypatch.setattr(attn_module, "masked_softmax_vjp", forbidden)
     softmax_shapes = []
-    real_softmax = attn_module.masked_softmax
+    real_softmax = attn_module._softmax_in_place
 
-    def recording_softmax(scores, allow):
+    def recording_softmax(scores, forbid):
         softmax_shapes.append(scores.shape[-2:])
-        return real_softmax(scores, allow)
+        return real_softmax(scores, forbid)
 
-    monkeypatch.setattr(attn_module, "masked_softmax", recording_softmax)
+    monkeypatch.setattr(attn_module, "_softmax_in_place", recording_softmax)
     layouts = []
     real_layout = mask_module.build_layout
 
@@ -281,7 +366,7 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         train_step(model, samples, OptimState(total_steps=2))
         assert len(layouts) == len(samples)  # once per sample, not per layer, head or pass
         # one softmax per layout term and layer, all in the forward pass: the VJP takes none
-        terms = sum(len(list(layout.terms())) for layout in layouts)
+        terms = sum(len(layout.terms) for layout in layouts)
         assert len(softmax_shapes) == terms * config.num_layers
         d = samples[0].d
         if variant is not AttentionVariant.CAUSAL_ONLY:  # causal's one term is the d x d prefix
@@ -290,7 +375,7 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         softmax_shapes.clear()
         loss_and_param_grads(model, samples[0])
         assert len(layouts) == 1
-        assert len(softmax_shapes) == len(list(layouts[0].terms())) * config.num_layers
+        assert len(softmax_shapes) == len(layouts[0].terms) * config.num_layers
 
 
 def test_masked_softmax_shares_allow_across_leading_axes():

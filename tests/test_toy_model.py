@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +132,27 @@ def test_forward_matches_naive_reference():
     assert np.allclose(
         forward(cross_model, sample), naive_model_logits(cross_model, sample), atol=1e-10
     )
+
+
+def test_forward_frees_each_layer_attention_state(monkeypatch):
+    import mmchat.toy_model as toy_model_module
+
+    refs, alive = [], []
+    real_forward = toy_model_module.multi_head_forward
+
+    def recording_forward(*args):
+        out, saved = real_forward(*args)
+        refs.append(weakref.ref(saved))
+        alive.append(sum(ref() is not None for ref in refs))
+        return out, saved
+
+    monkeypatch.setattr(toy_model_module, "multi_head_forward", recording_forward)
+    config = ModelConfig(**{**SMALL.__dict__, "num_layers": 3})
+    model = make_model(config, seed=0, known_images=("a", "b"))
+    forward(model, small_sample(config, images=("a", "b")))
+    assert len(refs) == config.num_layers
+    assert alive == [1] * config.num_layers  # the previous layer's state is gone
+    assert all(ref() is None for ref in refs)
 
 
 def test_forward_unknown_image_id():
