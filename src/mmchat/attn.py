@@ -1,35 +1,31 @@
-"""Attention computations for the three variants, in double precision,
-with hand-derived backward passes and a finite-difference check harness.
+"""Attention for the three variants, in double precision: one
+segment-structured kernel with a hand-derived backward pass, the
+multi-head wrapper around it, and a finite-difference check harness.
 
 The multi-modal variant computes two independently normalized attention
-distributions per query, one over allowed text keys (M1) and one over
-allowed image keys (M2), and sums them before the value product:
+distributions per text query, one over its allowed text keys and one
+over its allowed image keys, and sums them before the value product:
 
-    out = (softmax_M1(S) + softmax_M2(S)) @ V,   S = scale * Q @ K^T
+    out = (softmax_text(S) + softmax_image(S)) @ V,   S = scale * Q @ K^T
 
-Masking is realized by restricting each softmax to its mask's support
-(-inf fill before normalization). Multiplying scores by a 0/1 mask inside
-the softmax would still leak weight exp(0) = 1 to forbidden positions, so
-support restriction is the only reading under which forbidden edges carry
-exactly zero weight. Rows with empty support produce all-zero rows rather
-than NaN, which keeps image-free text prefixes and the image rows' text
-component well-defined.
+Masking is realized by restricting each softmax to its support (-inf fill
+before normalization). Multiplying scores by a 0/1 mask inside the softmax
+would still leak weight exp(0) = 1 to forbidden positions, so support
+restriction is the only reading under which forbidden edges carry exactly
+zero weight. Rows with empty support produce all-zero rows rather than
+NaN, which keeps image-free text prefixes well-defined.
 
-Two implementations share these semantics:
-
-* The single-head ``mmca_/causal_/cross_forward`` functions and their
-  ``_vjp``s work on the dense d x d mask. They are the inspectable
-  reference.
-* ``segment_attention`` and ``segment_attention_vjp`` are the one kernel
-  behind the multi-head wrapper. They work from an ``AttentionLayout``
-  built once per sequence, one softmax term at a time: image rows over
-  their own block, text rows over text keys (every row, for causal), and
-  runs of text rows over exactly the image keys before them. No d x d
-  array is formed. Each term's scores are computed from the pre-scaled Q
-  into a fresh buffer that is masked and normalized in place. The forward
-  pass returns each term's softmax and output and the VJP reads them, so
-  a backward pass forms no scores, takes no softmax and needs no
-  rowsum(P * dP) pass over the rows x keys arrays.
+``segment_attention`` and ``segment_attention_vjp`` work from an
+``AttentionLayout`` built once per sequence, one softmax term at a time:
+image rows over their own block, text rows over text keys (every row, for
+causal), and runs of text rows over exactly the image keys before them. No
+d x d array is formed. Each term's scores are computed from the pre-scaled
+Q into a fresh buffer that is masked and normalized in place. The forward
+pass returns each term's softmax and output and the VJP reads them, so a
+backward pass forms no scores, takes no softmax and needs no
+rowsum(P * dP) pass over the rows x keys arrays. ``attention_weights``
+places the saved softmaxes back into per-key-class d x d views for
+inspection.
 
 ``grad_check`` compares analytic gradients against central finite
 differences; ``variant_grad_check`` points it at the segment kernel.
@@ -43,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mask import AttentionLayout, AttentionVariant, MmcaMask, build_layout, partition
+from .mask import AttentionLayout, AttentionVariant, build_layout
 from .modseq import ModalitySequence
 
 GradDict = dict[str, np.ndarray]
@@ -53,7 +49,7 @@ GradDict = dict[str, np.ndarray]
 class AttentionConfig:
     """Shape and behavior knobs for multi-head attention.
 
-    ``scale=None`` resolves to 1/sqrt(head_dim). ``normalize_dual_softmax``
+    Scores are scaled by 1/sqrt(head_dim). ``normalize_dual_softmax``
     averages the two softmax terms instead of summing them; the literal sum
     is the default, so text rows attending to both modalities carry total
     weight 2.
@@ -62,7 +58,6 @@ class AttentionConfig:
     variant: AttentionVariant
     num_heads: int
     model_dim: int
-    scale: float | None = None
     normalize_dual_softmax: bool = False
     image_self: str = "block"
 
@@ -71,8 +66,6 @@ class AttentionConfig:
             raise ValueError("num_heads and model_dim must be positive")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("model_dim must be divisible by num_heads")
-        if self.scale is not None and not self.scale > 0:
-            raise ValueError("scale must be > 0")
 
     @property
     def head_dim(self) -> int:
@@ -80,76 +73,16 @@ class AttentionConfig:
 
     @property
     def effective_scale(self) -> float:
-        return self.scale if self.scale is not None else 1.0 / math.sqrt(self.head_dim)
-
-
-@dataclass(frozen=True)
-class AttentionInputs:
-    """Single-head Q, K, V, all d x h and finite."""
-
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=np.float64)
-        k = np.asarray(self.k, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
-        if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-            raise ValueError("Q, K, V must be d x h matrices of equal shape")
-        for name, a in (("Q", q), ("K", k), ("V", v)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} contains non-finite values")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def d(self) -> int:
-        return self.q.shape[0]
-
-
-@dataclass(frozen=True)
-class CrossParams:
-    """Separate key/value representations used by text queries to read
-    image keys in the causal-plus-cross variant. Only image rows matter."""
-
-    kx: np.ndarray
-    vx: np.ndarray
-
-    def __post_init__(self) -> None:
-        kx = np.asarray(self.kx, dtype=np.float64)
-        vx = np.asarray(self.vx, dtype=np.float64)
-        if kx.ndim != 2 or kx.shape != vx.shape:
-            raise ValueError("Kx, Vx must be d x h matrices of equal shape")
-        object.__setattr__(self, "kx", kx)
-        object.__setattr__(self, "vx", vx)
-
-
-def masked_softmax(scores: np.ndarray, allow: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax over the last axis, restricted to the allowed
-    support.
-
-    ``allow`` has the shape of the scores' trailing (rows, keys) axes, or
-    of all of them; leading axes such as heads share it. ``None`` allows
-    every key. Disallowed entries are exactly 0 in the output. Rows whose
-    support is empty come back all-zero. Each non-empty row is max-shifted
-    for stability and sums to 1 up to rounding.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if allow is not None:
-        allow = np.asarray(allow, dtype=bool)
-    if scores.ndim < 2 or (
-        allow is not None and scores.shape[scores.ndim - allow.ndim :] != allow.shape
-    ):
-        raise ValueError("scores must be 2-d or more, and allow must match their trailing axes")
-    # a fresh buffer: the caller's scores are never written
-    return _softmax_in_place(scores.copy(), None if allow is None else ~allow)
+        return 1.0 / math.sqrt(self.head_dim)
 
 
 def _softmax_in_place(s: np.ndarray, forbid: np.ndarray | None) -> np.ndarray:
-    """``masked_softmax`` of the scores ``s``, written into ``s``, with the
-    support given by its complement ``forbid`` (``None``: every key)."""
+    """Row-wise softmax of the scores ``s`` over the last axis, written into
+    ``s``, restricted to the support given by its complement ``forbid``
+    (``None``: every key; leading axes such as heads share it). Forbidden
+    entries come out exactly 0, and rows with empty support all-zero. Each
+    non-empty row is max-shifted for stability and sums to 1 up to
+    rounding."""
     if not np.isfinite(s).all():
         raise ValueError("scores contain non-finite values")
     if forbid is not None:
@@ -162,142 +95,6 @@ def _softmax_in_place(s: np.ndarray, forbid: np.ndarray | None) -> np.ndarray:
     total[total == 0.0] = 1.0
     s /= total
     return s
-
-
-def masked_softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """Gradient of masked_softmax w.r.t. the scores, given the forward
-    output. Zero rows and masked entries receive zero gradient."""
-    out = probs * dprobs
-    np.subtract(dprobs, out.sum(axis=-1, keepdims=True), out=out)
-    out *= probs
-    return out
-
-
-def _check_dims(inputs: AttentionInputs, mask: MmcaMask) -> None:
-    if inputs.d != mask.d:
-        raise ValueError(
-            f"inputs have {inputs.d} rows but mask dimension is {mask.d}"
-        )
-
-
-def mmca_forward(
-    inputs: AttentionInputs,
-    mask: MmcaMask,
-    scale: float,
-    normalize: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual-softmax attention. Returns (output, A1, A2) so the two
-    per-modality weight matrices can be inspected."""
-    _check_dims(inputs, mask)
-    m1, m2 = partition(mask)
-    s = scale * (inputs.q @ inputs.k.T)
-    a1 = masked_softmax(s, m1)
-    a2 = masked_softmax(s, m2)
-    w = a1 + a2
-    if normalize:
-        w = 0.5 * w
-    return w @ inputs.v, a1, a2
-
-
-def mmca_vjp(
-    inputs: AttentionInputs,
-    mask: MmcaMask,
-    scale: float,
-    dout: np.ndarray,
-    normalize: bool = False,
-) -> GradDict:
-    m1, m2 = partition(mask)
-    s = scale * (inputs.q @ inputs.k.T)
-    a1 = masked_softmax(s, m1)
-    a2 = masked_softmax(s, m2)
-    w = a1 + a2
-    if normalize:
-        w = 0.5 * w
-    dv = w.T @ dout
-    da = dout @ inputs.v.T
-    if normalize:
-        da = 0.5 * da
-    ds = masked_softmax_vjp(a1, da) + masked_softmax_vjp(a2, da)
-    dq = scale * (ds @ inputs.k)
-    dk = scale * (ds.T @ inputs.q)
-    return {"q": dq, "k": dk, "v": dv}
-
-
-def causal_forward(inputs: AttentionInputs, mask: MmcaMask, scale: float) -> np.ndarray:
-    """Single masked softmax over the mask's full support, times V."""
-    _check_dims(inputs, mask)
-    s = scale * (inputs.q @ inputs.k.T)
-    a = masked_softmax(s, mask.allowed())
-    return a @ inputs.v
-
-
-def causal_vjp(
-    inputs: AttentionInputs, mask: MmcaMask, scale: float, dout: np.ndarray
-) -> GradDict:
-    s = scale * (inputs.q @ inputs.k.T)
-    a = masked_softmax(s, mask.allowed())
-    dv = a.T @ dout
-    ds = masked_softmax_vjp(a, dout @ inputs.v.T)
-    return {"q": scale * (ds @ inputs.k), "k": scale * (ds.T @ inputs.q), "v": dv}
-
-
-def _cross_supports(mask: MmcaMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split M2 into text-query rows (read through the cross parameters)
-    and image-query rows (plain self-attention within the block). Image
-    rows are recognized by their diagonal label."""
-    m1, m2 = partition(mask)
-    image_row = np.diag(mask.entries) == 2
-    m2_text = m2 & ~image_row[:, None]
-    m2_image = m2 & image_row[:, None]
-    return m1, m2_text, m2_image
-
-
-def cross_forward(
-    inputs: AttentionInputs,
-    cross: CrossParams | None,
-    mask: MmcaMask,
-    scale: float,
-) -> np.ndarray:
-    """Causal-plus-cross baseline: text rows read text keys through K/V and
-    image keys through the separate Kx/Vx; image rows self-attend within
-    their block through K/V. With Kx = K and Vx = V this reduces exactly to
-    the dual-softmax forward."""
-    if cross is None:
-        raise ValueError("cross_forward requires cross parameters (Kx, Vx)")
-    _check_dims(inputs, mask)
-    if cross.kx.shape != inputs.k.shape:
-        raise ValueError("Kx, Vx must match K, V in shape")
-    m1, m2_text, m2_image = _cross_supports(mask)
-    s = scale * (inputs.q @ inputs.k.T)
-    sx = scale * (inputs.q @ cross.kx.T)
-    a1 = masked_softmax(s, m1)
-    a2i = masked_softmax(s, m2_image)
-    a2x = masked_softmax(sx, m2_text)
-    return (a1 + a2i) @ inputs.v + a2x @ cross.vx
-
-
-def cross_vjp(
-    inputs: AttentionInputs,
-    cross: CrossParams,
-    mask: MmcaMask,
-    scale: float,
-    dout: np.ndarray,
-) -> GradDict:
-    m1, m2_text, m2_image = _cross_supports(mask)
-    s = scale * (inputs.q @ inputs.k.T)
-    sx = scale * (inputs.q @ cross.kx.T)
-    a1 = masked_softmax(s, m1)
-    a2i = masked_softmax(s, m2_image)
-    a2x = masked_softmax(sx, m2_text)
-    dv = (a1 + a2i).T @ dout
-    dvx = a2x.T @ dout
-    da = dout @ inputs.v.T
-    ds = masked_softmax_vjp(a1, da) + masked_softmax_vjp(a2i, da)
-    dsx = masked_softmax_vjp(a2x, dout @ cross.vx.T)
-    dq = scale * (ds @ inputs.k + dsx @ cross.kx)
-    dk = scale * (ds.T @ inputs.q)
-    dkx = scale * (dsx.T @ inputs.q)
-    return {"q": dq, "k": dk, "v": dv, "kx": dkx, "vx": dvx}
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +184,27 @@ def segment_attention_vjp(
         if name in grads:
             grads[name] *= scale
     return grads
+
+
+def attention_weights(
+    layout: AttentionLayout, terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(text_weights, image_weights): each term's saved softmax, as returned
+    by ``segment_attention`` (or kept in ``SavedAttention.terms``), placed
+    into a d x d view of the weight every row puts on every key, with the
+    terms' leading head axes kept. A term reads image keys when the variant
+    is not causal and the term forbids nothing; causal puts all its weight
+    in the text view. The weights are not scaled by ``layout.weight``."""
+    if len(terms) != len(layout.terms):
+        raise ValueError("terms must hold one softmax per layout term")
+    first = terms[0][0]
+    lead = first.shape[: first.ndim - layout.terms[0].rows.ndim - 1]
+    text, image = np.zeros((2, *lead, layout.d, layout.d))
+    causal = layout.variant is AttentionVariant.CAUSAL_ONLY
+    for (p, _), (rows, keys, forbid, _) in zip(terms, layout.terms):
+        view = text if causal or forbid is not None else image
+        view[..., rows[..., :, None], keys[..., None, :]] = p
+    return text, image
 
 
 # ---------------------------------------------------------------------------
@@ -556,19 +374,15 @@ def variant_grad_check(
     head_dim: int = 4,
     eps: float = 1e-5,
     seed: int = 0,
-    scale: float | None = None,
     normalize: bool = False,
     image_self: str = "block",
-    corrupt: bool = False,
 ) -> float:
     """Run grad_check on the segment kernel for one variant, on random
     Q/K/V (plus Kx/Vx when the layout reads them) with the loss
-    sum(output). ``corrupt`` deliberately breaks the analytic gradient; it
-    exists to prove the harness can fail.
+    sum(output) and the scale 1/sqrt(head_dim).
     """
     layout = build_layout(seq, variant, image_self, normalize)
-    if scale is None:
-        scale = 1.0 / math.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(head_dim)
     rng = np.random.default_rng(seed)
     names = ("q", "k", "v", "kx", "vx") if layout.reads_cross else ("q", "k", "v")
     params: GradDict = {name: rng.standard_normal((seq.d, head_dim)) for name in names}
@@ -578,6 +392,4 @@ def variant_grad_check(
 
     _, saved = segment_attention(layout, scale, **params)
     analytic = segment_attention_vjp(layout, scale, np.ones((seq.d, head_dim)), saved, **params)
-    if corrupt:
-        analytic["q"] = analytic["q"] + 1.0
     return grad_check(loss, analytic, params, eps)

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -176,28 +176,35 @@ def llava_otter_blend(
 
 
 def filter_limits(
-    records: list[SourceRecord], spec: BlendSpec, tokenizer: HashTokenizer
-) -> tuple[list[SourceRecord], dict[str, int], list[RenderedSample]]:
+    records: list[SourceRecord],
+    spec: BlendSpec,
+    tokenizer: HashTokenizer,
+    emit: Callable[[RenderedSample], object] | None = None,
+) -> tuple[list[SourceRecord], dict[str, int]]:
     """Drop records with too many images or an over-long rendering.
 
-    Returns the kept records, per-reason drop counts, and the rendering of
-    each kept record (same order). Idempotent: the kept list passes the
-    same filter untouched.
+    Returns the kept records and per-reason drop counts. Each record is
+    rendered once; ``emit``, when given, receives each kept record's
+    rendering in order. No rendering outlives its record's turn, so memory
+    does not grow with the number of records. Idempotent: the kept list
+    passes the same filter untouched.
     """
     kept: list[SourceRecord] = []
-    samples: list[RenderedSample] = []
     dropped = {"too_many_images": 0, "over_length": 0}
     for record in records:
         if len(record.image_ids) > spec.max_images:
             dropped["too_many_images"] += 1
             continue
         try:
-            samples.append(render(record.conversation, tokenizer, spec.layout))
+            sample = render(record.conversation, tokenizer, spec.layout)
         except OverLengthError:
             dropped["over_length"] += 1
             continue
         kept.append(record)
-    return kept, dropped, samples
+        if emit is not None:
+            emit(sample)
+        del sample  # freed before the next record renders
+    return kept, dropped
 
 
 def dataset_stats(records: list[SourceRecord]) -> dict:

@@ -37,7 +37,7 @@ from .blend import (
 )
 from .mask import AttentionVariant, build_layout, build_mask, render_mask
 from .modseq import LayoutConfig, ModalitySequence, TokenKind, build_sequence
-from .template import HashTokenizer
+from .template import HashTokenizer, RenderedSample
 
 _SEQ_SEGMENT = re.compile(r"([it])([0-9]+)")
 
@@ -105,10 +105,23 @@ def cmd_blend(args: argparse.Namespace) -> int:
             read_records(args.llava_dial),
             read_records(args.otter),
         )
-    kept, dropped, _ = filter_limits(blended, spec, HashTokenizer())
+    kept, dropped = filter_limits(blended, spec, HashTokenizer())
     write_records(kept, args.out)
     _write_json(args.stats_out, {"kept": dataset_stats(kept), "dropped": dropped})
     return 0
+
+
+def _sample_line(sample: RenderedSample) -> str:
+    block_ids = sample.tags.ids
+    payload = {
+        "token_ids": list(sample.token_ids),
+        "kinds": "".join("I" if bid else "T" for bid in block_ids),
+        "block_ids": list(block_ids),
+        "loss_mask": [int(flag) for flag in sample.loss_mask],
+        "image_count": sample.image_count,
+        "image_ids": list(sample.image_ids),
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -121,20 +134,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     )
     tokenizer = HashTokenizer(args.vocab_size)
     records = read_records(args.input)
-    kept, dropped, samples = filter_limits(records, spec, tokenizer)
     with open(args.out, "w", encoding="utf-8") as handle:
-        for sample in samples:
-            block_ids = sample.tags.ids
-            payload = {
-                "token_ids": list(sample.token_ids),
-                "kinds": "".join("I" if bid else "T" for bid in block_ids),
-                "block_ids": list(block_ids),
-                "loss_mask": [int(flag) for flag in sample.loss_mask],
-                "image_count": sample.image_count,
-                "image_ids": list(sample.image_ids),
-            }
-            handle.write(json.dumps(payload, sort_keys=True))
-            handle.write("\n")
+        kept, dropped = filter_limits(
+            records, spec, tokenizer, lambda sample: handle.write(_sample_line(sample))
+        )
     _write_json(args.stats_out, {"rendered": len(kept), "dropped": dropped})
     return 0
 
@@ -180,7 +183,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
                 head_dim=args.head_dim,
                 eps=args.eps,
                 seed=seed,
-                corrupt=args.corrupt_analytic,
             )
             worst = max(worst, err)
             status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -293,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--head-dim", type=int, default=4)
     p_grad.add_argument("--eps", type=float, default=1e-5)
     p_grad.add_argument("--out", default=None)
-    p_grad.add_argument("--corrupt-analytic", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_bench = sub.add_parser("bench", help="attention forward and VJP timing and parameter counts")

@@ -2,13 +2,14 @@
 
 The integer mask M over {0, 1, 2} encodes, per (query, key) edge, whether
 attention is forbidden (0), allowed with a text key (1), or allowed with an
-image key (2). The boolean partitions M1 = [M == 1] and M2 = [M == 2] drive
-the dual-softmax attention computation.
+image key (2). A text row's dual softmax takes one softmax over its 1
+entries and one over its 2 entries.
 
-The dense mask is the inspectable reference. The attention hot path uses
-``build_layout`` instead: the same edges as a tuple of softmax terms
-(image blocks, text rows over text keys, and a staircase of text-row runs
-over exactly the image keys before them), with no d x d array.
+The dense mask is the inspectable reference (``mmchat mask`` prints it).
+Attention uses ``build_layout`` instead: the same edges as a tuple of
+softmax terms (image blocks, text rows over text keys, and a staircase of
+text-row runs over exactly the image keys before them), with no d x d
+array.
 
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. Two builders cover the
@@ -120,17 +121,6 @@ def build_mask(
     if variant in (AttentionVariant.MMCA, AttentionVariant.CAUSAL_PLUS_CROSS):
         return build_mmca_mask(seq, image_self)
     raise ValueError(f"unknown attention variant {variant!r}")
-
-
-def partition(mask: MmcaMask) -> tuple[np.ndarray, np.ndarray]:
-    """Split the mask into its boolean parts (M1, M2).
-
-    M1 marks allowed edges with text keys, M2 allowed edges with image
-    keys; the two never overlap, and together they reconstruct the mask.
-    """
-    m1 = mask.entries == TEXT_KEY
-    m2 = mask.entries == IMAGE_KEY
-    return m1, m2
 
 
 # ---------------------------------------------------------------------------

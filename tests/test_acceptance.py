@@ -10,14 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mmchat.attn import (
-    AttentionInputs,
-    CrossParams,
-    causal_forward,
-    cross_forward,
-    mmca_forward,
-    variant_grad_check,
-)
+from mmchat.attn import attention_weights, segment_attention, variant_grad_check
 from mmchat.blend import (
     BlendSpec,
     Dataset,
@@ -29,7 +22,7 @@ from mmchat.blend import (
     write_records,
 )
 from mmchat.cli import main
-from mmchat.mask import AttentionVariant, build_causal_mask, build_mask, build_mmca_mask
+from mmchat.mask import AttentionVariant, build_causal_mask, build_layout, build_mmca_mask
 from mmchat.modseq import LayoutConfig, TokenKind, build_sequence
 from mmchat.template import Conversation, HashTokenizer, Round, parse, render, render_text
 from mmchat.toy_model import (
@@ -93,7 +86,7 @@ def _random_instance(rng, d, h=4, require_mixed=False):
     q = rng.standard_normal((d, h))
     k = rng.standard_normal((d, h))
     v = rng.standard_normal((d, h))
-    return seq, AttentionInputs(q, k, v), 1.0 / np.sqrt(h)
+    return seq, q, k, v, 1.0 / np.sqrt(h)
 
 
 def test_criterion_01_mask_rule_suite():
@@ -137,15 +130,16 @@ def test_criterion_02_formula_fidelity():
     worst_sum, worst_out = 0.0, 0.0
     for _ in range(100):
         d = int(rng.integers(2, 17))
-        seq, inputs, scale = _random_instance(rng, d)
-        mask = build_mmca_mask(seq)
-        out, a1, a2 = mmca_forward(inputs, mask, scale)
+        seq, q, k, v, scale = _random_instance(rng, d)
+        layout = build_layout(seq, AttentionVariant.MMCA)
+        out, terms = segment_attention(layout, scale, q, k, v)
+        a1, a2 = attention_weights(layout, terms)
         for a in (a1, a2):
             sums = a.sum(axis=1)
             empty = ~(a != 0).any(axis=1)
             worst_sum = max(worst_sum, np.abs(np.where(empty, 0.0, sums - 1.0)).max())
-        recomputed = (a1 + a2) @ inputs.v
-        reference = naive_mmca(inputs.q, inputs.k, inputs.v, mask.entries, scale)
+        recomputed = (a1 + a2) @ v
+        reference = naive_mmca(q, k, v, build_mmca_mask(seq).entries, scale)
         worst_out = max(
             worst_out,
             np.abs(out - recomputed).max(),
@@ -163,22 +157,17 @@ def test_criterion_03_text_only_equivalence():
         d = int(rng.integers(1, 17))
         seq = build_sequence([(T, d)])
         h = 4
-        inputs = AttentionInputs(
-            rng.standard_normal((d, h)),
-            rng.standard_normal((d, h)),
-            rng.standard_normal((d, h)),
-        )
-        cross = CrossParams(rng.standard_normal((d, h)), rng.standard_normal((d, h)))
+        q, k, v, kx, vx = (rng.standard_normal((d, h)) for _ in range(5))
         scale = 1.0 / np.sqrt(h)
-        out_mmca, _, _ = mmca_forward(inputs, build_mask(seq, AttentionVariant.MMCA), scale)
-        out_ca = causal_forward(inputs, build_mask(seq, AttentionVariant.CAUSAL_ONLY), scale)
-        out_cross = cross_forward(
-            inputs, cross, build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS), scale
-        )
+        out = {
+            variant: segment_attention(build_layout(seq, variant), scale, q, k, v, kx, vx)[0]
+            for variant in AttentionVariant
+        }
+        out_ca = out[AttentionVariant.CAUSAL_ONLY]
         worst = max(
             worst,
-            np.abs(out_mmca - out_ca).max(),
-            np.abs(out_cross - out_ca).max(),
+            np.abs(out[AttentionVariant.MMCA] - out_ca).max(),
+            np.abs(out[AttentionVariant.CAUSAL_PLUS_CROSS] - out_ca).max(),
         )
     _report(3, "text-only variant equivalence", worst <= 1e-12,
             f"100 image-free instances, max deviation {worst:.2e}")
@@ -191,28 +180,27 @@ def test_criterion_04_zero_leak():
     eps = 1e-3
     for _ in range(50):
         d = int(rng.integers(3, 13))
-        seq, inputs, scale = _random_instance(rng, d, require_mixed=True)
-        mask = build_mmca_mask(seq)
-        masked = mask.entries == 0
-        base, _, _ = mmca_forward(inputs, mask, scale)
+        seq, q, k, v, scale = _random_instance(rng, d, require_mixed=True)
+        masked = build_mmca_mask(seq).entries == 0
+        layout = build_layout(seq, AttentionVariant.MMCA)
+
+        def forward(values):
+            return segment_attention(layout, scale, q, k, values)[0]
+
+        base = forward(v)
         for j in range(d):
             rows = np.flatnonzero(masked[:, j])
             if rows.size == 0:
                 continue
-            bumped = inputs.v.copy()
+            bumped = v.copy()
             bumped[j] += 0.73
-            out, _, _ = mmca_forward(
-                AttentionInputs(inputs.q, inputs.k, bumped), mask, scale
-            )
-            if not (out[rows] == base[rows]).all():
+            if not (forward(bumped)[rows] == base[rows]).all():
                 exact_ok = False
-            for c in range(inputs.v.shape[1]):
-                vp, vm = inputs.v.copy(), inputs.v.copy()
+            for c in range(v.shape[1]):
+                vp, vm = v.copy(), v.copy()
                 vp[j, c] += eps
                 vm[j, c] -= eps
-                op, _, _ = mmca_forward(AttentionInputs(inputs.q, inputs.k, vp), mask, scale)
-                om, _, _ = mmca_forward(AttentionInputs(inputs.q, inputs.k, vm), mask, scale)
-                fd = (op[rows] - om[rows]) / (2 * eps)
+                fd = (forward(vp)[rows] - forward(vm)[rows]) / (2 * eps)
                 worst_fd = max(worst_fd, np.abs(fd).max())
     ok = exact_ok and worst_fd < 1e-10
     _report(4, "zero-leak across masked edges", ok,
@@ -332,7 +320,7 @@ def test_criterion_08_blending_determinism_and_conservation(tmp_path):
         min_group=1, max_group=1, seed=0, max_images=8,
         layout=LayoutConfig(image_token_count=8, max_sequence_length=160),
     )
-    kept, dropped, _ = filter_limits(mixed, filter_spec, HashTokenizer())
+    kept, dropped = filter_limits(mixed, filter_spec, HashTokenizer())
     expect_kept, expect_too_many, expect_long = [], 0, 0
     for record in mixed:
         if len(record.image_ids) > filter_spec.max_images:

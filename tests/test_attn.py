@@ -6,26 +6,29 @@ import pytest
 import mmchat.attn as attn_module
 from mmchat.attn import (
     AttentionConfig,
-    AttentionInputs,
-    CrossParams,
     MultiHeadParams,
-    causal_forward,
-    causal_vjp,
-    cross_forward,
-    cross_vjp,
     grad_check,
     init_multi_head_params,
-    masked_softmax,
-    masked_softmax_vjp,
-    mmca_forward,
-    mmca_vjp,
     multi_head_forward,
     multi_head_input_vjp,
     variant_grad_check,
 )
-from mmchat.mask import AttentionVariant, build_causal_mask, build_mask, build_mmca_mask, partition
+from mmchat.mask import AttentionVariant, build_causal_mask, build_mask, build_mmca_mask
 from mmchat.modseq import TokenKind, build_sequence
 
+from dense_reference import (
+    AttentionInputs,
+    CrossParams,
+    causal_forward,
+    causal_vjp,
+    cross_forward,
+    cross_vjp,
+    masked_softmax,
+    masked_softmax_vjp,
+    mmca_forward,
+    mmca_vjp,
+    partition,
+)
 from oracles import naive_causal, naive_cross, naive_mmca, naive_multi_head
 
 I, T = TokenKind.IMAGE, TokenKind.TEXT
@@ -40,36 +43,48 @@ def rand_inputs(rng, d, h):
 
 
 # ---------------------------------------------------------------------------
-# masked_softmax
+# masked_softmax: the kernel's in-place softmax and the reference's
 
 
-def test_masked_softmax_uniform():
-    out = masked_softmax(np.zeros((2, 2)), np.ones((2, 2), dtype=bool))
+def kernel_softmax(scores, allow):
+    """The kernel's softmax on a copy, with the support given as ``allow``."""
+    return attn_module._softmax_in_place(np.array(scores, dtype=np.float64), ~allow)
+
+
+SOFTMAXES = pytest.mark.parametrize(
+    "softmax", [kernel_softmax, masked_softmax], ids=["kernel", "reference"]
+)
+
+
+@SOFTMAXES
+def test_masked_softmax_uniform(softmax):
+    out = softmax(np.zeros((2, 2)), np.ones((2, 2), dtype=bool))
     assert np.array_equal(out, np.full((2, 2), 0.5))
 
 
-def test_masked_softmax_empty_row_is_zero():
+@SOFTMAXES
+def test_masked_softmax_empty_row_is_zero(softmax):
     allow = np.array([[False, False], [True, True]])
-    out = masked_softmax(np.array([[5.0, -3.0], [0.0, 0.0]]), allow)
+    out = softmax(np.array([[5.0, -3.0], [0.0, 0.0]]), allow)
     assert np.array_equal(out[0], [0.0, 0.0])
     assert np.allclose(out[1], [0.5, 0.5])
 
 
-def test_masked_softmax_partial_row():
+@SOFTMAXES
+def test_masked_softmax_partial_row(softmax):
     scores = np.array([[1.0, 2.0], [3.0, 4.0]])
     allow = np.array([[True, False], [True, True]])
-    out = masked_softmax(scores, allow)
+    out = softmax(scores, allow)
     e3, e4 = math.exp(3.0), math.exp(4.0)
     assert out[0].tolist() == [1.0, 0.0]
     assert np.allclose(out[1], [e3 / (e3 + e4), e4 / (e3 + e4)], atol=1e-12)
     assert np.allclose(out[1], [0.2689, 0.7311], atol=1e-4)
 
 
-def test_masked_softmax_rejects_nonfinite():
+@SOFTMAXES
+def test_masked_softmax_rejects_nonfinite(softmax):
     with pytest.raises(ValueError, match="non-finite"):
-        masked_softmax(np.array([[np.inf, 0.0]]), np.ones((1, 2), dtype=bool))
-    with pytest.raises(ValueError, match="2-d"):
-        masked_softmax(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))
+        softmax(np.array([[np.inf, 0.0]]), np.ones((1, 2), dtype=bool))
 
 
 def test_masked_softmax_vjp_matches_finite_differences():
@@ -389,9 +404,22 @@ def test_variant_grad_check_normalized_and_diagonal():
     )
 
 
-def test_grad_check_detects_corrupted_gradient():
+def corrupt_q_gradient(monkeypatch):
+    """Make the kernel's VJP add 1.0 to every entry of the Q gradient."""
+    real_vjp = attn_module.segment_attention_vjp
+
+    def corrupted_vjp(*args, **kwargs):
+        grads = real_vjp(*args, **kwargs)
+        grads["q"] = grads["q"] + 1.0
+        return grads
+
+    monkeypatch.setattr(attn_module, "segment_attention_vjp", corrupted_vjp)
+
+
+def test_grad_check_detects_corrupted_gradient(monkeypatch):
+    corrupt_q_gradient(monkeypatch)
     seq = build_sequence([(T, 2), (I, 2), (T, 2)])
-    err = variant_grad_check(AttentionVariant.MMCA, seq, seed=4, corrupt=True)
+    err = variant_grad_check(AttentionVariant.MMCA, seq, seed=4)
     assert err >= 1e-4
 
 
@@ -477,12 +505,8 @@ def test_attention_config_validation():
         AttentionConfig(AttentionVariant.MMCA, num_heads=3, model_dim=8)
     with pytest.raises(ValueError, match="positive"):
         AttentionConfig(AttentionVariant.MMCA, num_heads=0, model_dim=8)
-    with pytest.raises(ValueError, match="scale"):
-        AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=8, scale=0.0)
     config = AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=8)
     assert config.effective_scale == 1.0 / math.sqrt(4)
-    explicit = AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=8, scale=0.3)
-    assert explicit.effective_scale == 0.3
 
 
 def test_normalized_dual_softmax_rows_sum_to_one():

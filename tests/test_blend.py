@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmchat.blend import (
     BlendSpec,
@@ -20,7 +22,14 @@ from mmchat.blend import (
 from mmchat.modseq import LayoutConfig
 from mmchat.template import Conversation, HashTokenizer, Round, render
 
-from oracles import join_oracle, llava_dial_record, llava_record, otter_record
+from oracles import (
+    IdPool,
+    join_oracle,
+    llava_dial_record,
+    llava_record,
+    otter_record,
+    random_conversation,
+)
 
 TOK = HashTokenizer(32)
 
@@ -210,7 +219,8 @@ def test_filter_too_many_images():
     conv = Conversation("s", (Round(ids, "q", "a"),))
     big = SourceRecord(Dataset.OTHER, ids, conv)
     ok = llava_record(rng, "fine")
-    kept, dropped, samples = filter_limits([big, ok], small_spec(max_images=8), TOK)
+    samples = []
+    kept, dropped = filter_limits([big, ok], small_spec(max_images=8), TOK, samples.append)
     assert kept == [ok]
     assert samples == [render(ok.conversation, TOK, small_spec().layout)]
     assert dropped == {"too_many_images": 1, "over_length": 0}
@@ -227,8 +237,9 @@ def test_filter_over_length():
         seed=0,
         layout=LayoutConfig(image_token_count=4, max_sequence_length=30),
     )
-    kept, dropped, samples = filter_limits(
-        [SourceRecord(Dataset.LLAVA, ("v",), conv), ok], spec, TOK
+    samples = []
+    kept, dropped = filter_limits(
+        [SourceRecord(Dataset.LLAVA, ("v",), conv), ok], spec, TOK, samples.append
     )
     assert kept == [ok]
     assert samples == [render(ok.conversation, TOK, spec.layout)]
@@ -236,11 +247,12 @@ def test_filter_over_length():
 
 
 def test_filter_empty_and_idempotent():
-    empty = ([], {"too_many_images": 0, "over_length": 0}, [])
+    empty = ([], {"too_many_images": 0, "over_length": 0})
     assert filter_limits([], small_spec(), TOK) == empty
     records = make_llava_corpus(5)
-    kept, _, samples = filter_limits(records, small_spec(), TOK)
-    again, dropped, again_samples = filter_limits(kept, small_spec(), TOK)
+    samples, again_samples = [], []
+    kept, _ = filter_limits(records, small_spec(), TOK, samples.append)
+    again, dropped = filter_limits(kept, small_spec(), TOK, again_samples.append)
     assert again == kept
     assert again_samples == samples
     assert dropped == {"too_many_images": 0, "over_length": 0}
@@ -320,3 +332,111 @@ def test_jsonl_normalizes_integer_ids():
     record = record_from_dict(payload)
     assert record.image_ids == ("5",)
     assert record.conversation.rounds[0].images == ("5",)
+
+
+# ---------------------------------------------------------------------------
+# Properties over random corpora
+
+
+def tagged_corpus(seed, size):
+    """``size`` records of every source shape (llava, llava_dial, otter_cgd
+    and multi-round multi-image conversations). Each round's question starts
+    with its record and round number, so blended rounds trace back."""
+    rng = np.random.default_rng(seed)
+    pool = IdPool(rng)
+    records = []
+    for index in range(size):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            record = llava_record(rng, pool.next())
+        elif kind == 1:
+            record = llava_dial_record(rng, pool.next())
+        elif kind == 2:
+            record = otter_record(rng, pool.next(), pool.next())
+        else:
+            conv = random_conversation(rng, pool)
+            record = SourceRecord(Dataset.OTHER, conv.image_ids(), conv)
+        rounds = tuple(
+            Round(rnd.images, f"{index} {number} {rnd.question}", rnd.answer)
+            for number, rnd in enumerate(record.conversation.rounds)
+        )
+        conv = Conversation(record.conversation.system, rounds)
+        records.append(SourceRecord(record.dataset, record.image_ids, conv))
+    return records
+
+
+_blend_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 25),
+    min_group=st.integers(1, 4),
+    spread=st.integers(0, 3),
+    blend_seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@_blend_cases
+def test_concat_blend_is_byte_deterministic(
+    tmp_path_factory, seed, size, min_group, spread, blend_seed
+):
+    spec = small_spec(min_group, min_group + spread, blend_seed)
+    work = tmp_path_factory.mktemp("concat")
+    write_records(tagged_corpus(seed, size), work / "in.jsonl")
+    for name in ("a.jsonl", "b.jsonl"):
+        write_records(concat_blend(read_records(work / "in.jsonl"), spec), work / name)
+    assert (work / "a.jsonl").read_bytes() == (work / "b.jsonl").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@_blend_cases
+def test_concat_blend_partitions_and_conserves_the_input(
+    seed, size, min_group, spread, blend_seed
+):
+    records = tagged_corpus(seed, size)
+    spec = small_spec(min_group, min_group + spread, blend_seed)
+    out = concat_blend(records, spec)
+    seen = []
+    for position, merged in enumerate(out):
+        tags = [tuple(map(int, rnd.question.split()[:2])) for rnd in merged.conversation.rounds]
+        group = [index for index, number in tags if number == 0]
+        # the rounds are whole source records, one after another
+        assert tags == [(i, n) for i in group for n in range(len(records[i].conversation.rounds))]
+        last = position == len(out) - 1
+        assert len(group) <= spec.max_group and (last or len(group) >= spec.min_group)
+        seen.extend(tags)
+        if len(group) == 1:
+            assert merged == records[group[0]]
+            continue
+        assert merged.dataset is Dataset.OTHER
+        assert merged.conversation.system == records[group[0]].conversation.system
+        renumbered = {}
+        for (index, number), rnd in zip(tags, merged.conversation.rounds):
+            source = records[index].conversation.rounds[number]
+            assert (rnd.question, rnd.answer) == (source.question, source.answer)
+            assert len(rnd.images) == len(source.images)
+            for old, new in zip(source.images, rnd.images):
+                assert renumbered.setdefault((index, old), new) == new
+        numbers = tuple(str(i) for i in range(1, len(renumbered) + 1))
+        assert merged.image_ids == merged.conversation.image_ids() == numbers
+    # every input round lands in exactly one output record
+    assert sorted(seen) == [
+        (i, n) for i, record in enumerate(records) for n in range(len(record.conversation.rounds))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 25),
+    max_images=st.integers(1, 4),
+    max_len=st.integers(20, 120),
+)
+def test_filter_limits_is_idempotent(seed, size, max_images, max_len):
+    spec = BlendSpec(
+        min_group=1, max_group=1, seed=0, max_images=max_images,
+        layout=LayoutConfig(image_token_count=4, max_sequence_length=max_len),
+    )
+    records = tagged_corpus(seed, size)
+    kept, dropped = filter_limits(records, spec, TOK)
+    assert len(kept) + sum(dropped.values()) == len(records)
+    assert filter_limits(kept, spec, TOK) == (kept, {"too_many_images": 0, "over_length": 0})

@@ -1,8 +1,11 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import mmchat.attn as attn_module
+import mmchat.blend as blend_module
 from mmchat.blend import read_records, write_records
 from mmchat.cli import main, parse_seq_spec
 from mmchat.mask import build_causal_mask, build_mmca_mask, render_mask
@@ -63,6 +66,25 @@ def test_blend_concat_deterministic(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_blend_holds_one_rendered_sample_at_a_time(tmp_path, monkeypatch):
+    alive = weakref.WeakSet()
+    most = []
+    real_render = blend_module.render
+
+    def tracked_render(*args, **kwargs):
+        sample = real_render(*args, **kwargs)
+        alive.add(sample)
+        most.append(len(alive))
+        return sample
+
+    monkeypatch.setattr(blend_module, "render", tracked_render)
+    rng = np.random.default_rng(2)
+    src = _write_corpus(tmp_path / "in.jsonl", [llava_record(rng, f"img{i}") for i in range(12)])
+    argv = ["blend", "--mode", "concat", "--input", src, "--out", str(tmp_path / "o.jsonl")]
+    assert main(argv) == 0
+    assert len(most) >= 4 and max(most) == 1
 
 
 def test_blend_concat_identity_grouping_is_permutation(tmp_path):
@@ -223,16 +245,16 @@ def test_gradcheck_command_passes(capsys):
     assert out.count("ok") == 2
 
 
-def test_gradcheck_command_detects_corruption(capsys):
-    assert (
-        main(
-            [
-                "gradcheck", "--variant", "mmca", "--seeds", "1", "--d", "6",
-                "--corrupt-analytic",
-            ]
-        )
-        == 1
-    )
+def test_gradcheck_command_detects_corruption(monkeypatch, capsys):
+    real_vjp = attn_module.segment_attention_vjp
+
+    def corrupted_vjp(*args, **kwargs):
+        grads = real_vjp(*args, **kwargs)
+        grads["q"] = grads["q"] + 1.0
+        return grads
+
+    monkeypatch.setattr(attn_module, "segment_attention_vjp", corrupted_vjp)
+    assert main(["gradcheck", "--variant", "mmca", "--seeds", "1", "--d", "6"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -8,11 +8,11 @@ from mmchat.mask import (
     build_causal_mask,
     build_mask,
     build_mmca_mask,
-    partition,
     render_mask,
 )
 from mmchat.modseq import TokenKind, build_sequence
 
+from dense_reference import partition
 from oracles import rule_mask
 
 I, T = TokenKind.IMAGE, TokenKind.TEXT

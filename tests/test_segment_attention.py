@@ -1,9 +1,10 @@
-"""The segment-structured multi-head kernel against the dense reference.
+"""The segment-structured kernel against the dense reference.
 
-The reference here is a per-head composition of the dense single-head
+The reference is ``tests/dense_reference.py``: the dense single-head
 functions (``mmca_/causal_/cross_forward`` and their ``_vjp``s over
-``build_mask``) plus the output projection, i.e. the multi-head path as it
-was before the kernel existed.
+``build_mask``), composed per head with the output projection here, i.e.
+the multi-head path as it was before the kernel existed. It has its own
+softmax, so the kernel's softmax is checked too.
 """
 
 import itertools
@@ -17,15 +18,8 @@ import mmchat.attn as attn_module
 import mmchat.mask as mask_module
 from mmchat.attn import (
     AttentionConfig,
-    AttentionInputs,
-    CrossParams,
-    causal_forward,
-    causal_vjp,
-    cross_forward,
-    cross_vjp,
+    attention_weights,
     init_multi_head_params,
-    mmca_forward,
-    mmca_vjp,
     multi_head_forward,
     multi_head_input_vjp,
     segment_attention,
@@ -40,6 +34,19 @@ from mmchat.toy_model import (
     make_copy_task,
     make_model,
     train_step,
+)
+
+from dense_reference import (
+    AttentionInputs,
+    CrossParams,
+    _cross_supports,
+    causal_forward,
+    causal_vjp,
+    cross_forward,
+    cross_vjp,
+    masked_softmax,
+    mmca_forward,
+    mmca_vjp,
 )
 
 I, T = TokenKind.IMAGE, TokenKind.TEXT
@@ -110,8 +117,31 @@ def random_layout(rng):
     return build_sequence(segments)
 
 
+def dense_weights(config, x, params, seq):
+    """Per head, the reference's (text, image) weight views: (A1, A2) for
+    mmca, (A, 0) for causal, and (A1, block + Kx softmaxes) for cross."""
+    heads, mask = dense_heads(config, x, params, seq)
+    scale = config.effective_scale
+    views = []
+    for inputs, cross in heads:
+        if config.variant is AttentionVariant.MMCA:
+            _, a1, a2 = mmca_forward(inputs, mask, scale)
+            views.append((a1, a2))
+        elif config.variant is AttentionVariant.CAUSAL_ONLY:
+            a = masked_softmax(scale * (inputs.q @ inputs.k.T), mask.allowed())
+            views.append((a, np.zeros_like(a)))
+        else:
+            m1, m2_text, m2_image = _cross_supports(mask)
+            s = scale * (inputs.q @ inputs.k.T)
+            sx = scale * (inputs.q @ cross.kx.T)
+            image = masked_softmax(s, m2_image) + masked_softmax(sx, m2_text)
+            views.append((masked_softmax(s, m1), image))
+    return np.array(views)
+
+
 def max_gaps(config, seq, seed):
-    """(forward gap, input-VJP gap) between the kernel and the reference."""
+    """(forward gap, input-VJP gap, weight-view gap) between the kernel and
+    the reference."""
     rng = np.random.default_rng(seed)
     params = init_multi_head_params(config, rng)
     x = rng.standard_normal((seq.d, config.model_dim))
@@ -122,7 +152,9 @@ def max_gaps(config, seq, seed):
         multi_head_input_vjp(config, params, saved, dout)
         - dense_input_vjp(config, x, params, seq, dout)
     )
-    return float(fwd.max()), float(vjp.max())
+    views = np.stack(attention_weights(saved.layout, saved.terms), axis=1)  # heads lead
+    weights = np.abs(views - dense_weights(config, x, params, seq))
+    return float(fwd.max()), float(vjp.max()), float(weights.max())
 
 
 @pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
@@ -132,11 +164,11 @@ def test_matches_dense_reference_on_random_layouts(variant, image_self, normaliz
         normalize_dual_softmax=normalize, image_self=image_self,
     )
     rng = np.random.default_rng(2309)
-    worst = (0.0, 0.0)
+    worst = (0.0, 0.0, 0.0)
     for trial in range(500):
         gaps = max_gaps(config, random_layout(rng), seed=trial)
-        worst = (max(worst[0], gaps[0]), max(worst[1], gaps[1]))
-    assert worst[0] <= TOLERANCE and worst[1] <= TOLERANCE, worst
+        worst = tuple(map(max, worst, gaps))
+    assert max(worst) <= TOLERANCE, worst
 
 
 _segments = st.lists(
@@ -164,8 +196,7 @@ def test_edge_layouts_match_dense_reference(segments, config_index, seed):
         variant, num_heads=2, model_dim=6,
         normalize_dual_softmax=normalize, image_self=image_self,
     )
-    fwd, vjp = max_gaps(config, build_sequence(segments), seed)
-    assert fwd <= TOLERANCE and vjp <= TOLERANCE
+    assert max(max_gaps(config, build_sequence(segments), seed)) <= TOLERANCE
 
 
 def test_layout_structure():
@@ -301,14 +332,12 @@ def test_overflowing_scores_and_wrong_saved_length_rejected(variant):
     seq = build_sequence([(T, 1), (I, 2), (T, 2)])
     rng = np.random.default_rng(6)
     x = rng.standard_normal((5, 4))
-    huge_scale = AttentionConfig(variant, num_heads=2, model_dim=4, scale=1e308)
-    params = init_multi_head_params(huge_scale, rng)
     config = AttentionConfig(variant, num_heads=2, model_dim=4)
-    for cfg, inputs in ((huge_scale, x), (config, 1e200 * x)):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="scores contain non-finite"
-        ):
-            multi_head_forward(cfg, inputs, params, seq)
+    params = init_multi_head_params(config, rng)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="scores contain non-finite"
+    ):
+        multi_head_forward(config, 1e200 * x, params, seq)
     layout = build_layout(seq, variant)
     q, k, v, kx, vx = (rng.standard_normal((5, 2)) for _ in range(5))
     cross = (kx, vx) if layout.reads_cross else ()
@@ -334,13 +363,29 @@ def test_empty_support_and_forbidden_edges_exactly_zero():
     assert not grads["q"][3:].any()
 
 
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_attention_weights_keep_leading_head_axes(variant):
+    seq = build_sequence([(T, 2), (I, 3), (T, 1), (I, 3), (I, 1), (T, 2)])
+    layout = build_layout(seq, variant)
+    rng = np.random.default_rng(7)
+    inputs = [rng.standard_normal((2, 3, seq.d, 4)) for _ in range(5)]
+    _, terms = segment_attention(layout, 0.5, *inputs)
+    text, image = attention_weights(layout, terms)
+    assert text.shape == image.shape == (2, 3, seq.d, seq.d)
+    for index in np.ndindex(2, 3):
+        one_head = tuple((p[index], o[index]) for p, o in terms)
+        head_text, head_image = attention_weights(layout, one_head)
+        assert np.array_equal(text[index], head_text)
+        assert np.array_equal(image[index], head_image)
+    with pytest.raises(ValueError, match="one softmax per layout term"):
+        attention_weights(layout, terms[:-1])
+
+
 def test_hot_path_builds_no_dense_mask(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense mask machinery on the hot path")
 
     monkeypatch.setattr(mask_module, "build_mask", forbidden)
-    monkeypatch.setattr(attn_module, "partition", forbidden)
-    monkeypatch.setattr(attn_module, "masked_softmax_vjp", forbidden)
     softmax_shapes = []
     real_softmax = attn_module._softmax_in_place
 
@@ -383,16 +428,18 @@ def test_masked_softmax_shares_allow_across_leading_axes():
     scores = rng.standard_normal((2, 3, 4))
     allow = rng.random((3, 4)) < 0.5
     allow[0] = False
-    batched = attn_module.masked_softmax(scores, allow)
+    batched = masked_softmax(scores, allow)
     for h in range(2):
-        assert np.array_equal(batched[h], attn_module.masked_softmax(scores[h], allow))
+        assert np.array_equal(batched[h], masked_softmax(scores[h], allow))
     assert not batched[:, 0].any()
-    full = attn_module.masked_softmax(scores, None)
-    assert np.array_equal(full, attn_module.masked_softmax(scores, np.ones((3, 4), dtype=bool)))
+    full = masked_softmax(scores, None)
+    assert np.array_equal(full, masked_softmax(scores, np.ones((3, 4), dtype=bool)))
     with pytest.raises(ValueError, match="2-d"):
-        attn_module.masked_softmax(scores, np.ones((2, 4), dtype=bool))
+        masked_softmax(scores, np.ones((2, 4), dtype=bool))
     with pytest.raises(ValueError, match="2-d"):
-        attn_module.masked_softmax(np.zeros(3))
+        masked_softmax(np.zeros(3))
+    with pytest.raises(ValueError, match="2-d"):
+        masked_softmax(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))
 
 
 def test_masked_softmax_leaves_scores_unchanged():
@@ -401,5 +448,5 @@ def test_masked_softmax_leaves_scores_unchanged():
     allow = rng.random((3, 4)) < 0.5
     for mask in (None, allow):
         before = scores.copy()
-        attn_module.masked_softmax(scores, mask)
+        masked_softmax(scores, mask)
         assert np.array_equal(scores, before)
