@@ -27,6 +27,13 @@ rowsum(P * dP) pass over the rows x keys arrays. ``attention_weights``
 places the saved softmaxes back into per-key-class d x d views for
 inspection.
 
+The multi-head wrapper (``multi_head_forward``, ``multi_head_input_vjp``)
+takes the attention rule (variant, ``image_self``, dual-softmax
+normalization) from the layout alone and the head shape from the weights
+alone: ``wq`` is (num_heads, model_dim, head_dim), and the score scale is
+1/sqrt(head_dim). Weights carry ``wkx``/``wvx`` exactly when the layout is
+the cross variant.
+
 ``grad_check`` compares analytic gradients against central finite
 differences; ``variant_grad_check`` points it at the segment kernel.
 """
@@ -43,37 +50,6 @@ from .mask import AttentionLayout, AttentionVariant, build_layout
 from .modseq import ModalitySequence
 
 GradDict = dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Shape and behavior knobs for multi-head attention.
-
-    Scores are scaled by 1/sqrt(head_dim). ``normalize_dual_softmax``
-    averages the two softmax terms instead of summing them; the literal sum
-    is the default, so text rows attending to both modalities carry total
-    weight 2.
-    """
-
-    variant: AttentionVariant
-    num_heads: int
-    model_dim: int
-    normalize_dual_softmax: bool = False
-    image_self: str = "block"
-
-    def __post_init__(self) -> None:
-        if self.num_heads < 1 or self.model_dim < 1:
-            raise ValueError("num_heads and model_dim must be positive")
-        if self.model_dim % self.num_heads != 0:
-            raise ValueError("model_dim must be divisible by num_heads")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
-    @property
-    def effective_scale(self) -> float:
-        return 1.0 / math.sqrt(self.head_dim)
 
 
 def _softmax_in_place(s: np.ndarray, forbid: np.ndarray | None) -> np.ndarray:
@@ -192,17 +168,17 @@ def attention_weights(
     """(text_weights, image_weights): each term's saved softmax, as returned
     by ``segment_attention`` (or kept in ``SavedAttention.terms``), placed
     into a d x d view of the weight every row puts on every key, with the
-    terms' leading head axes kept. A term reads image keys when the variant
-    is not causal and the term forbids nothing; causal puts all its weight
-    in the text view. The weights are not scaled by ``layout.weight``."""
+    terms' leading head axes kept. A term reads image keys iff it forbids
+    nothing (causal's one term always forbids later keys, so causal puts all
+    its weight in the text view). The weights are not scaled by
+    ``layout.weight``."""
     if len(terms) != len(layout.terms):
         raise ValueError("terms must hold one softmax per layout term")
     first = terms[0][0]
     lead = first.shape[: first.ndim - layout.terms[0].rows.ndim - 1]
     text, image = np.zeros((2, *lead, layout.d, layout.d))
-    causal = layout.variant is AttentionVariant.CAUSAL_ONLY
     for (p, _), (rows, keys, forbid, _) in zip(terms, layout.terms):
-        view = text if causal or forbid is not None else image
+        view = text if forbid is not None else image
         view[..., rows[..., :, None], keys[..., None, :]] = p
     return text, image
 
@@ -235,47 +211,47 @@ class MultiHeadParams:
 
 
 def init_multi_head_params(
-    config: AttentionConfig, rng: np.random.Generator
+    variant: AttentionVariant, num_heads: int, model_dim: int, rng: np.random.Generator
 ) -> MultiHeadParams:
     """Random init scaled by 1/sqrt(model_dim); cross projections are
     allocated only when the variant needs them."""
-    h, dm, hd = config.num_heads, config.model_dim, config.head_dim
+    if num_heads < 1 or model_dim < 1:
+        raise ValueError("num_heads and model_dim must be positive")
+    if model_dim % num_heads != 0:
+        raise ValueError("model_dim must be divisible by num_heads")
+    h, dm, hd = num_heads, model_dim, model_dim // num_heads
     scale = 1.0 / math.sqrt(dm)
 
     def w(*shape: int) -> np.ndarray:
         return scale * rng.standard_normal(shape)
 
     params = MultiHeadParams(wq=w(h, dm, hd), wk=w(h, dm, hd), wv=w(h, dm, hd), wo=w(dm, dm))
-    if config.variant is AttentionVariant.CAUSAL_PLUS_CROSS:
+    if variant is AttentionVariant.CAUSAL_PLUS_CROSS:
         params.wkx = w(h, dm, hd)
         params.wvx = w(h, dm, hd)
     return params
 
 
-def _resolve_layout(
-    config: AttentionConfig, seq: ModalitySequence | AttentionLayout
-) -> AttentionLayout:
-    if not isinstance(seq, AttentionLayout):
-        return build_layout(seq, config.variant, config.image_self, config.normalize_dual_softmax)
-    built_for = (seq.variant, seq.image_self, seq.normalize)
-    if built_for != (config.variant, config.image_self, config.normalize_dual_softmax):
-        raise ValueError("layout was built for a different attention config")
-    return seq
+def _score_scale(params: MultiHeadParams) -> float:
+    """1/sqrt(head_dim), head_dim being the last axis of ``params.wq``."""
+    return 1.0 / math.sqrt(params.wq.shape[2])
 
 
 def _project_heads(
-    config: AttentionConfig, x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
+    x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> dict[str, np.ndarray]:
     """Per-head Q/K/V (and Kx/Vx when the layout reads them), each
     (num_heads, d, head_dim)."""
-    if x.ndim != 2 or x.shape[1] != config.model_dim:
-        raise ValueError(f"x must be d x {config.model_dim}")
+    model_dim = params.wq.shape[1]
+    if x.ndim != 2 or x.shape[1] != model_dim:
+        raise ValueError(f"x must be d x {model_dim}")
     if x.shape[0] != layout.d:
         raise ValueError("x row count must match the sequence length")
+    cross = layout.variant is AttentionVariant.CAUSAL_PLUS_CROSS
+    if any((w is not None) != cross for w in (params.wkx, params.wvx)):
+        raise ValueError("params must carry wkx/wvx exactly when the layout is the cross variant")
     heads = {"q": x @ params.wq, "k": x @ params.wk, "v": x @ params.wv}
     if layout.reads_cross:
-        if params.wkx is None or params.wvx is None:
-            raise ValueError("cross variant needs wkx/wvx projections")
         heads["kx"] = x @ params.wkx
         heads["vx"] = x @ params.wvx
     return heads
@@ -286,44 +262,39 @@ class SavedAttention:
     """State of one ``multi_head_forward`` pass that ``multi_head_input_vjp``
     reads: per-head projections and each layout term's (softmax, output)."""
 
-    config: AttentionConfig
     layout: AttentionLayout
     heads: dict[str, np.ndarray]
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def multi_head_forward(
-    config: AttentionConfig,
-    x: np.ndarray,
-    params: MultiHeadParams,
-    seq: ModalitySequence | AttentionLayout,
+    x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> tuple[np.ndarray, SavedAttention]:
-    """Per-head projections, the segment kernel over ``seq``'s layout
-    (pass a prebuilt ``AttentionLayout`` to reuse it), concatenation of
-    the heads, output projection; plus the state the input VJP reads."""
-    layout = _resolve_layout(config, seq)
+    """Per-head projections, the segment kernel over ``layout`` (built
+    once per sequence and reused for every layer and pass), concatenation
+    of the heads, output projection; plus the state the input VJP reads.
+    The layout carries the attention rule; ``params.wq``'s shape
+    (num_heads, model_dim, head_dim) carries the head shape and so the
+    1/sqrt(head_dim) score scale."""
     x = np.asarray(x, dtype=np.float64)
-    heads = _project_heads(config, x, params, layout)
-    out, terms = segment_attention(layout, config.effective_scale, **heads)
-    return np.concatenate(out, axis=1) @ params.wo, SavedAttention(config, layout, heads, terms)
+    heads = _project_heads(x, params, layout)
+    out, terms = segment_attention(layout, _score_scale(params), **heads)
+    return np.concatenate(out, axis=1) @ params.wo, SavedAttention(layout, heads, terms)
 
 
 def multi_head_input_vjp(
-    config: AttentionConfig,
-    params: MultiHeadParams,
-    saved: SavedAttention,
-    dout: np.ndarray,
+    params: MultiHeadParams, saved: SavedAttention, dout: np.ndarray
 ) -> np.ndarray:
     """Gradient of multi_head_forward w.r.t. its input activations, from
-    the ``saved`` state of that forward pass. Head parameters receive no
-    gradient here; the decoder that uses this wrapper keeps them frozen."""
-    if saved.config != config:
-        raise ValueError("saved state was built for a different attention config")
-    if dout.shape != (saved.layout.d, config.model_dim):
+    the ``saved`` state of that forward pass with the same ``params``. Head
+    parameters receive no gradient here; the decoder that uses this wrapper
+    keeps them frozen."""
+    num_heads, model_dim, head_dim = params.wq.shape
+    if dout.shape != (saved.layout.d, model_dim):
         raise ValueError("dout must have the saved pass's row count and model_dim columns")
-    dheads = (dout @ params.wo.T).reshape(-1, config.num_heads, config.head_dim)
+    dheads = (dout @ params.wo.T).reshape(-1, num_heads, head_dim)
     grads = segment_attention_vjp(
-        saved.layout, config.effective_scale, dheads.transpose(1, 0, 2), saved.terms, **saved.heads
+        saved.layout, _score_scale(params), dheads.transpose(1, 0, 2), saved.terms, **saved.heads
     )
     weights = {"q": params.wq, "k": params.wk, "v": params.wv, "kx": params.wkx, "vx": params.wvx}
     return sum((g @ _swap(weights[name])).sum(axis=0) for name, g in grads.items())

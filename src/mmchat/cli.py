@@ -1,10 +1,10 @@
 """Command-line surface: mask rendering, data blending, template
-rendering, gradient checking, and a small attention benchmark.
+rendering and gradient checking.
 
-Every command is deterministic for fixed flags and seed (timings
-excepted). Exit status is 0 only when no errors occurred and all checks
-passed; a data or file error (bad value, unreadable input, unwritable
-output) prints one ``error:`` line and exits 2.
+Every command is deterministic for fixed flags and seed. Exit status is
+0 only when no errors occurred and all checks passed; a data or file
+error (bad value, unreadable input, unwritable output) prints one
+``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -12,20 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .attn import (
-    AttentionConfig,
-    init_multi_head_params,
-    multi_head_forward,
-    multi_head_input_vjp,
-    variant_grad_check,
-)
+from .attn import variant_grad_check
 from .blend import (
     BlendSpec,
     concat_blend,
@@ -35,7 +27,7 @@ from .blend import (
     read_records,
     write_records,
 )
-from .mask import AttentionVariant, build_layout, build_mask, render_mask
+from .mask import AttentionVariant, build_mask, render_mask
 from .modseq import LayoutConfig, ModalitySequence, TokenKind, build_sequence
 from .template import HashTokenizer, RenderedSample
 
@@ -196,55 +188,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _bench_segments(d: int) -> list[tuple[TokenKind, int]]:
-    segments: list[tuple[TokenKind, int]] = []
-    total = 0
-    kind = TokenKind.TEXT
-    while total < d:
-        size = min(16, d - total)
-        segments.append((kind, size))
-        total += size
-        kind = TokenKind.IMAGE if kind is TokenKind.TEXT else TokenKind.TEXT
-    return segments
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.reps < 3:
-        raise ValueError("--reps must be >= 3")
-    seq = build_sequence(_bench_segments(args.d))
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((args.d, args.model_dim))
-    dout = rng.standard_normal((args.d, args.model_dim))
-    rows = [
-        "variant,d,num_heads,model_dim,param_count,reps,median_seconds,min_seconds,"
-        "vjp_median_seconds,vjp_min_seconds"
-    ]
-    for variant in AttentionVariant:
-        config = AttentionConfig(
-            variant=variant, num_heads=args.heads, model_dim=args.model_dim
-        )
-        params = init_multi_head_params(config, rng)
-        layout = build_layout(seq, variant)  # built once, outside the timed loop
-        _, saved = multi_head_forward(config, x, params, layout)  # untimed warm-up
-        multi_head_input_vjp(config, params, saved, dout)
-        forward, vjp = [], []
-        for _ in range(args.reps):
-            start = time.perf_counter()
-            multi_head_forward(config, x, params, layout)
-            middle = time.perf_counter()
-            multi_head_input_vjp(config, params, saved, dout)
-            forward.append(middle - start)
-            vjp.append(time.perf_counter() - middle)
-        rows.append(
-            f"{variant.value},{args.d},{args.heads},{args.model_dim},"
-            f"{params.param_count()},{args.reps},"
-            f"{statistics.median(forward):.6f},{min(forward):.6f},"
-            f"{statistics.median(vjp):.6f},{min(vjp):.6f}"
-        )
-    _write_text(args.out, "\n".join(rows))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmchat",
@@ -296,15 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--eps", type=float, default=1e-5)
     p_grad.add_argument("--out", default=None)
     p_grad.set_defaults(func=cmd_gradcheck)
-
-    p_bench = sub.add_parser("bench", help="attention forward and VJP timing and parameter counts")
-    p_bench.add_argument("--d", type=int, default=256)
-    p_bench.add_argument("--heads", type=int, default=4)
-    p_bench.add_argument("--model-dim", type=int, default=64)
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -159,8 +159,6 @@ class AttentionLayout:
 
     d: int
     variant: AttentionVariant
-    image_self: str
-    normalize: bool
     weight: float
     terms: tuple[Term, ...]
 
@@ -178,7 +176,9 @@ def build_layout(
     """Layout of ``seq`` for the given variant, ``image_self`` rule and
     dual-softmax normalization: the same edges as ``build_mask``, each in
     exactly one term. Build it once per sequence and reuse it for every
-    layer, head and pass."""
+    layer, head and pass. ``normalize`` averages an mmca text row's two
+    softmaxes instead of summing them; the literal sum is the default, so
+    text rows attending to both modalities carry total weight 2."""
     _check_image_self(image_self)
     causal = variant is AttentionVariant.CAUSAL_ONLY  # modality ignored: every token is text
     is_image = np.zeros(seq.d, dtype=bool) if causal else seq.is_image()
@@ -204,8 +204,6 @@ def build_layout(
     return AttentionLayout(
         d=seq.d,
         variant=variant,
-        image_self=image_self,
-        normalize=normalize,
         weight=0.5 if normalize and variant is AttentionVariant.MMCA else 1.0,
         terms=tuple(terms),
     )

@@ -23,14 +23,13 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .attn import (
-    AttentionConfig,
     MultiHeadParams,
     SavedAttention,
     init_multi_head_params,
@@ -68,15 +67,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("model_dim must be divisible by num_heads")
-
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(
-            variant=self.variant,
-            num_heads=self.num_heads,
-            model_dim=self.model_dim,
-            normalize_dual_softmax=self.normalize_dual_softmax,
-            image_self=self.image_self,
-        )
 
     def layout(self, max_sequence_length: int = 4096) -> LayoutConfig:
         return LayoutConfig(self.image_token_count, max_sequence_length)
@@ -163,12 +153,13 @@ def make_model(
     embedding = rng.standard_normal(
         (config.vocab_size, config.model_dim)
     ) / math.sqrt(config.model_dim)
-    attn_config = config.attention_config()
     blocks = []
     for _ in range(config.num_layers):
         blocks.append(
             DecoderBlock(
-                attn=init_multi_head_params(attn_config, rng),
+                attn=init_multi_head_params(
+                    config.variant, config.num_heads, config.model_dim, rng
+                ),
                 w1=rng.standard_normal((config.model_dim, config.ffn_dim))
                 / math.sqrt(config.model_dim),
                 b1=np.zeros(config.ffn_dim),
@@ -225,11 +216,11 @@ def _layout(model: ToyModel, sample: RenderedSample) -> AttentionLayout:
 
 
 def _run_block(
-    cfg: AttentionConfig, block: DecoderBlock, h: np.ndarray, layout: AttentionLayout
+    block: DecoderBlock, h: np.ndarray, layout: AttentionLayout
 ) -> tuple[np.ndarray, np.ndarray, SavedAttention]:
     """One frozen block: its output, its post-attention activations and the
     attention's saved forward state."""
-    attn_out, saved = multi_head_forward(cfg, h, block.attn, layout)
+    attn_out, saved = multi_head_forward(h, block.attn, layout)
     h_mid = h + attn_out
     return h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2, h_mid, saved
 
@@ -240,11 +231,10 @@ def _decoder_states(
     """Run the frozen blocks, keeping per block the post-attention
     activations and the attention's saved forward state for the backward
     pass."""
-    cfg = model.config.attention_config()
     states = []
     h = x
     for block in model.blocks:
-        h, h_mid, saved = _run_block(cfg, block, h, layout)
+        h, h_mid, saved = _run_block(block, h, layout)
         states.append((h_mid, saved))
     return h, states
 
@@ -254,11 +244,10 @@ def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     projected stub features, text positions as embedding rows; the head is
     the embedding transpose. Each block's saved attention state is freed
     before the next block runs."""
-    cfg = model.config.attention_config()
     layout = _layout(model, sample)
     h = _embed(model, sample)
     for block in model.blocks:
-        h = _run_block(cfg, block, h, layout)[0]
+        h = _run_block(block, h, layout)[0]
     logits = h @ model.embedding.T
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
@@ -316,12 +305,11 @@ def loss_and_param_grads(
 
     d_embedding = dlogits.T @ h
     dh = dlogits @ model.embedding
-    cfg = model.config.attention_config()
     for block in reversed(model.blocks):
         h_mid, saved = states.pop()
         a = np.tanh(h_mid @ block.w1 + block.b1)
         dh_mid = dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
-        dh = dh_mid + multi_head_input_vjp(cfg, block.attn, saved, dh_mid)
+        dh = dh_mid + multi_head_input_vjp(block.attn, saved, dh_mid)
         del saved  # free this layer's softmaxes before the next layer's VJP
 
     token_ids = np.asarray(sample.token_ids)
@@ -479,21 +467,6 @@ def make_copy_task(
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "vision_dim": config.vision_dim,
-        "model_dim": config.model_dim,
-        "num_heads": config.num_heads,
-        "num_layers": config.num_layers,
-        "vocab_size": config.vocab_size,
-        "ffn_dim": config.ffn_dim,
-        "image_token_count": config.image_token_count,
-        "variant": config.variant.value,
-        "normalize_dual_softmax": config.normalize_dual_softmax,
-        "image_self": config.image_self,
-    }
-
-
 def _config_from_dict(data: dict) -> ModelConfig:
     data = dict(data)
     data["variant"] = AttentionVariant(data["variant"])
@@ -504,7 +477,7 @@ def save_model(model: ToyModel, path: str | Path) -> None:
     """Versioned checkpoint: named tensors plus a JSON manifest."""
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": _config_to_dict(model.config),
+        "config": {**asdict(model.config), "variant": model.config.variant.value},
         "stub_seed": model.stub_seed,
         "known_images": sorted(model.vision_stub),
     }

@@ -127,10 +127,11 @@ def naive_cross(
 
 def naive_multi_head(config, x: np.ndarray, params, seq: ModalitySequence) -> np.ndarray:
     """Head loop over the naive single-head evaluators, then the output
-    projection."""
+    projection. ``config`` is a ``ModelConfig``; only its fields are read,
+    and the 1/sqrt(head_dim) score scale is computed here."""
     variant = config.variant.value
     entries = rule_mask(seq, variant, config.image_self)
-    scale = config.effective_scale
+    scale = 1.0 / math.sqrt(config.model_dim // config.num_heads)
     heads = []
     for h in range(config.num_heads):
         q, k, v = x @ params.wq[h], x @ params.wk[h], x @ params.wv[h]
@@ -160,9 +161,8 @@ def naive_model_logits(model, sample) -> np.ndarray:
     for index, (start, end) in enumerate(spans):
         feats = model.vision_stub[sample.image_ids[index]]
         x[start:end] = feats @ model.projection
-    cfg = model.config.attention_config()
     for block in model.blocks:
-        x = x + naive_multi_head(cfg, x, block.attn, sample.tags)
+        x = x + naive_multi_head(model.config, x, block.attn, sample.tags)
         x = x + np.tanh(x @ block.w1 + block.b1) @ block.w2 + block.b2
     return x @ model.embedding.T
 

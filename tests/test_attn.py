@@ -5,7 +5,6 @@ import pytest
 
 import mmchat.attn as attn_module
 from mmchat.attn import (
-    AttentionConfig,
     MultiHeadParams,
     grad_check,
     init_multi_head_params,
@@ -13,8 +12,15 @@ from mmchat.attn import (
     multi_head_input_vjp,
     variant_grad_check,
 )
-from mmchat.mask import AttentionVariant, build_causal_mask, build_mask, build_mmca_mask
+from mmchat.mask import (
+    AttentionVariant,
+    build_causal_mask,
+    build_layout,
+    build_mask,
+    build_mmca_mask,
+)
 from mmchat.modseq import TokenKind, build_sequence
+from mmchat.toy_model import ModelConfig
 
 from dense_reference import (
     AttentionInputs,
@@ -272,24 +278,21 @@ def test_zero_leak_single_edge():
 
 def test_multi_head_single_head_reduction():
     seq = build_sequence([(I, 2), (T, 4)])
-    config = AttentionConfig(AttentionVariant.MMCA, num_heads=1, model_dim=4)
     rng = np.random.default_rng(11)
-    params = init_multi_head_params(config, rng)
+    params = init_multi_head_params(AttentionVariant.MMCA, 1, 4, rng)
     x = rng.standard_normal((6, 4))
     inputs = AttentionInputs(x @ params.wq[0], x @ params.wk[0], x @ params.wv[0])
-    single, _, _ = mmca_forward(
-        inputs, build_mmca_mask(seq), config.effective_scale
-    )
-    assert np.allclose(multi_head_forward(config, x, params, seq)[0], single @ params.wo, atol=1e-14)
+    single, _, _ = mmca_forward(inputs, build_mmca_mask(seq), 1.0 / math.sqrt(4))
+    layout = build_layout(seq, AttentionVariant.MMCA)
+    assert np.allclose(multi_head_forward(x, params, layout)[0], single @ params.wo, atol=1e-14)
 
 
 def test_multi_head_head_permutation_symmetry():
     seq = build_sequence([(I, 2), (T, 4)])
-    config = AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=8)
     rng = np.random.default_rng(12)
-    params = init_multi_head_params(config, rng)
+    params = init_multi_head_params(AttentionVariant.MMCA, 2, 8, rng)
     x = rng.standard_normal((6, 8))
-    hd = config.head_dim
+    hd = params.wq.shape[2]
     perm = [1, 0]
     permuted = MultiHeadParams(
         wq=params.wq[perm],
@@ -297,9 +300,10 @@ def test_multi_head_head_permutation_symmetry():
         wv=params.wv[perm],
         wo=np.concatenate([params.wo[h * hd : (h + 1) * hd] for h in perm], axis=0),
     )
+    layout = build_layout(seq, AttentionVariant.MMCA)
     assert np.allclose(
-        multi_head_forward(config, x, params, seq)[0],
-        multi_head_forward(config, x, permuted, seq)[0],
+        multi_head_forward(x, params, layout)[0],
+        multi_head_forward(x, permuted, layout)[0],
         atol=1e-14,
     )
 
@@ -307,39 +311,63 @@ def test_multi_head_head_permutation_symmetry():
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 def test_multi_head_matches_naive_oracle(variant):
     seq = build_sequence([(T, 2), (I, 3), (T, 3)])
-    config = AttentionConfig(variant, num_heads=2, model_dim=6)
+    config = ModelConfig(variant=variant, num_heads=2, model_dim=6)
     rng = np.random.default_rng(13)
-    params = init_multi_head_params(config, rng)
+    params = init_multi_head_params(variant, 2, 6, rng)
     x = rng.standard_normal((8, 6))
     assert np.allclose(
-        multi_head_forward(config, x, params, seq)[0],
+        multi_head_forward(x, params, build_layout(seq, variant))[0],
         naive_multi_head(config, x, params, seq),
         atol=1e-10,
     )
 
 
+@pytest.mark.parametrize("num_heads", [1, 2, 4])
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_head_shape_comes_from_the_weights(variant, num_heads):
+    # heads, head width and the 1/sqrt(head_dim) scale are read off wq
+    seq = build_sequence([(T, 2), (I, 3), (T, 1), (I, 2), (T, 3)])
+    config = ModelConfig(variant=variant, num_heads=num_heads, model_dim=8)
+    rng = np.random.default_rng(20 + num_heads)
+    params = init_multi_head_params(variant, num_heads, 8, rng)
+    x = rng.standard_normal((seq.d, 8))
+    out, _ = multi_head_forward(x, params, build_layout(seq, variant))
+    assert np.abs(out - naive_multi_head(config, x, params, seq)).max() <= 1e-12
+
+
+def test_params_carry_cross_projections_iff_the_layout_is_cross():
+    seq = build_sequence([(I, 2), (T, 3)])
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((5, 4))
+    plain = init_multi_head_params(AttentionVariant.MMCA, 2, 4, rng)
+    cross = init_multi_head_params(AttentionVariant.CAUSAL_PLUS_CROSS, 2, 4, rng)
+    cross_layout = build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
+    text_only_cross = build_layout(build_sequence([(T, 5)]), AttentionVariant.CAUSAL_PLUS_CROSS)
+    half = MultiHeadParams(cross.wq, cross.wk, cross.wv, cross.wo, wkx=cross.wkx)
+    mismatched = [(plain, cross_layout), (plain, text_only_cross), (half, cross_layout)]
+    for variant in (AttentionVariant.MMCA, AttentionVariant.CAUSAL_ONLY):
+        mismatched.append((cross, build_layout(seq, variant)))
+    for params, layout in mismatched:
+        with pytest.raises(ValueError, match="wkx/wvx exactly when the layout is the cross"):
+            multi_head_forward(x, params, layout)
+    assert multi_head_forward(x, cross, text_only_cross)[0].shape == (5, 4)
+
+
 def test_multi_head_shape_validation():
-    seq = build_sequence([(T, 4)])
-    config = AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=6)
+    layout = build_layout(build_sequence([(T, 4)]), AttentionVariant.MMCA)
     rng = np.random.default_rng(14)
-    params = init_multi_head_params(config, rng)
+    params = init_multi_head_params(AttentionVariant.MMCA, 2, 6, rng)
     with pytest.raises(ValueError, match="d x 6"):
-        multi_head_forward(config, np.zeros((4, 5)), params, seq)
+        multi_head_forward(np.zeros((4, 5)), params, layout)
     with pytest.raises(ValueError, match="row count"):
-        multi_head_forward(config, np.zeros((5, 6)), params, seq)
+        multi_head_forward(np.zeros((5, 6)), params, layout)
 
 
 def test_cross_params_allocated_only_for_cross_variant():
     rng = np.random.default_rng(15)
-    mmca = init_multi_head_params(
-        AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=6), rng
-    )
-    causal = init_multi_head_params(
-        AttentionConfig(AttentionVariant.CAUSAL_ONLY, num_heads=2, model_dim=6), rng
-    )
-    cross = init_multi_head_params(
-        AttentionConfig(AttentionVariant.CAUSAL_PLUS_CROSS, num_heads=2, model_dim=6), rng
-    )
+    mmca = init_multi_head_params(AttentionVariant.MMCA, 2, 6, rng)
+    causal = init_multi_head_params(AttentionVariant.CAUSAL_ONLY, 2, 6, rng)
+    cross = init_multi_head_params(AttentionVariant.CAUSAL_PLUS_CROSS, 2, 6, rng)
     assert mmca.wkx is None and causal.wkx is None
     assert cross.wkx is not None and cross.wvx is not None
     assert mmca.param_count() == causal.param_count()
@@ -348,22 +376,21 @@ def test_cross_params_allocated_only_for_cross_variant():
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 def test_multi_head_input_vjp_matches_finite_differences(variant):
-    seq = build_sequence([(T, 2), (I, 2), (T, 1)])
-    config = AttentionConfig(variant, num_heads=2, model_dim=4)
+    layout = build_layout(build_sequence([(T, 2), (I, 2), (T, 1)]), variant)
     rng = np.random.default_rng(16)
-    params = init_multi_head_params(config, rng)
+    params = init_multi_head_params(variant, 2, 4, rng)
     x = rng.standard_normal((5, 4))
     dout = np.ones((5, 4))
-    _, saved = multi_head_forward(config, x, params, seq)
-    analytic = multi_head_input_vjp(config, params, saved, dout)
+    _, saved = multi_head_forward(x, params, layout)
+    analytic = multi_head_input_vjp(params, saved, dout)
     eps = 1e-6
     for i in range(5):
         for j in range(4):
             bumped = x.copy()
             bumped[i, j] += eps
-            plus = multi_head_forward(config, bumped, params, seq)[0].sum()
+            plus = multi_head_forward(bumped, params, layout)[0].sum()
             bumped[i, j] -= 2 * eps
-            minus = multi_head_forward(config, bumped, params, seq)[0].sum()
+            minus = multi_head_forward(bumped, params, layout)[0].sum()
             numeric = (plus - minus) / (2 * eps)
             denom = max(abs(analytic[i, j]), abs(numeric), 1e-8)
             assert abs(analytic[i, j] - numeric) / denom < 1e-5
@@ -500,13 +527,15 @@ def test_causal_and_cross_vjp_explicit_dout():
     assert abs(grads["kx"][2, 0] - numeric) < 1e-6
 
 
-def test_attention_config_validation():
+def test_init_multi_head_params_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="divisible"):
-        AttentionConfig(AttentionVariant.MMCA, num_heads=3, model_dim=8)
+        init_multi_head_params(AttentionVariant.MMCA, 3, 8, rng)
     with pytest.raises(ValueError, match="positive"):
-        AttentionConfig(AttentionVariant.MMCA, num_heads=0, model_dim=8)
-    config = AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=8)
-    assert config.effective_scale == 1.0 / math.sqrt(4)
+        init_multi_head_params(AttentionVariant.MMCA, 0, 8, rng)
+    params = init_multi_head_params(AttentionVariant.MMCA, 2, 8, rng)
+    assert params.wq.shape == params.wk.shape == params.wv.shape == (2, 8, 4)
+    assert params.wo.shape == (8, 8)
 
 
 def test_normalized_dual_softmax_rows_sum_to_one():

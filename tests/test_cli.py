@@ -265,38 +265,6 @@ def test_gradcheck_all_variants_small(capsys):
         assert name in out
 
 
-def test_bench_command(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert (
-        main(
-            [
-                "bench", "--d", "32", "--heads", "2", "--model-dim", "8",
-                "--reps", "3", "--out", str(out),
-            ]
-        )
-        == 0
-    )
-    lines = out.read_text(encoding="utf-8").strip().splitlines()
-    assert len(lines) == 4
-    header = lines[0].split(",")
-    assert header == [
-        "variant", "d", "num_heads", "model_dim", "param_count", "reps",
-        "median_seconds", "min_seconds", "vjp_median_seconds", "vjp_min_seconds",
-    ]
-    rows = {line.split(",")[0]: dict(zip(header, line.split(","))) for line in lines[1:]}
-    assert set(rows) == {"causal", "cross", "mmca"}
-    assert int(rows["mmca"]["param_count"]) == int(rows["causal"]["param_count"])
-    assert int(rows["cross"]["param_count"]) > int(rows["mmca"]["param_count"])
-    for row in rows.values():
-        assert float(row["median_seconds"]) >= float(row["min_seconds"]) >= 0.0
-        assert float(row["vjp_median_seconds"]) >= float(row["vjp_min_seconds"]) >= 0.0
-
-
-def test_bench_rejects_low_reps(capsys):
-    assert main(["bench", "--reps", "2"]) == 2
-    assert "reps" in capsys.readouterr().err
-
-
 def test_unknown_flags_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["mask", "i2", "--bogus"])

@@ -8,6 +8,7 @@ softmax, so the kernel's softmax is checked too.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 import mmchat.attn as attn_module
 import mmchat.mask as mask_module
 from mmchat.attn import (
-    AttentionConfig,
     attention_weights,
     init_multi_head_params,
     multi_head_forward,
@@ -56,8 +56,15 @@ CONFIGS = list(
 )
 
 
+def head_shape(config):
+    """(head_dim, 1/sqrt(head_dim)) of a ``ModelConfig``'s attention."""
+    hd = config.model_dim // config.num_heads
+    return hd, 1.0 / math.sqrt(hd)
+
+
 def dense_heads(config, x, params, seq):
-    """Per-head (AttentionInputs, CrossParams | None) and the dense mask."""
+    """Per-head (AttentionInputs, CrossParams | None) and the dense mask of
+    ``config``, a ``ModelConfig`` whose attention fields set the rule."""
     mask = build_mask(seq, config.variant, config.image_self)
     heads = []
     for h in range(config.num_heads):
@@ -71,7 +78,7 @@ def dense_heads(config, x, params, seq):
 
 def dense_forward(config, x, params, seq):
     heads, mask = dense_heads(config, x, params, seq)
-    scale = config.effective_scale
+    _, scale = head_shape(config)
     outs = []
     for inputs, cross in heads:
         if config.variant is AttentionVariant.MMCA:
@@ -86,7 +93,7 @@ def dense_forward(config, x, params, seq):
 
 def dense_input_vjp(config, x, params, seq, dout):
     heads, mask = dense_heads(config, x, params, seq)
-    scale, hd = config.effective_scale, config.head_dim
+    hd, scale = head_shape(config)
     dconcat = dout @ params.wo.T
     dx = np.zeros_like(x)
     for h, (inputs, cross) in enumerate(heads):
@@ -121,7 +128,7 @@ def dense_weights(config, x, params, seq):
     """Per head, the reference's (text, image) weight views: (A1, A2) for
     mmca, (A, 0) for causal, and (A1, block + Kx softmaxes) for cross."""
     heads, mask = dense_heads(config, x, params, seq)
-    scale = config.effective_scale
+    _, scale = head_shape(config)
     views = []
     for inputs, cross in heads:
         if config.variant is AttentionVariant.MMCA:
@@ -143,13 +150,14 @@ def max_gaps(config, seq, seed):
     """(forward gap, input-VJP gap, weight-view gap) between the kernel and
     the reference."""
     rng = np.random.default_rng(seed)
-    params = init_multi_head_params(config, rng)
+    params = init_multi_head_params(config.variant, config.num_heads, config.model_dim, rng)
     x = rng.standard_normal((seq.d, config.model_dim))
     dout = rng.standard_normal((seq.d, config.model_dim))
-    out, saved = multi_head_forward(config, x, params, seq)
+    layout = build_layout(seq, config.variant, config.image_self, config.normalize_dual_softmax)
+    out, saved = multi_head_forward(x, params, layout)
     fwd = np.abs(out - dense_forward(config, x, params, seq))
     vjp = np.abs(
-        multi_head_input_vjp(config, params, saved, dout)
+        multi_head_input_vjp(params, saved, dout)
         - dense_input_vjp(config, x, params, seq, dout)
     )
     views = np.stack(attention_weights(saved.layout, saved.terms), axis=1)  # heads lead
@@ -159,8 +167,8 @@ def max_gaps(config, seq, seed):
 
 @pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
 def test_matches_dense_reference_on_random_layouts(variant, image_self, normalize):
-    config = AttentionConfig(
-        variant, num_heads=2, model_dim=4,
+    config = ModelConfig(
+        variant=variant, num_heads=2, model_dim=4,
         normalize_dual_softmax=normalize, image_self=image_self,
     )
     rng = np.random.default_rng(2309)
@@ -192,8 +200,8 @@ _segments = st.lists(
 @example(segments=[(T, 3), (I, 2), (T, 2)], config_index=4, seed=6)  # text before the first image
 def test_edge_layouts_match_dense_reference(segments, config_index, seed):
     variant, image_self, normalize = CONFIGS[config_index]
-    config = AttentionConfig(
-        variant, num_heads=2, model_dim=6,
+    config = ModelConfig(
+        variant=variant, num_heads=2, model_dim=6,
         normalize_dual_softmax=normalize, image_self=image_self,
     )
     assert max(max_gaps(config, build_sequence(segments), seed)) <= TOLERANCE
@@ -285,21 +293,16 @@ def test_edge_layout_terms_account_for_every_allowed_edge_once(segments):
 
 def test_prebuilt_layout_reused_and_checked():
     seq = build_sequence([(I, 2), (T, 3)])
-    config = AttentionConfig(AttentionVariant.MMCA, num_heads=2, model_dim=4)
     rng = np.random.default_rng(0)
-    params = init_multi_head_params(config, rng)
+    params = init_multi_head_params(AttentionVariant.MMCA, 2, 4, rng)
     x = rng.standard_normal((5, 4))
-    layout = build_layout(seq, config.variant)
-    out, saved = multi_head_forward(config, x, params, layout)
+    layout = build_layout(seq, AttentionVariant.MMCA)
+    out, saved = multi_head_forward(x, params, layout)
     assert saved.layout is layout
-    assert np.array_equal(out, multi_head_forward(config, x, params, seq)[0])
-    other = AttentionConfig(AttentionVariant.MMCA, 2, 4, normalize_dual_softmax=True)
-    with pytest.raises(ValueError, match="different attention config"):
-        multi_head_forward(other, x, params, layout)
-    with pytest.raises(ValueError, match="different attention config"):
-        multi_head_input_vjp(other, params, saved, np.ones((5, 4)))
+    rebuilt = build_layout(seq, AttentionVariant.MMCA)
+    assert np.array_equal(out, multi_head_forward(x, params, rebuilt)[0])
     with pytest.raises(ValueError, match="row count"):
-        multi_head_input_vjp(config, params, saved, np.ones((4, 4)))
+        multi_head_input_vjp(params, saved, np.ones((4, 4)))
 
 
 def test_nonfinite_inputs_and_scores_rejected():
@@ -332,13 +335,12 @@ def test_overflowing_scores_and_wrong_saved_length_rejected(variant):
     seq = build_sequence([(T, 1), (I, 2), (T, 2)])
     rng = np.random.default_rng(6)
     x = rng.standard_normal((5, 4))
-    config = AttentionConfig(variant, num_heads=2, model_dim=4)
-    params = init_multi_head_params(config, rng)
+    params = init_multi_head_params(variant, 2, 4, rng)
+    layout = build_layout(seq, variant)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         ValueError, match="scores contain non-finite"
     ):
-        multi_head_forward(config, 1e200 * x, params, seq)
-    layout = build_layout(seq, variant)
+        multi_head_forward(1e200 * x, params, layout)
     q, k, v, kx, vx = (rng.standard_normal((5, 2)) for _ in range(5))
     cross = (kx, vx) if layout.reads_cross else ()
     _, saved = segment_attention(layout, 1.0, q, k, v, *cross)
