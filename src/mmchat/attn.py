@@ -20,12 +20,20 @@ NaN, which keeps image-free text prefixes well-defined.
 image rows over their own block, text rows over text keys (every row, for
 causal), and runs of text rows over exactly the image keys before them. No
 d x d array is formed. Each term's scores are computed from the pre-scaled
-Q into a fresh buffer that is masked and normalized in place. The forward
-pass returns each term's softmax and output and the VJP reads them, so a
-backward pass forms no scores, takes no softmax and needs no
-rowsum(P * dP) pass over the rows x keys arrays. ``attention_weights``
-places the saved softmaxes back into per-key-class d x d views for
-inspection.
+Q into a fresh buffer that is masked and turned into max-shifted
+exponentials E in place. Normalization is deferred (FlashAttention, Dao et
+al., arXiv 2205.14135): the thin output E @ V is divided by the row totals,
+never the rows x keys E. The forward pass returns each term's E, row totals
+and output, and the VJP reads them, so a backward pass forms no scores,
+takes no softmax and needs no rowsum(P * dP) pass over the rows x keys
+arrays. A restricted layout (``AttentionLayout.restrict``) runs unchanged:
+rows without a term come out zero. ``attention_weights`` places the
+normalized weights back into per-key-class d x d views for inspection.
+
+No score can overflow when head_dim * |scale| * max|Q| * max|K| (K or Kx)
+is below ``_SCORE_BOUND``; the input check takes those maxima in the pass
+that rejects non-finite inputs, and the rows x keys finiteness check of the
+scores runs only when that bound does not hold.
 
 The multi-head wrapper (``multi_head_forward``, ``multi_head_input_vjp``)
 takes the attention rule (variant, ``image_self``, dual-softmax
@@ -52,14 +60,22 @@ from .modseq import ModalitySequence
 GradDict = dict[str, np.ndarray]
 
 
-def _softmax_in_place(s: np.ndarray, forbid: np.ndarray | None) -> np.ndarray:
-    """Row-wise softmax of the scores ``s`` over the last axis, written into
-    ``s``, restricted to the support given by its complement ``forbid``
-    (``None``: every key; leading axes such as heads share it). Forbidden
-    entries come out exactly 0, and rows with empty support all-zero. Each
-    non-empty row is max-shifted for stability and sums to 1 up to
-    rounding."""
-    if not np.isfinite(s).all():
+# No score can overflow while head_dim * |scale| * max|Q| * max|K| stays
+# below this: it is far below the float64 maximum, ~1.8e308, even with the
+# rounding of the products and sums that form a score.
+_SCORE_BOUND = 1e300
+
+
+def _exp_in_place(s: np.ndarray, forbid: np.ndarray | None, check: bool) -> np.ndarray:
+    """Max-shifted exponentials of the scores ``s`` over the last axis,
+    written into ``s``, restricted to the support given by its complement
+    ``forbid`` (``None``: every key; leading axes such as heads share it).
+    Returns the row totals (``s``'s shape with a last axis of 1), so
+    ``s / total`` is the masked softmax. Forbidden entries come out exactly
+    0, and rows with empty support all-zero with total 1. ``check`` first
+    rejects non-finite scores; the kernel skips it when its inputs bound
+    every score."""
+    if check and not np.isfinite(s).all():
         raise ValueError("scores contain non-finite values")
     if forbid is not None:
         np.copyto(s, -np.inf, where=forbid)
@@ -69,27 +85,33 @@ def _softmax_in_place(s: np.ndarray, forbid: np.ndarray | None) -> np.ndarray:
     np.exp(s, out=s)
     total = s.sum(axis=-1, keepdims=True)
     total[total == 0.0] = 1.0
-    s /= total
-    return s
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Segment-structured kernel
 
 
-def _check_inputs(layout: AttentionLayout, inputs: dict[str, np.ndarray | None]) -> None:
+def _check_inputs(
+    layout: AttentionLayout, inputs: dict[str, np.ndarray | None]
+) -> dict[str, float]:
+    """Validate the kernel's inputs; return max|a| per input given, taken in
+    the same pass that rejects non-finite values."""
     if layout.reads_cross and (inputs["kx"] is None or inputs["vx"] is None):
         raise ValueError("this layout reads Kx and Vx; pass both")
     shape = inputs["q"].shape
     if len(shape) < 2 or shape[-2] != layout.d:
         raise ValueError(f"inputs must have {layout.d} rows (the layout dimension)")
+    peaks = {}
     for name, a in inputs.items():
         if a is None:
             continue
         if a.shape != shape:
             raise ValueError("Q, K, V (and Kx, Vx) must have equal shapes")
-        if not np.isfinite(a).all():
+        peaks[name] = float(np.abs(a).max(initial=0.0))  # NaN and inf propagate
+        if not math.isfinite(peaks[name]):
             raise ValueError(f"{name.capitalize()} contains non-finite values")
+    return peaks
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -104,23 +126,27 @@ def segment_attention(
     v: np.ndarray,
     kx: np.ndarray | None = None,
     vx: np.ndarray | None = None,
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
     """Attention output for Q/K/V (and Kx/Vx when the layout reads them),
     all of one shape (..., d, h); leading axes are independent heads.
     Matches the dense reference of the layout's variant. Also returns, per
-    ``layout.terms`` entry, its softmax P and its own output P @ V, which
-    the VJP reads."""
-    _check_inputs(layout, {"q": q, "k": k, "v": v, "kx": kx, "vx": vx})
+    ``layout.terms`` entry, its max-shifted exponentials E, their row totals
+    and its own output O = (E @ V) / total, which the VJP reads."""
+    peaks = _check_inputs(layout, {"q": q, "k": k, "v": v, "kx": kx, "vx": vx})
+    keys_peak = max(peaks["k"], peaks.get("kx", 0.0))
+    check = q.shape[-1] * abs(scale) * peaks["q"] * keys_peak >= _SCORE_BOUND
     sources = {False: (k, v), True: (kx, vx)}
     q = scale * q  # scale the thin side, not the rows x keys scores
     out = np.zeros(q.shape)
     saved = []
     for rows, keys, forbid, cross in layout.terms:
         kk, vv = sources[cross]
-        p = _softmax_in_place(q[..., rows, :] @ _swap(kk[..., keys, :]), forbid)
-        term_out = p @ vv[..., keys, :]
+        e = q[..., rows, :] @ _swap(kk[..., keys, :])
+        total = _exp_in_place(e, forbid, check)
+        term_out = e @ vv[..., keys, :]
+        term_out /= total  # normalize the thin rows x head_dim output, not E
         out[..., rows, :] += term_out
-        saved.append((p, term_out))
+        saved.append((e, total, term_out))
     return layout.weight * out, tuple(saved)
 
 
@@ -128,7 +154,7 @@ def segment_attention_vjp(
     layout: AttentionLayout,
     scale: float,
     dout: np.ndarray,
-    saved: tuple[tuple[np.ndarray, np.ndarray], ...],
+    saved: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
@@ -138,22 +164,24 @@ def segment_attention_vjp(
     """Gradients of ``sum(dout * out)`` for every input given, where
     ``out, saved = segment_attention(layout, scale, q, k, v, kx, vx)``.
 
-    Each term's softmax P and output O are read from ``saved``. The score
-    gradient is P * (dO V^T - D) with the row term D = rowsum(dO * O),
-    which equals rowsum(P * dO V^T) (FlashAttention, Dao et al. 2022)."""
+    Each term's exponentials E, row totals and output O are read from
+    ``saved``; the softmax is P = E / total, but only the thin dO rows are
+    divided: with G = dO / total, P^T dO = E^T G, and the score gradient
+    P * (dO V^T - D) with the row term D = rowsum(dO * O) (FlashAttention,
+    Dao et al. 2022) is E * (G V^T - rowsum(G * O))."""
     inputs = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
     _check_inputs(layout, inputs)
     if len(saved) != len(layout.terms):
         raise ValueError("saved must hold one softmax per layout term")
     grads = {name: np.zeros_like(a) for name, a in inputs.items() if a is not None}
     dout = layout.weight * dout
-    for (p, term_out), (rows, keys, _, cross) in zip(saved, layout.terms):
+    for (e, total, term_out), (rows, keys, _, cross) in zip(saved, layout.terms):
         kn, vn = ("kx", "vx") if cross else ("k", "v")
-        do = dout[..., rows, :]
-        grads[vn][..., keys, :] += _swap(p) @ do
-        ds = do @ _swap(inputs[vn][..., keys, :])
-        ds -= (do[..., None, :] @ term_out[..., :, None])[..., 0]  # D, one value per row
-        ds *= p
+        g = dout[..., rows, :] / total
+        grads[vn][..., keys, :] += _swap(e) @ g
+        ds = g @ _swap(inputs[vn][..., keys, :])
+        ds -= (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
+        ds *= e
         grads["q"][..., rows, :] += ds @ inputs[kn][..., keys, :]
         grads[kn][..., keys, :] += _swap(ds) @ q[..., rows, :]
     for name in ("q", "k", "kx"):
@@ -163,23 +191,24 @@ def segment_attention_vjp(
 
 
 def attention_weights(
-    layout: AttentionLayout, terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    layout: AttentionLayout, terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(text_weights, image_weights): each term's saved softmax, as returned
-    by ``segment_attention`` (or kept in ``SavedAttention.terms``), placed
-    into a d x d view of the weight every row puts on every key, with the
-    terms' leading head axes kept. A term reads image keys iff it forbids
-    nothing (causal's one term always forbids later keys, so causal puts all
-    its weight in the text view). The weights are not scaled by
-    ``layout.weight``."""
+    """(text_weights, image_weights): each term's softmax, normalized from
+    the E and row totals that ``segment_attention`` returns (or
+    ``SavedAttention.terms`` keeps), placed into a d x d view of the weight
+    every row puts on every key, with the terms' leading head axes kept. A
+    term reads image keys iff it forbids nothing (causal's one term always
+    forbids later keys, so causal puts all its weight in the text view).
+    Rows without a term (a restricted layout's) are zero. The weights are
+    not scaled by ``layout.weight``."""
     if len(terms) != len(layout.terms):
         raise ValueError("terms must hold one softmax per layout term")
     first = terms[0][0]
     lead = first.shape[: first.ndim - layout.terms[0].rows.ndim - 1]
     text, image = np.zeros((2, *lead, layout.d, layout.d))
-    for (p, _), (rows, keys, forbid, _) in zip(terms, layout.terms):
+    for (e, total, _), (rows, keys, forbid, _) in zip(terms, layout.terms):
         view = text if forbid is not None else image
-        view[..., rows[..., :, None], keys[..., None, :]] = p
+        view[..., rows[..., :, None], keys[..., None, :]] = e * (1.0 / total)
     return text, image
 
 
@@ -237,6 +266,12 @@ def _score_scale(params: MultiHeadParams) -> float:
     return 1.0 / math.sqrt(params.wq.shape[2])
 
 
+def _check_cross_params(params: MultiHeadParams, layout: AttentionLayout) -> None:
+    cross = layout.variant is AttentionVariant.CAUSAL_PLUS_CROSS
+    if any((w is not None) != cross for w in (params.wkx, params.wvx)):
+        raise ValueError("params must carry wkx/wvx exactly when the layout is the cross variant")
+
+
 def _project_heads(
     x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> dict[str, np.ndarray]:
@@ -247,9 +282,7 @@ def _project_heads(
         raise ValueError(f"x must be d x {model_dim}")
     if x.shape[0] != layout.d:
         raise ValueError("x row count must match the sequence length")
-    cross = layout.variant is AttentionVariant.CAUSAL_PLUS_CROSS
-    if any((w is not None) != cross for w in (params.wkx, params.wvx)):
-        raise ValueError("params must carry wkx/wvx exactly when the layout is the cross variant")
+    _check_cross_params(params, layout)
     heads = {"q": x @ params.wq, "k": x @ params.wk, "v": x @ params.wv}
     if layout.reads_cross:
         heads["kx"] = x @ params.wkx
@@ -260,11 +293,12 @@ def _project_heads(
 @dataclass(frozen=True)
 class SavedAttention:
     """State of one ``multi_head_forward`` pass that ``multi_head_input_vjp``
-    reads: per-head projections and each layout term's (softmax, output)."""
+    reads: per-head projections and, per layout term, its exponentials E,
+    their row totals and its output."""
 
     layout: AttentionLayout
     heads: dict[str, np.ndarray]
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def multi_head_forward(
@@ -288,8 +322,17 @@ def multi_head_input_vjp(
     """Gradient of multi_head_forward w.r.t. its input activations, from
     the ``saved`` state of that forward pass with the same ``params``. Head
     parameters receive no gradient here; the decoder that uses this wrapper
-    keeps them frozen."""
+    keeps them frozen. ``params`` that do not match the saved pass (head
+    count, head width, or Kx/Vx projections for the cross variant) are a
+    ``ValueError``."""
     num_heads, model_dim, head_dim = params.wq.shape
+    saved_heads, _, saved_width = saved.heads["q"].shape
+    if (num_heads, head_dim) != (saved_heads, saved_width):
+        raise ValueError(
+            f"params have {num_heads} heads of width {head_dim}; "
+            f"the saved pass has {saved_heads} of width {saved_width}"
+        )
+    _check_cross_params(params, saved.layout)
     if dout.shape != (saved.layout.d, model_dim):
         raise ValueError("dout must have the saved pass's row count and model_dim columns")
     dheads = (dout @ params.wo.T).reshape(-1, num_heads, head_dim)

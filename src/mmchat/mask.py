@@ -9,7 +9,9 @@ The dense mask is the inspectable reference (``mmchat mask`` prints it).
 Attention uses ``build_layout`` instead: the same edges as a tuple of
 softmax terms (image blocks, text rows over text keys, and a staircase of
 text-row runs over exactly the image keys before them), with no d x d
-array.
+array. ``AttentionLayout.restrict`` keeps only chosen query rows, for a
+pass whose other rows reach nothing (the toy model's last block, whose
+only consumers are the loss's target rows).
 
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. Two builders cover the
@@ -24,7 +26,7 @@ three attention variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -165,6 +167,37 @@ class AttentionLayout:
     @property
     def reads_cross(self) -> bool:
         return any(term.cross for term in self.terms)
+
+    def restrict(self, rows: np.ndarray) -> AttentionLayout:
+        """The layout over the same ``d`` whose terms keep only the query
+        rows in ``rows`` (non-empty, each in [0, d)). A 1-D term keeps its
+        rows in the set and their ``forbid`` rows. Of a stack of image
+        blocks, the wholly kept blocks stay stacked, and each partly kept
+        block becomes a term of its kept rows over its whole block. Terms
+        left empty are dropped. Every allowed edge of a kept row stays in
+        exactly one term; the kernel gives every other row zero output."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size == 0:
+            raise ValueError("restrict needs at least one row")
+        if rows.min() < 0 or rows.max() >= self.d:
+            raise ValueError(f"rows must lie in [0, {self.d})")
+        keep = np.zeros(self.d, dtype=bool)
+        keep[rows] = True
+        terms = []
+        for term in self.terms:
+            kept = keep[term.rows]
+            if term.rows.ndim == 1:
+                if kept.any():
+                    forbid = None if term.forbid is None else term.forbid[kept]
+                    terms.append(term._replace(rows=term.rows[kept], forbid=forbid))
+                continue
+            whole = kept.all(axis=1)
+            if whole.any():
+                terms.append(term._replace(rows=term.rows[whole], keys=term.keys[whole]))
+            for block, block_keys, block_kept in zip(term.rows, term.keys, kept):
+                if block_kept.any() and not block_kept.all():
+                    terms.append(Term(block[block_kept], block_keys, None, term.cross))
+        return replace(self, terms=tuple(terms))
 
 
 def build_layout(

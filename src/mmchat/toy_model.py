@@ -12,9 +12,15 @@ is tied to the embedding transpose, so the trainable set is exactly
 The loss is next-token cross-entropy restricted to positions whose target
 token carries the loss mask, i.e. answer tokens only. Gradients are
 hand-written (double precision; the backward pass reads each block's
-attention softmaxes from the forward pass) and reach only the two
+saved attention state from the forward pass) and reach only the two
 trainable tensors; frozen parameters have no gradient storage and
 are shared, bit-identical, between a model and its trained successors.
+
+Training computes only what reaches the loss: every block but the last
+runs on the whole sequence, and the last block's attention runs on the
+layout restricted to the target rows (``AttentionLayout.restrict``), its
+feedforward, the tied head, the loss and their VJPs on those rows alone.
+``forward`` still returns logits for every position.
 """
 
 from __future__ import annotations
@@ -202,7 +208,7 @@ def _sample_blocks(model: ToyModel, sample: RenderedSample) -> list[tuple[str, i
 
 def _embed(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     token_ids = np.asarray(sample.token_ids)
-    if token_ids.max() >= model.config.vocab_size:
+    if token_ids.min() < 0 or token_ids.max() >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     x = model.embedding[token_ids].copy()
     for image_id, start, end in _sample_blocks(model, sample):
@@ -215,6 +221,16 @@ def _layout(model: ToyModel, sample: RenderedSample) -> AttentionLayout:
     return build_layout(sample.tags, c.variant, c.image_self, c.normalize_dual_softmax)
 
 
+def _ffn(block: DecoderBlock, h_mid: np.ndarray) -> np.ndarray:
+    """The block's feedforward with its residual connection."""
+    return h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2
+
+
+def _ffn_input_vjp(block: DecoderBlock, h_mid: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    a = np.tanh(h_mid @ block.w1 + block.b1)
+    return dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
+
+
 def _run_block(
     block: DecoderBlock, h: np.ndarray, layout: AttentionLayout
 ) -> tuple[np.ndarray, np.ndarray, SavedAttention]:
@@ -222,21 +238,7 @@ def _run_block(
     attention's saved forward state."""
     attn_out, saved = multi_head_forward(h, block.attn, layout)
     h_mid = h + attn_out
-    return h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2, h_mid, saved
-
-
-def _decoder_states(
-    model: ToyModel, layout: AttentionLayout, x: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, SavedAttention]]]:
-    """Run the frozen blocks, keeping per block the post-attention
-    activations and the attention's saved forward state for the backward
-    pass."""
-    states = []
-    h = x
-    for block in model.blocks:
-        h, h_mid, saved = _run_block(block, h, layout)
-        states.append((h_mid, saved))
-    return h, states
+    return _ffn(block, h_mid), h_mid, saved
 
 
 def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
@@ -255,36 +257,50 @@ def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
 
 
 def _target_positions(sample: RenderedSample) -> np.ndarray:
-    """Positions t whose next token (the prediction target) is loss-masked."""
+    """Positions t whose next token (the prediction target) is loss-masked;
+    a sample without any is a ``ValueError``."""
     mask = np.asarray(sample.loss_mask, dtype=bool)
-    return np.flatnonzero(mask[1:])
+    positions = np.flatnonzero(mask[1:])
+    if positions.size == 0:
+        raise ValueError("sample has no loss-masked targets")
+    return positions
+
+
+def _target_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of target-row logits, row i predicting token
+    ``targets[i]``, and its gradient w.r.t. those logits. The logits must
+    have one row per target, more columns than the largest target id, and
+    finite values."""
+    if logits.ndim != 2 or logits.shape[0] != targets.size:
+        raise ValueError(f"logits must have one row per target ({targets.size})")
+    if logits.shape[1] <= targets.max():
+        raise ValueError(
+            f"logits have {logits.shape[1]} columns; target id {targets.max()} needs more"
+        )
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits")
+    rows = np.arange(targets.size)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    log_probs = shifted - log_z[:, None]
+    loss = -float(np.mean(log_probs[rows, targets]))
+    dlogits = np.exp(log_probs)
+    dlogits[rows, targets] -= 1.0
+    dlogits /= targets.size
+    return loss, dlogits
 
 
 def answer_loss(logits: np.ndarray, sample: RenderedSample) -> float:
     """Mean next-token cross-entropy over positions whose target carries
-    the loss mask. Logits anywhere else cannot affect the value."""
-    loss, _ = _loss_and_dlogits(np.asarray(logits, dtype=np.float64), sample)
-    return loss
-
-
-def _loss_and_dlogits(
-    logits: np.ndarray, sample: RenderedSample
-) -> tuple[float, np.ndarray]:
+    the loss mask, from logits of shape (d, V) with V above every target
+    id. Logits anywhere else cannot affect the value; non-finite logits at
+    a target position are a ``FloatingPointError``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[0] != sample.d:
+        raise ValueError(f"logits must have shape ({sample.d}, vocab_size)")
     positions = _target_positions(sample)
-    if positions.size == 0:
-        raise ValueError("sample has no loss-masked targets")
-    token_ids = np.asarray(sample.token_ids)
-    targets = token_ids[positions + 1]
-    rows = logits[positions]
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    loss = -float(np.mean(log_probs[np.arange(positions.size), targets]))
-    dlogits = np.zeros_like(logits)
-    probs = np.exp(log_probs)
-    probs[np.arange(positions.size), targets] -= 1.0
-    dlogits[positions] = probs / positions.size
-    return loss, dlogits
+    targets = np.asarray(sample.token_ids)[positions + 1]
+    return _target_loss(logits[positions], targets)[0]
 
 
 def loss_and_param_grads(
@@ -292,32 +308,43 @@ def loss_and_param_grads(
 ) -> tuple[float, GradDict]:
     """Answer loss and its gradients w.r.t. the two trainable tensors.
 
-    The embedding gradient collects both of its roles: output head
-    (tied transpose) and input rows at text positions.
+    Only the target rows of the last block reach the loss, so that block
+    runs its attention on the layout restricted to them and its
+    feedforward, the head and the loss on them alone; the blocks before it
+    run on every row. The embedding gradient collects both of its roles:
+    output head (tied transpose) and input rows at text positions.
     """
-    x = _embed(model, sample)
+    h = _embed(model, sample)
     layout = _layout(model, sample)
-    h, states = _decoder_states(model, layout, x)
-    logits = h @ model.embedding.T
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite logits")
-    loss, dlogits = _loss_and_dlogits(logits, sample)
-
-    d_embedding = dlogits.T @ h
-    dh = dlogits @ model.embedding
-    for block in reversed(model.blocks):
-        h_mid, saved = states.pop()
-        a = np.tanh(h_mid @ block.w1 + block.b1)
-        dh_mid = dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
-        dh = dh_mid + multi_head_input_vjp(block.attn, saved, dh_mid)
-        del saved  # free this layer's softmaxes before the next layer's VJP
-
+    positions = _target_positions(sample)
     token_ids = np.asarray(sample.token_ids)
-    is_image = sample.tags.is_image()
+    *early, last = model.blocks
+    states = []
+    for block in early:
+        h, h_mid, saved = _run_block(block, h, layout)
+        states.append((h_mid, saved))
+
+    attn_out, saved = multi_head_forward(h, last.attn, layout.restrict(positions))
+    h_mid = h[positions] + attn_out[positions]
+    h_out = _ffn(last, h_mid)
+    loss, dlogits = _target_loss(h_out @ model.embedding.T, token_ids[positions + 1])
+    d_embedding = dlogits.T @ h_out
+    dh_mid = _ffn_input_vjp(last, h_mid, dlogits @ model.embedding)
+    dattn = np.zeros_like(h)
+    dattn[positions] = dh_mid
+    dh = multi_head_input_vjp(last.attn, saved, dattn)
+    dh[positions] += dh_mid
+    del saved  # free the last layer's attention state before the next VJP
+    for block in reversed(early):
+        h_mid, saved = states.pop()
+        dh_mid = _ffn_input_vjp(block, h_mid, dh)
+        dh = dh_mid + multi_head_input_vjp(block.attn, saved, dh_mid)
+        del saved  # free this layer's attention state before the next layer's VJP
+
     d_projection = np.zeros_like(model.projection)
     for image_id, start, end in _sample_blocks(model, sample):
         d_projection += model.vision_stub[image_id].T @ dh[start:end]
-    text = np.flatnonzero(~is_image)
+    text = np.flatnonzero(~sample.tags.is_image())
     np.add.at(d_embedding, token_ids[text], dh[text])
     return loss, {"projection": d_projection, "embedding": d_embedding}
 

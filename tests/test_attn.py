@@ -53,8 +53,12 @@ def rand_inputs(rng, d, h):
 
 
 def kernel_softmax(scores, allow):
-    """The kernel's softmax on a copy, with the support given as ``allow``."""
-    return attn_module._softmax_in_place(np.array(scores, dtype=np.float64), ~allow)
+    """The kernel's masked exponentials on a copy, with the support given as
+    ``allow`` and the finiteness check on, divided by their row totals as
+    the kernel's normalization does on its outputs."""
+    e = np.array(scores, dtype=np.float64)
+    total = attn_module._exp_in_place(e, ~allow, check=True)
+    return e / total
 
 
 SOFTMAXES = pytest.mark.parametrize(
@@ -351,6 +355,37 @@ def test_params_carry_cross_projections_iff_the_layout_is_cross():
         with pytest.raises(ValueError, match="wkx/wvx exactly when the layout is the cross"):
             multi_head_forward(x, params, layout)
     assert multi_head_forward(x, cross, text_only_cross)[0].shape == (5, 4)
+
+
+def _saved_pass(variant, num_heads, seed):
+    """A 2-image, 5-token pass of ``variant`` with ``num_heads`` heads."""
+    seq = build_sequence([(I, 2), (T, 3)])
+    rng = np.random.default_rng(seed)
+    params = init_multi_head_params(variant, num_heads, 4, rng)
+    _, saved = multi_head_forward(rng.standard_normal((5, 4)), params, build_layout(seq, variant))
+    return saved, np.ones((5, 4))
+
+
+def test_input_vjp_rejects_params_without_the_cross_pass_projections():
+    saved, dout = _saved_pass(AttentionVariant.CAUSAL_PLUS_CROSS, 2, 30)
+    plain = init_multi_head_params(AttentionVariant.MMCA, 2, 4, np.random.default_rng(31))
+    with pytest.raises(ValueError, match="wkx/wvx exactly when the layout is the cross"):
+        multi_head_input_vjp(plain, saved, dout)
+
+
+def test_input_vjp_rejects_params_of_another_head_shape():
+    saved, dout = _saved_pass(AttentionVariant.MMCA, 2, 32)
+    one_head = init_multi_head_params(AttentionVariant.MMCA, 1, 4, np.random.default_rng(33))
+    with pytest.raises(ValueError, match="1 heads of width 4; the saved pass has 2 of width 2"):
+        multi_head_input_vjp(one_head, saved, dout)
+
+
+def test_input_vjp_rejects_cross_params_after_an_mmca_pass():
+    saved, dout = _saved_pass(AttentionVariant.MMCA, 2, 34)
+    rng = np.random.default_rng(35)
+    cross = init_multi_head_params(AttentionVariant.CAUSAL_PLUS_CROSS, 2, 4, rng)
+    with pytest.raises(ValueError, match="wkx/wvx exactly when the layout is the cross"):
+        multi_head_input_vjp(cross, saved, dout)
 
 
 def test_multi_head_shape_validation():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import mmchat.attn as attn_module
 import mmchat.mask as mask_module
+import mmchat.toy_model as toy_model_module
 from mmchat.attn import (
     attention_weights,
     init_multi_head_params,
@@ -26,7 +27,8 @@ from mmchat.attn import (
     segment_attention_vjp,
 )
 from mmchat.mask import AttentionVariant, build_layout, build_mask
-from mmchat.modseq import TokenKind, build_sequence
+from mmchat.modseq import LayoutConfig, TokenKind, build_sequence, image_blocks
+from mmchat.template import Conversation, HashTokenizer, Round, render
 from mmchat.toy_model import (
     ModelConfig,
     OptimState,
@@ -48,6 +50,7 @@ from dense_reference import (
     mmca_forward,
     mmca_vjp,
 )
+from oracles import random_conversation
 
 I, T = TokenKind.IMAGE, TokenKind.TEXT
 TOLERANCE = 1e-12
@@ -237,14 +240,22 @@ def test_layout_structure():
         build_layout(seq, AttentionVariant.MMCA, "row")
 
 
-def assert_terms_account_for_mask(seq, variant, image_self, normalize):
+def assert_terms_account_for_mask(seq, variant, image_self, normalize, rows=None):
     """Every allowed edge of the dense mask lies in exactly one term, with
     the term's key class; each term row is one whole softmax group of the
     reference (one query row's text keys or image keys), never split across
     terms; image-key terms carry no mask; cross flags mark exactly the text
-    rows' image terms of the cross variant."""
+    rows' image terms of the cross variant. With ``rows``, the same holds
+    for the layout restricted to them, over the mask's kept rows, and no
+    other row has an edge in any term."""
     layout = build_layout(seq, variant, image_self, normalize)
     entries = build_mask(seq, variant, image_self).entries
+    if rows is not None:
+        layout = layout.restrict(rows)
+        assert layout.d == seq.d
+        kept = np.zeros(seq.d, dtype=bool)
+        kept[rows] = True
+        entries = np.where(kept[:, None], entries, 0)
     is_image = seq.is_image()
     seen = np.zeros((3,) + entries.shape, dtype=int)  # edges per key class
     groups = np.zeros((3, seq.d), dtype=int)  # terms per (key class, row)
@@ -269,26 +280,113 @@ def assert_terms_account_for_mask(seq, variant, image_self, normalize):
     assert not seen[0].any()
 
 
+def row_subsets(seq, rng):
+    """Row sets to restrict a layout of ``seq`` to: one random row, every
+    row, a random subset, and, when there is an image block of two or more
+    tokens, part of one such block."""
+    d = seq.d
+    subsets = [[int(rng.integers(d))], list(range(d))]
+    subsets.append(np.flatnonzero(rng.random(d) < 0.4).tolist() or [d - 1])
+    wide = [(start, end) for _, start, end in image_blocks(seq) if end - start > 1]
+    if wide:
+        start, end = wide[int(rng.integers(len(wide)))]
+        subsets.append(list(range(start, int(rng.integers(start + 1, end)))))
+    return subsets
+
+
+def rendered_sample(rng, image_token_count=2):
+    """A rendered random chat (1-4 rounds of 0-3 images each) whose images
+    are ``image_token_count`` tokens long."""
+    layout = LayoutConfig(image_token_count=image_token_count, max_sequence_length=4096)
+    return render(random_conversation(rng), HashTokenizer(32), layout)
+
+
+def target_rows(sample):
+    """The positions whose next token is in the loss: the rows the toy
+    model's last block keeps."""
+    return np.flatnonzero(np.asarray(sample.loss_mask[1:]))
+
+
 @pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
 def test_terms_account_for_every_allowed_edge_once(variant, image_self, normalize):
     rng = np.random.default_rng(2310)
     for _ in range(100):
-        assert_terms_account_for_mask(random_layout(rng), variant, image_self, normalize)
+        seq = random_layout(rng)
+        assert_terms_account_for_mask(seq, variant, image_self, normalize)
+        for rows in row_subsets(seq, rng):
+            assert_terms_account_for_mask(seq, variant, image_self, normalize, rows)
+    for _ in range(20):
+        sample = rendered_sample(rng)
+        assert_terms_account_for_mask(
+            sample.tags, variant, image_self, normalize, target_rows(sample)
+        )
 
 
 @settings(max_examples=100, deadline=None)
-@given(segments=_segments)
-@example(segments=[(T, 5)])  # text-only
-@example(segments=[(I, 4)])  # image-only
-@example(segments=[(I, 2), (I, 3), (T, 2)])  # adjacent blocks
-@example(segments=[(I, 1), (T, 1), (I, 1), (I, 1), (T, 2)])  # 1-token blocks
-@example(segments=[(T, 1)])  # d=1
-@example(segments=[(I, 1)])  # d=1, image
-@example(segments=[(T, 3), (I, 2), (T, 2)])  # text before the first image
-def test_edge_layout_terms_account_for_every_allowed_edge_once(segments):
+@given(segments=_segments, picks=st.lists(st.integers(0, 63), min_size=1, max_size=8))
+@example(segments=[(T, 5)], picks=[4])  # text-only
+@example(segments=[(I, 4)], picks=[1, 2])  # image-only, part of the block
+@example(segments=[(I, 2), (I, 3), (T, 2)], picks=[0, 1, 3, 6])  # adjacent blocks
+@example(segments=[(I, 1), (T, 1), (I, 1), (I, 1), (T, 2)], picks=[1, 5])  # 1-token blocks
+@example(segments=[(T, 1)], picks=[0])  # d=1
+@example(segments=[(I, 1)], picks=[0])  # d=1, image
+@example(segments=[(T, 3), (I, 2), (T, 2)], picks=[0, 3, 6])  # text before the first image
+def test_edge_layout_terms_account_for_every_allowed_edge_once(segments, picks):
     seq = build_sequence(segments)
+    rows = sorted({pick % seq.d for pick in picks})
     for config in CONFIGS:
         assert_terms_account_for_mask(seq, *config)
+        assert_terms_account_for_mask(seq, *config, rows)
+        assert_terms_account_for_mask(seq, *config, list(range(seq.d)))
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_restrict_to_every_row_is_bit_identical(variant):
+    rng = np.random.default_rng(11)
+    sample = rendered_sample(rng, image_token_count=3)
+    layout = build_layout(sample.tags, variant)
+    everything = layout.restrict(np.arange(sample.d))
+    q, k, v, kx, vx = (rng.standard_normal((2, sample.d, 4)) for _ in range(5))
+    out, saved = segment_attention(layout, 0.5, q, k, v, kx, vx)
+    out_all, saved_all = segment_attention(everything, 0.5, q, k, v, kx, vx)
+    assert np.array_equal(out, out_all)
+    dout = rng.standard_normal(out.shape)
+    grads = segment_attention_vjp(layout, 0.5, dout, saved, q, k, v, kx, vx)
+    grads_all = segment_attention_vjp(everything, 0.5, dout, saved_all, q, k, v, kx, vx)
+    assert grads.keys() == grads_all.keys()
+    assert all(np.array_equal(grads[name], grads_all[name]) for name in grads)
+    for empty in ([], np.array([], dtype=int)):
+        with pytest.raises(ValueError, match="at least one row"):
+            layout.restrict(empty)
+    with pytest.raises(ValueError, match=r"rows must lie in \[0, "):
+        layout.restrict([sample.d])
+
+
+@pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
+def test_restricted_layout_matches_full_layout_on_kept_rows(variant, image_self, normalize):
+    """On the kept rows the restricted kernel gives the full kernel's output,
+    zero elsewhere, and its VJP the full VJP of a ``dout`` that is zero off
+    the kept rows."""
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        sample = rendered_sample(rng)
+        seq = sample.tags
+        layout = build_layout(seq, variant, image_self, normalize)
+        for rows in [target_rows(sample), *row_subsets(seq, rng)]:
+            restricted = layout.restrict(rows)
+            q, k, v, kx, vx = (rng.standard_normal((2, seq.d, 3)) for _ in range(5))
+            out, saved = segment_attention(layout, 0.7, q, k, v, kx, vx)
+            part, part_saved = segment_attention(restricted, 0.7, q, k, v, kx, vx)
+            off = np.ones(seq.d, dtype=bool)
+            off[rows] = False
+            assert not part[:, off].any()
+            assert np.abs(part[:, rows] - out[:, rows]).max() <= TOLERANCE
+            dout = rng.standard_normal(out.shape)
+            dout[:, off] = 0.0
+            grads = segment_attention_vjp(layout, 0.7, dout, saved, q, k, v, kx, vx)
+            part_grads = segment_attention_vjp(restricted, 0.7, dout, part_saved, q, k, v, kx, vx)
+            for name in grads:
+                assert np.abs(part_grads[name] - grads[name]).max() <= TOLERANCE, (trial, name)
 
 
 def test_prebuilt_layout_reused_and_checked():
@@ -375,7 +473,7 @@ def test_attention_weights_keep_leading_head_axes(variant):
     text, image = attention_weights(layout, terms)
     assert text.shape == image.shape == (2, 3, seq.d, seq.d)
     for index in np.ndindex(2, 3):
-        one_head = tuple((p[index], o[index]) for p, o in terms)
+        one_head = tuple((e[index], total[index], o[index]) for e, total, o in terms)
         head_text, head_image = attention_weights(layout, one_head)
         assert np.array_equal(text[index], head_text)
         assert np.array_equal(image[index], head_image)
@@ -383,46 +481,139 @@ def test_attention_weights_keep_leading_head_axes(variant):
         attention_weights(layout, terms[:-1])
 
 
+class ScoreRecorder:
+    """Records, per ``multi_head_forward`` call the toy model makes (one per
+    layer), its layout and the shape of every score buffer the kernel
+    exponentiates, and counts ``build_layout`` calls; the dense mask
+    builder raises."""
+
+    def __init__(self, monkeypatch):
+        self.layers, self.layouts, self.built = [], [], 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense mask machinery on the hot path")
+
+        real_exp, real_forward = attn_module._exp_in_place, toy_model_module.multi_head_forward
+        real_layout = mask_module.build_layout
+
+        def recording_exp(scores, forbid, check):
+            self.layers[-1].append(scores.shape)
+            return real_exp(scores, forbid, check)
+
+        def recording_forward(x, params, layout):
+            self.layouts.append(layout)
+            self.layers.append([])
+            return real_forward(x, params, layout)
+
+        def counting_layout(*args):
+            self.built += 1
+            return real_layout(*args)
+
+        monkeypatch.setattr(mask_module, "build_mask", forbidden)
+        monkeypatch.setattr(attn_module, "_exp_in_place", recording_exp)
+        monkeypatch.setattr(toy_model_module, "multi_head_forward", recording_forward)
+        monkeypatch.setattr(toy_model_module, "build_layout", counting_layout)
+
+    def clear(self):
+        self.layers.clear()
+        self.layouts.clear()
+        self.built = 0
+
+
 def test_hot_path_builds_no_dense_mask(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense mask machinery on the hot path")
-
-    monkeypatch.setattr(mask_module, "build_mask", forbidden)
-    softmax_shapes = []
-    real_softmax = attn_module._softmax_in_place
-
-    def recording_softmax(scores, forbid):
-        softmax_shapes.append(scores.shape[-2:])
-        return real_softmax(scores, forbid)
-
-    monkeypatch.setattr(attn_module, "_softmax_in_place", recording_softmax)
-    layouts = []
-    real_layout = mask_module.build_layout
-
-    def counting_layout(seq, *args):
-        layouts.append(real_layout(seq, *args))
-        return layouts[-1]
-
-    monkeypatch.setattr("mmchat.toy_model.build_layout", counting_layout)
+    recorder = ScoreRecorder(monkeypatch)
     for variant in AttentionVariant:
         config = ModelConfig(variant=variant)
         samples, ids = make_copy_task(config, num_images=3)
         model = make_model(config, seed=0, known_images=ids)
-        layouts.clear()
-        softmax_shapes.clear()
+        recorder.clear()
         train_step(model, samples, OptimState(total_steps=2))
-        assert len(layouts) == len(samples)  # once per sample, not per layer, head or pass
-        # one softmax per layout term and layer, all in the forward pass: the VJP takes none
-        terms = sum(len(layout.terms) for layout in layouts)
-        assert len(softmax_shapes) == terms * config.num_layers
+        assert recorder.built == len(samples)  # once per sample, not per layer, head or pass
+        # one softmax per term of each block's layout, all in the forward pass:
+        # the VJP takes none; the last block's layout keeps the target rows
+        expected = []
+        for sample in samples:
+            full = mask_module.build_layout(sample.tags, variant)
+            last = full.restrict(target_rows(sample))
+            expected += [len(full.terms)] * (config.num_layers - 1) + [len(last.terms)]
+        assert [len(layout.terms) for layout in recorder.layouts] == expected
+        assert [len(shapes) for shapes in recorder.layers] == expected
         d = samples[0].d
+        shapes = [shape[-2:] for layer in recorder.layers for shape in layer]
         if variant is not AttentionVariant.CAUSAL_ONLY:  # causal's one term is the d x d prefix
-            assert softmax_shapes and all(shape != (d, d) for shape in softmax_shapes)
-        layouts.clear()
-        softmax_shapes.clear()
+            assert shapes and all(shape != (d, d) for shape in shapes)
+        recorder.clear()
         loss_and_param_grads(model, samples[0])
-        assert len(layouts) == 1
-        assert len(softmax_shapes) == len(layouts[0].terms) * config.num_layers
+        assert recorder.built == 1
+        assert [len(shapes) for shapes in recorder.layers] == expected[: config.num_layers]
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_last_block_scores_only_the_target_rows(monkeypatch, variant):
+    """The work the training speed rests on, as a count: in one
+    ``loss_and_param_grads`` on a multi-round, multi-image chat, every
+    block but the last computes the full layout's score buffers, and the
+    last computes scores for exactly the target rows, with no image-block
+    term."""
+    recorder = ScoreRecorder(monkeypatch)
+    config = ModelConfig(variant=variant, num_layers=3, image_token_count=3)
+    conv = Conversation("look", (
+        Round(("a", "b"), "compare them", "the first is red"),
+        Round((), "and now", "still red"),
+        Round(("c",), "and this one", "blue"),
+    ))
+    sample = render(conv, HashTokenizer(config.vocab_size), config.layout())
+    model = make_model(config, seed=0, known_images=("a", "b", "c"))
+    loss_and_param_grads(model, sample)
+    full = mask_module.build_layout(sample.tags, variant)
+    heads = (config.num_heads,)
+    full_shapes = [heads + t.rows.shape + t.keys.shape[-1:] for t in full.terms]
+    *early, last = recorder.layers
+    assert early == [full_shapes] * (config.num_layers - 1)
+    targets = target_rows(sample)
+    last_layout = recorder.layouts[-1]
+    assert all(t.rows.ndim == 1 for t in last_layout.terms)  # no stacked image-block term
+    assert not sample.tags.is_image()[np.concatenate([t.rows for t in last_layout.terms])].any()
+    assert last == [heads + (t.rows.size, t.keys.size) for t in last_layout.terms]
+    # every target row reads text keys in one term and, after the first
+    # image (every target here), image keys in one more: no other row is scored
+    key_rows = [t.rows for t in last_layout.terms]
+    assert np.array_equal(np.unique(np.concatenate(key_rows)), targets)
+    reads = 1 if variant is AttentionVariant.CAUSAL_ONLY else 2
+    assert sum(shape[1] for shape in last) == reads * targets.size
+    assert sum(np.prod(s) for s in last) < sum(np.prod(s) for s in full_shapes)
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_score_check_runs_only_when_the_inputs_cannot_bound_the_scores(monkeypatch, variant):
+    checks = []
+    real_exp = attn_module._exp_in_place
+
+    def recording_exp(scores, forbid, check):
+        checks.append(check)
+        return real_exp(scores, forbid, check)
+
+    monkeypatch.setattr(attn_module, "_exp_in_place", recording_exp)
+    seq = build_sequence([(T, 1), (I, 2), (T, 2)])
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((5, 4))
+    params = init_multi_head_params(variant, 2, 4, rng)
+    layout = build_layout(seq, variant)
+    out, _ = multi_head_forward(x, params, layout)  # ordinary inputs: the bounded path
+    assert checks and not any(checks) and np.isfinite(out).all()
+    checks.clear()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="scores contain non-finite"
+    ):
+        multi_head_forward(1e200 * x, params, layout)
+    assert checks == [True]  # the first term's scores overflow and are caught
+    checks.clear()
+    # a bound at or above 1e300 runs the check, which finite scores pass
+    ones = np.ones((2, 5, 1))
+    q, k, v = 2e150 * ones, 2e150 * ones, ones
+    cross = (k, v) if layout.reads_cross else ()
+    out, _ = segment_attention(layout, 1.0, q, k, v, *cross)
+    assert checks and all(checks) and np.isfinite(out).all()
 
 
 def test_masked_softmax_shares_allow_across_leading_axes():

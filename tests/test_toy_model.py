@@ -223,15 +223,52 @@ def test_answer_loss_requires_targets():
         answer_loss(np.zeros((2, 8)), sample)
 
 
+def test_answer_loss_rejects_logits_without_a_row_per_position():
+    sample = small_sample()
+    logits = np.zeros((sample.d, SMALL.vocab_size))
+    for bad in (logits[:-1], logits[None], logits[0]):
+        with pytest.raises(ValueError, match=rf"logits must have shape \({sample.d}, vocab_size\)"):
+            answer_loss(bad, sample)
+
+
+def test_answer_loss_rejects_logits_narrower_than_a_target_id():
+    sample = small_sample()
+    positions = np.flatnonzero(np.asarray(sample.loss_mask[1:]))
+    largest = max(sample.token_ids[t + 1] for t in positions)
+    with pytest.raises(ValueError, match=f"target id {largest} needs more"):
+        answer_loss(np.zeros((sample.d, largest)), sample)
+    assert math.isfinite(answer_loss(np.zeros((sample.d, largest + 1)), sample))
+
+
+def test_answer_loss_rejects_nonfinite_target_logits():
+    sample = small_sample()
+    target = int(np.flatnonzero(np.asarray(sample.loss_mask[1:]))[0])
+    for value in (np.nan, np.inf):
+        logits = np.zeros((sample.d, SMALL.vocab_size))
+        logits[target, 0] = value
+        with pytest.raises(FloatingPointError, match="non-finite logits"):
+            answer_loss(logits, sample)
+
+
+def test_negative_token_id_rejected():
+    sample = small_sample()
+    ids = (-1,) + sample.token_ids[1:]
+    bad = RenderedSample(ids, sample.tags, sample.loss_mask, sample.image_count, sample.image_ids)
+    model = small_model()
+    with pytest.raises(ValueError, match="out of vocabulary range"):
+        forward(model, bad)
+    with pytest.raises(ValueError, match="out of vocabulary range"):
+        loss_and_param_grads(model, bad)
+
+
 # ---------------------------------------------------------------------------
 # Gradients
 
 
-def test_param_grads_match_finite_differences():
-    model = small_model(seed=3)
-    sample = small_sample()
-    loss, grads = loss_and_param_grads(model, sample)
-    eps = 1e-6
+def worst_param_grad_error(model, sample, eps=1e-6):
+    """Largest relative gap between ``loss_and_param_grads``' gradients and
+    central finite differences of its loss, over every trainable entry."""
+    _, grads = loss_and_param_grads(model, sample)
     worst = 0.0
     for name, param in model.trainable_params().items():
         for idx in np.ndindex(param.shape):
@@ -244,7 +281,20 @@ def test_param_grads_match_finite_differences():
             numeric = (plus - minus) / (2 * eps)
             denom = max(abs(grads[name][idx]), abs(numeric), 1e-8)
             worst = max(worst, abs(grads[name][idx] - numeric) / denom)
-    assert worst < 1e-4
+    return worst
+
+
+def test_param_grads_match_finite_differences():
+    assert worst_param_grad_error(small_model(seed=3), small_sample()) < 1e-4
+    # multi-round, two images, every variant; the last block (with one
+    # layer, the only block) runs on the target rows alone
+    conv = Conversation("s", (Round(("a",), "q w", "x y"), Round(("b",), "p", "z w")))
+    for variant in AttentionVariant:
+        for num_layers in (1, 2, 3):
+            config = ModelConfig(**{**SMALL.__dict__, "variant": variant, "num_layers": num_layers})
+            sample = render(conv, HashTokenizer(config.vocab_size), config.layout())
+            model = make_model(config, seed=num_layers, known_images=("a", "b"))
+            assert worst_param_grad_error(model, sample) < 1e-4, (variant, num_layers)
 
 
 # ---------------------------------------------------------------------------
