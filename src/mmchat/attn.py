@@ -8,6 +8,9 @@ over its allowed image keys, and sums them before the value product:
 
     out = (softmax_text(S) + softmax_image(S)) @ V,   S = scale * Q @ K^T
 
+It is the literal sum, so a text row that reads both modalities carries
+total weight 2.
+
 Masking is realized by restricting each softmax to its support (-inf fill
 before normalization). Multiplying scores by a 0/1 mask inside the softmax
 would still leak weight exp(0) = 1 to forbidden positions, so support
@@ -23,12 +26,14 @@ d x d array is formed. Each term's scores are computed from the pre-scaled
 Q into a fresh buffer that is masked and turned into max-shifted
 exponentials E in place. Normalization is deferred (FlashAttention, Dao et
 al., arXiv 2205.14135): the thin output E @ V is divided by the row totals,
-never the rows x keys E. The forward pass returns each term's E, row totals
-and output, and the VJP reads them, so a backward pass forms no scores,
-takes no softmax and needs no rowsum(P * dP) pass over the rows x keys
-arrays. A restricted layout (``AttentionLayout.restrict``) runs unchanged:
-rows without a term come out zero. ``attention_weights`` places the
-normalized weights back into per-key-class d x d views for inspection.
+never the rows x keys E. The forward pass returns one ``SavedAttention``:
+its layout, scale and inputs and each term's E, row totals and output. The
+VJP reads it and nothing else, so a backward pass takes no inputs that
+could disagree with the forward pass, forms no scores, takes no softmax
+and needs no rowsum(P * dP) pass over the rows x keys arrays. A restricted
+layout (``AttentionLayout.restrict``) runs unchanged: rows without a term
+come out zero. ``attention_weights`` places the normalized weights of a
+``SavedAttention`` back into per-key-class d x d views for inspection.
 
 No score can overflow when head_dim * |scale| * max|Q| * max|K| (K or Kx)
 is below ``_SCORE_BOUND``; the input check takes those maxima in the pass
@@ -36,11 +41,10 @@ that rejects non-finite inputs, and the rows x keys finiteness check of the
 scores runs only when that bound does not hold.
 
 The multi-head wrapper (``multi_head_forward``, ``multi_head_input_vjp``)
-takes the attention rule (variant, ``image_self``, dual-softmax
-normalization) from the layout alone and the head shape from the weights
-alone: ``wq`` is (num_heads, model_dim, head_dim), and the score scale is
-1/sqrt(head_dim). Weights carry ``wkx``/``wvx`` exactly when the layout is
-the cross variant.
+takes the attention rule (variant and ``image_self``) from the layout
+alone and the head shape from the weights alone: ``wq`` is (num_heads,
+model_dim, head_dim), and the score scale is 1/sqrt(head_dim). Weights
+carry ``wkx``/``wvx`` exactly when the layout is the cross variant.
 
 ``grad_check`` compares analytic gradients against central finite
 differences; ``variant_grad_check`` points it at the segment kernel.
@@ -54,8 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mask import AttentionLayout, AttentionVariant, build_layout
-from .modseq import ModalitySequence
+from .mask import AttentionLayout, AttentionVariant
 
 GradDict = dict[str, np.ndarray]
 
@@ -92,20 +95,16 @@ def _exp_in_place(s: np.ndarray, forbid: np.ndarray | None, check: bool) -> np.n
 # Segment-structured kernel
 
 
-def _check_inputs(
-    layout: AttentionLayout, inputs: dict[str, np.ndarray | None]
-) -> dict[str, float]:
-    """Validate the kernel's inputs; return max|a| per input given, taken in
+def _check_inputs(layout: AttentionLayout, inputs: dict[str, np.ndarray]) -> dict[str, float]:
+    """Validate the kernel's given inputs; return max|a| per input, taken in
     the same pass that rejects non-finite values."""
-    if layout.reads_cross and (inputs["kx"] is None or inputs["vx"] is None):
+    if layout.reads_cross and not {"kx", "vx"} <= inputs.keys():
         raise ValueError("this layout reads Kx and Vx; pass both")
     shape = inputs["q"].shape
     if len(shape) < 2 or shape[-2] != layout.d:
         raise ValueError(f"inputs must have {layout.d} rows (the layout dimension)")
     peaks = {}
     for name, a in inputs.items():
-        if a is None:
-            continue
         if a.shape != shape:
             raise ValueError("Q, K, V (and Kx, Vx) must have equal shapes")
         peaks[name] = float(np.abs(a).max(initial=0.0))  # NaN and inf propagate
@@ -118,6 +117,20 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+@dataclass(frozen=True)
+class SavedAttention:
+    """State of one ``segment_attention`` pass, which ``segment_attention_vjp``
+    and ``attention_weights`` read: the layout, the score scale, the inputs
+    as given (Q/K/V, plus Kx/Vx when passed) and, per ``layout.terms``
+    entry, its max-shifted exponentials E, their row totals and its own
+    output O = (E @ V) / total."""
+
+    layout: AttentionLayout
+    scale: float
+    inputs: dict[str, np.ndarray]
+    terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
 def segment_attention(
     layout: AttentionLayout,
     scale: float,
@@ -126,19 +139,20 @@ def segment_attention(
     v: np.ndarray,
     kx: np.ndarray | None = None,
     vx: np.ndarray | None = None,
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+) -> tuple[np.ndarray, SavedAttention]:
     """Attention output for Q/K/V (and Kx/Vx when the layout reads them),
     all of one shape (..., d, h); leading axes are independent heads.
-    Matches the dense reference of the layout's variant. Also returns, per
-    ``layout.terms`` entry, its max-shifted exponentials E, their row totals
-    and its own output O = (E @ V) / total, which the VJP reads."""
-    peaks = _check_inputs(layout, {"q": q, "k": k, "v": v, "kx": kx, "vx": vx})
+    Matches the dense reference of the layout's variant. Also returns the
+    pass's ``SavedAttention``."""
+    given = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
+    given = {name: a for name, a in given.items() if a is not None}
+    peaks = _check_inputs(layout, given)
     keys_peak = max(peaks["k"], peaks.get("kx", 0.0))
     check = q.shape[-1] * abs(scale) * peaks["q"] * keys_peak >= _SCORE_BOUND
     sources = {False: (k, v), True: (kx, vx)}
     q = scale * q  # scale the thin side, not the rows x keys scores
     out = np.zeros(q.shape)
-    saved = []
+    terms = []
     for rows, keys, forbid, cross in layout.terms:
         kk, vv = sources[cross]
         e = q[..., rows, :] @ _swap(kk[..., keys, :])
@@ -146,36 +160,28 @@ def segment_attention(
         term_out = e @ vv[..., keys, :]
         term_out /= total  # normalize the thin rows x head_dim output, not E
         out[..., rows, :] += term_out
-        saved.append((e, total, term_out))
-    return layout.weight * out, tuple(saved)
+        terms.append((e, total, term_out))
+    return out, SavedAttention(layout, scale, given, tuple(terms))
 
 
-def segment_attention_vjp(
-    layout: AttentionLayout,
-    scale: float,
-    dout: np.ndarray,
-    saved: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    kx: np.ndarray | None = None,
-    vx: np.ndarray | None = None,
-) -> GradDict:
-    """Gradients of ``sum(dout * out)`` for every input given, where
-    ``out, saved = segment_attention(layout, scale, q, k, v, kx, vx)``.
+def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
+    """Gradients of ``sum(dout * out)`` for every input of the pass that
+    returned ``out, saved``. ``dout`` must have ``out``'s shape and be
+    finite.
 
     Each term's exponentials E, row totals and output O are read from
     ``saved``; the softmax is P = E / total, but only the thin dO rows are
     divided: with G = dO / total, P^T dO = E^T G, and the score gradient
     P * (dO V^T - D) with the row term D = rowsum(dO * O) (FlashAttention,
     Dao et al. 2022) is E * (G V^T - rowsum(G * O))."""
-    inputs = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
-    _check_inputs(layout, inputs)
-    if len(saved) != len(layout.terms):
-        raise ValueError("saved must hold one softmax per layout term")
-    grads = {name: np.zeros_like(a) for name, a in inputs.items() if a is not None}
-    dout = layout.weight * dout
-    for (e, total, term_out), (rows, keys, _, cross) in zip(saved, layout.terms):
+    inputs = saved.inputs
+    shape = inputs["q"].shape
+    if dout.shape != shape:
+        raise ValueError(f"dout must have the output's shape {shape}, got {dout.shape}")
+    if not np.isfinite(dout).all():
+        raise ValueError("dout contains non-finite values")
+    grads = {name: np.zeros_like(a) for name, a in inputs.items()}
+    for (e, total, term_out), (rows, keys, _, cross) in zip(saved.terms, saved.layout.terms):
         kn, vn = ("kx", "vx") if cross else ("k", "v")
         g = dout[..., rows, :] / total
         grads[vn][..., keys, :] += _swap(e) @ g
@@ -183,30 +189,24 @@ def segment_attention_vjp(
         ds -= (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
         ds *= e
         grads["q"][..., rows, :] += ds @ inputs[kn][..., keys, :]
-        grads[kn][..., keys, :] += _swap(ds) @ q[..., rows, :]
+        grads[kn][..., keys, :] += _swap(ds) @ inputs["q"][..., rows, :]
     for name in ("q", "k", "kx"):
         if name in grads:
-            grads[name] *= scale
+            grads[name] *= saved.scale
     return grads
 
 
-def attention_weights(
-    layout: AttentionLayout, terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-) -> tuple[np.ndarray, np.ndarray]:
+def attention_weights(saved: SavedAttention) -> tuple[np.ndarray, np.ndarray]:
     """(text_weights, image_weights): each term's softmax, normalized from
-    the E and row totals that ``segment_attention`` returns (or
-    ``SavedAttention.terms`` keeps), placed into a d x d view of the weight
-    every row puts on every key, with the terms' leading head axes kept. A
-    term reads image keys iff it forbids nothing (causal's one term always
-    forbids later keys, so causal puts all its weight in the text view).
-    Rows without a term (a restricted layout's) are zero. The weights are
-    not scaled by ``layout.weight``."""
-    if len(terms) != len(layout.terms):
-        raise ValueError("terms must hold one softmax per layout term")
-    first = terms[0][0]
-    lead = first.shape[: first.ndim - layout.terms[0].rows.ndim - 1]
+    the E and row totals in ``saved``, placed into a d x d view of the
+    weight every row puts on every key, with the terms' leading head axes
+    kept. A term reads image keys iff it forbids nothing (causal's one term
+    always forbids later keys, so causal puts all its weight in the text
+    view). Rows without a term (a restricted layout's) are zero."""
+    layout = saved.layout
+    lead = saved.inputs["q"].shape[:-2]
     text, image = np.zeros((2, *lead, layout.d, layout.d))
-    for (e, total, _), (rows, keys, forbid, _) in zip(terms, layout.terms):
+    for (e, total, _), (rows, keys, forbid, _) in zip(saved.terms, layout.terms):
         view = text if forbid is not None else image
         view[..., rows[..., :, None], keys[..., None, :]] = e * (1.0 / total)
     return text, image
@@ -255,7 +255,7 @@ def init_multi_head_params(
         return scale * rng.standard_normal(shape)
 
     params = MultiHeadParams(wq=w(h, dm, hd), wk=w(h, dm, hd), wv=w(h, dm, hd), wo=w(dm, dm))
-    if variant is AttentionVariant.CAUSAL_PLUS_CROSS:
+    if AttentionVariant(variant) is AttentionVariant.CAUSAL_PLUS_CROSS:
         params.wkx = w(h, dm, hd)
         params.wvx = w(h, dm, hd)
     return params
@@ -290,30 +290,20 @@ def _project_heads(
     return heads
 
 
-@dataclass(frozen=True)
-class SavedAttention:
-    """State of one ``multi_head_forward`` pass that ``multi_head_input_vjp``
-    reads: per-head projections and, per layout term, its exponentials E,
-    their row totals and its output."""
-
-    layout: AttentionLayout
-    heads: dict[str, np.ndarray]
-    terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-
 def multi_head_forward(
     x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> tuple[np.ndarray, SavedAttention]:
     """Per-head projections, the segment kernel over ``layout`` (built
     once per sequence and reused for every layer and pass), concatenation
-    of the heads, output projection; plus the state the input VJP reads.
-    The layout carries the attention rule; ``params.wq``'s shape
-    (num_heads, model_dim, head_dim) carries the head shape and so the
-    1/sqrt(head_dim) score scale."""
+    of the heads, output projection; plus the kernel's saved pass, whose
+    inputs are the per-head projections, for the input VJP. The layout
+    carries the attention rule; ``params.wq``'s shape (num_heads,
+    model_dim, head_dim) carries the head shape and so the 1/sqrt(head_dim)
+    score scale."""
     x = np.asarray(x, dtype=np.float64)
     heads = _project_heads(x, params, layout)
-    out, terms = segment_attention(layout, _score_scale(params), **heads)
-    return np.concatenate(out, axis=1) @ params.wo, SavedAttention(layout, heads, terms)
+    out, saved = segment_attention(layout, _score_scale(params), **heads)
+    return np.concatenate(out, axis=1) @ params.wo, saved
 
 
 def multi_head_input_vjp(
@@ -326,7 +316,7 @@ def multi_head_input_vjp(
     count, head width, or Kx/Vx projections for the cross variant) are a
     ``ValueError``."""
     num_heads, model_dim, head_dim = params.wq.shape
-    saved_heads, _, saved_width = saved.heads["q"].shape
+    saved_heads, _, saved_width = saved.inputs["q"].shape
     if (num_heads, head_dim) != (saved_heads, saved_width):
         raise ValueError(
             f"params have {num_heads} heads of width {head_dim}; "
@@ -336,9 +326,7 @@ def multi_head_input_vjp(
     if dout.shape != (saved.layout.d, model_dim):
         raise ValueError("dout must have the saved pass's row count and model_dim columns")
     dheads = (dout @ params.wo.T).reshape(-1, num_heads, head_dim)
-    grads = segment_attention_vjp(
-        saved.layout, _score_scale(params), dheads.transpose(1, 0, 2), saved.terms, **saved.heads
-    )
+    grads = segment_attention_vjp(saved, dheads.transpose(1, 0, 2))
     weights = {"q": params.wq, "k": params.wk, "v": params.wv, "kx": params.wkx, "vx": params.wvx}
     return sum((g @ _swap(weights[name])).sum(axis=0) for name, g in grads.items())
 
@@ -383,27 +371,22 @@ def grad_check(
 
 
 def variant_grad_check(
-    variant: AttentionVariant,
-    seq: ModalitySequence,
-    head_dim: int = 4,
-    eps: float = 1e-5,
-    seed: int = 0,
-    normalize: bool = False,
-    image_self: str = "block",
+    layout: AttentionLayout, head_dim: int = 4, eps: float = 1e-5, seed: int = 0
 ) -> float:
-    """Run grad_check on the segment kernel for one variant, on random
+    """Run grad_check on the segment kernel over ``layout``, on random
     Q/K/V (plus Kx/Vx when the layout reads them) with the loss
     sum(output) and the scale 1/sqrt(head_dim).
     """
-    layout = build_layout(seq, variant, image_self, normalize)
+    if head_dim < 1:
+        raise ValueError("head_dim must be >= 1")
     scale = 1.0 / math.sqrt(head_dim)
     rng = np.random.default_rng(seed)
     names = ("q", "k", "v", "kx", "vx") if layout.reads_cross else ("q", "k", "v")
-    params: GradDict = {name: rng.standard_normal((seq.d, head_dim)) for name in names}
+    params: GradDict = {name: rng.standard_normal((layout.d, head_dim)) for name in names}
 
     def loss(p: GradDict) -> float:
         return float(segment_attention(layout, scale, **p)[0].sum())
 
     _, saved = segment_attention(layout, scale, **params)
-    analytic = segment_attention_vjp(layout, scale, np.ones((seq.d, head_dim)), saved, **params)
+    analytic = segment_attention_vjp(saved, np.ones((layout.d, head_dim)))
     return grad_check(loss, analytic, params, eps)

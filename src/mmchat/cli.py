@@ -27,7 +27,7 @@ from .blend import (
     read_records,
     write_records,
 )
-from .mask import AttentionVariant, build_mask, render_mask
+from .mask import AttentionVariant, build_layout, build_mask, render_mask
 from .modseq import LayoutConfig, ModalitySequence, TokenKind, build_sequence
 from .template import HashTokenizer, RenderedSample
 
@@ -158,6 +158,8 @@ def _random_segments(rng: np.random.Generator, d: int) -> list[tuple[TokenKind, 
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     variants = (
         [AttentionVariant(args.variant)]
         if args.variant != "all"
@@ -169,13 +171,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         for seed in range(args.seeds):
             rng = np.random.default_rng(1000 + seed)
             seq = build_sequence(_random_segments(rng, args.d))
-            err = variant_grad_check(
-                variant,
-                seq,
-                head_dim=args.head_dim,
-                eps=args.eps,
-                seed=seed,
-            )
+            layout = build_layout(seq, variant)
+            err = variant_grad_check(layout, head_dim=args.head_dim, eps=args.eps, seed=seed)
             worst = max(worst, err)
             status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
             lines.append(f"{variant.value} seed={seed} max_rel_err={err:.3e} {status}")

@@ -3,15 +3,16 @@
 The integer mask M over {0, 1, 2} encodes, per (query, key) edge, whether
 attention is forbidden (0), allowed with a text key (1), or allowed with an
 image key (2). A text row's dual softmax takes one softmax over its 1
-entries and one over its 2 entries.
+entries and one over its 2 entries, and the two are summed.
 
 The dense mask is the inspectable reference (``mmchat mask`` prints it).
 Attention uses ``build_layout`` instead: the same edges as a tuple of
 softmax terms (image blocks, text rows over text keys, and a staircase of
 text-row runs over exactly the image keys before them), with no d x d
-array. ``AttentionLayout.restrict`` keeps only chosen query rows, for a
-pass whose other rows reach nothing (the toy model's last block, whose
-only consumers are the loss's target rows).
+array. The variant and ``image_self`` are the whole attention rule, and
+both builders take both. ``AttentionLayout.restrict`` keeps only chosen
+query rows, for a pass whose other rows reach nothing (the toy model's
+last block, whose only consumers are the loss's target rows).
 
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. Two builders cover the
@@ -117,12 +118,11 @@ def build_causal_mask(seq: ModalitySequence) -> MmcaMask:
 def build_mask(
     seq: ModalitySequence, variant: AttentionVariant, image_self: str = "block"
 ) -> MmcaMask:
-    """Build the mask for the given attention variant."""
-    if variant is AttentionVariant.CAUSAL_ONLY:
+    """Build the mask for the given attention variant (an
+    ``AttentionVariant`` or its value; anything else is a ``ValueError``)."""
+    if AttentionVariant(variant) is AttentionVariant.CAUSAL_ONLY:
         return build_causal_mask(seq)
-    if variant in (AttentionVariant.MMCA, AttentionVariant.CAUSAL_PLUS_CROSS):
-        return build_mmca_mask(seq, image_self)
-    raise ValueError(f"unknown attention variant {variant!r}")
+    return build_mmca_mask(seq, image_self)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +155,11 @@ class AttentionLayout:
     keys in a staircase: one unmasked term per run of text rows with the
     same number n of image tokens before them, reading exactly those n
     image keys (through Kx/Vx for cross). Text rows before the first image
-    have no image term. ``weight`` scales the summed terms (0.5 for the
-    normalized dual softmax, else 1).
+    have no image term. The kernel sums the terms' outputs.
     """
 
     d: int
     variant: AttentionVariant
-    weight: float
     terms: tuple[Term, ...]
 
     @property
@@ -201,17 +199,14 @@ class AttentionLayout:
 
 
 def build_layout(
-    seq: ModalitySequence,
-    variant: AttentionVariant,
-    image_self: str = "block",
-    normalize: bool = False,
+    seq: ModalitySequence, variant: AttentionVariant, image_self: str = "block"
 ) -> AttentionLayout:
-    """Layout of ``seq`` for the given variant, ``image_self`` rule and
-    dual-softmax normalization: the same edges as ``build_mask``, each in
-    exactly one term. Build it once per sequence and reuse it for every
-    layer, head and pass. ``normalize`` averages an mmca text row's two
-    softmaxes instead of summing them; the literal sum is the default, so
-    text rows attending to both modalities carry total weight 2."""
+    """Layout of ``seq`` for the given variant (an ``AttentionVariant`` or
+    its value) and ``image_self`` rule: the same edges as ``build_mask``,
+    each in exactly one term. Build it once per sequence and reuse it for
+    every layer, head and pass. An mmca text row's two softmaxes are summed,
+    so a text row that reads both modalities carries total weight 2."""
+    variant = AttentionVariant(variant)
     _check_image_self(image_self)
     causal = variant is AttentionVariant.CAUSAL_ONLY  # modality ignored: every token is text
     is_image = np.zeros(seq.d, dtype=bool) if causal else seq.is_image()
@@ -234,12 +229,7 @@ def build_layout(
         n += end - start
         if stop > end:  # the text rows up to the next block read the n image keys before them
             terms.append(Term(positions[end:stop], images[:n], None, cross))
-    return AttentionLayout(
-        d=seq.d,
-        variant=variant,
-        weight=0.5 if normalize and variant is AttentionVariant.MMCA else 1.0,
-        terms=tuple(terms),
-    )
+    return AttentionLayout(d=seq.d, variant=variant, terms=tuple(terms))
 
 
 def render_mask(mask: MmcaMask) -> str:

@@ -29,7 +29,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -42,7 +42,7 @@ from .attn import (
     multi_head_forward,
     multi_head_input_vjp,
 )
-from .mask import AttentionLayout, AttentionVariant, build_layout
+from .mask import AttentionLayout, AttentionVariant, _check_image_self, build_layout
 from .modseq import LayoutConfig, image_blocks
 from .template import Conversation, HashTokenizer, RenderedSample, Round, render
 
@@ -53,7 +53,8 @@ GradDict = dict[str, np.ndarray]
 class ModelConfig:
     """Toy dimensions, sized so brute-force reference evaluations run in
     milliseconds. All knobs are free; the defaults keep finite-difference
-    checks of the full model cheap."""
+    checks of the full model cheap. ``variant`` may be given as its value
+    (``"mmca"``); ``variant`` and ``image_self`` are the attention rule."""
 
     vision_dim: int = 8
     model_dim: int = 16
@@ -63,7 +64,6 @@ class ModelConfig:
     ffn_dim: int = 32
     image_token_count: int = 4
     variant: AttentionVariant = AttentionVariant.MMCA
-    normalize_dual_softmax: bool = False
     image_self: str = "block"
 
     def __post_init__(self) -> None:
@@ -73,6 +73,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("model_dim must be divisible by num_heads")
+        object.__setattr__(self, "variant", AttentionVariant(self.variant))
+        _check_image_self(self.image_self)
 
     def layout(self, max_sequence_length: int = 4096) -> LayoutConfig:
         return LayoutConfig(self.image_token_count, max_sequence_length)
@@ -217,8 +219,7 @@ def _embed(model: ToyModel, sample: RenderedSample) -> np.ndarray:
 
 
 def _layout(model: ToyModel, sample: RenderedSample) -> AttentionLayout:
-    c = model.config
-    return build_layout(sample.tags, c.variant, c.image_self, c.normalize_dual_softmax)
+    return build_layout(sample.tags, model.config.variant, model.config.image_self)
 
 
 def _ffn(block: DecoderBlock, h_mid: np.ndarray) -> np.ndarray:
@@ -491,12 +492,16 @@ def make_copy_task(
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def _config_from_dict(data: dict) -> ModelConfig:
-    data = dict(data)
-    data["variant"] = AttentionVariant(data["variant"])
+    """The manifest's config, which must name exactly ``ModelConfig``'s
+    fields; a missing or unexpected key is a ``ValueError`` naming it."""
+    expected = {f.name for f in fields(ModelConfig)}
+    missing, unexpected = sorted(expected - data.keys()), sorted(data.keys() - expected)
+    if missing or unexpected:
+        raise ValueError(f"checkpoint config keys missing: {missing}, unexpected: {unexpected}")
     return ModelConfig(**data)
 
 
@@ -543,15 +548,22 @@ def _tensor_shapes(config: ModelConfig, known_images: list[str]) -> dict[str, tu
 
 
 def load_model(path: str | Path) -> ToyModel:
-    """Load a checkpoint written by save_model. Every tensor must be
-    present, float64, finite and shaped as the manifest's config says;
-    otherwise ValueError names the offending tensor."""
+    """Load a checkpoint written by save_model. The manifest must be
+    present, of this format version, and hold the known images, the stub
+    seed and a config with exactly ``ModelConfig``'s fields. Every tensor
+    must be present, float64, finite and shaped as that config says;
+    otherwise ValueError names the offending key or tensor."""
     with np.load(path) as data:
+        if "__manifest__" not in data.files:
+            raise ValueError("checkpoint has no __manifest__")
         manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
         if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint format: {manifest.get('format_version')!r}"
             )
+        missing = sorted({"config", "known_images", "stub_seed"} - manifest.keys())
+        if missing:
+            raise ValueError(f"checkpoint manifest is missing: {', '.join(missing)}")
         config = _config_from_dict(manifest["config"])
         shapes = _tensor_shapes(config, manifest["known_images"])
         unexpected = sorted(set(data.files) - set(shapes) - {"__manifest__"})

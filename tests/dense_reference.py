@@ -129,7 +129,6 @@ def mmca_forward(
     inputs: AttentionInputs,
     mask: MmcaMask,
     scale: float,
-    normalize: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dual-softmax attention. Returns (output, A1, A2) so the two
     per-modality weight matrices can be inspected."""
@@ -138,10 +137,7 @@ def mmca_forward(
     s = scale * (inputs.q @ inputs.k.T)
     a1 = masked_softmax(s, m1)
     a2 = masked_softmax(s, m2)
-    w = a1 + a2
-    if normalize:
-        w = 0.5 * w
-    return w @ inputs.v, a1, a2
+    return (a1 + a2) @ inputs.v, a1, a2
 
 
 def mmca_vjp(
@@ -149,19 +145,13 @@ def mmca_vjp(
     mask: MmcaMask,
     scale: float,
     dout: np.ndarray,
-    normalize: bool = False,
 ) -> GradDict:
     m1, m2 = partition(mask)
     s = scale * (inputs.q @ inputs.k.T)
     a1 = masked_softmax(s, m1)
     a2 = masked_softmax(s, m2)
-    w = a1 + a2
-    if normalize:
-        w = 0.5 * w
-    dv = w.T @ dout
+    dv = (a1 + a2).T @ dout
     da = dout @ inputs.v.T
-    if normalize:
-        da = 0.5 * da
     ds = masked_softmax_vjp(a1, da) + masked_softmax_vjp(a2, da)
     dq = scale * (ds @ inputs.k)
     dk = scale * (ds.T @ inputs.q)

@@ -85,15 +85,11 @@ def naive_mmca(
     v: np.ndarray,
     entries: np.ndarray,
     scale: float,
-    normalize: bool = False,
 ) -> np.ndarray:
     s = _naive_scores(q, k, scale)
     a1 = naive_masked_softmax(s, entries == 1)
     a2 = naive_masked_softmax(s, entries == 2)
-    w = a1 + a2
-    if normalize:
-        w = 0.5 * w
-    return _naive_weighted_values(w, v)
+    return _naive_weighted_values(a1 + a2, v)
 
 
 def naive_causal(
@@ -136,7 +132,7 @@ def naive_multi_head(config, x: np.ndarray, params, seq: ModalitySequence) -> np
     for h in range(config.num_heads):
         q, k, v = x @ params.wq[h], x @ params.wk[h], x @ params.wv[h]
         if variant == "mmca":
-            heads.append(naive_mmca(q, k, v, entries, scale, config.normalize_dual_softmax))
+            heads.append(naive_mmca(q, k, v, entries, scale))
         elif variant == "causal":
             heads.append(naive_causal(q, k, v, entries, scale))
         else:

@@ -137,8 +137,8 @@ def test_criterion_02_formula_fidelity():
         d = int(rng.integers(2, 17))
         seq, q, k, v, scale = _random_instance(rng, d)
         layout = build_layout(seq, AttentionVariant.MMCA)
-        out, terms = segment_attention(layout, scale, q, k, v)
-        a1, a2 = attention_weights(layout, terms)
+        out, saved = segment_attention(layout, scale, q, k, v)
+        a1, a2 = attention_weights(saved)
         for a in (a1, a2):
             sums = a.sum(axis=1)
             empty = ~(a != 0).any(axis=1)
@@ -220,7 +220,7 @@ def test_criterion_05_gradient_checks():
         for seed in range(20):
             d = int(rng.integers(4, 13))
             seq = build_sequence(_random_segments(rng, d, require_mixed=d >= 2))
-            err = variant_grad_check(variant, seq, head_dim=4, eps=1e-5, seed=seed)
+            err = variant_grad_check(build_layout(seq, variant), head_dim=4, eps=1e-5, seed=seed)
             worst = max(worst, err)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 60.0

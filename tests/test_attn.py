@@ -193,12 +193,6 @@ def test_forwards_match_naive_oracles():
         assert np.allclose(
             out_m, naive_mmca(inputs.q, inputs.k, inputs.v, mask_m.entries, 0.5), atol=1e-12
         )
-        out_n, _, _ = mmca_forward(inputs, mask_m, 0.5, normalize=True)
-        assert np.allclose(
-            out_n,
-            naive_mmca(inputs.q, inputs.k, inputs.v, mask_m.entries, 0.5, normalize=True),
-            atol=1e-12,
-        )
         assert np.allclose(
             causal_forward(inputs, mask_c, 0.5),
             naive_causal(inputs.q, inputs.k, inputs.v, mask_c.entries, 0.5),
@@ -436,34 +430,35 @@ def test_multi_head_input_vjp_matches_finite_differences(variant):
 
 
 def test_grad_check_eps_validation():
-    seq = build_sequence([(T, 2)])
+    layout = build_layout(build_sequence([(T, 2)]), AttentionVariant.MMCA)
     with pytest.raises(ValueError, match="eps"):
-        variant_grad_check(AttentionVariant.MMCA, seq, eps=1e-2)
+        variant_grad_check(layout, eps=1e-2)
     with pytest.raises(ValueError, match="eps"):
-        variant_grad_check(AttentionVariant.MMCA, seq, eps=1e-8)
+        variant_grad_check(layout, eps=1e-8)
+
+
+def test_variant_grad_check_rejects_a_head_dim_below_one():
+    layout = build_layout(build_sequence([(T, 2)]), AttentionVariant.MMCA)
+    for head_dim in (0, -2):
+        with pytest.raises(ValueError, match="head_dim must be >= 1"):
+            variant_grad_check(layout, head_dim=head_dim)
 
 
 def test_grad_check_linear_case_machine_precision():
     # d=1: softmax weight is identically 1, so output = V is linear
-    seq = build_sequence([(T, 1)])
-    err = variant_grad_check(AttentionVariant.CAUSAL_ONLY, seq, head_dim=2, seed=0)
-    assert err < 1e-9
+    layout = build_layout(build_sequence([(T, 1)]), AttentionVariant.CAUSAL_ONLY)
+    assert variant_grad_check(layout, head_dim=2, seed=0) < 1e-9
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 def test_variant_grad_check_mixed_sequence(variant):
-    seq = build_sequence([(T, 2), (I, 2), (T, 2)])
-    err = variant_grad_check(variant, seq, head_dim=3, eps=1e-5, seed=2)
-    assert err < 1e-4
+    layout = build_layout(build_sequence([(T, 2), (I, 2), (T, 2)]), variant)
+    assert variant_grad_check(layout, head_dim=3, eps=1e-5, seed=2) < 1e-4
 
 
-def test_variant_grad_check_normalized_and_diagonal():
-    seq = build_sequence([(I, 3), (T, 3)])
-    assert variant_grad_check(AttentionVariant.MMCA, seq, seed=3, normalize=True) < 1e-4
-    assert (
-        variant_grad_check(AttentionVariant.MMCA, seq, seed=3, image_self="diagonal")
-        < 1e-4
-    )
+def test_variant_grad_check_diagonal():
+    layout = build_layout(build_sequence([(I, 3), (T, 3)]), AttentionVariant.MMCA, "diagonal")
+    assert variant_grad_check(layout, seed=3) < 1e-4
 
 
 def corrupt_q_gradient(monkeypatch):
@@ -480,9 +475,8 @@ def corrupt_q_gradient(monkeypatch):
 
 def test_grad_check_detects_corrupted_gradient(monkeypatch):
     corrupt_q_gradient(monkeypatch)
-    seq = build_sequence([(T, 2), (I, 2), (T, 2)])
-    err = variant_grad_check(AttentionVariant.MMCA, seq, seed=4)
-    assert err >= 1e-4
+    layout = build_layout(build_sequence([(T, 2), (I, 2), (T, 2)]), AttentionVariant.MMCA)
+    assert variant_grad_check(layout, seed=4) >= 1e-4
 
 
 def test_variant_grad_check_runs_the_vjp_once(monkeypatch):
@@ -497,7 +491,7 @@ def test_variant_grad_check_runs_the_vjp_once(monkeypatch):
     seq = build_sequence([(T, 2), (I, 2), (T, 2)])
     for variant in AttentionVariant:
         calls.clear()
-        assert variant_grad_check(variant, seq, head_dim=3, seed=2) < 1e-4
+        assert variant_grad_check(build_layout(seq, variant), head_dim=3, seed=2) < 1e-4
         assert len(calls) == 1
 
 
@@ -573,13 +567,20 @@ def test_init_multi_head_params_validation():
     assert params.wo.shape == (8, 8)
 
 
-def test_normalized_dual_softmax_rows_sum_to_one():
-    seq = build_sequence([(I, 2), (T, 3)])
-    rng = np.random.default_rng(19)
-    inputs = rand_inputs(rng, 5, 3)
-    mask = build_mmca_mask(seq)
-    out, a1, a2 = mmca_forward(inputs, mask, 0.5, normalize=True)
-    w = 0.5 * (a1 + a2)
-    for i in range(2, 5):
-        assert abs(w[i].sum() - 1.0) < 1e-12
-    assert np.allclose(out, w @ inputs.v, atol=1e-15)
+def test_variant_given_by_value_selects_that_variant():
+    # build_layout's by-value path runs through test_segment_attention's
+    # rule-level tests
+    seq = build_sequence([(T, 1), (I, 2), (T, 2)])
+    rng = np.random.default_rng(21)
+    assert init_multi_head_params("cross", 2, 4, rng).wkx is not None
+    assert init_multi_head_params("mmca", 2, 4, rng).wkx is None
+    for variant in AttentionVariant:
+        mask = build_mask(seq, variant.value)
+        assert np.array_equal(mask.entries, build_mask(seq, variant).entries)
+    for build in (
+        lambda: build_layout(seq, "full"),
+        lambda: build_mask(seq, "full"),
+        lambda: init_multi_head_params("full", 2, 4, rng),
+    ):
+        with pytest.raises(ValueError, match="'full' is not a valid AttentionVariant"):
+            build()

@@ -258,6 +258,19 @@ def test_gradcheck_command_detects_corruption(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("head_dim", ["0", "-2"])
+def test_gradcheck_rejects_a_head_dim_below_one(capsys, head_dim):
+    assert main(["gradcheck", "--seeds", "1", "--d", "5", "--head-dim", head_dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: head_dim must be >= 1\n" and "PASS" not in captured.out
+
+
+def test_gradcheck_rejects_no_seeds(capsys):
+    assert main(["gradcheck", "--seeds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seeds must be >= 1\n" and captured.out == ""
+
+
 def test_gradcheck_all_variants_small(capsys):
     assert main(["gradcheck", "--seeds", "1", "--d", "5"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ the multi-head path as it was before the kernel existed. It has its own
 softmax, so the kernel's softmax is checked too.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -19,6 +20,7 @@ import mmchat.attn as attn_module
 import mmchat.mask as mask_module
 import mmchat.toy_model as toy_model_module
 from mmchat.attn import (
+    SavedAttention,
     attention_weights,
     init_multi_head_params,
     multi_head_forward,
@@ -54,9 +56,14 @@ from oracles import random_conversation
 
 I, T = TokenKind.IMAGE, TokenKind.TEXT
 TOLERANCE = 1e-12
-CONFIGS = list(
-    itertools.product(AttentionVariant, ("block", "diagonal"), (False, True))
-)
+CONFIGS = list(itertools.product(AttentionVariant, ("block", "diagonal")))
+# Each rule-level test runs with the variant as the enum and as its string
+# value, which must build the same layout.
+BY_VALUE = pytest.mark.parametrize("by_value", (False, True))
+
+
+def as_given(variant, by_value):
+    return variant.value if by_value else variant
 
 
 def head_shape(config):
@@ -85,7 +92,7 @@ def dense_forward(config, x, params, seq):
     outs = []
     for inputs, cross in heads:
         if config.variant is AttentionVariant.MMCA:
-            out, _, _ = mmca_forward(inputs, mask, scale, config.normalize_dual_softmax)
+            out, _, _ = mmca_forward(inputs, mask, scale)
         elif config.variant is AttentionVariant.CAUSAL_ONLY:
             out = causal_forward(inputs, mask, scale)
         else:
@@ -102,7 +109,7 @@ def dense_input_vjp(config, x, params, seq, dout):
     for h, (inputs, cross) in enumerate(heads):
         dh = dconcat[:, h * hd : (h + 1) * hd]
         if config.variant is AttentionVariant.MMCA:
-            g = mmca_vjp(inputs, mask, scale, dh, config.normalize_dual_softmax)
+            g = mmca_vjp(inputs, mask, scale, dh)
         elif config.variant is AttentionVariant.CAUSAL_ONLY:
             g = causal_vjp(inputs, mask, scale, dh)
         else:
@@ -156,24 +163,25 @@ def max_gaps(config, seq, seed):
     params = init_multi_head_params(config.variant, config.num_heads, config.model_dim, rng)
     x = rng.standard_normal((seq.d, config.model_dim))
     dout = rng.standard_normal((seq.d, config.model_dim))
-    layout = build_layout(seq, config.variant, config.image_self, config.normalize_dual_softmax)
+    layout = build_layout(seq, config.variant, config.image_self)
     out, saved = multi_head_forward(x, params, layout)
     fwd = np.abs(out - dense_forward(config, x, params, seq))
     vjp = np.abs(
         multi_head_input_vjp(params, saved, dout)
         - dense_input_vjp(config, x, params, seq, dout)
     )
-    views = np.stack(attention_weights(saved.layout, saved.terms), axis=1)  # heads lead
+    views = np.stack(attention_weights(saved), axis=1)  # heads lead
     weights = np.abs(views - dense_weights(config, x, params, seq))
     return float(fwd.max()), float(vjp.max()), float(weights.max())
 
 
-@pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
-def test_matches_dense_reference_on_random_layouts(variant, image_self, normalize):
+@BY_VALUE
+@pytest.mark.parametrize(("variant", "image_self"), CONFIGS)
+def test_matches_dense_reference_on_random_layouts(variant, image_self, by_value):
     config = ModelConfig(
-        variant=variant, num_heads=2, model_dim=4,
-        normalize_dual_softmax=normalize, image_self=image_self,
+        variant=as_given(variant, by_value), num_heads=2, model_dim=4, image_self=image_self
     )
+    assert config.variant is variant
     rng = np.random.default_rng(2309)
     worst = (0.0, 0.0, 0.0)
     for trial in range(500):
@@ -194,19 +202,16 @@ _segments = st.lists(
     seed=st.integers(0, 2**16),
 )
 @example(segments=[(T, 5)], config_index=0, seed=0)  # text-only
-@example(segments=[(I, 4)], config_index=10, seed=1)  # image-only
-@example(segments=[(I, 2), (I, 3), (T, 2)], config_index=11, seed=2)  # adjacent blocks
+@example(segments=[(I, 4)], config_index=5, seed=1)  # image-only
+@example(segments=[(I, 2), (I, 3), (T, 2)], config_index=5, seed=2)  # adjacent blocks
 # 1-token blocks
-@example(segments=[(I, 1), (T, 1), (I, 1), (I, 1), (T, 2)], config_index=5, seed=3)
-@example(segments=[(T, 1)], config_index=8, seed=4)  # d=1
-@example(segments=[(I, 1)], config_index=9, seed=5)  # d=1, image
-@example(segments=[(T, 3), (I, 2), (T, 2)], config_index=4, seed=6)  # text before the first image
+@example(segments=[(I, 1), (T, 1), (I, 1), (I, 1), (T, 2)], config_index=2, seed=3)
+@example(segments=[(T, 1)], config_index=4, seed=4)  # d=1
+@example(segments=[(I, 1)], config_index=4, seed=5)  # d=1, image
+@example(segments=[(T, 3), (I, 2), (T, 2)], config_index=2, seed=6)  # text before the first image
 def test_edge_layouts_match_dense_reference(segments, config_index, seed):
-    variant, image_self, normalize = CONFIGS[config_index]
-    config = ModelConfig(
-        variant=variant, num_heads=2, model_dim=6,
-        normalize_dual_softmax=normalize, image_self=image_self,
-    )
+    variant, image_self = CONFIGS[config_index]
+    config = ModelConfig(variant=variant, num_heads=2, model_dim=6, image_self=image_self)
     assert max(max_gaps(config, build_sequence(segments), seed)) <= TOLERANCE
 
 
@@ -234,21 +239,21 @@ def test_layout_structure():
     (causal,) = build_layout(seq, AttentionVariant.CAUSAL_ONLY).terms
     assert causal.rows.tolist() == causal.keys.tolist() == list(range(seq.d))
     assert np.array_equal(~causal.forbid, np.tril(np.ones((seq.d, seq.d), dtype=bool)))
-    assert build_layout(seq, AttentionVariant.MMCA, normalize=True).weight == 0.5
-    assert build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS, normalize=True).weight == 1.0
     with pytest.raises(ValueError, match="image_self"):
         build_layout(seq, AttentionVariant.MMCA, "row")
 
 
-def assert_terms_account_for_mask(seq, variant, image_self, normalize, rows=None):
+def assert_terms_account_for_mask(seq, variant, image_self, rows=None, by_value=False):
     """Every allowed edge of the dense mask lies in exactly one term, with
     the term's key class; each term row is one whole softmax group of the
     reference (one query row's text keys or image keys), never split across
     terms; image-key terms carry no mask; cross flags mark exactly the text
     rows' image terms of the cross variant. With ``rows``, the same holds
     for the layout restricted to them, over the mask's kept rows, and no
-    other row has an edge in any term."""
-    layout = build_layout(seq, variant, image_self, normalize)
+    other row has an edge in any term. ``by_value`` passes the variant as
+    its string value."""
+    layout = build_layout(seq, as_given(variant, by_value), image_self)
+    assert layout.variant is variant
     entries = build_mask(seq, variant, image_self).entries
     if rows is not None:
         layout = layout.restrict(rows)
@@ -307,18 +312,19 @@ def target_rows(sample):
     return np.flatnonzero(np.asarray(sample.loss_mask[1:]))
 
 
-@pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
-def test_terms_account_for_every_allowed_edge_once(variant, image_self, normalize):
+@BY_VALUE
+@pytest.mark.parametrize(("variant", "image_self"), CONFIGS)
+def test_terms_account_for_every_allowed_edge_once(variant, image_self, by_value):
     rng = np.random.default_rng(2310)
     for _ in range(100):
         seq = random_layout(rng)
-        assert_terms_account_for_mask(seq, variant, image_self, normalize)
+        assert_terms_account_for_mask(seq, variant, image_self, by_value=by_value)
         for rows in row_subsets(seq, rng):
-            assert_terms_account_for_mask(seq, variant, image_self, normalize, rows)
+            assert_terms_account_for_mask(seq, variant, image_self, rows, by_value)
     for _ in range(20):
         sample = rendered_sample(rng)
         assert_terms_account_for_mask(
-            sample.tags, variant, image_self, normalize, target_rows(sample)
+            sample.tags, variant, image_self, target_rows(sample), by_value
         )
 
 
@@ -351,8 +357,8 @@ def test_restrict_to_every_row_is_bit_identical(variant):
     out_all, saved_all = segment_attention(everything, 0.5, q, k, v, kx, vx)
     assert np.array_equal(out, out_all)
     dout = rng.standard_normal(out.shape)
-    grads = segment_attention_vjp(layout, 0.5, dout, saved, q, k, v, kx, vx)
-    grads_all = segment_attention_vjp(everything, 0.5, dout, saved_all, q, k, v, kx, vx)
+    grads = segment_attention_vjp(saved, dout)
+    grads_all = segment_attention_vjp(saved_all, dout)
     assert grads.keys() == grads_all.keys()
     assert all(np.array_equal(grads[name], grads_all[name]) for name in grads)
     for empty in ([], np.array([], dtype=int)):
@@ -362,8 +368,9 @@ def test_restrict_to_every_row_is_bit_identical(variant):
         layout.restrict([sample.d])
 
 
-@pytest.mark.parametrize(("variant", "image_self", "normalize"), CONFIGS)
-def test_restricted_layout_matches_full_layout_on_kept_rows(variant, image_self, normalize):
+@BY_VALUE
+@pytest.mark.parametrize(("variant", "image_self"), CONFIGS)
+def test_restricted_layout_matches_full_layout_on_kept_rows(variant, image_self, by_value):
     """On the kept rows the restricted kernel gives the full kernel's output,
     zero elsewhere, and its VJP the full VJP of a ``dout`` that is zero off
     the kept rows."""
@@ -371,7 +378,7 @@ def test_restricted_layout_matches_full_layout_on_kept_rows(variant, image_self,
     for trial in range(40):
         sample = rendered_sample(rng)
         seq = sample.tags
-        layout = build_layout(seq, variant, image_self, normalize)
+        layout = build_layout(seq, as_given(variant, by_value), image_self)
         for rows in [target_rows(sample), *row_subsets(seq, rng)]:
             restricted = layout.restrict(rows)
             q, k, v, kx, vx = (rng.standard_normal((2, seq.d, 3)) for _ in range(5))
@@ -383,8 +390,8 @@ def test_restricted_layout_matches_full_layout_on_kept_rows(variant, image_self,
             assert np.abs(part[:, rows] - out[:, rows]).max() <= TOLERANCE
             dout = rng.standard_normal(out.shape)
             dout[:, off] = 0.0
-            grads = segment_attention_vjp(layout, 0.7, dout, saved, q, k, v, kx, vx)
-            part_grads = segment_attention_vjp(restricted, 0.7, dout, part_saved, q, k, v, kx, vx)
+            grads = segment_attention_vjp(saved, dout)
+            part_grads = segment_attention_vjp(part_saved, dout)
             for name in grads:
                 assert np.abs(part_grads[name] - grads[name]).max() <= TOLERANCE, (trial, name)
 
@@ -403,6 +410,31 @@ def test_prebuilt_layout_reused_and_checked():
         multi_head_input_vjp(params, saved, np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_saved_attention_is_the_whole_pass_state(variant):
+    """The kernel returns one frozen ``SavedAttention`` holding its layout,
+    scale and given inputs, one (E, total, O) per term; the multi-head
+    wrapper returns that object, whose inputs are the per-head projections."""
+    seq = build_sequence([(T, 1), (I, 2), (T, 2)])
+    layout = build_layout(seq, variant)
+    rng = np.random.default_rng(9)
+    q, k, v, kx, vx = (rng.standard_normal((5, 2)) for _ in range(5))
+    cross = {"kx": kx, "vx": vx} if layout.reads_cross else {}
+    _, saved = segment_attention(layout, 0.3, q, k, v, **cross)
+    assert saved.layout is layout and saved.scale == 0.3
+    assert saved.inputs.keys() == {"q", "k", "v", *cross}
+    assert all(saved.inputs[name] is a for name, a in {"q": q, "k": k, "v": v, **cross}.items())
+    assert len(saved.terms) == len(layout.terms)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        saved.scale = 1.0
+    params = init_multi_head_params(variant, 2, 4, rng)
+    x = rng.standard_normal((5, 4))
+    _, heads = multi_head_forward(x, params, layout)
+    assert type(heads) is SavedAttention and heads.scale == 1.0 / math.sqrt(2)
+    assert np.array_equal(heads.inputs["q"], x @ params.wq)
+    assert heads.inputs.keys() == {"q", "k", "v", *cross}
+
+
 def test_nonfinite_inputs_and_scores_rejected():
     seq = build_sequence([(I, 2), (T, 2)])
     layout = build_layout(seq, AttentionVariant.MMCA)
@@ -411,11 +443,6 @@ def test_nonfinite_inputs_and_scores_rejected():
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="K contains non-finite"):
         segment_attention(layout, 1.0, ok, bad, ok)
-    _, probs = segment_attention(layout, 1.0, ok, ok, ok)
-    with pytest.raises(ValueError, match="Q contains non-finite"):
-        segment_attention_vjp(layout, 1.0, ok, probs, bad, ok, ok)
-    with pytest.raises(ValueError, match="one softmax per layout term"):
-        segment_attention_vjp(layout, 1.0, ok, probs[:-1], ok, ok, ok)
     with pytest.raises(ValueError, match="4 rows"):
         segment_attention(layout, 1.0, ok[:3], ok[:3], ok[:3])
     with pytest.raises(ValueError, match="equal shapes"):
@@ -429,7 +456,7 @@ def test_nonfinite_inputs_and_scores_rejected():
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))
-def test_overflowing_scores_and_wrong_saved_length_rejected(variant):
+def test_overflowing_scores_and_bad_dout_rejected(variant):
     seq = build_sequence([(T, 1), (I, 2), (T, 2)])
     rng = np.random.default_rng(6)
     x = rng.standard_normal((5, 4))
@@ -442,9 +469,14 @@ def test_overflowing_scores_and_wrong_saved_length_rejected(variant):
     q, k, v, kx, vx = (rng.standard_normal((5, 2)) for _ in range(5))
     cross = (kx, vx) if layout.reads_cross else ()
     _, saved = segment_attention(layout, 1.0, q, k, v, *cross)
-    for wrong in (saved[:-1], saved + saved[:1]):
-        with pytest.raises(ValueError, match="one softmax per layout term"):
-            segment_attention_vjp(layout, 1.0, q, wrong, q, k, v, *cross)
+    for wrong in (np.ones((4, 2)), np.ones((5, 3)), np.ones((1, 5, 2)), np.ones(10)):
+        with pytest.raises(ValueError, match=r"dout must have the output's shape \(5, 2\)"):
+            segment_attention_vjp(saved, wrong)
+    for value in (np.nan, np.inf, -np.inf):
+        dout = np.ones((5, 2))
+        dout[3, 1] = value
+        with pytest.raises(ValueError, match="dout contains non-finite values"):
+            segment_attention_vjp(saved, dout)
 
 
 def test_empty_support_and_forbidden_edges_exactly_zero():
@@ -453,12 +485,12 @@ def test_empty_support_and_forbidden_edges_exactly_zero():
     layout = build_layout(seq, AttentionVariant.MMCA)
     rng = np.random.default_rng(1)
     q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
-    out, probs = segment_attention(layout, 0.5, q, k, v)
+    out, saved = segment_attention(layout, 0.5, q, k, v)
     assert np.array_equal(out[0], v[0])
     dout = np.zeros((5, 3))
     dout[0] = rng.standard_normal(3)
     dout[1] = rng.standard_normal(3)  # image row: reads only its block
-    grads = segment_attention_vjp(layout, 0.5, dout, probs, q, k, v)
+    grads = segment_attention_vjp(saved, dout)
     assert not grads["v"][3:].any() and not grads["k"][3:].any()
     assert not grads["q"][3:].any()
 
@@ -469,16 +501,18 @@ def test_attention_weights_keep_leading_head_axes(variant):
     layout = build_layout(seq, variant)
     rng = np.random.default_rng(7)
     inputs = [rng.standard_normal((2, 3, seq.d, 4)) for _ in range(5)]
-    _, terms = segment_attention(layout, 0.5, *inputs)
-    text, image = attention_weights(layout, terms)
+    _, saved = segment_attention(layout, 0.5, *inputs)
+    text, image = attention_weights(saved)
     assert text.shape == image.shape == (2, 3, seq.d, seq.d)
     for index in np.ndindex(2, 3):
-        one_head = tuple((e[index], total[index], o[index]) for e, total, o in terms)
-        head_text, head_image = attention_weights(layout, one_head)
+        one_head = dataclasses.replace(
+            saved,
+            inputs={name: a[index] for name, a in saved.inputs.items()},
+            terms=tuple((e[index], total[index], o[index]) for e, total, o in saved.terms),
+        )
+        head_text, head_image = attention_weights(one_head)
         assert np.array_equal(text[index], head_text)
         assert np.array_equal(image[index], head_image)
-    with pytest.raises(ValueError, match="one softmax per layout term"):
-        attention_weights(layout, terms[:-1])
 
 
 class ScoreRecorder:

@@ -10,6 +10,7 @@ from mmchat.mask import AttentionVariant
 from mmchat.template import Conversation, HashTokenizer, RenderedSample, Round, render
 from mmchat.modseq import ModalitySequence
 from mmchat.toy_model import (
+    CHECKPOINT_FORMAT_VERSION,
     ModelConfig,
     OptimState,
     answer_loss,
@@ -55,6 +56,24 @@ def test_config_validation():
         ModelConfig(model_dim=6, num_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=0)
+
+
+def test_config_takes_the_variant_by_value_and_checks_the_rule():
+    images = ("a", "b")
+    sample = small_sample(images=images)
+    logits = {}
+    for variant in AttentionVariant:
+        by_value = ModelConfig(**{**SMALL.__dict__, "variant": variant.value})
+        assert by_value.variant is variant
+        logits[variant] = forward(small_model(by_value, images=images), sample)
+        by_enum = ModelConfig(**{**SMALL.__dict__, "variant": variant})
+        assert np.array_equal(logits[variant], forward(small_model(by_enum, images=images), sample))
+    causal, cross, mmca = (logits[v] for v in AttentionVariant)
+    assert not np.array_equal(causal, mmca) and not np.array_equal(cross, mmca)
+    with pytest.raises(ValueError, match="'full' is not a valid AttentionVariant"):
+        ModelConfig(variant="full")
+    with pytest.raises(ValueError, match="image_self must be 'block' or 'diagonal', got 'full'"):
+        ModelConfig(image_self="full")
 
 
 def test_trainable_param_count_formula():
@@ -396,21 +415,60 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(forward(loaded, sample), forward(model, sample))
 
 
-def test_checkpoint_version_check(tmp_path):
-    model = small_model()
+def rewritten_checkpoint(tmp_path, change=None):
+    """A checkpoint of the small model whose manifest ``change`` edits in
+    place; with no ``change`` the manifest is dropped."""
     path = tmp_path / "model.npz"
-    save_model(model, path)
+    save_model(small_model(), path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
-    manifest = json.loads(bytes(arrays["__manifest__"]).decode("utf-8"))
-    manifest["format_version"] = 99
-    arrays["__manifest__"] = np.frombuffer(
-        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-    )
+    manifest = json.loads(bytes(arrays.pop("__manifest__")).decode("utf-8"))
+    if change is not None:
+        change(manifest)
+        arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
+    return bad
+
+
+def test_checkpoint_version_check(tmp_path):
+    bad = rewritten_checkpoint(tmp_path, lambda manifest: manifest.update(format_version=99))
     with pytest.raises(ValueError, match="unsupported checkpoint format"):
         load_model(bad)
+
+
+def test_checkpoint_of_format_version_1_is_unsupported(tmp_path):
+    # a version-1 manifest names normalize_dual_softmax, which ModelConfig lacks
+    assert CHECKPOINT_FORMAT_VERSION == 2
+
+    def version_1(manifest):
+        manifest.update(format_version=1)
+        manifest["config"]["normalize_dual_softmax"] = False
+
+    with pytest.raises(ValueError, match="unsupported checkpoint format: 1"):
+        load_model(rewritten_checkpoint(tmp_path, version_1))
+
+
+def test_checkpoint_config_must_have_exactly_the_config_fields(tmp_path):
+    unexpected = rewritten_checkpoint(
+        tmp_path, lambda manifest: manifest["config"].update(normalize_dual_softmax=True)
+    )
+    with pytest.raises(
+        ValueError, match=r"missing: \[\], unexpected: \['normalize_dual_softmax'\]"
+    ):
+        load_model(unexpected)
+    missing = rewritten_checkpoint(tmp_path, lambda manifest: manifest["config"].pop("ffn_dim"))
+    with pytest.raises(ValueError, match=r"missing: \['ffn_dim'\], unexpected: \[\]"):
+        load_model(missing)
+
+
+def test_checkpoint_without_a_manifest_rejected(tmp_path):
+    with pytest.raises(ValueError, match="checkpoint has no __manifest__"):
+        load_model(rewritten_checkpoint(tmp_path))
+    for key in ("config", "known_images", "stub_seed"):
+        bad = rewritten_checkpoint(tmp_path, lambda manifest: manifest.pop(key))
+        with pytest.raises(ValueError, match=f"checkpoint manifest is missing: {key}$"):
+            load_model(bad)
 
 
 @pytest.mark.parametrize(
