@@ -53,8 +53,8 @@ differences; ``variant_grad_check`` points it at the segment kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -230,13 +230,15 @@ class MultiHeadParams:
     wkx: np.ndarray | None = None
     wvx: np.ndarray | None = None
 
+    def weights(self) -> Iterator[tuple[str, np.ndarray]]:
+        """(name, array) for every present weight, in field order."""
+        for f in fields(self):
+            array = getattr(self, f.name)
+            if array is not None:
+                yield f.name, array
+
     def param_count(self) -> int:
-        count = self.wq.size + self.wk.size + self.wv.size + self.wo.size
-        if self.wkx is not None:
-            count += self.wkx.size
-        if self.wvx is not None:
-            count += self.wvx.size
-        return count
+        return sum(array.size for _, array in self.weights())
 
 
 def init_multi_head_params(
@@ -327,8 +329,8 @@ def multi_head_input_vjp(
         raise ValueError("dout must have the saved pass's row count and model_dim columns")
     dheads = (dout @ params.wo.T).reshape(-1, num_heads, head_dim)
     grads = segment_attention_vjp(saved, dheads.transpose(1, 0, 2))
-    weights = {"q": params.wq, "k": params.wk, "v": params.wv, "kx": params.wkx, "vx": params.wvx}
-    return sum((g @ _swap(weights[name])).sum(axis=0) for name, g in grads.items())
+    weights = dict(params.weights())
+    return sum((g @ _swap(weights["w" + name])).sum(axis=0) for name, g in grads.items())
 
 
 # ---------------------------------------------------------------------------

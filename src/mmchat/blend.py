@@ -236,18 +236,21 @@ def record_to_dict(record: SourceRecord) -> dict:
     }
 
 
+def _image_ids(value: object, key: str) -> tuple[str, ...]:
+    """A JSON array of string or integer ids, as strings; else a ValueError."""
+    if not isinstance(value, list) or not all(type(i) in (str, int) for i in value):
+        raise ValueError(f"{key} must be a JSON array of strings or integers, got {value!r}")
+    return tuple(str(i) for i in value)
+
+
 def record_from_dict(data: dict) -> SourceRecord:
     rounds = tuple(
-        Round(
-            images=tuple(str(i) for i in r["images"]),
-            question=r["question"],
-            answer=r["answer"],
-        )
+        Round(_image_ids(r["images"], "images"), r["question"], r["answer"])
         for r in data["rounds"]
     )
     return SourceRecord(
         dataset=Dataset(data["dataset"]),
-        image_ids=tuple(str(i) for i in data["image_ids"]),
+        image_ids=_image_ids(data["image_ids"], "image_ids"),
         conversation=Conversation(system=data["system"], rounds=rounds),
     )
 

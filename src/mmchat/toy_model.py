@@ -51,10 +51,10 @@ GradDict = dict[str, np.ndarray]
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Toy dimensions, sized so brute-force reference evaluations run in
-    milliseconds. All knobs are free; the defaults keep finite-difference
-    checks of the full model cheap. ``variant`` may be given as its value
-    (``"mmca"``); ``variant`` and ``image_self`` are the attention rule."""
+    """Toy dimensions (each an integer >= 1), sized so finite-difference
+    and brute-force reference checks of the full model run in milliseconds.
+    ``variant`` may be given as its value (``"mmca"``); ``variant`` and
+    ``image_self`` are the attention rule."""
 
     vision_dim: int = 8
     model_dim: int = 16
@@ -69,8 +69,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for name in ("vision_dim", "model_dim", "num_heads", "num_layers",
                      "vocab_size", "ffn_dim", "image_token_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("model_dim must be divisible by num_heads")
         object.__setattr__(self, "variant", AttentionVariant(self.variant))
@@ -91,11 +92,14 @@ class DecoderBlock:
     w2: np.ndarray
     b2: np.ndarray
 
+    def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
+        """Every tensor under its name within the block, in a fixed order."""
+        for name, array in self.attn.weights():
+            yield f"attn.{name}", array
+        yield from (("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2))
+
     def param_count(self) -> int:
-        return (
-            self.attn.param_count()
-            + self.w1.size + self.b1.size + self.w2.size + self.b2.size
-        )
+        return sum(array.size for _, array in self.tensors())
 
 
 @dataclass
@@ -122,20 +126,15 @@ class ToyModel:
     def frozen_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
         """All frozen tensors under stable names, in a fixed order."""
         for i, block in enumerate(self.blocks):
-            yield f"block{i}.attn.wq", block.attn.wq
-            yield f"block{i}.attn.wk", block.attn.wk
-            yield f"block{i}.attn.wv", block.attn.wv
-            yield f"block{i}.attn.wo", block.attn.wo
-            if block.attn.wkx is not None:
-                yield f"block{i}.attn.wkx", block.attn.wkx
-            if block.attn.wvx is not None:
-                yield f"block{i}.attn.wvx", block.attn.wvx
-            yield f"block{i}.w1", block.w1
-            yield f"block{i}.b1", block.b1
-            yield f"block{i}.w2", block.w2
-            yield f"block{i}.b2", block.b2
+            for name, array in block.tensors():
+                yield f"block{i}.{name}", array
         for image_id in sorted(self.vision_stub):
             yield f"stub.{image_id}", self.vision_stub[image_id]
+
+    def named_tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor under its checkpoint name: the trainable pair, then
+        the frozen tensors in ``frozen_arrays`` order."""
+        return {**self.trainable_params(), **dict(self.frozen_arrays())}
 
 
 def vision_features(stub_seed: int, image_id: str, shape: tuple[int, int]) -> np.ndarray:
@@ -495,9 +494,12 @@ def make_copy_task(
 CHECKPOINT_FORMAT_VERSION = 2
 
 
-def _config_from_dict(data: dict) -> ModelConfig:
-    """The manifest's config, which must name exactly ``ModelConfig``'s
-    fields; a missing or unexpected key is a ``ValueError`` naming it."""
+def _config_from_dict(data: object) -> ModelConfig:
+    """The manifest's config, which must be an object naming exactly
+    ``ModelConfig``'s fields; anything else is a ``ValueError`` naming the
+    offending key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"checkpoint config must be an object, got {type(data).__name__}")
     expected = {f.name for f in fields(ModelConfig)}
     missing, unexpected = sorted(expected - data.keys()), sorted(data.keys() - expected)
     if missing or unexpected:
@@ -513,50 +515,28 @@ def save_model(model: ToyModel, path: str | Path) -> None:
         "stub_seed": model.stub_seed,
         "known_images": sorted(model.vision_stub),
     }
-    arrays: dict[str, np.ndarray] = {
-        "projection": model.projection,
-        "embedding": model.embedding,
-    }
-    for name, array in model.frozen_arrays():
-        arrays[name] = array
+    arrays = model.named_tensors()
     arrays["__manifest__"] = np.frombuffer(
         json.dumps(manifest, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
     np.savez(path, **arrays)
 
 
-def _tensor_shapes(config: ModelConfig, known_images: list[str]) -> dict[str, tuple[int, ...]]:
-    """The shape of every tensor a checkpoint of ``config`` holds."""
-    m, f = config.model_dim, config.ffn_dim
-    head = (config.num_heads, m, m // config.num_heads)
-    projections = ("wq", "wk", "wv")
-    if config.variant is AttentionVariant.CAUSAL_PLUS_CROSS:
-        projections += ("wkx", "wvx")
-    shapes = {"projection": (config.vision_dim, m), "embedding": (config.vocab_size, m)}
-    for i in range(config.num_layers):
-        shapes.update({f"block{i}.attn.{name}": head for name in projections})
-        shapes.update({
-            f"block{i}.attn.wo": (m, m),
-            f"block{i}.w1": (m, f),
-            f"block{i}.b1": (f,),
-            f"block{i}.w2": (f, m),
-            f"block{i}.b2": (m,),
-        })
-    for image_id in known_images:
-        shapes[f"stub.{image_id}"] = (config.image_token_count, config.vision_dim)
-    return shapes
-
-
 def load_model(path: str | Path) -> ToyModel:
-    """Load a checkpoint written by save_model. The manifest must be
-    present, of this format version, and hold the known images, the stub
-    seed and a config with exactly ``ModelConfig``'s fields. Every tensor
-    must be present, float64, finite and shaped as that config says;
-    otherwise ValueError names the offending key or tensor."""
+    """Load a checkpoint written by save_model. The manifest must be an
+    object of this format version holding a config with exactly
+    ``ModelConfig``'s fields, the known images (a list of strings) and the
+    stub seed (an integer >= 0). The expected tensors are those of the
+    model ``make_model`` builds from the manifest: the checkpoint must hold
+    exactly their names, each float64, finite and of that model's shape,
+    and each is copied into it. Otherwise ValueError names the offending
+    key or tensor."""
     with np.load(path) as data:
         if "__manifest__" not in data.files:
             raise ValueError("checkpoint has no __manifest__")
         manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
+        if not isinstance(manifest, dict):
+            raise ValueError(f"checkpoint manifest must be an object, got {type(manifest).__name__}")
         if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint format: {manifest.get('format_version')!r}"
@@ -565,36 +545,25 @@ def load_model(path: str | Path) -> ToyModel:
         if missing:
             raise ValueError(f"checkpoint manifest is missing: {', '.join(missing)}")
         config = _config_from_dict(manifest["config"])
-        shapes = _tensor_shapes(config, manifest["known_images"])
-        unexpected = sorted(set(data.files) - set(shapes) - {"__manifest__"})
+        known, stub_seed = manifest["known_images"], manifest["stub_seed"]
+        if not isinstance(known, list) or not all(isinstance(i, str) for i in known):
+            raise ValueError(f"checkpoint known_images must be a list of strings, got {known!r}")
+        if not isinstance(stub_seed, int) or isinstance(stub_seed, bool) or stub_seed < 0:
+            raise ValueError(f"checkpoint stub_seed must be an integer >= 0, got {stub_seed!r}")
+        model = make_model(config, stub_seed, tuple(known))
+        tensors = model.named_tensors()
+        unexpected = sorted(set(data.files) - tensors.keys() - {"__manifest__"})
         if unexpected:
             raise ValueError(f"checkpoint has unexpected tensors: {', '.join(unexpected)}")
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape in shapes.items():
+        for name, target in tensors.items():
             if name not in data.files:
                 raise ValueError(f"checkpoint is missing tensor {name}")
             array = data[name]
             if array.dtype != np.float64:
                 raise ValueError(f"tensor {name} has dtype {array.dtype}, expected float64")
-            if array.shape != shape:
-                raise ValueError(f"tensor {name} has shape {array.shape}, expected {shape}")
+            if array.shape != target.shape:
+                raise ValueError(f"tensor {name} has shape {array.shape}, expected {target.shape}")
             if not np.isfinite(array).all():
                 raise ValueError(f"tensor {name} contains non-finite values")
-            tensors[name] = array
-    attn_names = ("wq", "wk", "wv", "wo", "wkx", "wvx")
-    blocks = tuple(
-        DecoderBlock(
-            attn=MultiHeadParams(**{w: tensors.get(f"block{i}.attn.{w}") for w in attn_names}),
-            **{w: tensors[f"block{i}.{w}"] for w in ("w1", "b1", "w2", "b2")},
-        )
-        for i in range(config.num_layers)
-    )
-    known = manifest["known_images"]
-    return ToyModel(
-        config=config,
-        projection=tensors["projection"],
-        embedding=tensors["embedding"],
-        blocks=blocks,
-        vision_stub={image_id: tensors[f"stub.{image_id}"] for image_id in known},
-        stub_seed=manifest["stub_seed"],
-    )
+            target[...] = array
+    return model

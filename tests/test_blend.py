@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -332,6 +333,30 @@ def test_jsonl_normalizes_integer_ids():
     record = record_from_dict(payload)
     assert record.image_ids == ("5",)
     assert record.conversation.rounds[0].images == ("5",)
+
+
+@pytest.mark.parametrize(
+    "ids", ["img12", {"img12": 1}, [None], [["img12"]], [True]],
+    ids=["string", "object", "null-item", "array-item", "bool-item"],
+)
+@pytest.mark.parametrize("key", ["image_ids", "images"])
+def test_jsonl_image_ids_must_be_arrays_of_ids(tmp_path, key, ids):
+    # a string or an object there would otherwise be iterated into ids, and
+    # any other item would be stringified into one
+    payload = {
+        "dataset": "llava",
+        "image_ids": ["img12"],
+        "system": "s",
+        "rounds": [{"images": ["img12"], "question": "q", "answer": "x"}],
+    }
+    record_from_dict(payload)  # the well-formed record loads
+    (payload if key == "image_ids" else payload["rounds"][0])[key] = ids
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps(record_to_dict(make_llava_corpus(1)[0]))
+    path.write_text(good + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    message = f"line 2: {key} must be a JSON array of strings or integers, got {re.escape(repr(ids))}$"
+    with pytest.raises(ValueError, match=message):
+        read_records(path)
 
 
 # ---------------------------------------------------------------------------

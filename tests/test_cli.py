@@ -190,6 +190,17 @@ def test_render_command_empty_input(tmp_path):
     assert payload == {"rendered": 0, "dropped": {"too_many_images": 0, "over_length": 0}}
 
 
+def test_render_command_rejects_a_string_of_image_ids(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    record = {"dataset": "llava", "image_ids": "img12", "system": "s",
+              "rounds": [{"images": "img12", "question": "q", "answer": "x"}]}
+    src.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    out, stats = tmp_path / "out.jsonl", tmp_path / "stats.json"
+    assert main(["render", "--input", str(src), "--out", str(out), "--stats-out", str(stats)]) == 2
+    assert "line 1: images must be a JSON array of strings or integers, got 'img12'" in capsys.readouterr().err
+    assert not stats.exists()
+
+
 # Text-only, 1-image, 3-image and over-length (41+ tokens) records.
 _GOLDEN_CORPUS = [
     '{"dataset": "other", "image_ids": [], "rounds": [{"answer": "hello", "images": [], "question": "hi there"}], "system": "be brief"}',

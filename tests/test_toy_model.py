@@ -58,6 +58,14 @@ def test_config_validation():
         ModelConfig(vocab_size=0)
 
 
+@pytest.mark.parametrize(
+    ("name", "value"), [("num_heads", 2.0), ("vocab_size", True), ("model_dim", "16"), ("ffn_dim", None)]
+)
+def test_config_sizes_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
+        ModelConfig(**{name: value})
+
+
 def test_config_takes_the_variant_by_value_and_checks_the_rule():
     images = ("a", "b")
     sample = small_sample(images=images)
@@ -404,20 +412,29 @@ def test_train_loop_writes_csv(tmp_path):
 # Checkpoints
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    model = small_model(seed=4)
-    sample = small_sample()
+@pytest.mark.parametrize("num_layers", [1, 3])
+@pytest.mark.parametrize("variant", [v.value for v in AttentionVariant])
+def test_checkpoint_roundtrip(tmp_path, variant, num_layers):
+    config = ModelConfig(**{**SMALL.__dict__, "variant": variant, "num_layers": num_layers})
+    images = ("a", "img1")
+    model = small_model(config, seed=4, images=images)
+    sample = small_sample(config, images=images)
     path = tmp_path / "model.npz"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.config == model.config
+    assert loaded.config == model.config and loaded.stub_seed == 4
+    saved, restored = model.named_tensors(), loaded.named_tensors()
+    assert list(restored) == list(saved)
+    for name, array in saved.items():
+        assert np.array_equal(restored[name], array), name
     assert frozen_fingerprint(loaded) == frozen_fingerprint(model)
     assert np.array_equal(forward(loaded, sample), forward(model, sample))
 
 
-def rewritten_checkpoint(tmp_path, change=None):
+def rewritten_checkpoint(tmp_path, change=None, encode=json.dumps):
     """A checkpoint of the small model whose manifest ``change`` edits in
-    place; with no ``change`` the manifest is dropped."""
+    place and ``encode`` writes; with no ``change`` the manifest is
+    dropped."""
     path = tmp_path / "model.npz"
     save_model(small_model(), path)
     with np.load(path) as data:
@@ -425,7 +442,7 @@ def rewritten_checkpoint(tmp_path, change=None):
     manifest = json.loads(bytes(arrays.pop("__manifest__")).decode("utf-8"))
     if change is not None:
         change(manifest)
-        arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+        arrays["__manifest__"] = np.frombuffer(encode(manifest).encode("utf-8"), dtype=np.uint8)
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
     return bad
@@ -471,6 +488,32 @@ def test_checkpoint_without_a_manifest_rejected(tmp_path):
             load_model(bad)
 
 
+def test_checkpoint_manifest_must_be_an_object(tmp_path):
+    bad = rewritten_checkpoint(tmp_path, lambda manifest: None, lambda m: json.dumps([m]))
+    with pytest.raises(ValueError, match="checkpoint manifest must be an object, got list"):
+        load_model(bad)
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        (lambda manifest: manifest.update(config=[1]), "config must be an object, got list"),
+        (lambda manifest: manifest.update(known_images=3), "known_images must be a list of strings"),
+        (lambda manifest: manifest.update(known_images="ab"), "known_images must be a list of strings"),
+        (lambda manifest: manifest.update(known_images=["a", 1]), "known_images must be a list"),
+        (lambda manifest: manifest.update(stub_seed="x"), "stub_seed must be an integer >= 0"),
+        (lambda manifest: manifest.update(stub_seed=True), "stub_seed must be an integer >= 0"),
+        (lambda manifest: manifest.update(stub_seed=-1), "stub_seed must be an integer >= 0"),
+        (lambda manifest: manifest["config"].update(num_heads=2.0), "num_heads must be an integer"),
+    ],
+    ids=["config-list", "known_images-int", "known_images-str", "known_images-mixed",
+         "stub_seed-str", "stub_seed-bool", "stub_seed-negative", "num_heads-float"],
+)
+def test_checkpoint_manifest_types_validated(tmp_path, change, message):
+    with pytest.raises(ValueError, match=message):
+        load_model(rewritten_checkpoint(tmp_path, change))
+
+
 @pytest.mark.parametrize(
     ("name", "corrupt", "message"),
     [
@@ -480,10 +523,13 @@ def test_checkpoint_without_a_manifest_rejected(tmp_path):
         ("block0.attn.wo", lambda a: None, "missing tensor block0.attn.wo"),
         ("stub.img0", lambda a: np.zeros((5, 8)), r"stub.img0 has shape \(5, 8\)"),
         ("block0.attn.wkx", lambda a: np.zeros((2, 16, 8)), "unexpected tensors: block0.attn.wkx"),
+        ("cross:block0.attn.wvx", lambda a: None, "missing tensor block0.attn.wvx"),
     ],
 )
 def test_checkpoint_tensors_validated(tmp_path, name, corrupt, message):
-    model = make_model(ModelConfig(), seed=0, known_images=("img0",))
+    # a "variant:" prefix on the tensor name picks the model's variant (mmca by default)
+    variant, _, name = name.rpartition(":")
+    model = make_model(ModelConfig(variant=variant or "mmca"), seed=0, known_images=("img0",))
     path = tmp_path / "model.npz"
     save_model(model, path)
     with np.load(path) as data:
