@@ -22,12 +22,16 @@ NaN, which keeps image-free text prefixes well-defined.
 ``AttentionLayout`` built once per sequence, one softmax term at a time:
 image rows over their own block, text rows over text keys (every row, for
 causal), and runs of text rows over exactly the image keys before them. No
-d x d array is formed. Each term's scores are computed from the pre-scaled
+d x d array is formed. A pass gathers Q along the layout's row order and
+K/V (and Kx/Vx) along its key order once, runs every term on slices and
+reshaped views of those, and scatters its output, or each gradient, back
+to sequence order once. Each term's scores are computed from the pre-scaled
 Q into a fresh buffer that is masked and turned into max-shifted
 exponentials E in place. Normalization is deferred (FlashAttention, Dao et
 al., arXiv 2205.14135): the thin output E @ V is divided by the row totals,
 never the rows x keys E. The forward pass returns one ``SavedAttention``:
-its layout, scale and inputs and each term's E, row totals and output. The
+its layout, scale and ordered inputs and each term's E, row totals and
+output. The
 VJP reads it and nothing else, so a backward pass takes no inputs that
 could disagree with the forward pass, forms no scores, takes no softmax
 and needs no rowsum(P * dP) pass over the rows x keys arrays. A restricted
@@ -83,11 +87,11 @@ def _exp_in_place(s: np.ndarray, forbid: np.ndarray | None, check: bool) -> np.n
     if forbid is not None:
         np.copyto(s, -np.inf, where=forbid)
     shift = s.max(axis=-1, keepdims=True)
-    shift[np.isneginf(shift)] = 0.0  # empty support: every entry is -inf
+    np.copyto(shift, 0.0, where=np.isneginf(shift))  # empty support: every entry is -inf
     s -= shift
     np.exp(s, out=s)
     total = s.sum(axis=-1, keepdims=True)
-    total[total == 0.0] = 1.0
+    np.copyto(total, 1.0, where=total == 0.0)
     return total
 
 
@@ -117,13 +121,19 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _blocks(a: np.ndarray, stack: int) -> np.ndarray:
+    """``a``'s rows as a view of ``stack`` equal blocks; ``a`` itself for 0."""
+    return a.reshape(*a.shape[:-2], stack, -1, a.shape[-1]) if stack else a
+
+
 @dataclass(frozen=True)
 class SavedAttention:
     """State of one ``segment_attention`` pass, which ``segment_attention_vjp``
     and ``attention_weights`` read: the layout, the score scale, the inputs
-    as given (Q/K/V, plus Kx/Vx when passed) and, per ``layout.terms``
-    entry, its max-shifted exponentials E, their row totals and its own
-    output O = (E @ V) / total."""
+    in the layout's order (Q along ``layout.rows``; K/V, plus Kx/Vx when
+    passed, along ``layout.keys``) and, per ``layout.terms`` entry, its
+    max-shifted exponentials E, their row totals and its own output
+    O = (E @ V) / total."""
 
     layout: AttentionLayout
     scale: float
@@ -149,19 +159,23 @@ def segment_attention(
     peaks = _check_inputs(layout, given)
     keys_peak = max(peaks["k"], peaks.get("kx", 0.0))
     check = q.shape[-1] * abs(scale) * peaks["q"] * keys_peak >= _SCORE_BOUND
-    sources = {False: (k, v), True: (kx, vx)}
-    q = scale * q  # scale the thin side, not the rows x keys scores
+    inputs = {name: a[..., layout.rows if name == "q" else layout.keys, :]
+              for name, a in given.items()}
+    sources = {False: (inputs["k"], inputs["v"]), True: (inputs.get("kx"), inputs.get("vx"))}
+    q = scale * inputs["q"]  # scale the thin side, not the rows x keys scores
     out = np.zeros(q.shape)
     terms = []
-    for rows, keys, forbid, cross in layout.terms:
-        kk, vv = sources[cross]
-        e = q[..., rows, :] @ _swap(kk[..., keys, :])
+    for rows, keys, forbid, cross, stack in layout.terms:
+        kk, vv = (_blocks(a[..., keys, :], stack) for a in sources[cross])
+        e = _blocks(q[..., rows, :], stack) @ _swap(kk)
         total = _exp_in_place(e, forbid, check)
-        term_out = e @ vv[..., keys, :]
+        term_out = e @ vv
         term_out /= total  # normalize the thin rows x head_dim output, not E
-        out[..., rows, :] += term_out
+        out[..., rows, :] += term_out.reshape(out[..., rows, :].shape)
         terms.append((e, total, term_out))
-    return out, SavedAttention(layout, scale, given, tuple(terms))
+    full = np.zeros(given["q"].shape)
+    full[..., layout.rows, :] = out
+    return full, SavedAttention(layout, scale, inputs, tuple(terms))
 
 
 def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
@@ -174,26 +188,33 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
     divided: with G = dO / total, P^T dO = E^T G, and the score gradient
     P * (dO V^T - D) with the row term D = rowsum(dO * O) (FlashAttention,
     Dao et al. 2022) is E * (G V^T - rowsum(G * O))."""
-    inputs = saved.inputs
-    shape = inputs["q"].shape
+    inputs, layout = saved.inputs, saved.layout
+    shape = inputs["k"].shape
     if dout.shape != shape:
         raise ValueError(f"dout must have the output's shape {shape}, got {dout.shape}")
     if not np.isfinite(dout).all():
         raise ValueError("dout contains non-finite values")
+    dout = dout[..., layout.rows, :]
     grads = {name: np.zeros_like(a) for name, a in inputs.items()}
-    for (e, total, term_out), (rows, keys, _, cross) in zip(saved.terms, saved.layout.terms):
+    for (e, total, term_out), (rows, keys, _, cross, stack) in zip(saved.terms, layout.terms):
+        q, gq = (_blocks(a[..., rows, :], stack) for a in (inputs["q"], grads["q"]))
         kn, vn = ("kx", "vx") if cross else ("k", "v")
-        g = dout[..., rows, :] / total
-        grads[vn][..., keys, :] += _swap(e) @ g
-        ds = g @ _swap(inputs[vn][..., keys, :])
+        k, gk, v, gv = (_blocks(a[name][..., keys, :], stack)
+                        for name in (kn, vn) for a in (inputs, grads))
+        g = _blocks(dout[..., rows, :], stack) / total
+        gv += _swap(e) @ g
+        ds = g @ _swap(v)
         ds -= (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
         ds *= e
-        grads["q"][..., rows, :] += ds @ inputs[kn][..., keys, :]
-        grads[kn][..., keys, :] += _swap(ds) @ inputs["q"][..., rows, :]
-    for name in ("q", "k", "kx"):
-        if name in grads:
-            grads[name] *= saved.scale
-    return grads
+        gq += ds @ k
+        gk += _swap(ds) @ q
+    full = {}
+    for name, grad in grads.items():
+        if name in ("q", "k", "kx"):
+            grad *= saved.scale
+        full[name] = np.zeros(shape)
+        full[name][..., layout.rows if name == "q" else layout.keys, :] = grad
+    return full
 
 
 def attention_weights(saved: SavedAttention) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +227,9 @@ def attention_weights(saved: SavedAttention) -> tuple[np.ndarray, np.ndarray]:
     layout = saved.layout
     lead = saved.inputs["q"].shape[:-2]
     text, image = np.zeros((2, *lead, layout.d, layout.d))
-    for (e, total, _), (rows, keys, forbid, _) in zip(saved.terms, layout.terms):
-        view = text if forbid is not None else image
+    for (e, total, _), term in zip(saved.terms, layout.terms):
+        rows, keys = layout.positions(term)
+        view = text if term.forbid is not None else image
         view[..., rows[..., :, None], keys[..., None, :]] = e * (1.0 / total)
     return text, image
 
@@ -298,7 +320,8 @@ def multi_head_forward(
     """Per-head projections, the segment kernel over ``layout`` (built
     once per sequence and reused for every layer and pass), concatenation
     of the heads, output projection; plus the kernel's saved pass, whose
-    inputs are the per-head projections, for the input VJP. The layout
+    inputs are the per-head projections in the layout's order, for the
+    input VJP. The layout
     carries the attention rule; ``params.wq``'s shape (num_heads,
     model_dim, head_dim) carries the head shape and so the 1/sqrt(head_dim)
     score scale."""

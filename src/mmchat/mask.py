@@ -9,10 +9,12 @@ The dense mask is the inspectable reference (``mmchat mask`` prints it).
 Attention uses ``build_layout`` instead: the same edges as a tuple of
 softmax terms (image blocks, text rows over text keys, and a staircase of
 text-row runs over exactly the image keys before them), with no d x d
-array. The variant and ``image_self`` are the whole attention rule, and
-both builders take both. ``AttentionLayout.restrict`` keeps only chosen
-query rows, for a pass whose other rows reach nothing (the toy model's
-last block, whose only consumers are the loss's target rows).
+array. The layout puts the positions in modality order, image positions
+first, so every term reads one slice of its rows and one of its keys. The
+variant and ``image_self`` are the whole attention rule, and both builders
+take both. ``AttentionLayout.restrict`` keeps only chosen query rows, for
+a pass whose other rows reach nothing (the toy model's last block, whose
+only consumers are the loss's target rows).
 
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. Two builders cover the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -130,16 +133,17 @@ def build_mask(
 
 
 class Term(NamedTuple):
-    """One softmax term: its query rows, the key positions they read, the
-    (rows, keys) entries they may not read (``forbid``; ``None`` when every
-    row reads every key), and whether the keys are read through Kx/Vx
-    instead of K/V. ``rows`` and ``keys`` may be (count, size) stacks of
-    equal-size image blocks, each block its own softmax."""
+    """One softmax term: slices of the layout's ``rows`` and ``keys``, the
+    (rows, keys) entries the rows may not read (``forbid``; ``None``: every
+    row reads every key), whether the keys are read through Kx/Vx instead
+    of K/V, and ``stack``: the number of equal-size blocks, each its own
+    softmax over itself, that the term splits into (0: one flat term)."""
 
-    rows: np.ndarray
-    keys: np.ndarray
+    rows: slice
+    keys: slice
     forbid: np.ndarray | None
     cross: bool
+    stack: int = 0
 
 
 @dataclass(frozen=True)
@@ -147,33 +151,46 @@ class AttentionLayout:
     """The attention pattern of one sequence for one variant, as a sum of
     softmax terms rather than a d x d mask.
 
+    ``keys`` orders the positions by modality: every image position, then
+    every text position (for causal, the identity); ``rows`` lists the
+    computed query rows in that order. Every term reads slices of both.
+
     Causal is one term: every row over every key, forbidding later keys.
-    For mmca and cross, equal-size image blocks are stacked into one term
-    each; every image row reads its own block through K/V (with
+    For mmca and cross, each run of adjacent equal-size image blocks is one
+    stacked term, every image row reading its own block through K/V (with
     ``image_self="diagonal"`` every image token is a one-token block).
     Text rows read text keys in one term, forbidding later keys, and image
     keys in a staircase: one unmasked term per run of text rows with the
     same number n of image tokens before them, reading exactly those n
-    image keys (through Kx/Vx for cross). Text rows before the first image
-    have no image term. The kernel sums the terms' outputs.
+    image keys, ``keys[:n]`` (through Kx/Vx for cross). Text rows before
+    the first image have no image term. The kernel sums the terms' outputs.
     """
 
     d: int
     variant: AttentionVariant
     terms: tuple[Term, ...]
+    rows: np.ndarray
+    keys: np.ndarray
 
     @property
     def reads_cross(self) -> bool:
         return any(term.cross for term in self.terms)
 
+    def positions(self, term: Term) -> tuple[np.ndarray, np.ndarray]:
+        """The sequence positions of ``term``'s rows and keys: (count, size)
+        arrays for a stack of blocks, 1-D otherwise."""
+        shape = (term.stack, -1) if term.stack else (-1,)
+        return self.rows[term.rows].reshape(shape), self.keys[term.keys].reshape(shape)
+
     def restrict(self, rows: np.ndarray) -> AttentionLayout:
-        """The layout over the same ``d`` whose terms keep only the query
-        rows in ``rows`` (non-empty, each in [0, d)). A 1-D term keeps its
-        rows in the set and their ``forbid`` rows. Of a stack of image
-        blocks, the wholly kept blocks stay stacked, and each partly kept
-        block becomes a term of its kept rows over its whole block. Terms
-        left empty are dropped. Every allowed edge of a kept row stays in
-        exactly one term; the kernel gives every other row zero output."""
+        """The layout over the same ``d`` and ``keys`` whose terms keep only
+        the query rows in ``rows`` (non-empty, each in [0, d)), in the old
+        row order, so each term's kept rows stay one slice. A flat term
+        keeps its ``forbid`` rows. Of a stack, each run of wholly kept
+        adjacent blocks stays stacked, and each partly kept block becomes a
+        flat term over its block's keys. Terms left empty are dropped.
+        Every allowed edge of a kept row stays in exactly one term; the
+        kernel gives every other row zero output."""
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size == 0:
             raise ValueError("restrict needs at least one row")
@@ -181,21 +198,27 @@ class AttentionLayout:
             raise ValueError(f"rows must lie in [0, {self.d})")
         keep = np.zeros(self.d, dtype=bool)
         keep[rows] = True
+        kept = keep[self.rows]
+        at = [0, *np.cumsum(kept).tolist()]  # new index of each old row index
         terms = []
         for term in self.terms:
-            kept = keep[term.rows]
-            if term.rows.ndim == 1:
-                if kept.any():
-                    forbid = None if term.forbid is None else term.forbid[kept]
-                    terms.append(term._replace(rows=term.rows[kept], forbid=forbid))
+            start, stop = term.rows.start, term.rows.stop
+            if not term.stack:
+                if at[stop] > at[start]:
+                    forbid = None if term.forbid is None else term.forbid[kept[term.rows]]
+                    terms.append(term._replace(rows=slice(at[start], at[stop]), forbid=forbid))
                 continue
-            whole = kept.all(axis=1)
-            if whole.any():
-                terms.append(term._replace(rows=term.rows[whole], keys=term.keys[whole]))
-            for block, block_keys, block_kept in zip(term.rows, term.keys, kept):
-                if block_kept.any() and not block_kept.all():
-                    terms.append(Term(block[block_kept], block_keys, None, term.cross))
-        return replace(self, terms=tuple(terms))
+            size = (stop - start) // term.stack
+            ends = at[start : stop + 1 : size]  # new index of each block boundary
+            whole = np.diff(ends) == size
+            for _, run in groupby(range(term.stack), key=lambda b: -1 if whole[b] else b):
+                run = list(run)  # adjacent whole blocks, or one partly kept or empty block
+                lo, hi = run[0], run[-1] + 1
+                if ends[hi] > ends[lo]:
+                    keys = slice(term.keys.start + lo * size, term.keys.start + hi * size)
+                    stack = hi - lo if whole[lo] else 0
+                    terms.append(term._replace(rows=slice(ends[lo], ends[hi]), keys=keys, stack=stack))
+        return replace(self, terms=tuple(terms), rows=self.rows[kept])
 
 
 def build_layout(
@@ -211,25 +234,27 @@ def build_layout(
     causal = variant is AttentionVariant.CAUSAL_ONLY  # modality ignored: every token is text
     is_image = np.zeros(seq.d, dtype=bool) if causal else seq.is_image()
     positions, blocks = np.arange(seq.d), [] if causal else image_blocks(seq)
-    images, text = positions[is_image], positions[~is_image]
-    if image_self == "block":
-        by_size: dict[int, list[np.ndarray]] = {}
-        for _, start, end in blocks:
-            by_size.setdefault(end - start, []).append(positions[start:end])
-        stacks = [np.stack(group) for group in by_size.values()]
-    else:
-        stacks = [images[:, None]] if images.size else []
-    terms = [Term(stack, stack, None, False) for stack in stacks]
+    text = positions[~is_image]
+    order = np.concatenate([positions[is_image], text])
+    n_img = seq.d - text.size
+    sizes = [1] * n_img if image_self == "diagonal" else [end - start for _, start, end in blocks]
+    terms, at = [], 0
+    for size, run in groupby(sizes):
+        count = len(list(run))
+        span = slice(at, at + size * count)
+        terms.append(Term(span, span, None, False, count))
+        at = span.stop
     if text.size:
-        terms.append(Term(text, text, text[None, :] > text[:, None], False))
+        span = slice(n_img, seq.d)
+        terms.append(Term(span, span, text[None, :] > text[:, None], False))
     cross = variant is AttentionVariant.CAUSAL_PLUS_CROSS
     n = 0
     stops = [start for _, start, _ in blocks[1:]] + [seq.d]
     for (_, start, end), stop in zip(blocks, stops):
         n += end - start
         if stop > end:  # the text rows up to the next block read the n image keys before them
-            terms.append(Term(positions[end:stop], images[:n], None, cross))
-    return AttentionLayout(d=seq.d, variant=variant, terms=tuple(terms))
+            terms.append(Term(slice(n_img + end - n, n_img + stop - n), slice(0, n), None, cross))
+    return AttentionLayout(seq.d, variant, tuple(terms), order, order)
 
 
 def render_mask(mask: MmcaMask) -> str:

@@ -207,12 +207,12 @@ def _sample_blocks(model: ToyModel, sample: RenderedSample) -> list[tuple[str, i
     return out
 
 
-def _embed(model: ToyModel, sample: RenderedSample) -> np.ndarray:
+def _embed(model: ToyModel, sample: RenderedSample, blocks: list[tuple[str, int, int]]) -> np.ndarray:
     token_ids = np.asarray(sample.token_ids)
     if token_ids.min() < 0 or token_ids.max() >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     x = model.embedding[token_ids].copy()
-    for image_id, start, end in _sample_blocks(model, sample):
+    for image_id, start, end in blocks:
         x[start:end] = model.vision_stub[image_id] @ model.projection
     return x
 
@@ -247,7 +247,7 @@ def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     the embedding transpose. Each block's saved attention state is freed
     before the next block runs."""
     layout = _layout(model, sample)
-    h = _embed(model, sample)
+    h = _embed(model, sample, _sample_blocks(model, sample))
     for block in model.blocks:
         h = _run_block(block, h, layout)[0]
     logits = h @ model.embedding.T
@@ -314,7 +314,8 @@ def loss_and_param_grads(
     run on every row. The embedding gradient collects both of its roles:
     output head (tied transpose) and input rows at text positions.
     """
-    h = _embed(model, sample)
+    blocks = _sample_blocks(model, sample)
+    h = _embed(model, sample, blocks)
     layout = _layout(model, sample)
     positions = _target_positions(sample)
     token_ids = np.asarray(sample.token_ids)
@@ -342,7 +343,7 @@ def loss_and_param_grads(
         del saved  # free this layer's attention state before the next layer's VJP
 
     d_projection = np.zeros_like(model.projection)
-    for image_id, start, end in _sample_blocks(model, sample):
+    for image_id, start, end in blocks:
         d_projection += model.vision_stub[image_id].T @ dh[start:end]
     text = np.flatnonzero(~sample.tags.is_image())
     np.add.at(d_embedding, token_ids[text], dh[text])
@@ -522,6 +523,16 @@ def save_model(model: ToyModel, path: str | Path) -> None:
     np.savez(path, **arrays)
 
 
+def _stored_tensor(data: np.lib.npyio.NpzFile, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The checkpoint's tensor ``name``, which must exist with ``shape``."""
+    if name not in data.files:
+        raise ValueError(f"checkpoint is missing tensor {name}")
+    array = data[name]
+    if array.shape != shape:
+        raise ValueError(f"tensor {name} has shape {array.shape}, expected {shape}")
+    return array
+
+
 def load_model(path: str | Path) -> ToyModel:
     """Load a checkpoint written by save_model. The manifest must be an
     object of this format version holding a config with exactly
@@ -529,8 +540,10 @@ def load_model(path: str | Path) -> ToyModel:
     stub seed (an integer >= 0). The expected tensors are those of the
     model ``make_model`` builds from the manifest: the checkpoint must hold
     exactly their names, each float64, finite and of that model's shape,
-    and each is copied into it. Otherwise ValueError names the offending
-    key or tensor."""
+    and each is copied into it. Each config size is first checked against
+    a stored tensor of that size, so a manifest cannot make ``make_model``
+    allocate more than the checkpoint holds. Otherwise ValueError names the
+    offending key or tensor."""
     with np.load(path) as data:
         if "__manifest__" not in data.files:
             raise ValueError("checkpoint has no __manifest__")
@@ -550,19 +563,24 @@ def load_model(path: str | Path) -> ToyModel:
             raise ValueError(f"checkpoint known_images must be a list of strings, got {known!r}")
         if not isinstance(stub_seed, int) or isinstance(stub_seed, bool) or stub_seed < 0:
             raise ValueError(f"checkpoint stub_seed must be an integer >= 0, got {stub_seed!r}")
+        c = config  # each size against a stored tensor of that size, before allocating any
+        for name, shape in {
+            "projection": (c.vision_dim, c.model_dim),
+            "embedding": (c.vocab_size, c.model_dim),
+            f"block{c.num_layers - 1}.w1": (c.model_dim, c.ffn_dim),
+            "block0.attn.wq": (c.num_heads, c.model_dim, c.model_dim // c.num_heads),
+            **{f"stub.{image_id}": (c.image_token_count, c.vision_dim) for image_id in known},
+        }.items():
+            _stored_tensor(data, name, shape)
         model = make_model(config, stub_seed, tuple(known))
         tensors = model.named_tensors()
         unexpected = sorted(set(data.files) - tensors.keys() - {"__manifest__"})
         if unexpected:
             raise ValueError(f"checkpoint has unexpected tensors: {', '.join(unexpected)}")
         for name, target in tensors.items():
-            if name not in data.files:
-                raise ValueError(f"checkpoint is missing tensor {name}")
-            array = data[name]
+            array = _stored_tensor(data, name, target.shape)
             if array.dtype != np.float64:
                 raise ValueError(f"tensor {name} has dtype {array.dtype}, expected float64")
-            if array.shape != target.shape:
-                raise ValueError(f"tensor {name} has shape {array.shape}, expected {target.shape}")
             if not np.isfinite(array).all():
                 raise ValueError(f"tensor {name} contains non-finite values")
             target[...] = array

@@ -218,29 +218,80 @@ def test_edge_layouts_match_dense_reference(segments, config_index, seed):
 def test_layout_structure():
     seq = build_sequence([(T, 2), (I, 3), (T, 1), (I, 3), (I, 2), (T, 1), (I, 2)])
     mmca = build_layout(seq, AttentionVariant.MMCA)
+    # modality order: every image position, then every text position
+    assert mmca.keys.tolist() == mmca.rows.tolist() == [2, 3, 4, 6, 7, 8, 9, 10, 12, 13, 0, 1, 5, 11]
     three, two, text, *stairs = mmca.terms
-    # equal-size image blocks stack into one term each, every block over itself
-    assert three.rows.tolist() == [[2, 3, 4], [6, 7, 8]] and two.rows.tolist() == [[9, 10], [12, 13]]
-    assert all(np.array_equal(t.keys, t.rows) and t.forbid is None for t in (three, two))
-    assert text.rows.tolist() == text.keys.tolist() == [0, 1, 5, 11]
+    assert [(t.rows, t.keys, t.stack) for t in (three, two, text)] == [
+        (slice(0, 6), slice(0, 6), 2), (slice(6, 10), slice(6, 10), 2), (slice(10, 14), slice(10, 14), 0)
+    ]
+    # adjacent equal-size image blocks stack into one term each, every block over itself
+    (three_rows, three_keys), (two_rows, two_keys) = mmca.positions(three), mmca.positions(two)
+    assert three_rows.tolist() == [[2, 3, 4], [6, 7, 8]] and two_rows.tolist() == [[9, 10], [12, 13]]
+    assert np.array_equal(three_keys, three_rows) and np.array_equal(two_keys, two_rows)
+    assert three.forbid is None and two.forbid is None
+    assert [p.tolist() for p in mmca.positions(text)] == [[0, 1, 5, 11]] * 2
     assert np.array_equal(~text.forbid, np.tril(np.ones((4, 4), dtype=bool)))
     # the image keys each text row reads: none for rows 0 and 1 (before every
     # image), three for row 5, all eight for row 11; the trailing block comes
     # after the last text row, so no row reads it
-    assert [(t.rows.tolist(), t.keys.tolist(), t.forbid) for t in stairs] == [
+    assert [(*(p.tolist() for p in mmca.positions(t)), t.forbid) for t in stairs] == [
         ([5], [2, 3, 4], None), ([11], [2, 3, 4, 6, 7, 8, 9, 10], None)
     ]
+    assert [(t.rows, t.keys) for t in stairs] == [(slice(12, 13), slice(0, 3)), (slice(13, 14), slice(0, 8))]
     assert not mmca.reads_cross
     cross = build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
     assert cross.reads_cross and [t.cross for t in cross.terms] == [False] * 3 + [True] * 2
     diagonal = build_layout(seq, AttentionVariant.MMCA, "diagonal")
-    assert diagonal.terms[0].rows.tolist() == [[p] for p in (2, 3, 4, 6, 7, 8, 9, 10, 12, 13)]
-    assert [t.keys.tolist() for t in diagonal.terms[1:]] == [t.keys.tolist() for t in mmca.terms[2:]]
-    (causal,) = build_layout(seq, AttentionVariant.CAUSAL_ONLY).terms
-    assert causal.rows.tolist() == causal.keys.tolist() == list(range(seq.d))
+    assert diagonal.terms[0].stack == 10
+    assert diagonal.positions(diagonal.terms[0])[0].tolist() == [[p] for p in (2, 3, 4, 6, 7, 8, 9, 10, 12, 13)]
+    assert [diagonal.positions(t)[1].tolist() for t in diagonal.terms[1:]] == [
+        mmca.positions(t)[1].tolist() for t in mmca.terms[2:]
+    ]
+    causal_layout = build_layout(seq, AttentionVariant.CAUSAL_ONLY)
+    (causal,) = causal_layout.terms
+    assert causal_layout.keys.tolist() == list(range(seq.d))  # causal's order is the identity
+    assert [p.tolist() for p in causal_layout.positions(causal)] == [list(range(seq.d))] * 2
     assert np.array_equal(~causal.forbid, np.tril(np.ones((seq.d, seq.d), dtype=bool)))
     with pytest.raises(ValueError, match="image_self"):
         build_layout(seq, AttentionVariant.MMCA, "row")
+
+
+def test_layout_orders_on_edge_layouts():
+    """Each term's rows and keys are one slice of the layout's orders, on
+    the layouts where the slices are easiest to get wrong."""
+
+    def terms(layout):
+        return [(t.rows, t.keys, t.stack) for t in layout.terms]
+
+    # adjacent blocks of sizes 3, 3, 2, then a text token and a block of 3:
+    # only the two adjacent 3s stack
+    mixed = build_layout(build_sequence([(I, 3), (I, 3), (I, 2), (T, 1), (I, 3), (T, 2)]), "mmca")
+    assert mixed.keys.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 8, 12, 13]
+    assert terms(mixed) == [
+        (slice(0, 6), slice(0, 6), 2), (slice(6, 8), slice(6, 8), 1), (slice(8, 11), slice(8, 11), 1),
+        (slice(11, 14), slice(11, 14), 0), (slice(11, 12), slice(0, 8), 0), (slice(12, 14), slice(0, 11), 0),
+    ]
+    # a partly kept block in the middle of a stack splits it: the whole
+    # blocks on either side stay stacked, the partial one reads its whole block
+    stack = build_layout(build_sequence([(I, 3), (I, 3), (I, 3), (T, 1)]), "mmca")
+    part = stack.restrict([0, 1, 2, 4, 6, 7, 8])
+    assert part.rows.tolist() == [0, 1, 2, 4, 6, 7, 8] and part.keys is stack.keys
+    assert terms(part) == [
+        (slice(0, 3), slice(0, 3), 1), (slice(3, 4), slice(3, 6), 0), (slice(4, 7), slice(6, 9), 1)
+    ]
+    assert [k.tolist() for _, k in map(part.positions, part.terms)] == [[[0, 1, 2]], [3, 4, 5], [[6, 7, 8]]]
+    # text before the first image has no image term
+    early = build_layout(build_sequence([(T, 3), (I, 2), (T, 2)]), "cross")
+    assert early.keys.tolist() == [3, 4, 0, 1, 2, 5, 6]
+    assert terms(early) == [(slice(0, 2), slice(0, 2), 1), (slice(2, 7), slice(2, 7), 0),
+                            (slice(5, 7), slice(0, 2), 0)]
+    assert early.positions(early.terms[2])[0].tolist() == [5, 6]
+    # d=1
+    for kind, variant, image_self in ((T, "mmca", "block"), (I, "cross", "diagonal"), (I, "causal", "block")):
+        one = build_layout(build_sequence([(kind, 1)]), variant, image_self)
+        assert one.keys.tolist() == one.rows.tolist() == [0]
+        stack = int(kind is I and variant != "causal")
+        assert terms(one) == [(slice(0, 1), slice(0, 1), stack)]
 
 
 def assert_terms_account_for_mask(seq, variant, image_self, rows=None, by_value=False):
@@ -250,22 +301,30 @@ def assert_terms_account_for_mask(seq, variant, image_self, rows=None, by_value=
     terms; image-key terms carry no mask; cross flags mark exactly the text
     rows' image terms of the cross variant. With ``rows``, the same holds
     for the layout restricted to them, over the mask's kept rows, and no
-    other row has an edge in any term. ``by_value`` passes the variant as
-    its string value."""
+    other row has an edge in any term. The layout's ``keys`` are a
+    permutation of range(d) and its ``rows`` of the kept rows (in the full
+    layout's order), and every term's rows and keys are slices of them.
+    ``by_value`` passes the variant as its string value."""
     layout = build_layout(seq, as_given(variant, by_value), image_self)
     assert layout.variant is variant
     entries = build_mask(seq, variant, image_self).entries
     if rows is not None:
-        layout = layout.restrict(rows)
-        assert layout.d == seq.d
+        full, layout = layout, layout.restrict(rows)
+        assert layout.d == seq.d and layout.keys is full.keys
+        assert np.array_equal(layout.rows, full.rows[np.isin(full.rows, rows)])  # the old row order
         kept = np.zeros(seq.d, dtype=bool)
         kept[rows] = True
         entries = np.where(kept[:, None], entries, 0)
+    # the orders: every key once, every computed row once; each term reads slices of them
+    assert sorted(layout.keys.tolist()) == list(range(seq.d))
+    assert sorted(layout.rows.tolist()) == sorted(set(range(seq.d) if rows is None else rows))
+    assert all(type(t.rows) is slice and type(t.keys) is slice for t in layout.terms)
     is_image = seq.is_image()
     seen = np.zeros((3,) + entries.shape, dtype=int)  # edges per key class
     groups = np.zeros((3, seq.d), dtype=int)  # terms per (key class, row)
     for term in layout.terms:
-        for rows, keys in zip(np.atleast_2d(term.rows), np.atleast_2d(term.keys)):
+        term_rows, term_keys = layout.positions(term)
+        for rows, keys in zip(np.atleast_2d(term_rows), np.atleast_2d(term_keys)):
             allowed = np.ones((rows.size, keys.size), dtype=bool)
             if term.forbid is not None:
                 allowed = ~term.forbid
@@ -337,6 +396,9 @@ def test_terms_account_for_every_allowed_edge_once(variant, image_self, by_value
 @example(segments=[(T, 1)], picks=[0])  # d=1
 @example(segments=[(I, 1)], picks=[0])  # d=1, image
 @example(segments=[(T, 3), (I, 2), (T, 2)], picks=[0, 3, 6])  # text before the first image
+@example(segments=[(I, 3), (I, 3), (I, 2), (T, 1), (I, 3), (T, 2)], picks=[0, 4, 9])  # mixed sizes
+# a partly kept block in the middle of a stack
+@example(segments=[(I, 3), (I, 3), (I, 3), (T, 1)], picks=[0, 1, 2, 4, 6, 7, 8])
 def test_edge_layout_terms_account_for_every_allowed_edge_once(segments, picks):
     seq = build_sequence(segments)
     rows = sorted({pick % seq.d for pick in picks})
@@ -413,8 +475,10 @@ def test_prebuilt_layout_reused_and_checked():
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 def test_saved_attention_is_the_whole_pass_state(variant):
     """The kernel returns one frozen ``SavedAttention`` holding its layout,
-    scale and given inputs, one (E, total, O) per term; the multi-head
-    wrapper returns that object, whose inputs are the per-head projections."""
+    scale and given inputs in the layout's order (Q along ``rows``, the rest
+    along ``keys``), one (E, total, O) per term; the multi-head wrapper
+    returns that object, whose inputs are the per-head projections in that
+    order."""
     seq = build_sequence([(T, 1), (I, 2), (T, 2)])
     layout = build_layout(seq, variant)
     rng = np.random.default_rng(9)
@@ -423,7 +487,9 @@ def test_saved_attention_is_the_whole_pass_state(variant):
     _, saved = segment_attention(layout, 0.3, q, k, v, **cross)
     assert saved.layout is layout and saved.scale == 0.3
     assert saved.inputs.keys() == {"q", "k", "v", *cross}
-    assert all(saved.inputs[name] is a for name, a in {"q": q, "k": k, "v": v, **cross}.items())
+    for name, a in {"q": q, "k": k, "v": v, **cross}.items():
+        order = layout.rows if name == "q" else layout.keys
+        assert np.array_equal(saved.inputs[name], a[order])
     assert len(saved.terms) == len(layout.terms)
     with pytest.raises(dataclasses.FrozenInstanceError):
         saved.scale = 1.0
@@ -431,8 +497,61 @@ def test_saved_attention_is_the_whole_pass_state(variant):
     x = rng.standard_normal((5, 4))
     _, heads = multi_head_forward(x, params, layout)
     assert type(heads) is SavedAttention and heads.scale == 1.0 / math.sqrt(2)
-    assert np.array_equal(heads.inputs["q"], x @ params.wq)
+    assert np.array_equal(heads.inputs["q"], (x @ params.wq)[:, layout.rows])
     assert heads.inputs.keys() == {"q", "k", "v", *cross}
+
+
+def _is_basic(index):
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(p is Ellipsis or p is None or isinstance(p, (slice, int, np.integer)) for p in parts)
+
+
+class IndexRecorder(np.ndarray):
+    """An array that logs every index taken of it, or of any array computed
+    from it, into ``log`` as (``name``, whether the index is basic: slices,
+    ``Ellipsis``, ``None`` and ints only). ``name`` is the kernel input an
+    array was given as, and ``None`` for arrays computed from one."""
+
+    log = []
+
+    def __array_finalize__(self, obj):
+        self.name = None
+
+    def __getitem__(self, index):
+        IndexRecorder.log.append((self.name, _is_basic(index)))
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        IndexRecorder.log.append((self.name, _is_basic(index)))
+        super().__setitem__(index, value)
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_kernel_gathers_each_input_once_and_slices_every_term(variant):
+    """The forward pass takes one integer-array index of each input (its
+    gather into the layout's order) and the VJP one of ``dout``; every
+    other index of them or of anything computed from them, per term or
+    not, is basic. The outputs and gradients land in fresh arrays."""
+    seq = build_sequence([(T, 2), (I, 3), (T, 1), (I, 3), (I, 2), (T, 2), (I, 3), (T, 1)])
+    rng = np.random.default_rng(10)
+
+    def recorded(name, shape):
+        a = rng.standard_normal(shape).view(IndexRecorder)
+        a.name = name
+        return a
+
+    layout = build_layout(seq, variant)
+    names = ("q", "k", "v", "kx", "vx") if layout.reads_cross else ("q", "k", "v")
+    for part in (layout, layout.restrict([3, 5, 6, 9, 10, 13])):
+        IndexRecorder.log.clear()
+        out, saved = segment_attention(part, 0.5, **{name: recorded(name, (2, seq.d, 3)) for name in names})
+        assert sorted(name for name, basic in IndexRecorder.log if not basic) == sorted(names)
+        assert len(IndexRecorder.log) > 2 * len(part.terms)  # every term was read, by slices
+        IndexRecorder.log.clear()
+        segment_attention_vjp(saved, recorded("dout", out.shape))
+        assert [name for name, basic in IndexRecorder.log if not basic] == ["dout"]
+        assert len(IndexRecorder.log) > 2 * len(part.terms)
+    assert variant is AttentionVariant.CAUSAL_ONLY or len(layout.terms) >= 6
 
 
 def test_nonfinite_inputs_and_scores_rejected():
@@ -601,17 +720,19 @@ def test_last_block_scores_only_the_target_rows(monkeypatch, variant):
     loss_and_param_grads(model, sample)
     full = mask_module.build_layout(sample.tags, variant)
     heads = (config.num_heads,)
-    full_shapes = [heads + t.rows.shape + t.keys.shape[-1:] for t in full.terms]
+    full_positions = [full.positions(t) for t in full.terms]
+    full_shapes = [heads + rows.shape + keys.shape[-1:] for rows, keys in full_positions]
     *early, last = recorder.layers
     assert early == [full_shapes] * (config.num_layers - 1)
     targets = target_rows(sample)
     last_layout = recorder.layouts[-1]
-    assert all(t.rows.ndim == 1 for t in last_layout.terms)  # no stacked image-block term
-    assert not sample.tags.is_image()[np.concatenate([t.rows for t in last_layout.terms])].any()
-    assert last == [heads + (t.rows.size, t.keys.size) for t in last_layout.terms]
+    last_positions = [last_layout.positions(t) for t in last_layout.terms]
+    assert not any(t.stack for t in last_layout.terms)  # no stacked image-block term
+    assert not sample.tags.is_image()[np.concatenate([rows for rows, _ in last_positions])].any()
+    assert last == [heads + (rows.size, keys.size) for rows, keys in last_positions]
     # every target row reads text keys in one term and, after the first
     # image (every target here), image keys in one more: no other row is scored
-    key_rows = [t.rows for t in last_layout.terms]
+    key_rows = [rows for rows, _ in last_positions]
     assert np.array_equal(np.unique(np.concatenate(key_rows)), targets)
     reads = 1 if variant is AttentionVariant.CAUSAL_ONLY else 2
     assert sum(shape[1] for shape in last) == reads * targets.size

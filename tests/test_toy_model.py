@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -324,6 +325,33 @@ def test_param_grads_match_finite_differences():
             assert worst_param_grad_error(model, sample) < 1e-4, (variant, num_layers)
 
 
+def test_param_grads_scan_the_image_blocks_once_per_sample(monkeypatch):
+    """One ``loss_and_param_grads`` scans the sample's image blocks twice:
+    once for the model's inputs and projection gradient, once for the
+    attention layout."""
+    import mmchat.mask as mask_module
+    import mmchat.toy_model as toy_model_module
+
+    calls = []
+    real = toy_model_module.image_blocks
+
+    def counting(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(toy_model_module, "image_blocks", counting)
+    monkeypatch.setattr(mask_module, "image_blocks", counting)
+    conv = Conversation("s", (Round(("a",), "q w", "x y"), Round(("b",), "p", "z w")))
+    for variant in AttentionVariant:
+        config = ModelConfig(**{**SMALL.__dict__, "variant": variant})
+        sample = render(conv, HashTokenizer(config.vocab_size), config.layout())
+        calls.clear()
+        loss_and_param_grads(make_model(config, known_images=("a", "b")), sample)
+        # causal's layout ignores modality, so only the model scans the blocks
+        assert len(calls) == (1 if variant is AttentionVariant.CAUSAL_ONLY else 2)
+        assert all(seq is sample.tags for seq in calls)
+
+
 # ---------------------------------------------------------------------------
 # Optimizer and training
 
@@ -541,3 +569,27 @@ def test_checkpoint_tensors_validated(tmp_path, name, corrupt, message):
     np.savez(bad, **arrays)
     with pytest.raises(ValueError, match=message):
         load_model(bad)
+
+
+def test_checkpoint_config_sizes_checked_before_allocating(tmp_path):
+    """A manifest naming a size far above its tensors' is rejected with the
+    tensor's shape error before the model of that size is built."""
+    path = tmp_path / "model.npz"
+    save_model(make_model(ModelConfig(), seed=0), path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    manifest = json.loads(bytes(arrays["__manifest__"]).decode("utf-8"))
+    manifest["config"]["vocab_size"] = 100000
+    arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match=r"tensor embedding has shape \(32, 16\), expected \(100000, 16\)"
+        ):
+            load_model(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the model would take 12.8 MB for its embedding alone
