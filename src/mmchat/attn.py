@@ -19,9 +19,10 @@ zero weight. Rows with empty support produce all-zero rows rather than
 NaN, which keeps image-free text prefixes well-defined.
 
 ``segment_attention`` and ``segment_attention_vjp`` work from an
-``AttentionLayout`` built once per sequence, one softmax term at a time:
-image rows over their own block, text rows over text keys (every row, for
-causal), and runs of text rows over exactly the image keys before them. No
+``AttentionLayout`` built once per sequence or bin of sequences, one
+softmax term at a time: image rows over their own block, text rows over
+text keys (every row, for causal), and runs of text rows over exactly the
+image keys before them. No
 d x d array is formed. A pass gathers Q along the layout's row order and
 K/V (and Kx/Vx) along its key order once, runs every term on slices and
 reshaped views of those, and scatters its output, or each gradient, back
@@ -34,7 +35,9 @@ its layout, scale and ordered inputs and each term's E, row totals and
 output. The
 VJP reads it and nothing else, so a backward pass takes no inputs that
 could disagree with the forward pass, forms no scores, takes no softmax
-and needs no rowsum(P * dP) pass over the rows x keys arrays. A restricted
+and needs no rowsum(P * dP) pass over the rows x keys arrays; its score
+gradients go, in row chunks of at most ``_SCRATCH_SIZE`` entries, to a
+per-thread buffer reused from call to call. A restricted
 layout (``AttentionLayout.restrict``) runs unchanged: rows without a term
 come out zero. ``attention_weights`` places the normalized weights of a
 ``SavedAttention`` back into per-key-class d x d views for inspection.
@@ -57,6 +60,7 @@ differences; ``variant_grad_check`` points it at the segment kernel.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
@@ -178,6 +182,26 @@ def segment_attention(
     return full, SavedAttention(layout, scale, inputs, tuple(terms))
 
 
+# Entries (1 MiB of float64) of the VJP's score-gradient buffer: a larger
+# term's dS is computed in row chunks that fit, so keeping the buffer from
+# call to call costs little memory.
+_SCRATCH_SIZE = 1 << 17
+_workspace = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """``size`` float64 entries of a buffer that the calling thread reuses
+    from call to call, grown only when too small. Its values are whatever
+    the last user left: write before reading. The VJP writes its score
+    gradients there because a fresh rows x keys buffer per call lands on
+    fresh pages and pays minor page faults while training holds every
+    layer's E."""
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _workspace.buffer = np.empty(size)
+    return buffer[:size]
+
+
 def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
     """Gradients of ``sum(dout * out)`` for every input of the pass that
     returned ``out, saved``. ``dout`` must have ``out``'s shape and be
@@ -203,11 +227,19 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
                         for name in (kn, vn) for a in (inputs, grads))
         g = _blocks(dout[..., rows, :], stack) / total
         gv += _swap(e) @ g
-        ds = g @ _swap(v)
-        ds -= (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
-        ds *= e
-        gq += ds @ k
-        gk += _swap(ds) @ q
+        row_term = (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
+        parts = [(e, g, row_term, q, gq)]
+        step = _SCRATCH_SIZE * e.shape[-2] // e.size  # rows whose dS fits the scratch
+        if step < e.shape[-2]:  # too large: take the rows in chunks
+            step = max(step, 1)
+            parts = [tuple(a[..., start : start + step, :] for a in parts[0])
+                     for start in range(0, e.shape[-2], step)]
+        for e_part, g_part, row_part, q_part, gq_part in parts:
+            ds = np.matmul(g_part, _swap(v), out=_scratch(e_part.size).reshape(e_part.shape))
+            ds -= row_part
+            ds *= e_part
+            gq_part += ds @ k
+            gk += _swap(ds) @ q_part
     full = {}
     for name, grad in grads.items():
         if name in ("q", "k", "kx"):
@@ -318,7 +350,7 @@ def multi_head_forward(
     x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> tuple[np.ndarray, SavedAttention]:
     """Per-head projections, the segment kernel over ``layout`` (built
-    once per sequence and reused for every layer and pass), concatenation
+    once per sequence or bin and reused for every layer and pass), concatenation
     of the heads, output projection; plus the kernel's saved pass, whose
     inputs are the per-head projections in the layout's order, for the
     input VJP. The layout

@@ -12,9 +12,12 @@ text-row runs over exactly the image keys before them), with no d x d
 array. The layout puts the positions in modality order, image positions
 first, so every term reads one slice of its rows and one of its keys. The
 variant and ``image_self`` are the whole attention rule, and both builders
-take both. ``AttentionLayout.restrict`` keeps only chosen query rows, for
-a pass whose other rows reach nothing (the toy model's last block, whose
-only consumers are the loss's target rows).
+take both. ``build_layout`` also takes a bin of sequences laid end to end
+(sequence packing without cross-contamination, Krell et al., arXiv
+2107.02027): no term reads two sequences, so the absence of a term is the
+document mask. ``AttentionLayout.restrict`` keeps only chosen query rows,
+for a pass whose other rows reach nothing (the toy model's last block,
+whose only consumers are the loss's target rows).
 
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. Two builders cover the
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import groupby
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,22 +151,26 @@ class Term(NamedTuple):
 
 @dataclass(frozen=True)
 class AttentionLayout:
-    """The attention pattern of one sequence for one variant, as a sum of
+    """The attention pattern of one sequence, or of a bin of sequences laid
+    end to end (``d`` positions in all), for one variant, as a sum of
     softmax terms rather than a d x d mask.
 
-    ``keys`` orders the positions by modality: every image position, then
-    every text position (for causal, the identity); ``rows`` lists the
-    computed query rows in that order. Every term reads slices of both.
+    ``keys`` orders the positions by modality: every image position of
+    every sequence, then every text position (for causal, the identity);
+    ``rows`` lists the computed query rows in that order. Every term reads
+    slices of both, and no term reads two sequences.
 
-    Causal is one term: every row over every key, forbidding later keys.
-    For mmca and cross, each run of adjacent equal-size image blocks is one
-    stacked term, every image row reading its own block through K/V (with
-    ``image_self="diagonal"`` every image token is a one-token block).
-    Text rows read text keys in one term, forbidding later keys, and image
-    keys in a staircase: one unmasked term per run of text rows with the
-    same number n of image tokens before them, reading exactly those n
-    image keys, ``keys[:n]`` (through Kx/Vx for cross). Text rows before
-    the first image have no image term. The kernel sums the terms' outputs.
+    Causal is one term per sequence: every row over every key, forbidding
+    later keys. For mmca and cross, each run of adjacent equal-size image
+    blocks, across sequences too, is one stacked term, every image row
+    reading its own block through K/V (with ``image_self="diagonal"`` every
+    image token is a one-token block). Per sequence, text rows read text
+    keys in one term, forbidding later keys, and image keys in a staircase:
+    one unmasked term per run of text rows with the same number n of image
+    tokens before them, reading exactly those n image keys, the first n of
+    the sequence's own (through Kx/Vx for cross). Text rows before a
+    sequence's first image have no image term. The kernel sums the terms'
+    outputs.
     """
 
     d: int
@@ -222,39 +229,57 @@ class AttentionLayout:
 
 
 def build_layout(
-    seq: ModalitySequence, variant: AttentionVariant, image_self: str = "block"
+    seqs: ModalitySequence | Sequence[ModalitySequence],
+    variant: AttentionVariant,
+    image_self: str = "block",
 ) -> AttentionLayout:
-    """Layout of ``seq`` for the given variant (an ``AttentionVariant`` or
-    its value) and ``image_self`` rule: the same edges as ``build_mask``,
-    each in exactly one term. Build it once per sequence and reuse it for
-    every layer, head and pass. An mmca text row's two softmaxes are summed,
-    so a text row that reads both modalities carries total weight 2."""
+    """Layout of one sequence, or of a bin of sequences laid end to end, for
+    the given variant (an ``AttentionVariant`` or its value) and
+    ``image_self`` rule: the edges of each sequence's ``build_mask``, each
+    in exactly one term, and no edge between two sequences. Build it once
+    per sequence or bin and reuse it for every layer, head and pass. An
+    mmca text row's two softmaxes are summed, so a text row that reads both
+    modalities carries total weight 2."""
     variant = AttentionVariant(variant)
     _check_image_self(image_self)
+    seqs = (seqs,) if isinstance(seqs, ModalitySequence) else tuple(seqs)
+    if not seqs:
+        raise ValueError("build_layout needs at least one sequence")
     causal = variant is AttentionVariant.CAUSAL_ONLY  # modality ignored: every token is text
-    is_image = np.zeros(seq.d, dtype=bool) if causal else seq.is_image()
-    positions, blocks = np.arange(seq.d), [] if causal else image_blocks(seq)
+    d = sum(seq.d for seq in seqs)
+    spans = [[] if causal else image_blocks(seq) for seq in seqs]
+    is_image = np.zeros(d, dtype=bool) if causal else np.concatenate([seq.is_image() for seq in seqs])
+    positions = np.arange(d)
     text = positions[~is_image]
     order = np.concatenate([positions[is_image], text])
-    n_img = seq.d - text.size
-    sizes = [1] * n_img if image_self == "diagonal" else [end - start for _, start, end in blocks]
+    n_img = d - text.size
+    sizes = [1] * n_img if image_self == "diagonal" else [
+        end - start for blocks in spans for _, start, end in blocks
+    ]
     terms, at = [], 0
-    for size, run in groupby(sizes):
+    for size, run in groupby(sizes):  # adjacent equal-size blocks stack, across sequences too
         count = len(list(run))
         span = slice(at, at + size * count)
         terms.append(Term(span, span, None, False, count))
         at = span.stop
-    if text.size:
-        span = slice(n_img, seq.d)
-        terms.append(Term(span, span, text[None, :] > text[:, None], False))
     cross = variant is AttentionVariant.CAUSAL_PLUS_CROSS
-    n = 0
-    stops = [start for _, start, _ in blocks[1:]] + [seq.d]
-    for (_, start, end), stop in zip(blocks, stops):
-        n += end - start
-        if stop > end:  # the text rows up to the next block read the n image keys before them
-            terms.append(Term(slice(n_img + end - n, n_img + stop - n), slice(0, n), None, cross))
-    return AttentionLayout(seq.d, variant, tuple(terms), order, order)
+    img_at, text_at = 0, n_img  # where this sequence's image keys and text rows start
+    for seq, blocks in zip(seqs, spans):
+        n_text = seq.d - sum(end - start for _, start, end in blocks)
+        if n_text:  # text positions ascend, so a later text key is a later column
+            span = slice(text_at, text_at + n_text)
+            columns = positions[:n_text]
+            terms.append(Term(span, span, columns[None, :] > columns[:, None], False))
+        n = 0
+        stops = [start for _, start, _ in blocks[1:]] + [seq.d]
+        for (_, start, end), stop in zip(blocks, stops):
+            n += end - start
+            if stop > end:  # the text rows up to the next block read the n image keys before them
+                rows = slice(text_at + end - n, text_at + stop - n)
+                terms.append(Term(rows, slice(img_at, img_at + n), None, cross))
+        img_at += seq.d - n_text
+        text_at += n_text
+    return AttentionLayout(d, variant, tuple(terms), order, order)
 
 
 def render_mask(mask: MmcaMask) -> str:

@@ -16,11 +16,16 @@ saved attention state from the forward pass) and reach only the two
 trainable tensors; frozen parameters have no gradient storage and
 are shared, bit-identical, between a model and its trained successors.
 
-Training computes only what reaches the loss: every block but the last
-runs on the whole sequence, and the last block's attention runs on the
-layout restricted to the target rows (``AttentionLayout.restrict``), its
-feedforward, the tied head, the loss and their VJPs on those rows alone.
-``forward`` still returns logits for every position.
+Training runs one pass per bin: ``train_step`` packs its batch, in order,
+into bins of at most ``max_sequence_length`` positions, and each bin's
+samples are laid end to end under one attention layout in which no term
+reads two samples. Embedding, blocks, head, loss and VJP then run once per
+bin, and the bin's loss is the sum of its samples' mean losses. A pass
+computes only what reaches the loss: every block but the last runs on
+every row, and the last block's attention runs on the layout restricted to
+the target rows (``AttentionLayout.restrict``), its feedforward, the tied
+head, the loss and their VJPs on those rows alone. ``forward`` still
+returns logits for every position of one sample.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .attn import (
     multi_head_input_vjp,
 )
 from .mask import AttentionLayout, AttentionVariant, _check_image_self, build_layout
-from .modseq import LayoutConfig, image_blocks
+from .modseq import LayoutConfig, ModalitySequence, image_blocks
 from .template import Conversation, HashTokenizer, RenderedSample, Round, render
 
 GradDict = dict[str, np.ndarray]
@@ -207,8 +212,7 @@ def _sample_blocks(model: ToyModel, sample: RenderedSample) -> list[tuple[str, i
     return out
 
 
-def _embed(model: ToyModel, sample: RenderedSample, blocks: list[tuple[str, int, int]]) -> np.ndarray:
-    token_ids = np.asarray(sample.token_ids)
+def _embed(model: ToyModel, token_ids: np.ndarray, blocks: list[tuple[str, int, int]]) -> np.ndarray:
     if token_ids.min() < 0 or token_ids.max() >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     x = model.embedding[token_ids].copy()
@@ -217,8 +221,9 @@ def _embed(model: ToyModel, sample: RenderedSample, blocks: list[tuple[str, int,
     return x
 
 
-def _layout(model: ToyModel, sample: RenderedSample) -> AttentionLayout:
-    return build_layout(sample.tags, model.config.variant, model.config.image_self)
+def _layout(model: ToyModel, seqs: list[ModalitySequence]) -> AttentionLayout:
+    """The layout of ``seqs`` laid end to end under the model's attention rule."""
+    return build_layout(seqs, model.config.variant, model.config.image_self)
 
 
 def _ffn(block: DecoderBlock, h_mid: np.ndarray) -> np.ndarray:
@@ -246,8 +251,8 @@ def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     projected stub features, text positions as embedding rows; the head is
     the embedding transpose. Each block's saved attention state is freed
     before the next block runs."""
-    layout = _layout(model, sample)
-    h = _embed(model, sample, _sample_blocks(model, sample))
+    layout = _layout(model, [sample.tags])
+    h = _embed(model, np.asarray(sample.token_ids), _sample_blocks(model, sample))
     for block in model.blocks:
         h = _run_block(block, h, layout)[0]
     logits = h @ model.embedding.T
@@ -266,11 +271,13 @@ def _target_positions(sample: RenderedSample) -> np.ndarray:
     return positions
 
 
-def _target_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of target-row logits, row i predicting token
-    ``targets[i]``, and its gradient w.r.t. those logits. The logits must
-    have one row per target, more columns than the largest target id, and
-    finite values."""
+def _target_loss(
+    logits: np.ndarray, targets: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Cross-entropy of target-row logits, row i predicting token
+    ``targets[i]`` with weight ``weights[i]``, summed over the rows, and its
+    gradient w.r.t. those logits. The logits must have one row per target,
+    more columns than the largest target id, and finite values."""
     if logits.ndim != 2 or logits.shape[0] != targets.size:
         raise ValueError(f"logits must have one row per target ({targets.size})")
     if logits.shape[1] <= targets.max():
@@ -283,11 +290,16 @@ def _target_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nda
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_z[:, None]
-    loss = -float(np.mean(log_probs[rows, targets]))
+    loss = -float(log_probs[rows, targets] @ weights)
     dlogits = np.exp(log_probs)
     dlogits[rows, targets] -= 1.0
-    dlogits /= targets.size
+    dlogits *= weights[:, None]
     return loss, dlogits
+
+
+def _mean_weights(count: int) -> np.ndarray:
+    """Row weights that make ``_target_loss`` the mean over ``count`` rows."""
+    return np.full(count, 1.0 / count)
 
 
 def answer_loss(logits: np.ndarray, sample: RenderedSample) -> float:
@@ -300,25 +312,36 @@ def answer_loss(logits: np.ndarray, sample: RenderedSample) -> float:
         raise ValueError(f"logits must have shape ({sample.d}, vocab_size)")
     positions = _target_positions(sample)
     targets = np.asarray(sample.token_ids)[positions + 1]
-    return _target_loss(logits[positions], targets)[0]
+    return _target_loss(logits[positions], targets, _mean_weights(positions.size))[0]
 
 
-def loss_and_param_grads(
-    model: ToyModel, sample: RenderedSample
-) -> tuple[float, GradDict]:
-    """Answer loss and its gradients w.r.t. the two trainable tensors.
+def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple[float, GradDict]:
+    """The sum of the samples' answer losses and its gradients w.r.t. the
+    two trainable tensors, from one pass over the samples laid end to end.
 
-    Only the target rows of the last block reach the loss, so that block
-    runs its attention on the layout restricted to them and its
-    feedforward, the head and the loss on them alone; the blocks before it
-    run on every row. The embedding gradient collects both of its roles:
-    output head (tied transpose) and input rows at text positions.
+    One layout covers the bin (``build_layout`` of every sample's tags), so
+    embedding, every block, the head, the loss and the VJP run once per
+    bin; no attention term reads two samples. Only the target rows of the
+    last block reach the loss, so that block runs its attention on the
+    layout restricted to every sample's target rows and its feedforward,
+    the head and the loss on them alone; the blocks before it run on every
+    row. Each target row weighs 1/n for a sample with n targets, which
+    makes the loss the sum of per-sample means. The embedding gradient
+    collects both of its roles: output head (tied transpose) and input
+    rows at text positions.
     """
-    blocks = _sample_blocks(model, sample)
-    h = _embed(model, sample, blocks)
-    layout = _layout(model, sample)
-    positions = _target_positions(sample)
-    token_ids = np.asarray(sample.token_ids)
+    starts = np.cumsum([0] + [sample.d for sample in samples[:-1]]).tolist()
+    blocks = [
+        (image_id, at + start, at + end)
+        for sample, at in zip(samples, starts)
+        for image_id, start, end in _sample_blocks(model, sample)
+    ]
+    token_ids = np.concatenate([np.asarray(sample.token_ids) for sample in samples])
+    h = _embed(model, token_ids, blocks)
+    layout = _layout(model, [sample.tags for sample in samples])
+    targets = [_target_positions(sample) for sample in samples]
+    positions = np.concatenate([at + rows for at, rows in zip(starts, targets)])
+    weights = np.concatenate([_mean_weights(rows.size) for rows in targets])
     *early, last = model.blocks
     states = []
     for block in early:
@@ -328,7 +351,7 @@ def loss_and_param_grads(
     attn_out, saved = multi_head_forward(h, last.attn, layout.restrict(positions))
     h_mid = h[positions] + attn_out[positions]
     h_out = _ffn(last, h_mid)
-    loss, dlogits = _target_loss(h_out @ model.embedding.T, token_ids[positions + 1])
+    loss, dlogits = _target_loss(h_out @ model.embedding.T, token_ids[positions + 1], weights)
     d_embedding = dlogits.T @ h_out
     dh_mid = _ffn_input_vjp(last, h_mid, dlogits @ model.embedding)
     dattn = np.zeros_like(h)
@@ -345,9 +368,32 @@ def loss_and_param_grads(
     d_projection = np.zeros_like(model.projection)
     for image_id, start, end in blocks:
         d_projection += model.vision_stub[image_id].T @ dh[start:end]
-    text = np.flatnonzero(~sample.tags.is_image())
+    text = np.flatnonzero(~np.concatenate([sample.tags.is_image() for sample in samples]))
     np.add.at(d_embedding, token_ids[text], dh[text])
     return loss, {"projection": d_projection, "embedding": d_embedding}
+
+
+def loss_and_param_grads(
+    model: ToyModel, sample: RenderedSample
+) -> tuple[float, GradDict]:
+    """Answer loss and its gradients w.r.t. the two trainable tensors: the
+    training pass over a bin of one sample."""
+    return _bin_loss_and_grads(model, [sample])
+
+
+def _bins(batch: list[RenderedSample], capacity: int) -> list[list[RenderedSample]]:
+    """``batch`` cut, in order, into bins of at most ``capacity`` positions:
+    each sample joins the current bin if it fits and starts the next one
+    otherwise, so a sample of ``capacity`` or more positions is a bin of its
+    own."""
+    bins, size = [], 0
+    for sample in batch:
+        if not bins or size + sample.d > capacity:
+            bins.append([])
+            size = 0
+        bins[-1].append(sample)
+        size += sample.d
+    return bins
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +437,11 @@ class OptimState:
 def train_step(
     model: ToyModel, batch: list[RenderedSample], opt: OptimState
 ) -> tuple[float, ToyModel]:
-    """One optimizer step on the batch-mean loss. Returns the loss and a
-    successor model whose frozen parts are the very same arrays; only the
-    two trainable tensors are replaced."""
+    """One optimizer step on the batch-mean loss. The batch runs as bins of
+    samples packed in order up to the configured ``max_sequence_length``,
+    one training pass per bin. Returns the loss and a successor model whose
+    frozen parts are the very same arrays; only the two trainable tensors
+    are replaced."""
     if not batch:
         raise ValueError("train_step needs a non-empty batch")
     total_loss = 0.0
@@ -401,8 +449,8 @@ def train_step(
         "projection": np.zeros_like(model.projection),
         "embedding": np.zeros_like(model.embedding),
     }
-    for sample in batch:
-        loss, g = loss_and_param_grads(model, sample)
+    for samples in _bins(batch, model.config.layout().max_sequence_length):
+        loss, g = _bin_loss_and_grads(model, samples)
         total_loss += loss
         for name in grads:
             grads[name] += g[name]

@@ -29,7 +29,7 @@ from mmchat.attn import (
     segment_attention_vjp,
 )
 from mmchat.mask import AttentionVariant, build_layout, build_mask
-from mmchat.modseq import LayoutConfig, TokenKind, build_sequence, image_blocks
+from mmchat.modseq import LayoutConfig, ModalitySequence, TokenKind, build_sequence, image_blocks
 from mmchat.template import Conversation, HashTokenizer, Round, render
 from mmchat.toy_model import (
     ModelConfig,
@@ -294,37 +294,90 @@ def test_layout_orders_on_edge_layouts():
         assert terms(one) == [(slice(0, 1), slice(0, 1), stack)]
 
 
-def assert_terms_account_for_mask(seq, variant, image_self, rows=None, by_value=False):
+def block_diagonal(grids):
+    """The square matrix with ``grids`` on its diagonal and 0 elsewhere."""
+    d = sum(len(g) for g in grids)
+    out = np.zeros((d, d), dtype=np.int8)
+    at = 0
+    for g in grids:
+        out[at : at + len(g), at : at + len(g)] = g
+        at += len(g)
+    return out
+
+
+def test_bin_layout_lays_sequences_end_to_end():
+    """A bin's layout orders every sequence's image positions before every
+    text position, stacks equal adjacent blocks across sequences, and keeps
+    each sequence's text and staircase terms over its own positions; a bin
+    of one sequence is that sequence's layout."""
+    first = build_sequence([(T, 1), (I, 2), (T, 2)])
+    second = build_sequence([(I, 2), (I, 3), (T, 1)])
+    layout = build_layout([first, second], "cross")
+    assert layout.d == 11
+    assert layout.keys.tolist() == layout.rows.tolist() == [1, 2, 5, 6, 7, 8, 9, 0, 3, 4, 10]
+    assert [(t.rows, t.keys, t.stack, t.cross) for t in layout.terms] == [
+        (slice(0, 4), slice(0, 4), 2, False),  # the 2-blocks of both sequences, one stack
+        (slice(4, 7), slice(4, 7), 1, False),
+        (slice(7, 10), slice(7, 10), 0, False),  # first's text over its text
+        (slice(8, 10), slice(0, 2), 0, True),  # first's text after its image
+        (slice(10, 11), slice(10, 11), 0, False),  # second's text over its text
+        (slice(10, 11), slice(2, 7), 0, True),  # second's text over its five image keys
+    ]
+    assert np.array_equal(layout.terms[2].forbid, np.triu(np.ones((3, 3), dtype=bool), 1))
+    for variant, image_self in CONFIGS:
+        one, alone = build_layout([first], variant, image_self), build_layout(first, variant, image_self)
+        assert one.d == alone.d and np.array_equal(one.keys, alone.keys)
+        assert [(t.rows, t.keys, t.stack, t.cross) for t in one.terms] == [
+            (t.rows, t.keys, t.stack, t.cross) for t in alone.terms
+        ]
+    (causal_first, causal_second) = build_layout([first, second], "causal").terms
+    assert (causal_first.rows, causal_second.rows) == (slice(0, 5), slice(5, 11))
+    # the copy task's eight samples: one stack of eight 4-token image blocks
+    copy = build_layout([sample.tags for sample in make_copy_task(ModelConfig())[0]], "mmca")
+    assert [(t.rows, t.stack) for t in copy.terms if t.stack] == [(slice(0, 32), 8)]
+    with pytest.raises(ValueError, match="at least one sequence"):
+        build_layout([], "mmca")
+
+
+def assert_terms_account_for_mask(seqs, variant, image_self, rows=None, by_value=False):
     """Every allowed edge of the dense mask lies in exactly one term, with
     the term's key class; each term row is one whole softmax group of the
     reference (one query row's text keys or image keys), never split across
     terms; image-key terms carry no mask; cross flags mark exactly the text
-    rows' image terms of the cross variant. With ``rows``, the same holds
-    for the layout restricted to them, over the mask's kept rows, and no
-    other row has an edge in any term. The layout's ``keys`` are a
-    permutation of range(d) and its ``rows`` of the kept rows (in the full
-    layout's order), and every term's rows and keys are slices of them.
-    ``by_value`` passes the variant as its string value."""
-    layout = build_layout(seq, as_given(variant, by_value), image_self)
+    rows' image terms of the cross variant. ``seqs`` is one sequence or a
+    bin of them laid end to end, whose mask is the block diagonal of the
+    sequences' masks, and no term reads positions of two sequences. With
+    ``rows``, the same holds for the layout restricted to them, over the
+    mask's kept rows, and no other row has an edge in any term. The
+    layout's ``keys`` are a permutation of range(d) and its ``rows`` of the
+    kept rows (in the full layout's order), and every term's rows and keys
+    are slices of them. ``by_value`` passes the variant as its string
+    value."""
+    layout = build_layout(seqs, as_given(variant, by_value), image_self)
     assert layout.variant is variant
-    entries = build_mask(seq, variant, image_self).entries
+    bin_ = [seqs] if isinstance(seqs, ModalitySequence) else list(seqs)
+    entries = block_diagonal([build_mask(seq, variant, image_self).entries for seq in bin_])
+    owner = np.repeat(np.arange(len(bin_)), [seq.d for seq in bin_])  # the sequence of each position
+    d = owner.size
+    assert layout.d == d
     if rows is not None:
         full, layout = layout, layout.restrict(rows)
-        assert layout.d == seq.d and layout.keys is full.keys
+        assert layout.d == d and layout.keys is full.keys
         assert np.array_equal(layout.rows, full.rows[np.isin(full.rows, rows)])  # the old row order
-        kept = np.zeros(seq.d, dtype=bool)
+        kept = np.zeros(d, dtype=bool)
         kept[rows] = True
         entries = np.where(kept[:, None], entries, 0)
     # the orders: every key once, every computed row once; each term reads slices of them
-    assert sorted(layout.keys.tolist()) == list(range(seq.d))
-    assert sorted(layout.rows.tolist()) == sorted(set(range(seq.d) if rows is None else rows))
+    assert sorted(layout.keys.tolist()) == list(range(d))
+    assert sorted(layout.rows.tolist()) == sorted(set(range(d) if rows is None else rows))
     assert all(type(t.rows) is slice and type(t.keys) is slice for t in layout.terms)
-    is_image = seq.is_image()
+    is_image = np.concatenate([seq.is_image() for seq in bin_])
     seen = np.zeros((3,) + entries.shape, dtype=int)  # edges per key class
-    groups = np.zeros((3, seq.d), dtype=int)  # terms per (key class, row)
+    groups = np.zeros((3, d), dtype=int)  # terms per (key class, row)
     for term in layout.terms:
         term_rows, term_keys = layout.positions(term)
         for rows, keys in zip(np.atleast_2d(term_rows), np.atleast_2d(term_keys)):
+            assert np.unique(owner[np.concatenate([rows, keys])]).size == 1  # one sequence per softmax
             allowed = np.ones((rows.size, keys.size), dtype=bool)
             if term.forbid is not None:
                 allowed = ~term.forbid
@@ -344,14 +397,17 @@ def assert_terms_account_for_mask(seq, variant, image_self, rows=None, by_value=
     assert not seen[0].any()
 
 
-def row_subsets(seq, rng):
-    """Row sets to restrict a layout of ``seq`` to: one random row, every
-    row, a random subset, and, when there is an image block of two or more
-    tokens, part of one such block."""
-    d = seq.d
+def row_subsets(seqs, rng):
+    """Row sets to restrict a layout of ``seqs`` (one sequence or a bin of
+    them) to: one random row, every row, a random subset, and, when there
+    is an image block of two or more tokens, part of one such block."""
+    bin_ = [seqs] if isinstance(seqs, ModalitySequence) else seqs
+    starts = np.cumsum([0] + [seq.d for seq in bin_])
+    d = int(starts[-1])
     subsets = [[int(rng.integers(d))], list(range(d))]
     subsets.append(np.flatnonzero(rng.random(d) < 0.4).tolist() or [d - 1])
-    wide = [(start, end) for _, start, end in image_blocks(seq) if end - start > 1]
+    wide = [(at + start, at + end) for seq, at in zip(bin_, starts)
+            for _, start, end in image_blocks(seq) if end - start > 1]
     if wide:
         start, end = wide[int(rng.integers(len(wide)))]
         subsets.append(list(range(start, int(rng.integers(start + 1, end)))))
@@ -385,27 +441,54 @@ def test_terms_account_for_every_allowed_edge_once(variant, image_self, by_value
         assert_terms_account_for_mask(
             sample.tags, variant, image_self, target_rows(sample), by_value
         )
+    # bins of 2-4 sequences laid end to end, restricted like single sequences
+    for _ in range(40):
+        bin_ = [random_layout(rng) for _ in range(int(rng.integers(2, 5)))]
+        assert_terms_account_for_mask(bin_, variant, image_self, by_value=by_value)
+        for rows in row_subsets(bin_, rng):
+            assert_terms_account_for_mask(bin_, variant, image_self, rows, by_value)
+    for _ in range(10):
+        samples = [rendered_sample(rng) for _ in range(3)]
+        starts = np.cumsum([0] + [sample.d for sample in samples[:-1]])
+        targets = np.concatenate([at + target_rows(sample) for at, sample in zip(starts, samples)])
+        assert_terms_account_for_mask([sample.tags for sample in samples], variant, image_self, targets, by_value)
 
 
 @settings(max_examples=100, deadline=None)
-@given(segments=_segments, picks=st.lists(st.integers(0, 63), min_size=1, max_size=8))
-@example(segments=[(T, 5)], picks=[4])  # text-only
-@example(segments=[(I, 4)], picks=[1, 2])  # image-only, part of the block
-@example(segments=[(I, 2), (I, 3), (T, 2)], picks=[0, 1, 3, 6])  # adjacent blocks
-@example(segments=[(I, 1), (T, 1), (I, 1), (I, 1), (T, 2)], picks=[1, 5])  # 1-token blocks
-@example(segments=[(T, 1)], picks=[0])  # d=1
-@example(segments=[(I, 1)], picks=[0])  # d=1, image
-@example(segments=[(T, 3), (I, 2), (T, 2)], picks=[0, 3, 6])  # text before the first image
-@example(segments=[(I, 3), (I, 3), (I, 2), (T, 1), (I, 3), (T, 2)], picks=[0, 4, 9])  # mixed sizes
+@given(
+    segments=_segments,
+    picks=st.lists(st.integers(0, 63), min_size=1, max_size=8),
+    others=st.lists(_segments, max_size=3),
+)
+@example(segments=[(T, 5)], picks=[4], others=[])  # text-only
+@example(segments=[(I, 4)], picks=[1, 2], others=[])  # image-only, part of the block
+@example(segments=[(I, 2), (I, 3), (T, 2)], picks=[0, 1, 3, 6], others=[])  # adjacent blocks
+@example(segments=[(I, 1), (T, 1), (I, 1), (I, 1), (T, 2)], picks=[1, 5], others=[])  # 1-token blocks
+@example(segments=[(T, 1)], picks=[0], others=[])  # d=1
+@example(segments=[(I, 1)], picks=[0], others=[])  # d=1, image
+@example(segments=[(T, 3), (I, 2), (T, 2)], picks=[0, 3, 6], others=[])  # text before the first image
+# mixed sizes
+@example(segments=[(I, 3), (I, 3), (I, 2), (T, 1), (I, 3), (T, 2)], picks=[0, 4, 9], others=[])
 # a partly kept block in the middle of a stack
-@example(segments=[(I, 3), (I, 3), (I, 3), (T, 1)], picks=[0, 1, 2, 4, 6, 7, 8])
-def test_edge_layout_terms_account_for_every_allowed_edge_once(segments, picks):
+@example(segments=[(I, 3), (I, 3), (I, 3), (T, 1)], picks=[0, 1, 2, 4, 6, 7, 8], others=[])
+# bins: a text-only sample then an image-only one, whose block stacks with the next sample's
+@example(segments=[(T, 4)], picks=[3, 5], others=[[(I, 2)], [(I, 2), (T, 3)]])
+# 1-token blocks in every sample, text before the first image of the second
+@example(segments=[(I, 1), (T, 2)], picks=[0, 2, 5], others=[[(T, 2), (I, 1), (T, 1)], [(I, 1)]])
+# a partly kept block of a stack that spans two samples
+@example(segments=[(T, 1), (I, 3)], picks=[0, 2, 4, 6], others=[[(I, 3), (T, 2)]])
+def test_edge_layout_terms_account_for_every_allowed_edge_once(segments, picks, others):
     seq = build_sequence(segments)
     rows = sorted({pick % seq.d for pick in picks})
     for config in CONFIGS:
         assert_terms_account_for_mask(seq, *config)
         assert_terms_account_for_mask(seq, *config, rows)
         assert_terms_account_for_mask(seq, *config, list(range(seq.d)))
+    bin_ = [seq, *map(build_sequence, others)]
+    d = sum(s.d for s in bin_)
+    for config in CONFIGS:  # the same sequence first in a bin of up to four
+        assert_terms_account_for_mask(bin_, *config)
+        assert_terms_account_for_mask(bin_, *config, sorted({pick % d for pick in picks}))
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))
@@ -554,6 +637,44 @@ def test_kernel_gathers_each_input_once_and_slices_every_term(variant):
     assert variant is AttentionVariant.CAUSAL_ONLY or len(layout.terms) >= 6
 
 
+def test_vjp_reuses_its_score_gradient_buffer():
+    """A second VJP over the same layout takes its rows x keys score
+    gradients from the buffer the first one left, so it allocates less
+    than one term's E: the largest term here is a stack of 96-token image
+    blocks."""
+    import tracemalloc
+
+    seq = build_sequence([(I, 96), (I, 96), (T, 3), (I, 96), (T, 2)])
+    layout = build_layout(seq, AttentionVariant.MMCA)
+    rng = np.random.default_rng(13)
+    q, k, v = (rng.standard_normal((2, seq.d, 2)) for _ in range(3))
+    _, saved = segment_attention(layout, 0.5, q, k, v)
+    dout = rng.standard_normal((2, seq.d, 2))
+    first = segment_attention_vjp(saved, dout)
+    largest = max(e.nbytes for e, _, _ in saved.terms)
+    tracemalloc.start()
+    try:
+        second = segment_attention_vjp(saved, dout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(first[name], second[name]) for name in first)
+    assert peak < largest, (peak, largest)
+
+
+@pytest.mark.parametrize("scratch_size", [1, 7, 40])
+def test_vjp_in_row_chunks_matches_dense_reference(monkeypatch, scratch_size):
+    """With a score-gradient buffer smaller than the terms, the VJP takes
+    each term's rows in chunks (one row at a time for a buffer of one
+    entry) and still matches the dense reference."""
+    monkeypatch.setattr(attn_module, "_SCRATCH_SIZE", scratch_size)
+    rng = np.random.default_rng(2311)
+    for variant, image_self in CONFIGS:
+        config = ModelConfig(variant=variant, num_heads=2, model_dim=4, image_self=image_self)
+        for trial in range(25):
+            assert max(max_gaps(config, random_layout(rng), seed=trial)) <= TOLERANCE
+
+
 def test_nonfinite_inputs_and_scores_rejected():
     seq = build_sequence([(I, 2), (T, 2)])
     layout = build_layout(seq, AttentionVariant.MMCA)
@@ -681,24 +802,39 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         model = make_model(config, seed=0, known_images=ids)
         recorder.clear()
         train_step(model, samples, OptimState(total_steps=2))
-        assert recorder.built == len(samples)  # once per sample, not per layer, head or pass
+        # the three samples fit one bin: one layout, not one per sample, layer, head or pass
+        assert recorder.built == 1
         # one softmax per term of each block's layout, all in the forward pass:
-        # the VJP takes none; the last block's layout keeps the target rows
-        expected = []
-        for sample in samples:
-            full = mask_module.build_layout(sample.tags, variant)
-            last = full.restrict(target_rows(sample))
-            expected += [len(full.terms)] * (config.num_layers - 1) + [len(last.terms)]
+        # the VJP takes none; the last block's layout keeps every sample's target rows
+        full = mask_module.build_layout([sample.tags for sample in samples], variant)
+        starts = np.cumsum([0] + [sample.d for sample in samples[:-1]])
+        last = full.restrict(np.concatenate([at + target_rows(s) for at, s in zip(starts, samples)]))
+        expected = [len(full.terms)] * (config.num_layers - 1) + [len(last.terms)]
         assert [len(layout.terms) for layout in recorder.layouts] == expected
         assert [len(shapes) for shapes in recorder.layers] == expected
         d = samples[0].d
         shapes = [shape[-2:] for layer in recorder.layers for shape in layer]
-        if variant is not AttentionVariant.CAUSAL_ONLY:  # causal's one term is the d x d prefix
-            assert shapes and all(shape != (d, d) for shape in shapes)
+        # no term is as wide as a sample: causal's per-sample terms are the d x d prefix
+        assert shapes and all(shape[-1] <= d for shape in shapes)
+        if variant is not AttentionVariant.CAUSAL_ONLY:
+            assert all(shape != (d, d) for shape in shapes)
         recorder.clear()
         loss_and_param_grads(model, samples[0])
         assert recorder.built == 1
-        assert [len(shapes) for shapes in recorder.layers] == expected[: config.num_layers]
+        alone = mask_module.build_layout(samples[0].tags, variant)
+        alone_last = alone.restrict(target_rows(samples[0]))
+        assert [len(shapes) for shapes in recorder.layers] == (
+            [len(alone.terms)] * (config.num_layers - 1) + [len(alone_last.terms)]
+        )
+    # a batch past the bin capacity takes one layout per bin: 205 samples of
+    # 20 positions fill a bin of 204 (4080 of 4096 positions) and one of 1
+    config = ModelConfig()
+    samples, ids = make_copy_task(config, num_images=205)
+    assert {sample.d for sample in samples} == {20} and config.layout().max_sequence_length == 4096
+    recorder.clear()
+    train_step(make_model(config, seed=0, known_images=ids), samples, OptimState(total_steps=2))
+    assert recorder.built == 2
+    assert [layout.d for layout in recorder.layouts] == [4080] * config.num_layers + [20] * config.num_layers
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))

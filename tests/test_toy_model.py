@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from mmchat.template import Conversation, HashTokenizer, RenderedSample, Round, 
 from mmchat.modseq import ModalitySequence
 from mmchat.toy_model import (
     CHECKPOINT_FORMAT_VERSION,
+    _bin_loss_and_grads,
+    _bins,
     ModelConfig,
     OptimState,
     answer_loss,
@@ -26,7 +29,7 @@ from mmchat.toy_model import (
     train_step,
 )
 
-from oracles import naive_model_logits
+from oracles import IdPool, naive_model_logits, random_conversation
 
 SMALL = ModelConfig(
     vision_dim=3,
@@ -328,7 +331,8 @@ def test_param_grads_match_finite_differences():
 def test_param_grads_scan_the_image_blocks_once_per_sample(monkeypatch):
     """One ``loss_and_param_grads`` scans the sample's image blocks twice:
     once for the model's inputs and projection gradient, once for the
-    attention layout."""
+    attention layout; a ``train_step`` whose batch packs into one bin scans
+    each sample's blocks as often."""
     import mmchat.mask as mask_module
     import mmchat.toy_model as toy_model_module
 
@@ -348,8 +352,58 @@ def test_param_grads_scan_the_image_blocks_once_per_sample(monkeypatch):
         calls.clear()
         loss_and_param_grads(make_model(config, known_images=("a", "b")), sample)
         # causal's layout ignores modality, so only the model scans the blocks
-        assert len(calls) == (1 if variant is AttentionVariant.CAUSAL_ONLY else 2)
+        scans = 1 if variant is AttentionVariant.CAUSAL_ONLY else 2
+        assert len(calls) == scans
         assert all(seq is sample.tags for seq in calls)
+        other = small_sample(config, images=("b",))
+        calls.clear()
+        train_step(make_model(config, known_images=("a", "b")), [sample, other], OptimState(total_steps=1))
+        assert [seq is sample.tags for seq in calls].count(True) == scans
+        assert [seq is other.tags for seq in calls].count(True) == scans
+        assert len(calls) == 2 * scans
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_bin_matches_the_sum_of_per_sample_passes(variant, num_layers):
+    """One training pass over a bin of samples laid end to end gives the sum
+    of the samples' own losses and gradients: no attention crosses a sample
+    boundary and each sample's loss is its own mean."""
+    rng = np.random.default_rng(12 + num_layers)
+    config = ModelConfig(**{**SMALL.__dict__, "variant": variant, "num_layers": num_layers})
+    tokenizer = HashTokenizer(config.vocab_size)
+    ids = IdPool(rng)
+    convs = [random_conversation(rng, ids) for _ in range(5)]
+    convs.insert(2, Conversation("s", (Round((), "only text", "no image"),)))  # text-only
+    samples = [render(conv, tokenizer, config.layout()) for conv in convs]
+    model = make_model(config, seed=5, known_images=tuple(i for s in samples for i in s.image_ids))
+    loss, grads = _bin_loss_and_grads(model, samples)
+    alone = [loss_and_param_grads(model, sample) for sample in samples]
+    assert relative_gap(loss, sum(one_loss for one_loss, _ in alone)) <= 1e-12
+    for name, grad in grads.items():
+        assert relative_gap(grad, sum(g[name] for _, g in alone)) <= 1e-12, name
+
+
+def test_bins_follow_batch_order_and_capacity():
+    def bins(sizes, capacity=4096):
+        batch = [SimpleNamespace(d=size, index=i) for i, size in enumerate(sizes)]
+        packed = _bins(batch, capacity)
+        assert [s.index for b in packed for s in b] == list(range(len(sizes)))  # batch order
+        return [[s.d for s in b] for b in packed]
+
+    # the paper-shaped batch: 1, 2, 4 and 8 images of 256 tokens
+    assert bins([290, 572, 1136, 2264]) == [[290, 572, 1136], [2264]]
+    # a sample of exactly the capacity is a bin of its own, and so is a longer one
+    assert bins([10, 4096, 5]) == [[10], [4096], [5]]
+    assert bins([4097, 1]) == [[4097], [1]]
+    # greedy in order: a later small sample does not fill an earlier bin
+    assert bins([6, 5, 4, 1], capacity=10) == [[6], [5, 4, 1]]
+    assert bins([20] * 8) == [[20] * 8]
+    assert bins([3]) == [[3]]
 
 
 # ---------------------------------------------------------------------------
