@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .modseq import LayoutConfig
+from .modseq import LayoutConfig, _check_int
 from .template import Conversation, HashTokenizer, OverLengthError, RenderedSample, Round, render
 
 
@@ -80,10 +80,11 @@ class BlendSpec:
     layout: LayoutConfig = field(default_factory=LayoutConfig)
 
     def __post_init__(self) -> None:
-        if not (1 <= self.min_group <= self.max_group):
+        for name in ("min_group", "max_group", "max_images"):
+            _check_int(name, getattr(self, name))
+        _check_int("seed", self.seed, minimum=0)
+        if self.min_group > self.max_group:
             raise ValueError("need 1 <= min_group <= max_group")
-        if self.max_images < 1:
-            raise ValueError("max_images must be >= 1")
 
 
 def _merge_group(group: list[SourceRecord]) -> SourceRecord:

@@ -11,23 +11,23 @@ softmax terms (image blocks, text rows over text keys, and a staircase of
 text-row runs over exactly the image keys before them), with no d x d
 array. The layout puts the positions in modality order, image positions
 first, so every term reads one slice of its rows and one of its keys. The
-variant and ``image_self`` are the whole attention rule, and both builders
-take both. ``build_layout`` also takes a bin of sequences laid end to end
-(sequence packing without cross-contamination, Krell et al., arXiv
-2107.02027): no term reads two sequences, so the absence of a term is the
-document mask. ``AttentionLayout.restrict`` keeps only chosen query rows,
+variant and ``image_self`` are the whole attention rule, and both
+``build_mask`` and ``build_layout`` take both. ``build_layout`` also takes
+a bin of sequences laid end to end (sequence packing without
+cross-contamination, Krell et al., arXiv 2107.02027): no term reads two
+sequences, so the absence of a term is the document mask. ``AttentionLayout.restrict`` keeps only chosen query rows,
 for a pass whose other rows reach nothing (the toy model's last block,
 whose only consumers are the loss's target rows).
 
 The entry value encodes the KEY token's modality; the query's modality
-determines which rows can carry which values. Two builders cover the
-three attention variants:
+determines which rows can carry which values. ``build_mask`` is the one
+dense builder for the three attention variants:
 
 * causal      - plain lower-triangular mask, modality ignored (all 1s).
-* multi-modal - image queries attend only within their own image block;
+* mmca, cross - image queries attend only within their own image block;
                 text queries attend causally, with text keys labeled 1 and
-                image keys labeled 2. The cross variant uses this mask
-                too; it differs in how attention consumes the mask.
+                image keys labeled 2. The cross variant differs from mmca
+                only in how attention consumes the mask.
 """
 
 from __future__ import annotations
@@ -61,12 +61,18 @@ class MmcaMask:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.int8)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        given = np.asarray(self.entries)
+        if given.ndim != 2 or given.shape[0] != given.shape[1]:
             raise ValueError("mask entries must be a square matrix")
-        if entries.shape[0] < 1:
+        if given.shape[0] < 1:
             raise ValueError("mask dimension must be >= 1")
-        if not np.isin(entries, (FORBIDDEN, TEXT_KEY, IMAGE_KEY)).all():
+        with np.errstate(invalid="ignore"):
+            entries = given.astype(np.int8, copy=False)
+        # as bytes, every value outside {0, 1, 2} is above 2; a cast that
+        # wrapped or truncated a value no longer equals it
+        if entries.view(np.uint8).max() > IMAGE_KEY or (
+            entries is not given and not np.array_equal(entries, given)
+        ):
             raise ValueError("mask entries must lie in {0, 1, 2}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -85,50 +91,29 @@ def _check_image_self(image_self: str) -> None:
         raise ValueError(f"image_self must be 'block' or 'diagonal', got {image_self!r}")
 
 
-def build_mmca_mask(seq: ModalitySequence, image_self: str = "block") -> MmcaMask:
-    """Multi-modal causal mask, which the causal-plus-cross variant uses too.
-
-    Image query in block b: key allowed iff it lies in block b (value 2);
-    with ``image_self="diagonal"`` only the query token itself. Text query
-    i: keys j <= i allowed, labeled 1 for text keys and 2 for image keys.
-    Image tokens never attend to text, and text never sees a later image.
-    """
-    _check_image_self(image_self)
-    d = seq.d
-    bid = seq.block_ids()
-    is_img = bid > 0
-    lower = np.tril(np.ones((d, d), dtype=bool))
-    img_q = is_img[:, None]
-    img_k = is_img[None, :]
-
-    text_to_text = ~img_q & lower & ~img_k
-    text_to_image = ~img_q & lower & img_k
-    if image_self == "block":
-        image_rows = img_q & (bid[:, None] == bid[None, :])
-    else:
-        image_rows = img_q & np.eye(d, dtype=bool)
-
-    entries = np.zeros((d, d), dtype=np.int8)
-    entries[text_to_text] = TEXT_KEY
-    entries[text_to_image | image_rows] = IMAGE_KEY
-    return MmcaMask(entries)
-
-
-def build_causal_mask(seq: ModalitySequence) -> MmcaMask:
-    """Standard lower-triangular causal mask; modality ignored, every
-    allowed key labeled as text."""
-    entries = np.tril(np.ones((seq.d, seq.d), dtype=np.int8))
-    return MmcaMask(entries)
-
-
 def build_mask(
     seq: ModalitySequence, variant: AttentionVariant, image_self: str = "block"
 ) -> MmcaMask:
-    """Build the mask for the given attention variant (an
-    ``AttentionVariant`` or its value; anything else is a ``ValueError``)."""
-    if AttentionVariant(variant) is AttentionVariant.CAUSAL_ONLY:
-        return build_causal_mask(seq)
-    return build_mmca_mask(seq, image_self)
+    """Dense mask of ``seq`` for the given variant (an ``AttentionVariant``
+    or its value) and ``image_self`` rule; anything else is a
+    ``ValueError``.
+
+    Causal: key j allowed for query i iff j <= i, labeled 1. Mmca and
+    cross: a text query i reads keys j <= i, an image query in block b
+    only the keys of block b (with ``image_self="diagonal"`` only itself),
+    and every allowed key is labeled by its modality: 1 text, 2 image.
+    Image tokens never attend to text, and text never sees a later image.
+    """
+    causal = AttentionVariant(variant) is AttentionVariant.CAUSAL_ONLY
+    _check_image_self(image_self)
+    entries = np.tri(seq.d, dtype=np.int8)  # every key up to the query, as a text key
+    if not causal:
+        bid = seq.block_ids()
+        is_img = bid > 0
+        group = bid if image_self == "block" else np.arange(seq.d)
+        entries[is_img] = group[is_img, None] == group  # image rows: their own group only
+        entries *= np.where(is_img, IMAGE_KEY, TEXT_KEY).astype(np.int8)  # label by key modality
+    return MmcaMask(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +177,10 @@ class AttentionLayout:
     def restrict(self, rows: np.ndarray) -> AttentionLayout:
         """The layout over the same ``d`` and ``keys`` whose terms keep only
         the query rows in ``rows`` (non-empty, each in [0, d)), in the old
-        row order, so each term's kept rows stay one slice. A flat term
-        keeps its ``forbid`` rows. Of a stack, each run of wholly kept
-        adjacent blocks stays stacked, and each partly kept block becomes a
-        flat term over its block's keys. Terms left empty are dropped.
+        row order, so each term's kept rows stay one slice. A term whose
+        rows are all kept stays as it is. In any other term, each block
+        with kept rows (a flat term is one block) becomes a flat term of
+        those rows over that block's keys, keeping their ``forbid`` rows.
         Every allowed edge of a kept row stays in exactly one term; the
         kernel gives every other row zero output."""
         rows = np.asarray(rows, dtype=np.intp)
@@ -210,21 +195,17 @@ class AttentionLayout:
         terms = []
         for term in self.terms:
             start, stop = term.rows.start, term.rows.stop
-            if not term.stack:
-                if at[stop] > at[start]:
-                    forbid = None if term.forbid is None else term.forbid[kept[term.rows]]
-                    terms.append(term._replace(rows=slice(at[start], at[stop]), forbid=forbid))
+            if at[stop] - at[start] == stop - start:
+                terms.append(term._replace(rows=slice(at[start], at[stop])))
                 continue
-            size = (stop - start) // term.stack
-            ends = at[start : stop + 1 : size]  # new index of each block boundary
-            whole = np.diff(ends) == size
-            for _, run in groupby(range(term.stack), key=lambda b: -1 if whole[b] else b):
-                run = list(run)  # adjacent whole blocks, or one partly kept or empty block
-                lo, hi = run[0], run[-1] + 1
-                if ends[hi] > ends[lo]:
-                    keys = slice(term.keys.start + lo * size, term.keys.start + hi * size)
-                    stack = hi - lo if whole[lo] else 0
-                    terms.append(term._replace(rows=slice(ends[lo], ends[hi]), keys=keys, stack=stack))
+            blocks = max(term.stack, 1)
+            size, width = (stop - start) // blocks, (term.keys.stop - term.keys.start) // blocks
+            for b in range(blocks):
+                lo, hi = start + b * size, start + (b + 1) * size
+                if at[hi] > at[lo]:
+                    keys = slice(term.keys.start + b * width, term.keys.start + (b + 1) * width)
+                    forbid = None if term.forbid is None else term.forbid[kept[lo:hi]]
+                    terms.append(Term(slice(at[lo], at[hi]), keys, forbid, term.cross))
         return replace(self, terms=tuple(terms), rows=self.rows[kept])
 
 

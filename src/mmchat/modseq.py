@@ -77,6 +77,13 @@ class ModalitySequence:
         return np.array(self.ids, dtype=np.int64)
 
 
+def _check_int(name: str, value: object, minimum: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int (not a bool) of at
+    least ``minimum``: the one check of every count and seed a config takes."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LayoutConfig:
     """Token-layout constants: how many tokens one image expands to, and
@@ -86,8 +93,8 @@ class LayoutConfig:
     max_sequence_length: int = 4096
 
     def __post_init__(self) -> None:
-        if self.image_token_count < 1:
-            raise ValueError("image_token_count must be >= 1")
+        _check_int("image_token_count", self.image_token_count)
+        _check_int("max_sequence_length", self.max_sequence_length)
         if self.max_sequence_length < self.image_token_count:
             raise ValueError("max_sequence_length must cover one image block")
 

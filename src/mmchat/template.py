@@ -24,7 +24,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .modseq import LayoutConfig, ModalitySequence, image_blocks
+from .modseq import LayoutConfig, ModalitySequence, _check_int, image_blocks
 
 _IMAGE_LINE = re.compile(r"### Image (\d+): <image:([^\s<>]+)>")
 _ID_PATTERN = re.compile(r"[^\s<>]+")
@@ -139,8 +139,7 @@ class HashTokenizer:
     """
 
     def __init__(self, vocab_size: int = 32) -> None:
-        if vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
+        _check_int("vocab_size", vocab_size)
         self.vocab_size = vocab_size
 
     def word_id(self, word: str) -> int:

@@ -48,7 +48,7 @@ from .attn import (
     multi_head_input_vjp,
 )
 from .mask import AttentionLayout, AttentionVariant, _check_image_self, build_layout
-from .modseq import LayoutConfig, ModalitySequence, image_blocks
+from .modseq import LayoutConfig, ModalitySequence, _check_int, image_blocks
 from .template import Conversation, HashTokenizer, RenderedSample, Round, render
 
 GradDict = dict[str, np.ndarray]
@@ -74,16 +74,14 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for name in ("vision_dim", "model_dim", "num_heads", "num_layers",
                      "vocab_size", "ffn_dim", "image_token_count"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_int(name, getattr(self, name))
         if self.model_dim % self.num_heads != 0:
             raise ValueError("model_dim must be divisible by num_heads")
         object.__setattr__(self, "variant", AttentionVariant(self.variant))
         _check_image_self(self.image_self)
 
-    def layout(self, max_sequence_length: int = 4096) -> LayoutConfig:
-        return LayoutConfig(self.image_token_count, max_sequence_length)
+    def layout(self) -> LayoutConfig:
+        return LayoutConfig(self.image_token_count)
 
 
 @dataclass
@@ -418,14 +416,13 @@ class OptimState:
     v: GradDict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
+        _check_int("total_steps", self.total_steps)
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1]")
-        if self.learning_rate < 0.0 or self.weight_decay < 0.0:
-            raise ValueError("learning_rate and weight_decay must be >= 0")
+        if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ValueError("learning_rate and weight_decay must be finite and >= 0")
 
     def current_learning_rate(self) -> float:
         warmup_steps = math.ceil(self.warmup_fraction * self.total_steps)

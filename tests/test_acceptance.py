@@ -27,7 +27,7 @@ from mmchat.blend import (
     write_records,
 )
 from mmchat.cli import main
-from mmchat.mask import AttentionVariant, build_causal_mask, build_layout, build_mmca_mask
+from mmchat.mask import AttentionVariant, build_layout, build_mask
 from mmchat.modseq import LayoutConfig, TokenKind, build_sequence
 from mmchat.template import Conversation, HashTokenizer, Round, parse, render, render_text
 from mmchat.toy_model import (
@@ -100,7 +100,7 @@ def test_criterion_01_mask_rule_suite():
     for _ in range(500):
         d = int(rng.integers(1, 65))
         seq = build_sequence(_random_segments(rng, d))
-        entries = build_mmca_mask(seq).entries
+        entries = build_mask(seq, "mmca").entries
         is_image = seq.is_image()
         block = np.array(seq.ids)
         # key-modality labeling: 1 only on text keys, 2 only on image keys
@@ -123,7 +123,7 @@ def test_criterion_01_mask_rule_suite():
             continue
         # text-only collapse: no images -> identical to the causal mask
         if not is_image.any() and not np.array_equal(
-            entries, build_causal_mask(seq).entries
+            entries, build_mask(seq, "causal").entries
         ):
             violations += 1
     _report(1, "mask-rule suite", violations == 0,
@@ -144,7 +144,7 @@ def test_criterion_02_formula_fidelity():
             empty = ~(a != 0).any(axis=1)
             worst_sum = max(worst_sum, np.abs(np.where(empty, 0.0, sums - 1.0)).max())
         recomputed = (a1 + a2) @ v
-        reference = naive_mmca(q, k, v, build_mmca_mask(seq).entries, scale)
+        reference = naive_mmca(q, k, v, build_mask(seq, "mmca").entries, scale)
         worst_out = max(
             worst_out,
             np.abs(out - recomputed).max(),
@@ -186,7 +186,7 @@ def test_criterion_04_zero_leak():
     for _ in range(50):
         d = int(rng.integers(3, 13))
         seq, q, k, v, scale = _random_instance(rng, d, require_mixed=True)
-        masked = build_mmca_mask(seq).entries == 0
+        masked = build_mask(seq, "mmca").entries == 0
         layout = build_layout(seq, AttentionVariant.MMCA)
 
         def forward(values):

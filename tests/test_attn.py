@@ -12,13 +12,7 @@ from mmchat.attn import (
     multi_head_input_vjp,
     variant_grad_check,
 )
-from mmchat.mask import (
-    AttentionVariant,
-    build_causal_mask,
-    build_layout,
-    build_mask,
-    build_mmca_mask,
-)
+from mmchat.mask import AttentionVariant, build_layout, build_mask
 from mmchat.modseq import TokenKind, build_sequence
 from mmchat.toy_model import ModelConfig
 
@@ -124,8 +118,8 @@ def test_mmca_text_only_equals_causal_exactly():
     seq = build_sequence([(T, 6)])
     rng = np.random.default_rng(1)
     inputs = rand_inputs(rng, 6, 3)
-    out_mmca, a1, a2 = mmca_forward(inputs, build_mmca_mask(seq), 0.7)
-    out_causal = causal_forward(inputs, build_causal_mask(seq), 0.7)
+    out_mmca, a1, a2 = mmca_forward(inputs, build_mask(seq, "mmca"), 0.7)
+    out_causal = causal_forward(inputs, build_mask(seq, "causal"), 0.7)
     assert not a2.any()
     assert np.array_equal(out_mmca, out_causal)
 
@@ -134,7 +128,7 @@ def test_mmca_dual_rows_sum_to_two():
     seq = build_sequence([(I, 2), (T, 3)])
     rng = np.random.default_rng(2)
     inputs = rand_inputs(rng, 5, 4)
-    _, a1, a2 = mmca_forward(inputs, build_mmca_mask(seq), 0.5)
+    _, a1, a2 = mmca_forward(inputs, build_mask(seq, "mmca"), 0.5)
     w = a1 + a2
     for i in range(2, 5):  # text rows see both modalities
         assert abs(w[i].sum() - 2.0) < 1e-12
@@ -144,7 +138,7 @@ def test_mmca_two_token_hand_example():
     seq = build_sequence([(I, 1), (T, 1)])
     v = np.array([[1.0, 2.0], [3.0, 4.0]])
     inputs = AttentionInputs(np.eye(2), np.eye(2), v)
-    out, a1, a2 = mmca_forward(inputs, build_mmca_mask(seq), 1.0)
+    out, a1, a2 = mmca_forward(inputs, build_mask(seq, "mmca"), 1.0)
     assert a2[0].tolist() == [1.0, 0.0]
     assert a1[1].tolist() == [0.0, 1.0]
     assert a2[1].tolist() == [1.0, 0.0]
@@ -156,7 +150,7 @@ def test_row_sum_law():
     seq = build_sequence([(T, 2), (I, 3), (T, 2), (I, 2), (T, 1)])
     rng = np.random.default_rng(3)
     inputs = rand_inputs(rng, 10, 3)
-    mask = build_mmca_mask(seq)
+    mask = build_mask(seq, "mmca")
     _, a1, a2 = mmca_forward(inputs, mask, 0.5)
     m1, m2 = partition(mask)
     for i in range(10):
@@ -168,7 +162,7 @@ def test_causal_d1_returns_v():
     seq = build_sequence([(T, 1)])
     v = np.array([[2.5, -1.0]])
     inputs = AttentionInputs(np.zeros((1, 2)), np.zeros((1, 2)), v)
-    assert np.array_equal(causal_forward(inputs, build_causal_mask(seq), 1.0), v)
+    assert np.array_equal(causal_forward(inputs, build_mask(seq, "causal"), 1.0), v)
 
 
 def test_causal_uniform_scores_average_prefix():
@@ -176,7 +170,7 @@ def test_causal_uniform_scores_average_prefix():
     rng = np.random.default_rng(4)
     v = rng.standard_normal((4, 3))
     inputs = AttentionInputs(np.zeros((4, 3)), rng.standard_normal((4, 3)), v)
-    out = causal_forward(inputs, build_causal_mask(seq), 1.0)
+    out = causal_forward(inputs, build_mask(seq, "causal"), 1.0)
     for i in range(4):
         assert np.allclose(out[i], v[: i + 1].mean(axis=0), atol=1e-12)
 
@@ -184,8 +178,8 @@ def test_causal_uniform_scores_average_prefix():
 def test_forwards_match_naive_oracles():
     rng = np.random.default_rng(5)
     seq = build_sequence([(T, 2), (I, 3), (T, 3), (I, 2)])
-    mask_m = build_mmca_mask(seq)
-    mask_c = build_causal_mask(seq)
+    mask_m = build_mask(seq, "mmca")
+    mask_c = build_mask(seq, "causal")
     for trial in range(5):
         inputs = rand_inputs(rng, 10, 4)
         cross = CrossParams(rng.standard_normal((10, 4)), rng.standard_normal((10, 4)))
@@ -214,7 +208,7 @@ def test_cross_text_only_equals_causal():
     cross = CrossParams(rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
     mask = build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
     out_cross = cross_forward(inputs, cross, mask, 0.6)
-    out_causal = causal_forward(inputs, build_causal_mask(seq), 0.6)
+    out_causal = causal_forward(inputs, build_mask(seq, "causal"), 0.6)
     assert np.allclose(out_cross, out_causal, atol=1e-12)
 
 
@@ -225,7 +219,7 @@ def test_cross_degenerates_to_mmca_when_sharing_kv():
     mask = build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
     shared = CrossParams(inputs.k, inputs.v)
     out_cross = cross_forward(inputs, shared, mask, 0.5)
-    out_mmca, _, _ = mmca_forward(inputs, build_mmca_mask(seq), 0.5)
+    out_mmca, _, _ = mmca_forward(inputs, build_mask(seq, "mmca"), 0.5)
     assert np.allclose(out_cross, out_mmca, atol=1e-12)
 
 
@@ -245,7 +239,7 @@ def test_dimension_mismatch_rejected():
     rng = np.random.default_rng(9)
     inputs = rand_inputs(rng, 4, 2)
     with pytest.raises(ValueError, match="mask dimension"):
-        mmca_forward(inputs, build_mmca_mask(seq), 0.5)
+        mmca_forward(inputs, build_mask(seq, "mmca"), 0.5)
 
 
 def test_attention_inputs_validation():
@@ -257,7 +251,7 @@ def test_attention_inputs_validation():
 
 def test_zero_leak_single_edge():
     seq = build_sequence([(T, 2), (I, 3), (T, 3)])
-    mask = build_mmca_mask(seq)
+    mask = build_mask(seq, "mmca")
     rng = np.random.default_rng(10)
     inputs = rand_inputs(rng, 8, 3)
     out, _, _ = mmca_forward(inputs, mask, 0.5)
@@ -280,7 +274,7 @@ def test_multi_head_single_head_reduction():
     params = init_multi_head_params(AttentionVariant.MMCA, 1, 4, rng)
     x = rng.standard_normal((6, 4))
     inputs = AttentionInputs(x @ params.wq[0], x @ params.wk[0], x @ params.wv[0])
-    single, _, _ = mmca_forward(inputs, build_mmca_mask(seq), 1.0 / math.sqrt(4))
+    single, _, _ = mmca_forward(inputs, build_mask(seq, "mmca"), 1.0 / math.sqrt(4))
     layout = build_layout(seq, AttentionVariant.MMCA)
     assert np.allclose(multi_head_forward(x, params, layout)[0], single @ params.wo, atol=1e-14)
 
@@ -506,7 +500,7 @@ def test_grad_check_rejects_nonfinite_loss():
 def test_vjp_matches_for_explicit_dout():
     # weighted (not all-ones) cotangent exercises the VJP beyond sum-loss
     seq = build_sequence([(I, 2), (T, 3)])
-    mask = build_mmca_mask(seq)
+    mask = build_mask(seq, "mmca")
     rng = np.random.default_rng(17)
     inputs = rand_inputs(rng, 5, 3)
     dout = rng.standard_normal((5, 3))
@@ -533,7 +527,7 @@ def test_causal_and_cross_vjp_explicit_dout():
     inputs = rand_inputs(rng, 5, 2)
     cross = CrossParams(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
     dout = rng.standard_normal((5, 2))
-    mask_c = build_causal_mask(seq)
+    mask_c = build_mask(seq, "causal")
     mask_x = build_mask(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
     eps = 1e-6
 

@@ -81,6 +81,21 @@ def test_blend_spec_validation():
         BlendSpec(min_group=1, max_group=1, seed=0, max_images=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"min_group": 1.5}, "min_group must be an integer >= 1, got 1.5"),
+        ({"max_group": 2.0}, "max_group must be an integer >= 1, got 2.0"),
+        ({"max_images": True}, "max_images must be an integer >= 1, got True"),
+        ({"seed": 0.5}, "seed must be an integer >= 0, got 0.5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ],
+)
+def test_blend_spec_rejects_non_integer_fields(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BlendSpec(**{"min_group": 1, "max_group": 2, "seed": 0, **kwargs})
+
+
 # ---------------------------------------------------------------------------
 # concat_blend
 

@@ -8,7 +8,7 @@ import mmchat.attn as attn_module
 import mmchat.blend as blend_module
 from mmchat.blend import read_records, write_records
 from mmchat.cli import main, parse_seq_spec
-from mmchat.mask import build_causal_mask, build_mmca_mask, render_mask
+from mmchat.mask import build_mask, render_mask
 from mmchat.modseq import TokenKind, build_sequence
 from mmchat.template import parse, render_text
 
@@ -29,13 +29,13 @@ def test_parse_seq_spec():
 def test_mask_command_mmca(capsys):
     assert main(["mask", "i3,t7"]) == 0
     out = capsys.readouterr().out
-    assert out.strip("\n") == render_mask(build_mmca_mask(build_sequence([(I, 3), (T, 7)])))
+    assert out.strip("\n") == render_mask(build_mask(build_sequence([(I, 3), (T, 7)]), "mmca"))
 
 
 def test_mask_command_causal(capsys):
     assert main(["mask", "t4", "--variant", "causal"]) == 0
     out = capsys.readouterr().out
-    assert out.strip("\n") == render_mask(build_causal_mask(build_sequence([(T, 4)])))
+    assert out.strip("\n") == render_mask(build_mask(build_sequence([(T, 4)]), "causal"))
     assert out.splitlines()[0] == "1···"
 
 
@@ -48,7 +48,7 @@ def test_mask_command_writes_file(tmp_path):
     out = tmp_path / "grid.txt"
     assert main(["mask", "i2,t2", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8").strip() == render_mask(
-        build_mmca_mask(build_sequence([(I, 2), (T, 2)]))
+        build_mask(build_sequence([(I, 2), (T, 2)]), "mmca")
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ def test_layout_config_defaults_and_validation():
         LayoutConfig(image_token_count=0)
     with pytest.raises(ValueError):
         LayoutConfig(image_token_count=10, max_sequence_length=9)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"image_token_count": 2.5}, "image_token_count must be an integer >= 1, got 2.5"),
+        ({"image_token_count": True}, "image_token_count must be an integer >= 1, got True"),
+        ({"image_token_count": 0}, "image_token_count must be an integer >= 1, got 0"),
+        ({"max_sequence_length": 4096.0}, "max_sequence_length must be an integer >= 1, got 4096.0"),
+        ({"max_sequence_length": "4096"}, "max_sequence_length must be an integer >= 1, got '4096'"),
+    ],
+)
+def test_layout_config_rejects_non_integer_sizes(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LayoutConfig(**kwargs)
 
 
 def test_is_image_and_block_ids_vectors():

@@ -271,15 +271,16 @@ def test_layout_orders_on_edge_layouts():
         (slice(0, 6), slice(0, 6), 2), (slice(6, 8), slice(6, 8), 1), (slice(8, 11), slice(8, 11), 1),
         (slice(11, 14), slice(11, 14), 0), (slice(11, 12), slice(0, 8), 0), (slice(12, 14), slice(0, 11), 0),
     ]
-    # a partly kept block in the middle of a stack splits it: the whole
-    # blocks on either side stay stacked, the partial one reads its whole block
+    # a partly kept block in the middle of a stack splits it into one flat
+    # term per block with kept rows, each reading its whole block: the
+    # wholly kept blocks on either side too
     stack = build_layout(build_sequence([(I, 3), (I, 3), (I, 3), (T, 1)]), "mmca")
     part = stack.restrict([0, 1, 2, 4, 6, 7, 8])
     assert part.rows.tolist() == [0, 1, 2, 4, 6, 7, 8] and part.keys is stack.keys
     assert terms(part) == [
-        (slice(0, 3), slice(0, 3), 1), (slice(3, 4), slice(3, 6), 0), (slice(4, 7), slice(6, 9), 1)
+        (slice(0, 3), slice(0, 3), 0), (slice(3, 4), slice(3, 6), 0), (slice(4, 7), slice(6, 9), 0)
     ]
-    assert [k.tolist() for _, k in map(part.positions, part.terms)] == [[[0, 1, 2]], [3, 4, 5], [[6, 7, 8]]]
+    assert [k.tolist() for _, k in map(part.positions, part.terms)] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
     # text before the first image has no image term
     early = build_layout(build_sequence([(T, 3), (I, 2), (T, 2)]), "cross")
     assert early.keys.tolist() == [3, 4, 0, 1, 2, 5, 6]

@@ -43,6 +43,12 @@ def test_tokenizer_deterministic_and_bounded():
         HashTokenizer(0)
 
 
+@pytest.mark.parametrize("vocab_size", [2.5, 32.0, True, 0, -1, "32", None])
+def test_tokenizer_rejects_non_integer_vocab_size(vocab_size):
+    with pytest.raises(ValueError, match=r"^vocab_size must be an integer >= 1, got "):
+        HashTokenizer(vocab_size)
+
+
 # ---------------------------------------------------------------------------
 # render (token form)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -423,6 +424,22 @@ def test_optim_state_validation_and_warmup():
     assert opt.current_learning_rate() == 1e-3
     assert opt.beta1 == 0.0 and opt.beta2 == 0.95
     assert opt.warmup_fraction == 0.10
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"total_steps": 2.5}, "total_steps must be an integer >= 1, got 2.5"),
+        ({"total_steps": True}, "total_steps must be an integer >= 1, got True"),
+        ({"total_steps": 10, "learning_rate": math.nan}, "learning_rate and weight_decay must be finite"),
+        ({"total_steps": 10, "learning_rate": math.inf}, "learning_rate and weight_decay must be finite"),
+        ({"total_steps": 10, "weight_decay": math.nan}, "learning_rate and weight_decay must be finite"),
+        ({"total_steps": 10, "weight_decay": -1e-3}, "learning_rate and weight_decay must be finite"),
+    ],
+)
+def test_optim_state_rejects_non_integer_steps_and_non_finite_rates(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        OptimState(**kwargs)
 
 
 def test_train_step_zero_learning_rate_is_identity():
