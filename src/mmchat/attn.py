@@ -22,15 +22,17 @@ NaN, which keeps image-free text prefixes well-defined.
 ``AttentionLayout`` built once per sequence or bin of sequences, one
 softmax term at a time: image rows over their own block, text rows over
 text keys (every row, for causal), and runs of text rows over exactly the
-image keys before them. No
-d x d array is formed. A pass gathers Q along the layout's row order and
-K/V (and Kx/Vx) along its key order once, runs every term on slices and
-reshaped views of those, and scatters its output, or each gradient, back
-to sequence order once. Each term's scores are computed from the pre-scaled
-Q into a fresh buffer that is masked and turned into max-shifted
-exponentials E in place. Normalization is deferred (FlashAttention, Dao et
-al., arXiv 2205.14135): the thin output E @ V is divided by the row totals,
-never the rows x keys E. The forward pass returns one ``SavedAttention``:
+image keys before them; in a bin, a run of equal sequences shares each
+of those terms as one stack. No d x d array is formed. A pass gathers Q
+along the layout's row order and K/V (and Kx/Vx) along its key order
+once, runs every term on basic-slice views of those (a stack's slice seen
+as blocks, each cut to the term's ``row_part`` or ``key_part``), reads and
+accumulates through the same views, and scatters its output, or each
+gradient, back to sequence order once. Each term's scores are computed
+from the pre-scaled Q into a fresh buffer that is masked and turned into
+max-shifted exponentials E in place. Normalization is deferred
+(FlashAttention, Dao et al., arXiv 2205.14135): the thin output E @ V is
+divided by the row totals, never the rows x keys E. The forward pass returns one ``SavedAttention``:
 its layout, scale and ordered inputs and each term's E, row totals and
 output. The
 VJP reads it and nothing else, so a backward pass takes no inputs that
@@ -125,9 +127,10 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _blocks(a: np.ndarray, stack: int) -> np.ndarray:
-    """``a``'s rows as a view of ``stack`` equal blocks; ``a`` itself for 0."""
-    return a.reshape(*a.shape[:-2], stack, -1, a.shape[-1]) if stack else a
+def _blocks(a: np.ndarray, stack: int, part: slice) -> np.ndarray:
+    """Rows ``part`` of each of ``stack`` equal blocks of ``a``'s rows (one
+    block for 0), as a view."""
+    return (a.reshape(*a.shape[:-2], stack, -1, a.shape[-1]) if stack else a)[..., part, :]
 
 
 @dataclass(frozen=True)
@@ -169,13 +172,14 @@ def segment_attention(
     q = scale * inputs["q"]  # scale the thin side, not the rows x keys scores
     out = np.zeros(q.shape)
     terms = []
-    for rows, keys, forbid, cross, stack in layout.terms:
-        kk, vv = (_blocks(a[..., keys, :], stack) for a in sources[cross])
-        e = _blocks(q[..., rows, :], stack) @ _swap(kk)
+    for rows, keys, forbid, cross, stack, row_part, key_part in layout.terms:
+        kk, vv = (_blocks(a[..., keys, :], stack, key_part) for a in sources[cross])
+        e = _blocks(q[..., rows, :], stack, row_part) @ _swap(kk)
         total = _exp_in_place(e, forbid, check)
         term_out = e @ vv
         term_out /= total  # normalize the thin rows x head_dim output, not E
-        out[..., rows, :] += term_out.reshape(out[..., rows, :].shape)
+        term_rows = _blocks(out[..., rows, :], stack, row_part)
+        term_rows += term_out
         terms.append((e, total, term_out))
     full = np.zeros(given["q"].shape)
     full[..., layout.rows, :] = out
@@ -220,12 +224,13 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
         raise ValueError("dout contains non-finite values")
     dout = dout[..., layout.rows, :]
     grads = {name: np.zeros_like(a) for name, a in inputs.items()}
-    for (e, total, term_out), (rows, keys, _, cross, stack) in zip(saved.terms, layout.terms):
-        q, gq = (_blocks(a[..., rows, :], stack) for a in (inputs["q"], grads["q"]))
+    for (e, total, term_out), term in zip(saved.terms, layout.terms):
+        rows, keys, _, cross, stack, row_part, key_part = term
+        q, gq = (_blocks(a[..., rows, :], stack, row_part) for a in (inputs["q"], grads["q"]))
         kn, vn = ("kx", "vx") if cross else ("k", "v")
-        k, gk, v, gv = (_blocks(a[name][..., keys, :], stack)
+        k, gk, v, gv = (_blocks(a[name][..., keys, :], stack, key_part)
                         for name in (kn, vn) for a in (inputs, grads))
-        g = _blocks(dout[..., rows, :], stack) / total
+        g = _blocks(dout[..., rows, :], stack, row_part) / total
         gv += _swap(e) @ g
         row_term = (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
         parts = [(e, g, row_term, q, gq)]

@@ -3,8 +3,8 @@ rendering and gradient checking.
 
 Every command is deterministic for fixed flags and seed. Exit status is
 0 only when no errors occurred and all checks passed; a data or file
-error (bad value, unreadable input, unwritable output) prints one
-``error:`` line and exits 2.
+error (bad value, unreadable input, unwritable output, a size too large
+to allocate) prints one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

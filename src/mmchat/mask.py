@@ -15,9 +15,12 @@ variant and ``image_self`` are the whole attention rule, and both
 ``build_mask`` and ``build_layout`` take both. ``build_layout`` also takes
 a bin of sequences laid end to end (sequence packing without
 cross-contamination, Krell et al., arXiv 2107.02027): no term reads two
-sequences, so the absence of a term is the document mask. ``AttentionLayout.restrict`` keeps only chosen query rows,
-for a pass whose other rows reach nothing (the toy model's last block,
-whose only consumers are the loss's target rows).
+sequences, so the absence of a term is the document mask, and a run of
+adjacent equal sequences runs each of its text and staircase terms once,
+stacked over the run, as equal image blocks are. ``AttentionLayout.restrict``
+keeps only chosen query rows, for a pass whose other rows reach nothing
+(the toy model's last block, whose only consumers are the loss's target
+rows).
 
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. ``build_mask`` is the one
@@ -35,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -66,12 +70,14 @@ class MmcaMask:
             raise ValueError("mask entries must be a square matrix")
         if given.shape[0] < 1:
             raise ValueError("mask dimension must be >= 1")
+        # copy every input but a read-only int8 array: the caller's array is
+        # never frozen or aliased
         with np.errstate(invalid="ignore"):
-            entries = given.astype(np.int8, copy=False)
+            entries = given.astype(np.int8, copy=given.flags.writeable)
         # as bytes, every value outside {0, 1, 2} is above 2; a cast that
         # wrapped or truncated a value no longer equals it
         if entries.view(np.uint8).max() > IMAGE_KEY or (
-            entries is not given and not np.array_equal(entries, given)
+            given.dtype != np.int8 and not np.array_equal(entries, given)
         ):
             raise ValueError("mask entries must lie in {0, 1, 2}")
         entries.setflags(write=False)
@@ -113,6 +119,7 @@ def build_mask(
         group = bid if image_self == "block" else np.arange(seq.d)
         entries[is_img] = group[is_img, None] == group  # image rows: their own group only
         entries *= np.where(is_img, IMAGE_KEY, TEXT_KEY).astype(np.int8)  # label by key modality
+    entries.setflags(write=False)  # so MmcaMask keeps it without a copy
     return MmcaMask(entries)
 
 
@@ -123,15 +130,20 @@ def build_mask(
 class Term(NamedTuple):
     """One softmax term: slices of the layout's ``rows`` and ``keys``, the
     (rows, keys) entries the rows may not read (``forbid``; ``None``: every
-    row reads every key), whether the keys are read through Kx/Vx instead
-    of K/V, and ``stack``: the number of equal-size blocks, each its own
-    softmax over itself, that the term splits into (0: one flat term)."""
+    row reads every key; a stack's blocks share it), whether the keys are
+    read through Kx/Vx instead of K/V, ``stack``: the number of equal-size
+    blocks, each its own softmax, that the term splits into (0: one flat
+    term), and the part of each block (a flat term is one block) that the
+    term reads: rows ``row_part`` of its rows over keys ``key_part`` of its
+    keys (default: all of them)."""
 
     rows: slice
     keys: slice
     forbid: np.ndarray | None
     cross: bool
     stack: int = 0
+    row_part: slice = slice(None)
+    key_part: slice = slice(None)
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,10 @@ class AttentionLayout:
     one unmasked term per run of text rows with the same number n of image
     tokens before them, reading exactly those n image keys, the first n of
     the sequence's own (through Kx/Vx for cross). Text rows before a
-    sequence's first image have no image term. The kernel sums the terms'
+    sequence's first image have no image term. A run of k >= 2 adjacent
+    equal sequences shares these per-sequence terms: each is one stack of k
+    blocks, one per sequence, whose ``row_part`` and ``key_part`` pick the
+    same rows and keys of every sequence. The kernel sums the terms'
     outputs.
     """
 
@@ -172,14 +187,16 @@ class AttentionLayout:
         """The sequence positions of ``term``'s rows and keys: (count, size)
         arrays for a stack of blocks, 1-D otherwise."""
         shape = (term.stack, -1) if term.stack else (-1,)
-        return self.rows[term.rows].reshape(shape), self.keys[term.keys].reshape(shape)
+        rows, keys = self.rows[term.rows].reshape(shape), self.keys[term.keys].reshape(shape)
+        return rows[..., term.row_part], keys[..., term.key_part]
 
     def restrict(self, rows: np.ndarray) -> AttentionLayout:
         """The layout over the same ``d`` and ``keys`` whose terms keep only
         the query rows in ``rows`` (non-empty, each in [0, d)), in the old
         row order, so each term's kept rows stay one slice. A term whose
-        rows are all kept stays as it is. In any other term, each block
-        with kept rows (a flat term is one block) becomes a flat term of
+        blocks (a flat term is one block) all keep the same rows stays one
+        term over its kept rows, with its ``forbid`` rows cut the same way.
+        In any other term, each block with kept rows becomes a flat term of
         those rows over that block's keys, keeping their ``forbid`` rows.
         Every allowed edge of a kept row stays in exactly one term; the
         kernel gives every other row zero output."""
@@ -194,18 +211,25 @@ class AttentionLayout:
         at = [0, *np.cumsum(kept).tolist()]  # new index of each old row index
         terms = []
         for term in self.terms:
-            start, stop = term.rows.start, term.rows.stop
-            if at[stop] - at[start] == stop - start:
-                terms.append(term._replace(rows=slice(at[start], at[stop])))
+            start, blocks = term.rows.start, max(term.stack, 1)
+            held = kept[term.rows].reshape(blocks, -1)  # the kept rows of each block
+            size, width = held.shape[1], (term.keys.stop - term.keys.start) // blocks
+            part, key_part = range(size)[term.row_part], range(width)[term.key_part]
+            read = held[:, term.row_part]  # the kept rows the term reads
+            if not read.any():
                 continue
-            blocks = max(term.stack, 1)
-            size, width = (stop - start) // blocks, (term.keys.stop - term.keys.start) // blocks
-            for b in range(blocks):
-                lo, hi = start + b * size, start + (b + 1) * size
-                if at[hi] > at[lo]:
-                    keys = slice(term.keys.start + b * width, term.keys.start + (b + 1) * width)
-                    forbid = None if term.forbid is None else term.forbid[kept[lo:hi]]
-                    terms.append(Term(slice(at[lo], at[hi]), keys, forbid, term.cross))
+            if (held == held[0]).all():
+                first, last = int(held[0, : part.start].sum()), int(held[0, : part.stop].sum())
+                forbid = term.forbid if term.forbid is None or read.all() else term.forbid[read[0]]
+                row_part = slice(None) if (first, last) == (0, held[0].sum()) else slice(first, last)
+                terms.append(term._replace(rows=slice(at[start], at[term.rows.stop]), forbid=forbid,
+                                           row_part=row_part))
+                continue
+            for b in np.flatnonzero(read.any(axis=1)).tolist():
+                lo, keys = start + b * size, term.keys.start + b * width
+                forbid = None if term.forbid is None else term.forbid[read[b]]
+                terms.append(Term(slice(at[lo + part.start], at[lo + part.stop]),
+                                  slice(keys + key_part.start, keys + key_part.stop), forbid, term.cross))
         return replace(self, terms=tuple(terms), rows=self.rows[kept])
 
 
@@ -244,22 +268,28 @@ def build_layout(
         terms.append(Term(span, span, None, False, count))
         at = span.stop
     cross = variant is AttentionVariant.CAUSAL_PLUS_CROSS
-    img_at, text_at = 0, n_img  # where this sequence's image keys and text rows start
-    for seq, blocks in zip(seqs, spans):
-        n_text = seq.d - sum(end - start for _, start, end in blocks)
-        if n_text:  # text positions ascend, so a later text key is a later column
-            span = slice(text_at, text_at + n_text)
-            columns = positions[:n_text]
-            terms.append(Term(span, span, columns[None, :] > columns[:, None], False))
+    img_at, text_at = 0, n_img  # where this run's image keys and text rows start
+    for seq, run in groupby(zip(seqs, spans), key=itemgetter(0)):
+        blocks, count = next(run)[1], 1 + len(list(run))  # a run of equal sequences shares its terms
+        stack = count if count > 1 else 0
+        n_image = sum(end - start for _, start, end in blocks)
+        text_rows = slice(text_at, text_at + count * (seq.d - n_image))
+        image_keys = slice(img_at, img_at + count * n_image)
+        if seq.d > n_image:  # text positions ascend, so a later text key is a later column
+            columns = positions[: seq.d - n_image]
+            terms.append(Term(text_rows, text_rows, columns[None, :] > columns[:, None], False, stack))
         n = 0
         stops = [start for _, start, _ in blocks[1:]] + [seq.d]
         for (_, start, end), stop in zip(blocks, stops):
             n += end - start
             if stop > end:  # the text rows up to the next block read the n image keys before them
-                rows = slice(text_at + end - n, text_at + stop - n)
-                terms.append(Term(rows, slice(img_at, img_at + n), None, cross))
-        img_at += seq.d - n_text
-        text_at += n_text
+                if stack:  # the same rows and keys of every sequence of the run
+                    parts = slice(end - n, stop - n), slice(0, n)
+                    terms.append(Term(text_rows, image_keys, None, cross, stack, *parts))
+                else:
+                    rows = slice(text_at + end - n, text_at + stop - n)
+                    terms.append(Term(rows, slice(img_at, img_at + n), None, cross))
+        img_at, text_at = image_keys.stop, text_rows.stop
     return AttentionLayout(d, variant, tuple(terms), order, order)
 
 

@@ -282,6 +282,20 @@ def test_gradcheck_rejects_no_seeds(capsys):
     assert captured.err == "error: --seeds must be >= 1\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["mask", "i3,t99999999999999999"],
+    ["mask", "i3,t999999999999999999999"],
+    ["gradcheck", "--d", "2", "--seeds", "1", "--head-dim", "100000000000000000"],
+])
+def test_sizes_too_large_to_allocate_exit_2_without_traceback(capsys, argv):
+    """Each command asks for more than any address space holds (a list of
+    1e17 block ids, or of 1e21, past the largest list index; a 2 x 1e17
+    float64 array), so it fails at once without touching memory."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.strip() != "error:" and len(err.strip().splitlines()) == 1
+
+
 def test_gradcheck_all_variants_small(capsys):
     assert main(["gradcheck", "--seeds", "1", "--d", "5"]) == 0
     out = capsys.readouterr().out

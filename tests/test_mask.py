@@ -120,6 +120,18 @@ def test_mask_entries_immutable():
         mask.entries[0, 0] = 2
 
 
+def test_mask_copies_a_writable_input_and_keeps_a_read_only_one():
+    given = np.ones((2, 2), dtype=np.int8)
+    mask = MmcaMask(given)
+    assert given.flags.writeable and not np.shares_memory(given, mask.entries)
+    given[0, 1] = 0
+    assert mask.entries.tolist() == [[1, 1], [1, 1]]
+    # a read-only int8 array, such as build_mask makes, is kept as it is
+    frozen = np.ones((2, 2), dtype=np.int8)
+    frozen.setflags(write=False)
+    assert MmcaMask(frozen).entries is frozen
+
+
 def test_image_self_diagonal():
     seq = build_sequence([(I, 3), (T, 1)])
     mask = build_mask(seq, "mmca", image_self="diagonal")

@@ -28,12 +28,13 @@ from mmchat.attn import (
     segment_attention,
     segment_attention_vjp,
 )
-from mmchat.mask import AttentionVariant, build_layout, build_mask
+from mmchat.mask import AttentionVariant, MmcaMask, build_layout, build_mask
 from mmchat.modseq import LayoutConfig, ModalitySequence, TokenKind, build_sequence, image_blocks
 from mmchat.template import Conversation, HashTokenizer, Round, render
 from mmchat.toy_model import (
     ModelConfig,
     OptimState,
+    _bin_loss_and_grads,
     loss_and_param_grads,
     make_copy_task,
     make_model,
@@ -74,8 +75,13 @@ def head_shape(config):
 
 def dense_heads(config, x, params, seq):
     """Per-head (AttentionInputs, CrossParams | None) and the dense mask of
-    ``config``, a ``ModelConfig`` whose attention fields set the rule."""
-    mask = build_mask(seq, config.variant, config.image_self)
+    ``config``, a ``ModelConfig`` whose attention fields set the rule, over
+    one sequence or a bin of them (the block diagonal of their masks)."""
+    if isinstance(seq, ModalitySequence):
+        mask = build_mask(seq, config.variant, config.image_self)
+    else:
+        grids = [build_mask(one, config.variant, config.image_self).entries for one in seq]
+        mask = MmcaMask(block_diagonal(grids))
     heads = []
     for h in range(config.num_heads):
         inputs = AttentionInputs(x @ params.wq[h], x @ params.wk[h], x @ params.wv[h])
@@ -156,22 +162,31 @@ def dense_weights(config, x, params, seq):
     return np.array(views)
 
 
-def max_gaps(config, seq, seed):
+def max_gaps(config, seq, seed, rows=None):
     """(forward gap, input-VJP gap, weight-view gap) between the kernel and
-    the reference."""
+    the reference, on one sequence or a bin of them. With ``rows`` the
+    kernel runs on the layout restricted to them: its output and weights
+    must match the reference on those rows and be zero on every other, and
+    its VJP must match the reference's for a ``dout`` that is zero off them."""
     rng = np.random.default_rng(seed)
-    params = init_multi_head_params(config.variant, config.num_heads, config.model_dim, rng)
-    x = rng.standard_normal((seq.d, config.model_dim))
-    dout = rng.standard_normal((seq.d, config.model_dim))
     layout = build_layout(seq, config.variant, config.image_self)
+    params = init_multi_head_params(config.variant, config.num_heads, config.model_dim, rng)
+    x = rng.standard_normal((layout.d, config.model_dim))
+    dout = rng.standard_normal((layout.d, config.model_dim))
+    kept = np.ones(layout.d, dtype=bool)
+    if rows is not None:
+        layout = layout.restrict(rows)
+        kept[:] = False
+        kept[rows] = True
+        dout[~kept] = 0.0
     out, saved = multi_head_forward(x, params, layout)
-    fwd = np.abs(out - dense_forward(config, x, params, seq))
+    fwd = np.abs(out - np.where(kept[:, None], dense_forward(config, x, params, seq), 0.0))
     vjp = np.abs(
         multi_head_input_vjp(params, saved, dout)
         - dense_input_vjp(config, x, params, seq, dout)
     )
     views = np.stack(attention_weights(saved), axis=1)  # heads lead
-    weights = np.abs(views - dense_weights(config, x, params, seq))
+    weights = np.abs(views - np.where(kept[:, None], dense_weights(config, x, params, seq), 0.0))
     return float(fwd.max()), float(vjp.max()), float(weights.max())
 
 
@@ -333,9 +348,17 @@ def test_bin_layout_lays_sequences_end_to_end():
         ]
     (causal_first, causal_second) = build_layout([first, second], "causal").terms
     assert (causal_first.rows, causal_second.rows) == (slice(0, 5), slice(5, 11))
-    # the copy task's eight samples: one stack of eight 4-token image blocks
+    # the copy task's eight equal samples: one stack of eight 4-token image
+    # blocks, then one text term and one staircase step, each a stack of
+    # eight 16-row blocks over all 128 text rows; the step reads rows 6-15
+    # of each block (after the image) over the first 4 image keys of each
     copy = build_layout([sample.tags for sample in make_copy_task(ModelConfig())[0]], "mmca")
-    assert [(t.rows, t.stack) for t in copy.terms if t.stack] == [(slice(0, 32), 8)]
+    assert [(t.rows, t.keys, t.stack, t.row_part, t.key_part) for t in copy.terms] == [
+        (slice(0, 32), slice(0, 32), 8, slice(None), slice(None)),
+        (slice(32, 160), slice(32, 160), 8, slice(None), slice(None)),
+        (slice(32, 160), slice(0, 32), 8, slice(6, 16), slice(0, 4)),
+    ]
+    assert np.array_equal(copy.terms[1].forbid, np.triu(np.ones((16, 16), dtype=bool), 1))
     with pytest.raises(ValueError, match="at least one sequence"):
         build_layout([], "mmca")
 
@@ -490,6 +513,189 @@ def test_edge_layout_terms_account_for_every_allowed_edge_once(segments, picks, 
     for config in CONFIGS:  # the same sequence first in a bin of up to four
         assert_terms_account_for_mask(bin_, *config)
         assert_terms_account_for_mask(bin_, *config, sorted({pick % d for pick in picks}))
+
+
+def image_rows(seqs, variant):
+    """The number of image rows that lead a layout of ``seqs``: each of its
+    per-sequence terms (text rows over text keys, or a staircase step)
+    starts after them."""
+    return 0 if variant is AttentionVariant.CAUSAL_ONLY else sum(int(seq.is_image().sum()) for seq in seqs)
+
+
+def per_sequence_terms(layout, seqs):
+    return [t for t in layout.terms if t.rows.start >= image_rows(seqs, layout.variant)]
+
+
+def image_terms(layout, seqs):
+    return [t for t in layout.terms if t.rows.start < image_rows(seqs, layout.variant)]
+
+
+def runs_of(seqs):
+    """(sequence, count) for each run of adjacent equal sequences."""
+    return [(seq, len(list(run))) for seq, run in itertools.groupby(seqs)]
+
+
+def moved_terms(seqs, variant, image_self):
+    """Each sequence's own per-sequence terms, moved to where a bin of
+    ``seqs`` lays out that sequence's text rows and image keys."""
+    img_at, text_at, terms = 0, image_rows(seqs, variant), []
+    for seq in seqs:
+        n_img = image_rows([seq], variant)
+        for t in per_sequence_terms(build_layout(seq, variant, image_self), [seq]):
+            key_at = text_at - n_img if t.keys.start >= n_img else img_at  # text or image keys
+            terms.append(t._replace(rows=slice(t.rows.start + text_at - n_img, t.rows.stop + text_at - n_img),
+                                    keys=slice(t.keys.start + key_at, t.keys.stop + key_at)))
+        img_at, text_at = img_at + n_img, text_at + seq.d - n_img
+    return terms
+
+
+def assert_same_terms(terms, expected):
+    assert [(t.rows, t.keys, t.stack, t.cross, t.row_part, t.key_part) for t in terms] == [
+        (t.rows, t.keys, t.stack, t.cross, t.row_part, t.key_part) for t in expected
+    ]
+    for t, e in zip(terms, expected):
+        assert t.forbid is e.forbid is None or np.array_equal(t.forbid, e.forbid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seqs=st.lists(_segments.map(build_sequence), min_size=1, max_size=4))
+@example(seqs=[build_sequence([(T, 2), (I, 3), (T, 1)])] * 2)  # equal neighbours are dropped below
+def test_sequences_without_equal_neighbours_keep_their_own_terms(seqs):
+    """A single sequence, and a bin in which no two adjacent sequences are
+    equal, lay out every sequence's text and staircase terms as that
+    sequence alone does: flat, reading whole slices, moved to its place."""
+    distinct = [seq for seq, _ in runs_of(seqs)]
+    for variant, image_self in CONFIGS:
+        for bin_ in [*([seq] for seq in distinct), distinct]:
+            layout = build_layout(bin_, variant, image_self)
+            assert all(t.row_part == t.key_part == slice(None) for t in layout.terms)
+            assert not any(t.stack for t in per_sequence_terms(layout, bin_))
+            assert_same_terms(per_sequence_terms(layout, bin_), moved_terms(bin_, variant, image_self))
+
+
+def test_paper_shaped_bin_keeps_each_samples_terms():
+    """A bin of 1, 2 and 4 images of 256 tokens: one stack of its seven
+    image blocks, then each sample's own text and staircase terms."""
+    rounds = [Round((f"{n}.{i}",), f"what is in image {i}", "a picture of a cat") for n in (1, 2, 4)
+              for i in range(n)]
+    convs = [Conversation("look", tuple(rounds[:1])), Conversation("look", tuple(rounds[1:3])),
+             Conversation("look", tuple(rounds[3:]))]
+    layout = LayoutConfig(image_token_count=256, max_sequence_length=4096)
+    bin_ = [render(conv, HashTokenizer(32), layout).tags for conv in convs]
+    assert [sum(seq.is_image()) for seq in bin_] == [256, 512, 1024]
+    for variant, image_self in CONFIGS:
+        packed = build_layout(bin_, variant, image_self)
+        assert_same_terms(per_sequence_terms(packed, bin_), moved_terms(bin_, variant, image_self))
+        stacks = [t.stack for t in image_terms(packed, bin_)]
+        if variant is AttentionVariant.CAUSAL_ONLY:
+            assert stacks == []
+        else:  # seven 256-token blocks, or 1792 one-token blocks
+            assert stacks == ([7] if image_self == "block" else [1792])
+        assert len(packed.terms) == (3 if variant is AttentionVariant.CAUSAL_ONLY else 11)
+
+
+_run = st.tuples(_segments, st.integers(1, 4))
+# runs of equal sequences: one of 2-4 between up to two runs of 1-4 on either side
+_run_bins = st.tuples(
+    st.lists(_run, max_size=2), st.tuples(_segments, st.integers(2, 4)), st.lists(_run, max_size=2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=_run_bins,
+    picks=st.lists(st.integers(0, 255), min_size=1, max_size=8),
+    config_index=st.integers(0, len(CONFIGS) - 1),
+    seed=st.integers(0, 2**16),
+)
+# the copy task's shape: one image between text, eight times
+@example(runs=([], ([(T, 6), (I, 4), (T, 10)], 8), []), picks=[18, 19], config_index=2, seed=0)
+# text before the first image, two staircase steps, image blocks that stack across runs
+@example(runs=([([(I, 2), (T, 3)], 1)], ([(T, 1), (I, 2), (T, 2), (I, 1), (T, 2)], 3), [([(I, 2)], 2)]),
+         picks=[0, 3, 5, 8], config_index=5, seed=1)
+# text-only and image-only runs
+@example(runs=([([(T, 3)], 2)], ([(I, 3)], 2), [([(T, 2)], 1)]), picks=[1, 2], config_index=4, seed=2)
+def test_runs_of_equal_sequences_stack_their_terms(runs, picks, config_index, seed):
+    """In a bin, each run of adjacent equal sequences lays out one set of
+    text and staircase terms, each stacked over the run (flat for a run of
+    one); every allowed edge lies in exactly one term, for the full layout
+    and restricted to the same rows of every sequence or to scattered rows,
+    and the stacked terms stay stacked when every sequence keeps the same
+    rows; the kernel's output, VJP and weights match the dense reference."""
+    before, middle, after = runs
+    bin_ = [build_sequence(segments) for segments, count in [*before, middle, *after] for _ in range(count)]
+    starts = np.cumsum([0] + [seq.d for seq in bin_])
+    same = sorted({int(at) + pick % seq.d for seq, at in zip(bin_, starts) for pick in picks})
+    scattered = sorted({pick % int(starts[-1]) for pick in picks})
+    for variant, image_self in CONFIGS:
+        layout = build_layout(bin_, variant, image_self)
+        expected = [count if count > 1 else 0 for seq, count in runs_of(bin_)
+                    for _ in per_sequence_terms(build_layout(seq, variant, image_self), [seq])]
+        assert [t.stack for t in per_sequence_terms(layout, bin_)] == expected
+        assert_terms_account_for_mask(bin_, variant, image_self)
+        for rows in (same, scattered):
+            assert_terms_account_for_mask(bin_, variant, image_self, rows)
+        # one restricted term for each per-sequence term that reads a kept row
+        reading = [t for t in per_sequence_terms(layout, bin_) if np.isin(layout.positions(t)[0], same).any()]
+        restricted = layout.restrict(same)
+        kept_image_rows = int(np.isin(layout.rows[: image_rows(bin_, variant)], same).sum())
+        stacks = [t.stack for t in restricted.terms if t.rows.start >= kept_image_rows]
+        assert stacks == [t.stack for t in reading]
+    variant, image_self = CONFIGS[config_index]
+    config = ModelConfig(variant=variant, num_heads=2, model_dim=6, image_self=image_self)
+    for rows in (None, same, scattered):
+        assert max(max_gaps(config, bin_, seed, rows)) <= TOLERANCE
+
+
+@pytest.mark.parametrize(("variant", "full", "last"), [("causal", 1, 1), ("cross", 3, 2), ("mmca", 3, 2)])
+def test_copy_bin_stacks_its_eight_samples_terms(variant, full, last):
+    """The copy task's eight samples share one structure, so its bin runs
+    one term per kind, each a stack of eight: the image blocks, text rows
+    over text keys and one staircase step (causal: one term); the last
+    block's layout, restricted to the target rows, keeps the text term
+    and the staircase step stacked."""
+    samples, _ = make_copy_task(ModelConfig(variant=variant))
+    assert len(samples) == 8 and len({sample.tags for sample in samples}) == 1
+    layout = build_layout([sample.tags for sample in samples], variant)
+    targets = np.concatenate([i * samples[0].d + target_rows(sample) for i, sample in enumerate(samples)])
+    assert [t.stack for t in layout.terms] == [8] * full
+    assert [t.stack for t in layout.restrict(targets).terms] == [8] * last
+
+
+def flat_layout(seqs, variant, image_self="block"):
+    """The layout of a bin of ``seqs`` with every sequence's text and
+    staircase terms flat, as a bin without equal neighbours lays them out."""
+    layout = build_layout(seqs, variant, image_self)
+    terms = (*image_terms(layout, seqs), *moved_terms(seqs, variant, image_self))
+    return dataclasses.replace(layout, terms=terms)
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_stacked_bin_matches_flat_terms_bit_for_bit_and_sums_its_samples(monkeypatch, variant):
+    """A training pass over a bin with runs of equal samples (the copy
+    task's eight, then one rendered chat three times and another once)
+    gives bit for bit what it gives with every sample's terms flat, and the
+    sum of the samples' own passes within one rounding per sample, relative
+    to the largest entry: the bin adds the samples' parts in another order."""
+    config = ModelConfig(variant=variant)
+    copies, ids = make_copy_task(config)
+    rng = np.random.default_rng(14)
+    chat, other = (render(random_conversation(rng), HashTokenizer(config.vocab_size), config.layout())
+                   for _ in range(2))
+    samples = [*copies, chat, chat, chat, other]
+    seqs = [sample.tags for sample in samples]
+    assert [count for _, count in runs_of(seqs)] == [8, 3, 1]
+    assert len(flat_layout(seqs, variant).terms) > len(build_layout(seqs, variant).terms)
+    model = make_model(config, seed=0, known_images=tuple(i for s in samples for i in s.image_ids))
+    loss, grads = _bin_loss_and_grads(model, samples)
+    monkeypatch.setattr(toy_model_module, "build_layout", flat_layout)
+    flat_loss, flat_grads = _bin_loss_and_grads(model, samples)
+    assert loss == flat_loss and all(np.array_equal(grads[name], flat_grads[name]) for name in grads)
+    alone = [loss_and_param_grads(model, sample) for sample in samples]
+    pairs = [(loss, [one for one, _ in alone]), *((grads[n], [g[n] for _, g in alone]) for n in grads)]
+    for got, parts in pairs:
+        total = sum(parts)
+        assert np.abs(got - total).max() <= len(samples) * np.finfo(float).eps * np.abs(total).max()
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))
