@@ -519,7 +519,9 @@ def image_rows(seqs, variant):
     """The number of image rows that lead a layout of ``seqs``: each of its
     per-sequence terms (text rows over text keys, or a staircase step)
     starts after them."""
-    return 0 if variant is AttentionVariant.CAUSAL_ONLY else sum(int(seq.is_image().sum()) for seq in seqs)
+    if variant is AttentionVariant.CAUSAL_ONLY:
+        return 0
+    return sum(int(seq.is_image().sum()) for seq in seqs)
 
 
 def per_sequence_terms(layout, seqs):
@@ -542,8 +544,9 @@ def moved_terms(seqs, variant, image_self):
     for seq in seqs:
         n_img = image_rows([seq], variant)
         for t in per_sequence_terms(build_layout(seq, variant, image_self), [seq]):
-            key_at = text_at - n_img if t.keys.start >= n_img else img_at  # text or image keys
-            terms.append(t._replace(rows=slice(t.rows.start + text_at - n_img, t.rows.stop + text_at - n_img),
+            row_at = text_at - n_img
+            key_at = row_at if t.keys.start >= n_img else img_at  # text or image keys
+            terms.append(t._replace(rows=slice(t.rows.start + row_at, t.rows.stop + row_at),
                                     keys=slice(t.keys.start + key_at, t.keys.stop + key_at)))
         img_at, text_at = img_at + n_img, text_at + seq.d - n_img
     return terms
@@ -623,7 +626,8 @@ def test_runs_of_equal_sequences_stack_their_terms(runs, picks, config_index, se
     and the stacked terms stay stacked when every sequence keeps the same
     rows; the kernel's output, VJP and weights match the dense reference."""
     before, middle, after = runs
-    bin_ = [build_sequence(segments) for segments, count in [*before, middle, *after] for _ in range(count)]
+    bin_ = [build_sequence(segments) for segments, count in [*before, middle, *after]
+            for _ in range(count)]
     starts = np.cumsum([0] + [seq.d for seq in bin_])
     same = sorted({int(at) + pick % seq.d for seq, at in zip(bin_, starts) for pick in picks})
     scattered = sorted({pick % int(starts[-1]) for pick in picks})
