@@ -37,9 +37,9 @@ its layout, scale and ordered inputs and each term's E, row totals and
 output. The
 VJP reads it and nothing else, so a backward pass takes no inputs that
 could disagree with the forward pass, forms no scores, takes no softmax
-and needs no rowsum(P * dP) pass over the rows x keys arrays; its score
-gradients go, in row chunks of at most ``_SCRATCH_SIZE`` entries, to a
-per-thread buffer reused from call to call. A restricted
+and needs no rowsum(P * dP) pass over the rows x keys arrays; it forms
+its score gradients one row chunk of at most ``_SCRATCH_SIZE`` entries at
+a time. A restricted
 layout (``AttentionLayout.restrict``) runs unchanged: rows without a term
 come out zero. ``attention_weights`` places the normalized weights of a
 ``SavedAttention`` back into per-key-class d x d views for inspection.
@@ -57,12 +57,23 @@ carry ``wkx``/``wvx`` exactly when the layout is the cross variant.
 
 ``grad_check`` compares analytic gradients against central finite
 differences; ``variant_grad_check`` points it at the segment kernel.
+
+Heap policy: on glibc, importing this module fixes malloc's mmap
+threshold at 32 MiB and its trim threshold at 64 MiB, the values glibc's
+own dynamic rule stops at on 64-bit. Under that rule, training's and
+scoring's freed score arrays (up to 8.4 MB each at d = 2264) pushed the
+free top of the heap past the trim threshold, so each phase gave back
+pages that the next faulted in again: 3,600-4,300 minor faults per
+training and scoring round on the paper-shaped samples. The process's
+RSS now stays at its heap high-water mark instead of falling after each
+step. Off glibc, or where ``mallopt`` refuses a value, nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-import threading
+import os
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
@@ -77,6 +88,35 @@ GradDict = dict[str, np.ndarray]
 # below this: it is far below the float64 maximum, ~1.8e308, even with the
 # rounding of the products and sums that form a score.
 _SCORE_BOUND = 1e300
+
+# glibc's mallopt parameters (malloc.h) and the values its dynamic rule
+# stops at on 64-bit: an mmap threshold capped at 32 MiB, paired with a
+# trim threshold of twice that.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+def _keep_heap_pages() -> None:
+    """Fix glibc's malloc thresholds at the ends of its own dynamic rule, so
+    the heap keeps the pages that one training step or scoring pass frees
+    for the next instead of trimming them and faulting them in again. Both
+    are set: setting either one stops glibc from adjusting the other. A
+    silent no-op off glibc, or where ``mallopt`` refuses a value."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        if not mallopt(param, value):
+            return
+
+
+_keep_heap_pages()
 
 
 def _exp_in_place(s: np.ndarray, forbid: np.ndarray | None, check: bool) -> np.ndarray:
@@ -186,24 +226,10 @@ def segment_attention(
     return full, SavedAttention(layout, scale, inputs, tuple(terms))
 
 
-# Entries (1 MiB of float64) of the VJP's score-gradient buffer: a larger
-# term's dS is computed in row chunks that fit, so keeping the buffer from
-# call to call costs little memory.
+# Entries (1 MiB of float64) of one row chunk of the VJP's score gradient:
+# a larger term's dS is computed chunk by chunk, so it never adds a whole
+# rows x keys array to training's peak memory.
 _SCRATCH_SIZE = 1 << 17
-_workspace = threading.local()
-
-
-def _scratch(size: int) -> np.ndarray:
-    """``size`` float64 entries of a buffer that the calling thread reuses
-    from call to call, grown only when too small. Its values are whatever
-    the last user left: write before reading. The VJP writes its score
-    gradients there because a fresh rows x keys buffer per call lands on
-    fresh pages and pays minor page faults while training holds every
-    layer's E."""
-    buffer = getattr(_workspace, "buffer", None)
-    if buffer is None or buffer.size < size:
-        buffer = _workspace.buffer = np.empty(size)
-    return buffer[:size]
 
 
 def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
@@ -234,17 +260,18 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
         gv += _swap(e) @ g
         row_term = (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
         parts = [(e, g, row_term, q, gq)]
-        step = _SCRATCH_SIZE * e.shape[-2] // e.size  # rows whose dS fits the scratch
+        step = _SCRATCH_SIZE * e.shape[-2] // e.size  # rows whose dS fits one chunk
         if step < e.shape[-2]:  # too large: take the rows in chunks
             step = max(step, 1)
             parts = [tuple(a[..., start : start + step, :] for a in parts[0])
                      for start in range(0, e.shape[-2], step)]
         for e_part, g_part, row_part, q_part, gq_part in parts:
-            ds = np.matmul(g_part, _swap(v), out=_scratch(e_part.size).reshape(e_part.shape))
+            ds = g_part @ _swap(v)
             ds -= row_part
             ds *= e_part
             gq_part += ds @ k
             gk += _swap(ds) @ q_part
+            del ds  # free this chunk before the next is allocated, which then reuses it
     full = {}
     for name, grad in grads.items():
         if name in ("q", "k", "kx"):

@@ -160,6 +160,9 @@ def _random_segments(rng: np.random.Generator, d: int) -> list[tuple[TokenKind, 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
+    longest = LayoutConfig().max_sequence_length
+    if not 1 <= args.d <= longest:
+        raise ValueError(f"--d must lie in [1, {longest}]")
     variants = (
         [AttentionVariant(args.variant)]
         if args.variant != "all"

@@ -1,4 +1,7 @@
 import math
+import os
+import resource
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -578,3 +581,53 @@ def test_variant_given_by_value_selects_that_variant():
     ):
         with pytest.raises(ValueError, match="'full' is not a valid AttentionVariant"):
             build()
+
+
+# ---------------------------------------------------------------------------
+# Heap policy: importing the package fixes glibc's malloc thresholds
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap policy applies to glibc's malloc only")
+def test_freed_heap_pages_are_kept_for_the_next_round():
+    """Under glibc's dynamic rule, freeing one 8 MiB array raises its
+    thresholds so that three more come from the heap, whose freed top it
+    then trims and faults in again every round. With the thresholds the
+    import fixes, the heap keeps those pages, so a round after the first
+    faults almost none."""
+    np.ones(1 << 20)  # allocated and freed at once
+    faults = []
+    for _ in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 20) for _ in range(3)]
+        del arrays
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults[1:]) < 50, faults
+
+
+def test_heap_policy_is_a_silent_no_op_off_glibc_or_when_refused(monkeypatch):
+    """The import-time helper never raises: off glibc it looks up no
+    ``mallopt``, and when glibc refuses the first value it sets no
+    threshold alone."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0  # glibc's answer to a value it refuses
+
+    def confstr(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(attn_module.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(attn_module.os, "confstr", confstr)
+    attn_module._keep_heap_pages()
+    assert calls == []
+    monkeypatch.setattr(attn_module.os, "confstr", lambda name: "glibc 2.36")
+    attn_module._keep_heap_pages()
+    assert len(calls) == 1  # the first refusal stops it: no threshold is set alone

@@ -282,6 +282,16 @@ def test_gradcheck_rejects_no_seeds(capsys):
     assert captured.err == "error: --seeds must be >= 1\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("d", ["0", "99999999999999999999999"])
+def test_gradcheck_rejects_a_length_outside_the_sequence_cap(capsys, d):
+    """``--d`` is checked against the package's own sequence cap before any
+    segment is drawn, so a huge value fails at once instead of growing the
+    random layout until memory runs out."""
+    assert main(["gradcheck", "--seeds", "1", "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --d must lie in [1, 4096]\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["mask", "i3,t99999999999999999"],
     ["mask", "i3,t999999999999999999999"],
