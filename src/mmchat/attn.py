@@ -32,14 +32,13 @@ gradient, back to sequence order once. Each term's scores are computed
 from the pre-scaled Q into a fresh buffer that is masked and turned into
 max-shifted exponentials E in place. Normalization is deferred
 (FlashAttention, Dao et al., arXiv 2205.14135): the thin output E @ V is
-divided by the row totals, never the rows x keys E. The forward pass returns one ``SavedAttention``:
-its layout, scale and ordered inputs and each term's E, row totals and
-output. The
-VJP reads it and nothing else, so a backward pass takes no inputs that
-could disagree with the forward pass, forms no scores, takes no softmax
-and needs no rowsum(P * dP) pass over the rows x keys arrays; it forms
-its score gradients one row chunk of at most ``_SCRATCH_SIZE`` entries at
-a time. A restricted
+divided by the row totals, never the rows x keys E. The forward pass
+returns one ``SavedAttention``: its layout, scale and ordered inputs and
+each term's E, row totals and output. The VJP reads it and nothing else,
+so a backward pass takes no inputs that could disagree with the forward
+pass, forms no scores, takes no softmax and needs no rowsum(P * dP) pass
+over the rows x keys arrays; it forms each term's score gradients one
+row chunk of at most ``_SCRATCH_SIZE`` entries at a time. A restricted
 layout (``AttentionLayout.restrict``) runs unchanged: rows without a term
 come out zero. ``attention_weights`` places the normalized weights of a
 ``SavedAttention`` back into per-key-class d x d views for inspection.
@@ -60,13 +59,11 @@ differences; ``variant_grad_check`` points it at the segment kernel.
 
 Heap policy: on glibc, importing this module fixes malloc's mmap
 threshold at 32 MiB and its trim threshold at 64 MiB, the values glibc's
-own dynamic rule stops at on 64-bit. Under that rule, training's and
-scoring's freed score arrays (up to 8.4 MB each at d = 2264) pushed the
-free top of the heap past the trim threshold, so each phase gave back
-pages that the next faulted in again: 3,600-4,300 minor faults per
-training and scoring round on the paper-shaped samples. The process's
-RSS now stays at its heap high-water mark instead of falling after each
-step. Off glibc, or where ``mallopt`` refuses a value, nothing is set.
+own dynamic rule stops at on 64-bit, so the heap keeps the pages one
+training step or scoring pass frees for the next instead of trimming
+them. The process's RSS stays at its heap high-water mark instead of
+falling after each step. Off glibc, or where ``mallopt`` refuses a
+value, nothing is set.
 """
 
 from __future__ import annotations
@@ -227,8 +224,9 @@ def segment_attention(
 
 
 # Entries (1 MiB of float64) of one row chunk of the VJP's score gradient:
-# a larger term's dS is computed chunk by chunk, so it never adds a whole
-# rows x keys array to training's peak memory.
+# each term's dS is computed chunk by chunk (a term that fits is one chunk),
+# so a large term never adds a whole rows x keys array to training's peak
+# memory.
 _SCRATCH_SIZE = 1 << 17
 
 
@@ -259,15 +257,12 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
         g = _blocks(dout[..., rows, :], stack, row_part) / total
         gv += _swap(e) @ g
         row_term = (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
-        parts = [(e, g, row_term, q, gq)]
-        step = _SCRATCH_SIZE * e.shape[-2] // e.size  # rows whose dS fits one chunk
-        if step < e.shape[-2]:  # too large: take the rows in chunks
-            step = max(step, 1)
-            parts = [tuple(a[..., start : start + step, :] for a in parts[0])
-                     for start in range(0, e.shape[-2], step)]
-        for e_part, g_part, row_part, q_part, gq_part in parts:
+        step = max(_SCRATCH_SIZE * e.shape[-2] // e.size, 1)  # rows whose dS fits one chunk
+        for start in range(0, e.shape[-2], step):
+            e_part, g_part, d_part, q_part, gq_part = (a[..., start : start + step, :]
+                                                       for a in (e, g, row_term, q, gq))
             ds = g_part @ _swap(v)
-            ds -= row_part
+            ds -= d_part
             ds *= e_part
             gq_part += ds @ k
             gk += _swap(ds) @ q_part
@@ -382,13 +377,12 @@ def multi_head_forward(
     x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> tuple[np.ndarray, SavedAttention]:
     """Per-head projections, the segment kernel over ``layout`` (built
-    once per sequence or bin and reused for every layer and pass), concatenation
-    of the heads, output projection; plus the kernel's saved pass, whose
-    inputs are the per-head projections in the layout's order, for the
-    input VJP. The layout
-    carries the attention rule; ``params.wq``'s shape (num_heads,
-    model_dim, head_dim) carries the head shape and so the 1/sqrt(head_dim)
-    score scale."""
+    once per sequence or bin and reused for every layer and pass),
+    concatenation of the heads, output projection; plus the kernel's saved
+    pass, whose inputs are the per-head projections in the layout's order,
+    for the input VJP. The layout carries the attention rule;
+    ``params.wq``'s shape (num_heads, model_dim, head_dim) carries the head
+    shape and so the 1/sqrt(head_dim) score scale."""
     x = np.asarray(x, dtype=np.float64)
     heads = _project_heads(x, params, layout)
     out, saved = segment_attention(layout, _score_scale(params), **heads)

@@ -199,7 +199,8 @@ class AttentionLayout:
         In any other term, each block with kept rows becomes a flat term of
         those rows over that block's keys, keeping their ``forbid`` rows.
         Every allowed edge of a kept row stays in exactly one term; the
-        kernel gives every other row zero output."""
+        kernel gives every other row zero output. Keeping every row returns
+        this layout."""
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size == 0:
             raise ValueError("restrict needs at least one row")
@@ -207,6 +208,8 @@ class AttentionLayout:
             raise ValueError(f"rows must lie in [0, {self.d})")
         keep = np.zeros(self.d, dtype=bool)
         keep[rows] = True
+        if np.count_nonzero(keep) == self.d:
+            return self
         kept = keep[self.rows]
         at = [0, *np.cumsum(kept).tolist()]  # new index of each old row index
         terms = []

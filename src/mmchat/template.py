@@ -109,7 +109,6 @@ class RenderedSample:
     token_ids: tuple[int, ...]
     tags: ModalitySequence
     loss_mask: tuple[bool, ...]
-    image_count: int
     image_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -121,13 +120,16 @@ class RenderedSample:
             raise ValueError("token_ids, tags, and loss_mask must have equal length")
         if any(flag and bid for flag, bid in zip(self.loss_mask, self.tags.ids)):
             raise ValueError("loss mask may only cover text positions")
-        blocks = image_blocks(self.tags)
-        if len(blocks) != self.image_count or len(self.image_ids) != self.image_count:
-            raise ValueError("image_count must match the number of blocks and ids")
+        if len(image_blocks(self.tags)) != len(self.image_ids):
+            raise ValueError("image_ids must hold one id per image block")
 
     @property
     def d(self) -> int:
         return len(self.token_ids)
+
+    @property
+    def image_count(self) -> int:
+        return len(self.image_ids)
 
 
 class HashTokenizer:
@@ -215,25 +217,8 @@ def render(
         token_ids=tuple(token_ids),
         tags=ModalitySequence(tuple(block_ids)),
         loss_mask=tuple(loss_mask),
-        image_count=image_number,
         image_ids=tuple(image_ids),
     )
-
-
-def loss_positions(sample: RenderedSample) -> list[tuple[int, int]]:
-    """Half-open index spans of the maximal true runs of the loss mask,
-    one per answer, in document order."""
-    spans: list[tuple[int, int]] = []
-    start: int | None = None
-    for pos, flag in enumerate(sample.loss_mask):
-        if flag and start is None:
-            start = pos
-        elif not flag and start is not None:
-            spans.append((start, pos))
-            start = None
-    if start is not None:
-        spans.append((start, sample.d))
-    return spans
 
 
 def parse(text: str) -> Conversation:

@@ -16,16 +16,9 @@ saved attention state from the forward pass) and reach only the two
 trainable tensors; frozen parameters have no gradient storage and
 are shared, bit-identical, between a model and its trained successors.
 
-Training runs one pass per bin: ``train_step`` packs its batch, in order,
-into bins of at most ``max_sequence_length`` positions, and each bin's
-samples are laid end to end under one attention layout in which no term
-reads two samples. Embedding, blocks, head, loss and VJP then run once per
-bin, and the bin's loss is the sum of its samples' mean losses. A pass
-computes only what reaches the loss: every block but the last runs on
-every row, and the last block's attention runs on the layout restricted to
-the target rows (``AttentionLayout.restrict``), its feedforward, the tied
-head, the loss and their VJPs on those rows alone. ``forward`` still
-returns logits for every position of one sample.
+``forward`` and training run the same pass over a bin of samples
+(``_bin_pass``); ``train_step`` packs its batch, in order, into bins of
+at most ``max_sequence_length`` positions.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ from .attn import (
     multi_head_forward,
     multi_head_input_vjp,
 )
-from .mask import AttentionLayout, AttentionVariant, _check_image_self, build_layout
+from .mask import AttentionVariant, _check_image_self, build_layout
 from .modseq import LayoutConfig, ModalitySequence, _check_int, image_blocks
 from .template import Conversation, HashTokenizer, RenderedSample, Round, render
 
@@ -219,11 +212,6 @@ def _embed(model: ToyModel, token_ids: np.ndarray, blocks: list[tuple[str, int, 
     return x
 
 
-def _layout(model: ToyModel, seqs: list[ModalitySequence]) -> AttentionLayout:
-    """The layout of ``seqs`` laid end to end under the model's attention rule."""
-    return build_layout(seqs, model.config.variant, model.config.image_self)
-
-
 def _ffn(block: DecoderBlock, h_mid: np.ndarray) -> np.ndarray:
     """The block's feedforward with its residual connection."""
     return h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2
@@ -234,25 +222,48 @@ def _ffn_input_vjp(block: DecoderBlock, h_mid: np.ndarray, dh: np.ndarray) -> np
     return dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
 
 
-def _run_block(
-    block: DecoderBlock, h: np.ndarray, layout: AttentionLayout
-) -> tuple[np.ndarray, np.ndarray, SavedAttention]:
-    """One frozen block: its output, its post-attention activations and the
-    attention's saved forward state."""
-    attn_out, saved = multi_head_forward(h, block.attn, layout)
-    h_mid = h + attn_out
-    return _ffn(block, h_mid), h_mid, saved
+def _bin_pass(
+    model: ToyModel,
+    token_ids: np.ndarray,
+    images: list[tuple[str, int, int]],
+    seqs: list[ModalitySequence],
+    rows: np.ndarray,
+    states: list[tuple[np.ndarray, SavedAttention, np.ndarray | slice]] | None,
+) -> np.ndarray:
+    """The last block's output at positions ``rows`` of a bin: the
+    sequences ``seqs`` laid end to end, with these token ids and image
+    blocks (``(image_id, start, end)`` in bin positions). ``states``, when
+    given, receives each layer's (h_mid, SavedAttention, rows computed) in
+    block order, for the VJP.
+
+    One layout covers the bin (``build_layout`` of ``seqs``), so embedding
+    and every block run once per bin, and no attention term reads two
+    sequences. Every block but the last runs on every row; the last runs
+    its attention on the layout restricted to ``rows``
+    (``AttentionLayout.restrict``, which keeps the full layout when given
+    every row) and its feedforward on those rows alone. Each layer's
+    attention state is freed before the next block runs unless ``states``
+    keeps it."""
+    h = _embed(model, token_ids, images)
+    layout = build_layout(seqs, model.config.variant, model.config.image_self)
+    passes = [(layout, slice(None))] * (len(model.blocks) - 1) + [(layout.restrict(rows), rows)]
+    for block, (block_layout, kept) in zip(model.blocks, passes):
+        attn_out, saved = multi_head_forward(h, block.attn, block_layout)
+        h_mid = (h + attn_out)[kept]
+        h = _ffn(block, h_mid)
+        if states is not None:
+            states.append((h_mid, saved, kept))
+        del saved  # free this layer's attention state, unless kept, before the next block
+    return h
 
 
 def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
-    """Logits (d x vocab_size) for every position. Image positions enter as
-    projected stub features, text positions as embedding rows; the head is
-    the embedding transpose. Each block's saved attention state is freed
-    before the next block runs."""
-    layout = _layout(model, [sample.tags])
-    h = _embed(model, np.asarray(sample.token_ids), _sample_blocks(model, sample))
-    for block in model.blocks:
-        h = _run_block(block, h, layout)[0]
+    """Logits (d x vocab_size) for every position: the pass over every row
+    of a one-sample bin, then the head. Image positions enter as projected
+    stub features, text positions as embedding rows; the head is the
+    embedding transpose."""
+    h = _bin_pass(model, np.asarray(sample.token_ids), _sample_blocks(model, sample),
+                  [sample.tags], np.arange(sample.d), None)
     logits = h @ model.embedding.T
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
@@ -315,56 +326,37 @@ def answer_loss(logits: np.ndarray, sample: RenderedSample) -> float:
 
 def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple[float, GradDict]:
     """The sum of the samples' answer losses and its gradients w.r.t. the
-    two trainable tensors, from one pass over the samples laid end to end.
-
-    One layout covers the bin (``build_layout`` of every sample's tags), so
-    embedding, every block, the head, the loss and the VJP run once per
-    bin; no attention term reads two samples. Only the target rows of the
-    last block reach the loss, so that block runs its attention on the
-    layout restricted to every sample's target rows and its feedforward,
-    the head and the loss on them alone; the blocks before it run on every
-    row. Each target row weighs 1/n for a sample with n targets, which
-    makes the loss the sum of per-sample means. The embedding gradient
-    collects both of its roles: output head (tied transpose) and input
-    rows at text positions.
-    """
+    two trainable tensors, from one ``_bin_pass`` over the bin's target
+    rows and its VJP. Each target row weighs 1/n for a sample with n
+    targets, which makes the loss the sum of per-sample means. The
+    embedding gradient collects both of its roles: output head (tied
+    transpose) and input rows at text positions."""
     starts = np.cumsum([0] + [sample.d for sample in samples[:-1]]).tolist()
-    blocks = [
+    images = [
         (image_id, at + start, at + end)
         for sample, at in zip(samples, starts)
         for image_id, start, end in _sample_blocks(model, sample)
     ]
     token_ids = np.concatenate([np.asarray(sample.token_ids) for sample in samples])
-    h = _embed(model, token_ids, blocks)
-    layout = _layout(model, [sample.tags for sample in samples])
     targets = [_target_positions(sample) for sample in samples]
     positions = np.concatenate([at + rows for at, rows in zip(starts, targets)])
-    weights = np.concatenate([_mean_weights(rows.size) for rows in targets])
-    *early, last = model.blocks
     states = []
-    for block in early:
-        h, h_mid, saved = _run_block(block, h, layout)
-        states.append((h_mid, saved))
-
-    attn_out, saved = multi_head_forward(h, last.attn, layout.restrict(positions))
-    h_mid = h[positions] + attn_out[positions]
-    h_out = _ffn(last, h_mid)
-    loss, dlogits = _target_loss(h_out @ model.embedding.T, token_ids[positions + 1], weights)
-    d_embedding = dlogits.T @ h_out
-    dh_mid = _ffn_input_vjp(last, h_mid, dlogits @ model.embedding)
-    dattn = np.zeros_like(h)
-    dattn[positions] = dh_mid
-    dh = multi_head_input_vjp(last.attn, saved, dattn)
-    dh[positions] += dh_mid
-    del saved  # free the last layer's attention state before the next VJP
-    for block in reversed(early):
-        h_mid, saved = states.pop()
+    h = _bin_pass(model, token_ids, images, [sample.tags for sample in samples], positions, states)
+    weights = np.concatenate([_mean_weights(rows.size) for rows in targets])
+    loss, dlogits = _target_loss(h @ model.embedding.T, token_ids[positions + 1], weights)
+    d_embedding = dlogits.T @ h
+    dh = dlogits @ model.embedding
+    for block in reversed(model.blocks):
+        h_mid, saved, kept = states.pop()
         dh_mid = _ffn_input_vjp(block, h_mid, dh)
-        dh = dh_mid + multi_head_input_vjp(block.attn, saved, dh_mid)
+        dattn = np.zeros((saved.layout.d, dh_mid.shape[1]))
+        dattn[kept] = dh_mid
+        dh = multi_head_input_vjp(block.attn, saved, dattn)
+        dh[kept] += dh_mid
         del saved  # free this layer's attention state before the next layer's VJP
 
     d_projection = np.zeros_like(model.projection)
-    for image_id, start, end in blocks:
+    for image_id, start, end in images:
         d_projection += model.vision_stub[image_id].T @ dh[start:end]
     text = np.flatnonzero(~np.concatenate([sample.tags.is_image() for sample in samples]))
     np.add.at(d_embedding, token_ids[text], dh[text])

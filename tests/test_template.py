@@ -12,7 +12,6 @@ from mmchat.template import (
     ParseError,
     RenderedSample,
     Round,
-    loss_positions,
     parse,
     render,
     render_text,
@@ -129,11 +128,22 @@ def test_monotone_length():
 
 
 # ---------------------------------------------------------------------------
-# loss_positions
+# loss-mask spans
+
+
+def loss_spans(sample):
+    """Half-open index spans of the maximal true runs of the loss mask."""
+    spans, pos = [], 0
+    for flag, run in itertools.groupby(sample.loss_mask):
+        size = len(list(run))
+        if flag:
+            spans.append((pos, pos + size))
+        pos += size
+    return spans
 
 
 def test_loss_positions_span_counts():
-    assert len(loss_positions(render(conv_1round(), TOK, SMALL))) == 1
+    assert loss_spans(render(conv_1round(), TOK, SMALL)) == [(11, 14)]
     conv3 = Conversation(
         system="s",
         rounds=(
@@ -142,9 +152,10 @@ def test_loss_positions_span_counts():
             Round(("b",), "q3", "a3"),
         ),
     )
-    spans = loss_positions(render(conv3, TOK, SMALL))
-    assert len(spans) == 3
-    assert spans == sorted(spans)
+    sample = render(conv3, TOK, SMALL)
+    spans = loss_spans(sample)
+    assert len(spans) == 3  # one answer span per round, the last one ending the sample
+    assert spans == sorted(spans) and spans[-1][1] == sample.d
 
 
 def test_loss_spans_never_overlap_image_blocks():
@@ -153,7 +164,7 @@ def test_loss_spans_never_overlap_image_blocks():
         conv = random_conversation(rng)
         sample = render(conv, TOK, SMALL)
         image_positions = set(np.flatnonzero(sample.tags.is_image()).tolist())
-        for start, end in loss_positions(sample):
+        for start, end in loss_spans(sample):
             assert not image_positions.intersection(range(start, end))
 
 
@@ -278,10 +289,11 @@ def test_conversation_validation():
 def test_rendered_sample_validation():
     tags = ModalitySequence((0, 1))
     with pytest.raises(ValueError, match="equal length"):
-        RenderedSample((1,), tags, (False,), 1, ("a",))
+        RenderedSample((1,), tags, (False,), ("a",))
     with pytest.raises(ValueError, match="text positions"):
-        RenderedSample((1, 2), tags, (False, True), 1, ("a",))
-    with pytest.raises(ValueError, match="image_count"):
-        RenderedSample((1, 2), tags, (False, False), 2, ("a", "b"))
-    ok = RenderedSample((1, 2), tags, (True, False), 1, ("a",))
-    assert ok.d == 2
+        RenderedSample((1, 2), tags, (False, True), ("a",))
+    for ids in (("a", "b"), ()):
+        with pytest.raises(ValueError, match="one id per image block"):
+            RenderedSample((1, 2), tags, (False, False), ids)
+    ok = RenderedSample((1, 2), tags, (True, False), ("a",))
+    assert ok.d == 2 and ok.image_count == 1

@@ -250,7 +250,7 @@ def test_answer_loss_two_round_manual():
 
 def test_answer_loss_requires_targets():
     tags = ModalitySequence((0, 0))
-    sample = RenderedSample((1, 2), tags, (False, False), 0, ())
+    sample = RenderedSample((1, 2), tags, (False, False), ())
     with pytest.raises(ValueError, match="loss-masked"):
         answer_loss(np.zeros((2, 8)), sample)
 
@@ -285,7 +285,7 @@ def test_answer_loss_rejects_nonfinite_target_logits():
 def test_negative_token_id_rejected():
     sample = small_sample()
     ids = (-1,) + sample.token_ids[1:]
-    bad = RenderedSample(ids, sample.tags, sample.loss_mask, sample.image_count, sample.image_ids)
+    bad = RenderedSample(ids, sample.tags, sample.loss_mask, sample.image_ids)
     model = small_model()
     with pytest.raises(ValueError, match="out of vocabulary range"):
         forward(model, bad)
@@ -387,6 +387,63 @@ def test_bin_matches_the_sum_of_per_sample_passes(variant, num_layers):
     assert relative_gap(loss, sum(one_loss for one_loss, _ in alone)) <= 1e-12
     for name, grad in grads.items():
         assert relative_gap(grad, sum(g[name] for _, g in alone)) <= 1e-12, name
+
+
+def tie_cases(config):
+    """A text-only sample, a multi-round multi-image chat, and a bin of
+    distinct samples (both of those and a third), with their image ids."""
+    tokenizer = HashTokenizer(config.vocab_size)
+    text_only = Conversation("s", (Round((), "only text", "no image"),))
+    chat = Conversation("look", (
+        Round(("a", "b"), "compare them", "the first is red"),
+        Round((), "and now", "still red"),
+        Round(("c",), "and this one", "blue"),
+    ))
+    third = Conversation("s", (Round(("d",), "q w", "x y"), Round((), "again", "z")))
+    text_only, chat, third = (render(conv, tokenizer, config.layout()) for conv in (text_only, chat, third))
+    return [[text_only], [chat], [text_only, chat, third]], ("a", "b", "c", "d")
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_training_loss_equals_the_loss_of_forward_logits(variant, num_layers):
+    """The two users of the block loop agree: the training pass's loss is
+    the sum of ``answer_loss`` of ``forward``'s logits over the bin's
+    samples, and of the layer-by-layer oracle's logits."""
+    config = ModelConfig(**{**SMALL.__dict__, "variant": variant, "num_layers": num_layers})
+    cases, images = tie_cases(config)
+    model = make_model(config, seed=7, known_images=images)
+    for samples in cases:
+        loss = _bin_loss_and_grads(model, samples)[0]
+        assert relative_gap(loss, sum(answer_loss(forward(model, s), s) for s in samples)) <= 1e-12
+        oracle = sum(answer_loss(naive_model_logits(model, s), s) for s in samples)
+        assert relative_gap(loss, oracle) <= 1e-10
+
+
+def test_training_pass_frees_each_layer_attention_state_before_the_next_vjp(monkeypatch):
+    import mmchat.toy_model as toy_model_module
+
+    refs, vjp_layers, vjp_alive = [], [], []
+    real_forward, real_vjp = toy_model_module.multi_head_forward, toy_model_module.multi_head_input_vjp
+
+    def recording_forward(*args):
+        out, saved = real_forward(*args)
+        refs.append(weakref.ref(saved))
+        return out, saved
+
+    def recording_vjp(params, saved, dout):
+        vjp_layers.append(next(i for i, ref in enumerate(refs) if ref() is saved))
+        vjp_alive.append(sum(ref() is not None for ref in refs))
+        return real_vjp(params, saved, dout)
+
+    monkeypatch.setattr(toy_model_module, "multi_head_forward", recording_forward)
+    monkeypatch.setattr(toy_model_module, "multi_head_input_vjp", recording_vjp)
+    config = ModelConfig(**{**SMALL.__dict__, "num_layers": 3})
+    model = make_model(config, seed=0, known_images=("a", "b"))
+    loss_and_param_grads(model, small_sample(config, images=("a", "b")))
+    assert vjp_layers == [2, 1, 0]  # one VJP per layer, last layer first
+    assert vjp_alive == [3, 2, 1]  # each later layer's state is gone before the next VJP
+    assert all(ref() is None for ref in refs)
 
 
 def test_bins_follow_batch_order_and_capacity():
