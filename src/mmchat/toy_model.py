@@ -186,9 +186,12 @@ def make_model(
     )
 
 
-def _sample_blocks(model: ToyModel, sample: RenderedSample) -> list[tuple[str, int, int]]:
-    """(image_id, start, end) for each image block, validated against the
-    stub and the configured per-image token count."""
+def _sample_blocks(
+    model: ToyModel, sample: RenderedSample, at: int = 0
+) -> list[tuple[str, int, int]]:
+    """(image_id, start, end) for each image block, in the positions of a
+    bin where the sample starts at ``at``, validated against the stub and
+    the configured per-image token count."""
     out = []
     for index, (_, start, end) in enumerate(image_blocks(sample.tags)):
         image_id = sample.image_ids[index]
@@ -199,7 +202,7 @@ def _sample_blocks(model: ToyModel, sample: RenderedSample) -> list[tuple[str, i
                 f"image block has {end - start} tokens; "
                 f"model expects {model.config.image_token_count}"
             )
-        out.append((image_id, start, end))
+        out.append((image_id, at + start, at + end))
     return out
 
 
@@ -332,11 +335,7 @@ def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple
     embedding gradient collects both of its roles: output head (tied
     transpose) and input rows at text positions."""
     starts = np.cumsum([0] + [sample.d for sample in samples[:-1]]).tolist()
-    images = [
-        (image_id, at + start, at + end)
-        for sample, at in zip(samples, starts)
-        for image_id, start, end in _sample_blocks(model, sample)
-    ]
+    images = [block for sample, at in zip(samples, starts) for block in _sample_blocks(model, sample, at)]
     token_ids = np.concatenate([np.asarray(sample.token_ids) for sample in samples])
     targets = [_target_positions(sample) for sample in samples]
     positions = np.concatenate([at + rows for at, rows in zip(starts, targets)])
