@@ -10,6 +10,7 @@ to allocate) prints one ``error:`` line and exits 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -107,9 +108,12 @@ def _sample_line(sample: RenderedSample) -> str:
     block_ids = sample.tags.ids
     payload = {
         "token_ids": list(sample.token_ids),
-        "kinds": "".join("I" if bid else "T" for bid in block_ids),
+        "kinds": "".join(
+            ("I" if bid else "T") * len(list(run))
+            for bid, run in itertools.groupby(block_ids)
+        ),
         "block_ids": list(block_ids),
-        "loss_mask": [int(flag) for flag in sample.loss_mask],
+        "loss_mask": list(map(int, sample.loss_mask)),
         "image_count": sample.image_count,
         "image_ids": list(sample.image_ids),
     }

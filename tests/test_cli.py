@@ -3,16 +3,18 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import mmchat.attn as attn_module
 import mmchat.blend as blend_module
 from mmchat.blend import read_records, write_records
-from mmchat.cli import main, parse_seq_spec
+from mmchat.cli import _sample_line, main, parse_seq_spec
 from mmchat.mask import build_mask, render_mask
-from mmchat.modseq import TokenKind, build_sequence
-from mmchat.template import parse, render_text
+from mmchat.modseq import ModalitySequence, TokenKind, build_sequence, image_blocks
+from mmchat.template import RenderedSample, parse, render_text
 
 from oracles import join_oracle, llava_dial_record, llava_record, otter_record
+from test_template import edge_layouts
 
 I, T = TokenKind.IMAGE, TokenKind.TEXT
 
@@ -231,6 +233,39 @@ def test_render_command_golden_bytes(tmp_path):
     assert main(argv) == 0
     assert out.read_bytes() == "".join(line + "\n" for line in _GOLDEN_RENDERED).encode()
     assert stats.read_bytes() == _GOLDEN_STATS.encode()
+
+
+def _text_sample(ids):
+    d = len(ids)
+    tokens = st.lists(st.integers(0, 2**31), min_size=d, max_size=d)
+    mask = st.lists(st.booleans(), min_size=d, max_size=d)
+    return st.tuples(st.just(ids), tokens, mask)
+
+
+@given(edge_layouts().flatmap(_text_sample))
+@example(([0], [5], [True]))  # d=1, text
+@example(([3], [5], [False]))  # d=1, image
+@example(([0, 0, 0], [1, 2, 3], [False, True, True]))  # text-only
+@example(([1, 1, 2, 2, 2], [4] * 5, [False] * 5))  # image-only, adjacent blocks
+@example(([1, 2, 3], [4] * 3, [False] * 3))  # 1-token blocks
+@example(([0, 0, 1, 0, 3, 3, 0], list(range(7)), [True] * 7))  # text first
+def test_sample_line_fields_follow_the_sample(case):
+    ids, token_ids, mask = case
+    mask = [flag and bid == 0 for flag, bid in zip(mask, ids)]
+    tags = ModalitySequence(ids)
+    image_ids = tuple(f"img{k}" for k in range(len(image_blocks(tags))))
+    sample = RenderedSample(tuple(token_ids), tags, tuple(mask), image_ids)
+    line = _sample_line(sample)
+    assert line.endswith("\n") and line.count("\n") == 1
+    payload = json.loads(line)
+    assert len(payload["kinds"]) == len(ids)
+    for kind, bid in zip(payload["kinds"], ids):
+        assert kind == ("I" if bid != 0 else "T")
+    assert payload["loss_mask"] == [int(flag) for flag in sample.loss_mask]
+    assert payload["block_ids"] == ids
+    assert payload["token_ids"] == token_ids
+    assert payload["image_count"] == len(image_ids)
+    assert payload["image_ids"] == list(image_ids)
 
 
 def test_missing_input_file_exits_2_without_traceback(tmp_path, capsys):

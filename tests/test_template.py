@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mmchat import template
 from mmchat.modseq import LayoutConfig, ModalitySequence, image_blocks
 from mmchat.template import (
     Conversation,
@@ -40,6 +42,30 @@ def test_tokenizer_deterministic_and_bounded():
     assert tok.encode("  spaced   out  ") == [tok.word_id("spaced"), tok.word_id("out")]
     with pytest.raises(ValueError):
         HashTokenizer(0)
+
+
+def test_word_ids_match_the_formula_across_memo_eviction():
+    vocab_sizes = (1, 7, 32, 2**61 - 1)
+    tokenizers = [HashTokenizer(v) for v in vocab_sizes]
+
+    def expected(word, vocab_size):
+        digest = hashlib.blake2b(word.encode(), digest_size=8).digest()
+        return int.from_bytes(digest, "big") % vocab_size
+
+    words = [f"w{i}-\u00e9" for i in range(5000)]  # more than the memo holds
+    for i, word in enumerate(words + words[:100]):
+        # Rotate which tokenizer sees a word first, so no vocab size owns
+        # the memo entry.
+        for k in range(len(tokenizers)):
+            tok = tokenizers[(i + k) % len(tokenizers)]
+            assert tok.word_id(word) == expected(word, tok.vocab_size)
+    for start in range(0, len(words), 250):
+        chunk = words[start : start + 250]
+        for tok in reversed(tokenizers):
+            assert tok.encode(" ".join(chunk)) == [expected(w, tok.vocab_size) for w in chunk]
+    info = template._word_hash.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 4096
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("vocab_size", [2.5, 32.0, True, 0, -1, "32", None])
@@ -297,3 +323,57 @@ def test_rendered_sample_validation():
             RenderedSample((1, 2), tags, (False, False), ids)
     ok = RenderedSample((1, 2), tags, (True, False), ("a",))
     assert ok.d == 2 and ok.image_count == 1
+
+
+@st.composite
+def edge_layouts(draw):
+    """Block-id vectors of 1-24 tokens: text runs and image runs, image ids
+    rising by 1-3 per block, so text-only, image-only, adjacent blocks,
+    1-token blocks and d=1 all occur."""
+    ids, block = [], 0
+    runs = st.tuples(st.booleans(), st.integers(1, 4), st.integers(1, 3))
+    for is_image, count, step in draw(st.lists(runs, min_size=1, max_size=6)):
+        block += step if is_image else 0
+        ids += [block if is_image else 0] * count
+    return ids
+
+
+def _with_mask_and_id_count(ids):
+    mask = st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))
+    return st.tuples(st.just(ids), mask, st.integers(0, 6))
+
+
+@given(edge_layouts().flatmap(_with_mask_and_id_count))
+@example(([0], [True], 0))  # d=1, text
+@example(([2], [True], 1))  # d=1, image, flagged
+@example(([2], [False], 0))  # d=1, image, no id
+@example(([0, 0, 0], [False, True, True], 0))  # text-only
+@example(([1, 1, 2, 2, 2], [False] * 5, 2))  # image-only, adjacent blocks
+@example(([1, 2, 3], [False] * 3, 4))  # 1-token blocks, one id too many
+@example(([0, 0, 1, 0, 3, 3, 0], [True, False, False, True, False, False, True], 2))
+def test_rendered_sample_rules_equal_explicit_loops(case):
+    ids, mask, id_count = case
+    tags = ModalitySequence(ids)
+    flags_an_image = False
+    for flag, bid in zip(mask, ids):
+        if flag and bid != 0:
+            flags_an_image = True
+    block_count = len(image_blocks(tags))
+    text_mask = [flag and bid == 0 for flag, bid in zip(mask, ids)]
+
+    def check(loss_mask, image_count, message):
+        image_ids = tuple(f"img{k}" for k in range(image_count))
+        args = (tuple(range(len(ids))), tags, tuple(loss_mask), image_ids)
+        if message is None:
+            assert RenderedSample(*args).image_count == image_count
+        else:
+            with pytest.raises(ValueError, match=message):
+                RenderedSample(*args)
+
+    # Each rule alone, then both together (the mask rule is checked first).
+    check(text_mask, id_count, "one id per image block" if id_count != block_count else None)
+    check(mask, block_count, "text positions" if flags_an_image else None)
+    if flags_an_image:
+        check(mask, id_count, "text positions")
+    else:
+        check(mask, id_count, "one id per image block" if id_count != block_count else None)
