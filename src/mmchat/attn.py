@@ -20,27 +20,25 @@ NaN, which keeps image-free text prefixes well-defined.
 
 ``segment_attention`` and ``segment_attention_vjp`` work from an
 ``AttentionLayout`` built once per sequence or bin of sequences, one
-softmax term at a time: image rows over their own block, text rows over
-text keys (every row, for causal), and runs of text rows over exactly the
-image keys before them; in a bin, a run of equal sequences shares each
-of those terms as one stack. No d x d array is formed. A pass gathers Q
-along the layout's row order and K/V (and Kx/Vx) along its key order
-once, runs every term on basic-slice views of those (a stack's slice seen
-as blocks, each cut to the term's ``row_part`` or ``key_part``), reads and
-accumulates through the same views, and scatters its output, or each
-gradient, back to sequence order once. Each term's scores are computed
-from the pre-scaled Q into a fresh buffer that is masked and turned into
-max-shifted exponentials E in place. Normalization is deferred
-(FlashAttention, Dao et al., arXiv 2205.14135): the thin output E @ V is
-divided by the row totals, never the rows x keys E. The forward pass
-returns one ``SavedAttention``: its layout, scale and ordered inputs and
-each term's E, row totals and output. The VJP reads it and nothing else,
-so a backward pass takes no inputs that could disagree with the forward
-pass, forms no scores, takes no softmax and needs no rowsum(P * dP) pass
-over the rows x keys arrays; it forms each term's score gradients one
-row chunk of at most ``_SCRATCH_SIZE`` entries at a time. A restricted
-layout (``AttentionLayout.restrict``) runs unchanged: rows without a term
-come out zero. ``attention_weights`` places the normalized weights of a
+softmax term (a stack of blocks) at a time. No d x d array is formed. A
+pass gathers Q along the layout's row order and K/V (and Kx/Vx) along
+its key order once, runs every term on basic-slice views of those (a
+term's slice seen as its blocks, each cut to the term's ``row_part`` or
+``key_part``), reads and accumulates through the same views, and
+scatters its output, or each gradient, back to sequence order once. Each
+term's scores are computed from the pre-scaled Q into a fresh buffer
+that is masked and turned into max-shifted exponentials E in place.
+Normalization is deferred (FlashAttention, Dao et al., arXiv
+2205.14135): the thin output E @ V is divided by the row totals, never
+the rows x keys E. The forward pass returns one ``SavedAttention``: its
+layout, scale and ordered inputs and each term's E, row totals and
+output. The VJP reads it and nothing else, so a backward pass takes no
+inputs that could disagree with the forward pass, forms no scores, takes
+no softmax and needs no rowsum(P * dP) pass over the rows x keys arrays;
+it forms each term's score gradients one row chunk of at most
+``_SCRATCH_SIZE`` entries at a time. A restricted layout
+(``AttentionLayout.restrict``) runs unchanged: rows without a term come
+out zero. ``attention_weights`` places the normalized weights of a
 ``SavedAttention`` back into per-key-class d x d views for inspection.
 
 No score can overflow when head_dim * |scale| * max|Q| * max|K| (K or Kx)
@@ -165,9 +163,9 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 
 def _blocks(a: np.ndarray, stack: int, part: slice) -> np.ndarray:
-    """Rows ``part`` of each of ``stack`` equal blocks of ``a``'s rows (one
-    block for 0), as a view."""
-    return (a.reshape(*a.shape[:-2], stack, -1, a.shape[-1]) if stack else a)[..., part, :]
+    """Rows ``part`` of each of ``stack`` equal blocks of ``a``'s rows, as a
+    view with a block axis before the rows."""
+    return a.reshape(*a.shape[:-2], stack, -1, a.shape[-1])[..., part, :]
 
 
 @dataclass(frozen=True)

@@ -257,8 +257,8 @@ def record_from_dict(data: dict) -> SourceRecord:
 
 
 def read_records(path: str | Path) -> list[SourceRecord]:
-    """Read a JSON-lines record file. Malformed lines raise a ValueError
-    carrying the 1-based line number."""
+    """Read a JSON-lines record file. Malformed lines, nesting too deep to
+    parse included, raise a ValueError carrying the 1-based line number."""
     records: list[SourceRecord] = []
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -267,7 +267,7 @@ def read_records(path: str | Path) -> list[SourceRecord]:
                 continue
             try:
                 records.append(record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}: malformed record on line {number}: {exc}") from exc
     return records
 

@@ -7,20 +7,16 @@ entries and one over its 2 entries, and the two are summed.
 
 The dense mask is the inspectable reference (``mmchat mask`` prints it).
 Attention uses ``build_layout`` instead: the same edges as a tuple of
-softmax terms (image blocks, text rows over text keys, and a staircase of
-text-row runs over exactly the image keys before them), with no d x d
-array. The layout puts the positions in modality order, image positions
-first, so every term reads one slice of its rows and one of its keys. The
-variant and ``image_self`` are the whole attention rule, and both
-``build_mask`` and ``build_layout`` take both. ``build_layout`` also takes
-a bin of sequences laid end to end (sequence packing without
-cross-contamination, Krell et al., arXiv 2107.02027): no term reads two
-sequences, so the absence of a term is the document mask, and a run of
-adjacent equal sequences runs each of its text and staircase terms once,
-stacked over the run, as equal image blocks are. ``AttentionLayout.restrict``
-keeps only chosen query rows, for a pass whose other rows reach nothing
-(the toy model's last block, whose only consumers are the loss's target
-rows).
+softmax terms, each a stack of equal-size blocks over one slice of the
+positions in modality order, with no d x d array (``AttentionLayout``
+states the rule). The variant and ``image_self`` are the whole attention
+rule, and both ``build_mask`` and ``build_layout`` take both.
+``build_layout`` also takes a bin of sequences laid end to end (sequence
+packing without cross-contamination, Krell et al., arXiv 2107.02027): no
+block reads two sequences, so the absence of a term is the document mask.
+``AttentionLayout.restrict`` keeps only chosen query rows, for a pass
+whose other rows reach nothing (the toy model's last block, whose only
+consumers are the loss's target rows).
 
 The entry value encodes the KEY token's modality; the query's modality
 determines which rows can carry which values. ``build_mask`` is the one
@@ -128,20 +124,19 @@ def build_mask(
 
 
 class Term(NamedTuple):
-    """One softmax term: slices of the layout's ``rows`` and ``keys``, the
-    (rows, keys) entries the rows may not read (``forbid``; ``None``: every
-    row reads every key; a stack's blocks share it), whether the keys are
-    read through Kx/Vx instead of K/V, ``stack``: the number of equal-size
-    blocks, each its own softmax, that the term splits into (0: one flat
-    term), and the part of each block (a flat term is one block) that the
-    term reads: rows ``row_part`` of its rows over keys ``key_part`` of its
-    keys (default: all of them)."""
+    """One softmax term: a stack of ``stack`` >= 1 equal-size blocks, each
+    its own softmax, laid over slices of the layout's ``rows`` and ``keys``.
+    Each block reads rows ``row_part`` of its rows over keys ``key_part`` of
+    its keys (default: all of them); ``forbid`` is the (rows, keys) entries
+    of that part a block may not read, shared by every block (``None``:
+    every row reads every key), and ``cross`` reads the keys through Kx/Vx
+    instead of K/V."""
 
     rows: slice
     keys: slice
     forbid: np.ndarray | None
     cross: bool
-    stack: int = 0
+    stack: int = 1
     row_part: slice = slice(None)
     key_part: slice = slice(None)
 
@@ -155,22 +150,19 @@ class AttentionLayout:
     ``keys`` orders the positions by modality: every image position of
     every sequence, then every text position (for causal, the identity);
     ``rows`` lists the computed query rows in that order. Every term reads
-    slices of both, and no term reads two sequences.
+    slices of both, and no block of a term reads two sequences.
 
-    Causal is one term per sequence: every row over every key, forbidding
-    later keys. For mmca and cross, each run of adjacent equal-size image
-    blocks, across sequences too, is one stacked term, every image row
-    reading its own block through K/V (with ``image_self="diagonal"`` every
-    image token is a one-token block). Per sequence, text rows read text
-    keys in one term, forbidding later keys, and image keys in a staircase:
-    one unmasked term per run of text rows with the same number n of image
-    tokens before them, reading exactly those n image keys, the first n of
-    the sequence's own (through Kx/Vx for cross). Text rows before a
-    sequence's first image have no image term. A run of k >= 2 adjacent
-    equal sequences shares these per-sequence terms: each is one stack of k
-    blocks, one per sequence, whose ``row_part`` and ``key_part`` pick the
-    same rows and keys of every sequence. The kernel sums the terms'
-    outputs.
+    Each run of adjacent equal-size image blocks, across sequences too, is
+    one stack, every image row reading its own block through K/V (with
+    ``image_self="diagonal"`` every image token is a one-token block). Each
+    run of adjacent equal sequences (a run of one included) shares its text
+    terms as stacks with one block per sequence: text rows over text keys,
+    forbidding later keys (causal: every row over every key), and a
+    staircase of one unmasked term per run of text rows with the same
+    number n of image tokens before them, whose ``row_part`` picks those
+    rows and ``key_part`` the first n image keys of each sequence (through
+    Kx/Vx for cross). Text rows before a sequence's first image have no
+    image term. The kernel sums the terms' outputs.
     """
 
     d: int
@@ -184,23 +176,21 @@ class AttentionLayout:
         return any(term.cross for term in self.terms)
 
     def positions(self, term: Term) -> tuple[np.ndarray, np.ndarray]:
-        """The sequence positions of ``term``'s rows and keys: (count, size)
-        arrays for a stack of blocks, 1-D otherwise."""
-        shape = (term.stack, -1) if term.stack else (-1,)
-        rows, keys = self.rows[term.rows].reshape(shape), self.keys[term.keys].reshape(shape)
-        return rows[..., term.row_part], keys[..., term.key_part]
+        """The sequence positions of ``term``'s rows and keys, as (stack,
+        size) arrays: one row per block."""
+        rows = self.rows[term.rows].reshape(term.stack, -1)
+        keys = self.keys[term.keys].reshape(term.stack, -1)
+        return rows[:, term.row_part], keys[:, term.key_part]
 
     def restrict(self, rows: np.ndarray) -> AttentionLayout:
         """The layout over the same ``d`` and ``keys`` whose terms keep only
         the query rows in ``rows`` (non-empty, each in [0, d)), in the old
-        row order, so each term's kept rows stay one slice. A term whose
-        blocks (a flat term is one block) all keep the same rows stays one
-        term over its kept rows, with its ``forbid`` rows cut the same way.
-        In any other term, each block with kept rows becomes a flat term of
-        those rows over that block's keys, keeping their ``forbid`` rows.
-        Every allowed edge of a kept row stays in exactly one term; the
-        kernel gives every other row zero output. Keeping every row returns
-        this layout."""
+        row order. Within each term, each run of adjacent blocks that keep
+        the same rows becomes one stack over those rows, with its
+        ``row_part`` renumbered and its ``forbid`` cut to the kept rows it
+        reads; a run that reads no kept row is dropped. Every allowed edge
+        of a kept row stays in exactly one term; the kernel gives every
+        other row zero output. Keeping every row returns this layout."""
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size == 0:
             raise ValueError("restrict needs at least one row")
@@ -214,25 +204,22 @@ class AttentionLayout:
         at = [0, *np.cumsum(kept).tolist()]  # new index of each old row index
         terms = []
         for term in self.terms:
-            start, blocks = term.rows.start, max(term.stack, 1)
-            held = kept[term.rows].reshape(blocks, -1)  # the kept rows of each block
-            size, width = held.shape[1], (term.keys.stop - term.keys.start) // blocks
-            part, key_part = range(size)[term.row_part], range(width)[term.key_part]
-            read = held[:, term.row_part]  # the kept rows the term reads
-            if not read.any():
-                continue
-            if (held == held[0]).all():
-                first, last = int(held[0, : part.start].sum()), int(held[0, : part.stop].sum())
-                forbid = term.forbid if term.forbid is None or read.all() else term.forbid[read[0]]
-                row_part = slice(None) if (first, last) == (0, held[0].sum()) else slice(first, last)
-                terms.append(term._replace(rows=slice(at[start], at[term.rows.stop]), forbid=forbid,
-                                           row_part=row_part))
-                continue
-            for b in np.flatnonzero(read.any(axis=1)).tolist():
-                lo, keys = start + b * size, term.keys.start + b * width
-                forbid = None if term.forbid is None else term.forbid[read[b]]
-                terms.append(Term(slice(at[lo + part.start], at[lo + part.stop]),
-                                  slice(keys + key_part.start, keys + key_part.stop), forbid, term.cross))
+            held = kept[term.rows].reshape(term.stack, -1)  # the kept rows of each block
+            size, width = held.shape[1], (term.keys.stop - term.keys.start) // term.stack
+            part, stop = range(size)[term.row_part], 0
+            for _, run in groupby(held.tolist()):  # adjacent blocks that keep the same rows
+                start, stop = stop, stop + len(list(run))
+                block, read = held[start], held[start, term.row_part]
+                if not read.any():
+                    continue
+                first, last = int(block[: part.start].sum()), int(block[: part.stop].sum())
+                terms.append(term._replace(
+                    rows=slice(at[term.rows.start + start * size], at[term.rows.start + stop * size]),
+                    keys=slice(term.keys.start + start * width, term.keys.start + stop * width),
+                    forbid=term.forbid if term.forbid is None or read.all() else term.forbid[read],
+                    stack=stop - start,
+                    row_part=slice(None) if (first, last) == (0, block.sum()) else slice(first, last),
+                ))
         return replace(self, terms=tuple(terms), rows=self.rows[kept])
 
 
@@ -274,24 +261,19 @@ def build_layout(
     img_at, text_at = 0, n_img  # where this run's image keys and text rows start
     for seq, run in groupby(zip(seqs, spans), key=itemgetter(0)):
         blocks, count = next(run)[1], 1 + len(list(run))  # a run of equal sequences shares its terms
-        stack = count if count > 1 else 0
         n_image = sum(end - start for _, start, end in blocks)
         text_rows = slice(text_at, text_at + count * (seq.d - n_image))
         image_keys = slice(img_at, img_at + count * n_image)
         if seq.d > n_image:  # text positions ascend, so a later text key is a later column
             columns = positions[: seq.d - n_image]
-            terms.append(Term(text_rows, text_rows, columns[None, :] > columns[:, None], False, stack))
+            terms.append(Term(text_rows, text_rows, columns[None, :] > columns[:, None], False, count))
         n = 0
         stops = [start for _, start, _ in blocks[1:]] + [seq.d]
         for (_, start, end), stop in zip(blocks, stops):
             n += end - start
             if stop > end:  # the text rows up to the next block read the n image keys before them
-                if stack:  # the same rows and keys of every sequence of the run
-                    parts = slice(end - n, stop - n), slice(0, n)
-                    terms.append(Term(text_rows, image_keys, None, cross, stack, *parts))
-                else:
-                    rows = slice(text_at + end - n, text_at + stop - n)
-                    terms.append(Term(rows, slice(img_at, img_at + n), None, cross))
+                parts = slice(end - n, stop - n), slice(0, n)
+                terms.append(Term(text_rows, image_keys, None, cross, count, *parts))
         img_at, text_at = image_keys.stop, text_rows.stop
     return AttentionLayout(d, variant, tuple(terms), order, order)
 

@@ -414,6 +414,9 @@ class OptimState:
             raise ValueError("warmup_fraction must lie in [0, 1]")
         if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.weight_decay < math.inf):
             raise ValueError("learning_rate and weight_decay must be finite and >= 0")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        _check_int("step", self.step, minimum=0)
 
     def current_learning_rate(self) -> float:
         warmup_steps = math.ceil(self.warmup_fraction * self.total_steps)
@@ -583,7 +586,10 @@ def load_model(path: str | Path) -> ToyModel:
     with np.load(path) as data:
         if "__manifest__" not in data.files:
             raise ValueError("checkpoint has no __manifest__")
-        manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
+        try:
+            manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
+        except RecursionError:
+            raise ValueError("checkpoint manifest is nested too deeply to parse") from None
         if not isinstance(manifest, dict):
             raise ValueError(f"checkpoint manifest must be an object, got {type(manifest).__name__}")
         if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:

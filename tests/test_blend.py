@@ -320,9 +320,10 @@ def test_jsonl_write_is_byte_deterministic(tmp_path):
 def test_jsonl_malformed_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     good = json.dumps(record_to_dict(make_llava_corpus(1)[0]))
-    path.write_text(good + "\n{not json}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        read_records(path)
+    for bad in ("{not json}", "[" * 200_000):  # nesting too deep to parse is malformed too
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2"):
+            read_records(path)
 
 
 def test_jsonl_semantic_error_line_number(tmp_path):

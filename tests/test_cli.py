@@ -143,11 +143,25 @@ def test_blend_concat_requires_input(tmp_path, capsys):
     assert "requires --input" in capsys.readouterr().err
 
 
-def test_blend_malformed_input_reports_line(tmp_path, capsys):
+def assert_malformed_input_reports_line(tmp_path, capsys, command):
+    """``command`` exits 2 on a broken line 1 and on one nested too deeply
+    to parse, with one ``error:`` line that names line 1 and no traceback."""
     src = tmp_path / "in.jsonl"
-    src.write_text("{broken\n", encoding="utf-8")
-    assert main(["blend", "--mode", "concat", "--input", str(src), "--out", str(tmp_path / "o")]) == 2
-    assert "line 1" in capsys.readouterr().err
+    for bad in ("{broken", "[" * 200_000):
+        src.write_text(bad + "\n", encoding="utf-8")
+        assert main([*command, "--input", str(src), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "line 1" in line
+
+
+def test_blend_malformed_input_reports_line(tmp_path, capsys):
+    assert_malformed_input_reports_line(tmp_path, capsys, ["blend", "--mode", "concat"])
+
+
+def test_render_malformed_input_reports_line(tmp_path, capsys):
+    assert_malformed_input_reports_line(tmp_path, capsys, ["render"])
 
 
 def test_render_command(tmp_path):

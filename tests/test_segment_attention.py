@@ -237,22 +237,27 @@ def test_layout_structure():
     assert mmca.keys.tolist() == mmca.rows.tolist() == [2, 3, 4, 6, 7, 8, 9, 10, 12, 13, 0, 1, 5, 11]
     three, two, text, *stairs = mmca.terms
     assert [(t.rows, t.keys, t.stack) for t in (three, two, text)] == [
-        (slice(0, 6), slice(0, 6), 2), (slice(6, 10), slice(6, 10), 2), (slice(10, 14), slice(10, 14), 0)
+        (slice(0, 6), slice(0, 6), 2), (slice(6, 10), slice(6, 10), 2), (slice(10, 14), slice(10, 14), 1)
     ]
     # adjacent equal-size image blocks stack into one term each, every block over itself
     (three_rows, three_keys), (two_rows, two_keys) = mmca.positions(three), mmca.positions(two)
     assert three_rows.tolist() == [[2, 3, 4], [6, 7, 8]] and two_rows.tolist() == [[9, 10], [12, 13]]
     assert np.array_equal(three_keys, three_rows) and np.array_equal(two_keys, two_rows)
     assert three.forbid is None and two.forbid is None
-    assert [p.tolist() for p in mmca.positions(text)] == [[0, 1, 5, 11]] * 2
+    assert [p.tolist() for p in mmca.positions(text)] == [[[0, 1, 5, 11]]] * 2
     assert np.array_equal(~text.forbid, np.tril(np.ones((4, 4), dtype=bool)))
     # the image keys each text row reads: none for rows 0 and 1 (before every
     # image), three for row 5, all eight for row 11; the trailing block comes
     # after the last text row, so no row reads it
     assert [(*(p.tolist() for p in mmca.positions(t)), t.forbid) for t in stairs] == [
-        ([5], [2, 3, 4], None), ([11], [2, 3, 4, 6, 7, 8, 9, 10], None)
+        ([[5]], [[2, 3, 4]], None), ([[11]], [[2, 3, 4, 6, 7, 8, 9, 10]], None)
     ]
-    assert [(t.rows, t.keys) for t in stairs] == [(slice(12, 13), slice(0, 3)), (slice(13, 14), slice(0, 8))]
+    # each step is one block over all four text rows and all ten image keys,
+    # its parts picking the rows and keys it reads
+    assert [(t.rows, t.keys, t.stack, t.row_part, t.key_part) for t in stairs] == [
+        (slice(10, 14), slice(0, 10), 1, slice(2, 3), slice(0, 3)),
+        (slice(10, 14), slice(0, 10), 1, slice(3, 4), slice(0, 8)),
+    ]
     assert not mmca.reads_cross
     cross = build_layout(seq, AttentionVariant.CAUSAL_PLUS_CROSS)
     assert cross.reads_cross and [t.cross for t in cross.terms] == [False] * 3 + [True] * 2
@@ -265,7 +270,7 @@ def test_layout_structure():
     causal_layout = build_layout(seq, AttentionVariant.CAUSAL_ONLY)
     (causal,) = causal_layout.terms
     assert causal_layout.keys.tolist() == list(range(seq.d))  # causal's order is the identity
-    assert [p.tolist() for p in causal_layout.positions(causal)] == [list(range(seq.d))] * 2
+    assert [p.tolist() for p in causal_layout.positions(causal)] == [[list(range(seq.d))]] * 2
     assert np.array_equal(~causal.forbid, np.tril(np.ones((seq.d, seq.d), dtype=bool)))
     with pytest.raises(ValueError, match="image_self"):
         build_layout(seq, AttentionVariant.MMCA, "row")
@@ -284,30 +289,52 @@ def test_layout_orders_on_edge_layouts():
     assert mixed.keys.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 8, 12, 13]
     assert terms(mixed) == [
         (slice(0, 6), slice(0, 6), 2), (slice(6, 8), slice(6, 8), 1), (slice(8, 11), slice(8, 11), 1),
-        (slice(11, 14), slice(11, 14), 0), (slice(11, 12), slice(0, 8), 0), (slice(12, 14), slice(0, 11), 0),
+        (slice(11, 14), slice(11, 14), 1), (slice(11, 14), slice(0, 11), 1), (slice(11, 14), slice(0, 11), 1),
     ]
-    # a partly kept block in the middle of a stack splits it into one flat
-    # term per block with kept rows, each reading its whole block: the
-    # wholly kept blocks on either side too
+    # the staircase: text row 8 reads the first 8 image keys, rows 12 and 13 all 11
+    assert [(t.row_part, t.key_part) for t in mixed.terms[-2:]] == [
+        (slice(0, 1), slice(0, 8)), (slice(1, 3), slice(0, 11))
+    ]
+    # a partly kept block in the middle of a stack splits it into one stack
+    # per run of blocks that keep the same rows, here three runs of one
+    # block, each reading its whole block
     stack = build_layout(build_sequence([(I, 3), (I, 3), (I, 3), (T, 1)]), "mmca")
     part = stack.restrict([0, 1, 2, 4, 6, 7, 8])
     assert part.rows.tolist() == [0, 1, 2, 4, 6, 7, 8] and part.keys is stack.keys
     assert terms(part) == [
-        (slice(0, 3), slice(0, 3), 0), (slice(3, 4), slice(3, 6), 0), (slice(4, 7), slice(6, 9), 0)
+        (slice(0, 3), slice(0, 3), 1), (slice(3, 4), slice(3, 6), 1), (slice(4, 7), slice(6, 9), 1)
     ]
-    assert [k.tolist() for _, k in map(part.positions, part.terms)] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert [k.tolist() for _, k in map(part.positions, part.terms)] == [[[0, 1, 2]], [[3, 4, 5]], [[6, 7, 8]]]
     # text before the first image has no image term
     early = build_layout(build_sequence([(T, 3), (I, 2), (T, 2)]), "cross")
     assert early.keys.tolist() == [3, 4, 0, 1, 2, 5, 6]
-    assert terms(early) == [(slice(0, 2), slice(0, 2), 1), (slice(2, 7), slice(2, 7), 0),
-                            (slice(5, 7), slice(0, 2), 0)]
-    assert early.positions(early.terms[2])[0].tolist() == [5, 6]
+    assert terms(early) == [(slice(0, 2), slice(0, 2), 1), (slice(2, 7), slice(2, 7), 1),
+                            (slice(2, 7), slice(0, 2), 1)]
+    assert (early.terms[2].row_part, early.terms[2].key_part) == (slice(3, 5), slice(0, 2))
+    assert early.positions(early.terms[2])[0].tolist() == [[5, 6]]
     # d=1
     for kind, variant, image_self in ((T, "mmca", "block"), (I, "cross", "diagonal"), (I, "causal", "block")):
         one = build_layout(build_sequence([(kind, 1)]), variant, image_self)
         assert one.keys.tolist() == one.rows.tolist() == [0]
-        stack = int(kind is I and variant != "causal")
-        assert terms(one) == [(slice(0, 1), slice(0, 1), stack)]
+        assert terms(one) == [(slice(0, 1), slice(0, 1), 1)]
+
+
+def test_restrict_splits_a_stack_into_runs_of_blocks_that_keep_the_same_rows():
+    """Four adjacent 3-token image blocks, the first two wholly kept and the
+    last two keeping only their first row: the one stack of four becomes
+    two stacks of two, each over its own kept rows and its blocks' keys,
+    and the restricted kernel still matches the dense reference."""
+    seq = build_sequence([(I, 3)] * 4)
+    rows = [0, 1, 2, 3, 4, 5, 6, 9]
+    part = build_layout(seq, "mmca").restrict(rows)
+    assert [(t.rows, t.keys, t.stack, t.row_part) for t in part.terms] == [
+        (slice(0, 6), slice(0, 6), 2, slice(None)), (slice(6, 8), slice(6, 12), 2, slice(None))
+    ]
+    assert [p.tolist() for p in part.positions(part.terms[1])] == [[[6], [9]], [[6, 7, 8], [9, 10, 11]]]
+    for config in CONFIGS:
+        assert_terms_account_for_mask(seq, *config, rows)
+        model = ModelConfig(variant=config[0], num_heads=2, model_dim=6, image_self=config[1])
+        assert max(max_gaps(model, seq, seed=18, rows=rows)) <= TOLERANCE
 
 
 def block_diagonal(grids):
@@ -331,21 +358,20 @@ def test_bin_layout_lays_sequences_end_to_end():
     layout = build_layout([first, second], "cross")
     assert layout.d == 11
     assert layout.keys.tolist() == layout.rows.tolist() == [1, 2, 5, 6, 7, 8, 9, 0, 3, 4, 10]
-    assert [(t.rows, t.keys, t.stack, t.cross) for t in layout.terms] == [
-        (slice(0, 4), slice(0, 4), 2, False),  # the 2-blocks of both sequences, one stack
-        (slice(4, 7), slice(4, 7), 1, False),
-        (slice(7, 10), slice(7, 10), 0, False),  # first's text over its text
-        (slice(8, 10), slice(0, 2), 0, True),  # first's text after its image
-        (slice(10, 11), slice(10, 11), 0, False),  # second's text over its text
-        (slice(10, 11), slice(2, 7), 0, True),  # second's text over its five image keys
+    every = slice(None)
+    assert [(t.rows, t.keys, t.stack, t.cross, t.row_part, t.key_part) for t in layout.terms] == [
+        (slice(0, 4), slice(0, 4), 2, False, every, every),  # the 2-blocks of both sequences, one stack
+        (slice(4, 7), slice(4, 7), 1, False, every, every),
+        (slice(7, 10), slice(7, 10), 1, False, every, every),  # first's text over its text
+        (slice(7, 10), slice(0, 2), 1, True, slice(1, 3), slice(0, 2)),  # first's text after its image
+        (slice(10, 11), slice(10, 11), 1, False, every, every),  # second's text over its text
+        (slice(10, 11), slice(2, 7), 1, True, slice(0, 1), slice(0, 5)),  # over its five image keys
     ]
     assert np.array_equal(layout.terms[2].forbid, np.triu(np.ones((3, 3), dtype=bool), 1))
     for variant, image_self in CONFIGS:
         one, alone = build_layout([first], variant, image_self), build_layout(first, variant, image_self)
         assert one.d == alone.d and np.array_equal(one.keys, alone.keys)
-        assert [(t.rows, t.keys, t.stack, t.cross) for t in one.terms] == [
-            (t.rows, t.keys, t.stack, t.cross) for t in alone.terms
-        ]
+        assert_same_terms(one.terms, alone.terms)
     (causal_first, causal_second) = build_layout([first, second], "causal").terms
     assert (causal_first.rows, causal_second.rows) == (slice(0, 5), slice(5, 11))
     # the copy task's eight equal samples: one stack of eight 4-token image
@@ -375,8 +401,9 @@ def assert_terms_account_for_mask(seqs, variant, image_self, rows=None, by_value
     mask's kept rows, and no other row has an edge in any term. The
     layout's ``keys`` are a permutation of range(d) and its ``rows`` of the
     kept rows (in the full layout's order), and every term's rows and keys
-    are slices of them. ``by_value`` passes the variant as its string
-    value."""
+    are slices of them, each a stack of one or more equal blocks, and
+    ``positions`` gives one row of positions per block. ``by_value`` passes
+    the variant as its string value."""
     layout = build_layout(seqs, as_given(variant, by_value), image_self)
     assert layout.variant is variant
     bin_ = [seqs] if isinstance(seqs, ModalitySequence) else list(seqs)
@@ -399,8 +426,12 @@ def assert_terms_account_for_mask(seqs, variant, image_self, rows=None, by_value
     seen = np.zeros((3,) + entries.shape, dtype=int)  # edges per key class
     groups = np.zeros((3, d), dtype=int)  # terms per (key class, row)
     for term in layout.terms:
+        # one shape: a stack of one or more blocks, each a row of positions
+        assert term.stack >= 1
+        assert all((span.stop - span.start) % term.stack == 0 for span in (term.rows, term.keys))
         term_rows, term_keys = layout.positions(term)
-        for rows, keys in zip(np.atleast_2d(term_rows), np.atleast_2d(term_keys)):
+        assert term_rows.ndim == term_keys.ndim == 2 and len(term_rows) == len(term_keys) == term.stack
+        for rows, keys in zip(term_rows, term_keys):
             assert np.unique(owner[np.concatenate([rows, keys])]).size == 1  # one sequence per softmax
             allowed = np.ones((rows.size, keys.size), dtype=bool)
             if term.forbid is not None:
@@ -566,13 +597,13 @@ def assert_same_terms(terms, expected):
 def test_sequences_without_equal_neighbours_keep_their_own_terms(seqs):
     """A single sequence, and a bin in which no two adjacent sequences are
     equal, lay out every sequence's text and staircase terms as that
-    sequence alone does: flat, reading whole slices, moved to its place."""
+    sequence alone does: stacks of one block, moved to its place."""
     distinct = [seq for seq, _ in runs_of(seqs)]
     for variant, image_self in CONFIGS:
         for bin_ in [*([seq] for seq in distinct), distinct]:
             layout = build_layout(bin_, variant, image_self)
-            assert all(t.row_part == t.key_part == slice(None) for t in layout.terms)
-            assert not any(t.stack for t in per_sequence_terms(layout, bin_))
+            assert all(t.row_part == t.key_part == slice(None) for t in image_terms(layout, bin_))
+            assert all(t.stack == 1 for t in per_sequence_terms(layout, bin_))
             assert_same_terms(per_sequence_terms(layout, bin_), moved_terms(bin_, variant, image_self))
 
 
@@ -620,8 +651,8 @@ _run_bins = st.tuples(
 @example(runs=([([(T, 3)], 2)], ([(I, 3)], 2), [([(T, 2)], 1)]), picks=[1, 2], config_index=4, seed=2)
 def test_runs_of_equal_sequences_stack_their_terms(runs, picks, config_index, seed):
     """In a bin, each run of adjacent equal sequences lays out one set of
-    text and staircase terms, each stacked over the run (flat for a run of
-    one); every allowed edge lies in exactly one term, for the full layout
+    text and staircase terms, each stacked over the run (a stack of one for
+    a run of one); every allowed edge lies in exactly one term, for the full layout
     and restricted to the same rows of every sequence or to scattered rows,
     and the stacked terms stay stacked when every sequence keeps the same
     rows; the kernel's output, VJP and weights match the dense reference."""
@@ -633,7 +664,7 @@ def test_runs_of_equal_sequences_stack_their_terms(runs, picks, config_index, se
     scattered = sorted({pick % int(starts[-1]) for pick in picks})
     for variant, image_self in CONFIGS:
         layout = build_layout(bin_, variant, image_self)
-        expected = [count if count > 1 else 0 for seq, count in runs_of(bin_)
+        expected = [count for seq, count in runs_of(bin_)
                     for _ in per_sequence_terms(build_layout(seq, variant, image_self), [seq])]
         assert [t.stack for t in per_sequence_terms(layout, bin_)] == expected
         assert_terms_account_for_mask(bin_, variant, image_self)
@@ -1073,15 +1104,15 @@ def test_last_block_scores_only_the_target_rows(monkeypatch, variant):
     targets = target_rows(sample)
     last_layout = recorder.layouts[-1]
     last_positions = [last_layout.positions(t) for t in last_layout.terms]
-    assert not any(t.stack for t in last_layout.terms)  # no stacked image-block term
-    assert not sample.tags.is_image()[np.concatenate([rows for rows, _ in last_positions])].any()
-    assert last == [heads + (rows.size, keys.size) for rows, keys in last_positions]
+    assert all(t.stack == 1 for t in last_layout.terms)  # no image-block stack is left
+    assert not sample.tags.is_image()[np.concatenate([rows.ravel() for rows, _ in last_positions])].any()
+    assert last == [heads + (1, rows.size, keys.size) for rows, keys in last_positions]
     # every target row reads text keys in one term and, after the first
     # image (every target here), image keys in one more: no other row is scored
-    key_rows = [rows for rows, _ in last_positions]
+    key_rows = [rows.ravel() for rows, _ in last_positions]
     assert np.array_equal(np.unique(np.concatenate(key_rows)), targets)
     reads = 1 if variant is AttentionVariant.CAUSAL_ONLY else 2
-    assert sum(shape[1] for shape in last) == reads * targets.size
+    assert sum(shape[-2] for shape in last) == reads * targets.size
     assert sum(np.prod(s) for s in last) < sum(np.prod(s) for s in full_shapes)
 
 

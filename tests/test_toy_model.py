@@ -492,6 +492,11 @@ def test_optim_state_validation_and_warmup():
         ({"total_steps": 10, "learning_rate": math.inf}, "learning_rate and weight_decay must be finite"),
         ({"total_steps": 10, "weight_decay": math.nan}, "learning_rate and weight_decay must be finite"),
         ({"total_steps": 10, "weight_decay": -1e-3}, "learning_rate and weight_decay must be finite"),
+        ({"total_steps": 10, "eps": math.nan}, "eps must be finite and > 0, got nan"),
+        ({"total_steps": 10, "eps": math.inf}, "eps must be finite and > 0, got inf"),
+        ({"total_steps": 10, "eps": 0.0}, "eps must be finite and > 0, got 0.0"),
+        ({"total_steps": 10, "step": -1}, "step must be an integer >= 0, got -1"),
+        ({"total_steps": 10, "step": 1.5}, "step must be an integer >= 0, got 1.5"),
     ],
 )
 def test_optim_state_rejects_non_integer_steps_and_non_finite_rates(kwargs, message):
@@ -647,6 +652,12 @@ def test_checkpoint_without_a_manifest_rejected(tmp_path):
 def test_checkpoint_manifest_must_be_an_object(tmp_path):
     bad = rewritten_checkpoint(tmp_path, lambda manifest: None, lambda m: json.dumps([m]))
     with pytest.raises(ValueError, match="checkpoint manifest must be an object, got list"):
+        load_model(bad)
+
+
+def test_checkpoint_manifest_nested_too_deeply_is_rejected(tmp_path):
+    bad = rewritten_checkpoint(tmp_path, lambda manifest: None, lambda m: "[" * 200_000)
+    with pytest.raises(ValueError, match="checkpoint manifest is nested too deeply"):
         load_model(bad)
 
 
