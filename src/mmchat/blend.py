@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .modseq import LayoutConfig, _check_int
-from .template import Conversation, HashTokenizer, OverLengthError, RenderedSample, Round, render
+from .template import Conversation, HashTokenizer, OverLengthError, RenderedSample, Round, count_tokens, render
 
 
 class Dataset(str, Enum):
@@ -145,10 +145,20 @@ def llava_otter_blend(
     a, then for b (llava before llava_dial, each in input order), then the
     pair's own round, with images introduced once each and the record's
     image list kept as [a, b]. Pairs with no match pass through unchanged.
+    Raises ValueError, naming the argument, unless each record of the
+    first two arguments carries exactly one image id and each record of
+    the third is an image-pair record.
     """
     by_image: dict[str, list[SourceRecord]] = {}
-    for record in list(llava) + list(llava_dial):
-        by_image.setdefault(record.image_ids[0], []).append(record)
+    for argument, records in (("first argument (llava)", llava),
+                              ("second argument (llava_dial)", llava_dial)):
+        for record in records:
+            if len(record.image_ids) != 1:
+                raise ValueError(
+                    f"{argument} must contain single-image records, got one with "
+                    f"image ids {list(record.image_ids)}"
+                )
+            by_image.setdefault(record.image_ids[0], []).append(record)
 
     out: list[SourceRecord] = []
     for pair in otter:
@@ -184,11 +194,14 @@ def filter_limits(
 ) -> tuple[list[SourceRecord], dict[str, int]]:
     """Drop records with too many images or an over-long rendering.
 
-    Returns the kept records and per-reason drop counts. Each record is
-    rendered once; ``emit``, when given, receives each kept record's
-    rendering in order. No rendering outlives its record's turn, so memory
-    does not grow with the number of records. Idempotent: the kept list
-    passes the same filter untouched.
+    Returns the kept records and per-reason drop counts. The length test
+    is ``count_tokens``, which hashes no word and equals the rendered
+    length under the whitespace HashTokenizer, so nothing is rendered
+    unless ``emit`` is given. Then the test is ``render``'s own count,
+    taken before it tokenizes, and each kept record is rendered once and
+    its sample passed to ``emit`` in order. No rendering outlives its
+    record's turn, so memory does not grow with the number of records.
+    Idempotent: the kept list passes the same filter untouched.
     """
     kept: list[SourceRecord] = []
     dropped = {"too_many_images": 0, "over_length": 0}
@@ -196,15 +209,21 @@ def filter_limits(
         if len(record.image_ids) > spec.max_images:
             dropped["too_many_images"] += 1
             continue
-        try:
-            sample = render(record.conversation, tokenizer, spec.layout)
-        except OverLengthError:
-            dropped["over_length"] += 1
-            continue
-        kept.append(record)
-        if emit is not None:
+        if emit is None:
+            if count_tokens(record.conversation, spec.layout) > spec.layout.max_sequence_length:
+                dropped["over_length"] += 1
+                continue
+        else:
+            # render counts before it tokenizes: an over-long record costs
+            # a count here too, and a kept one is walked once, not twice.
+            try:
+                sample = render(record.conversation, tokenizer, spec.layout)
+            except OverLengthError:
+                dropped["over_length"] += 1
+                continue
             emit(sample)
-        del sample  # freed before the next record renders
+            del sample  # freed before the next record renders
+        kept.append(record)
     return kept, dropped
 
 

@@ -13,6 +13,11 @@ A Conversation renders to two coordinated forms:
   end-of-turn token that closes each answer. Header strings are tokenized
   as ordinary text; there are no special tokens.
 
+The token form is written once, as an ordered walk over the template's
+pieces, with two consumers: ``render`` tokenizes the pieces, and
+``count_tokens`` sums their lengths without hashing a word, which is all
+the blend filter needs to admit or drop a record.
+
 Field texts are single-line; ids contain no whitespace or angle brackets.
 That restriction is what makes the text form a bijection (see
 docs/template-grammar.md for the grammar).
@@ -25,6 +30,7 @@ import hashlib
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .modseq import LayoutConfig, ModalitySequence, _check_int
 
@@ -34,6 +40,11 @@ _QUESTION_PREFIX = "### Question: "
 _ANSWER_PREFIX = "### Answer: "
 _IMAGE_PLACEHOLDER = "<image>"
 END_OF_TURN = "\n"
+_ANSWER_WORDS = tuple(_ANSWER_PREFIX.split())
+_END_OF_TURN_WORDS = (END_OF_TURN,)
+
+# (words, block_id, in_loss): one piece of the template walk (see _pieces)
+_Piece = tuple[Sequence[str] | str, int, bool]
 
 
 class OverLengthError(ValueError):
@@ -145,8 +156,10 @@ class HashTokenizer:
     """Deterministic whitespace tokenizer with a stable string-to-id hash.
 
     Splits on whitespace and maps each word to blake2b(word) mod
-    vocab_size. Collisions are fine for desk-scale runs; any external
-    tokenizer with a deterministic text-to-ids mapping can be substituted.
+    vocab_size, one id per word, so a text's token count is its
+    whitespace word count; ``count_tokens`` relies on this. Collisions are
+    fine for desk-scale runs; an external tokenizer with a deterministic
+    text-to-ids mapping can be substituted only if it keeps that count.
     Word hashes (before the modulo) are memoised process-wide for the
     4,096 most recent words (~0.7 MB); ids are the same as without it.
     """
@@ -159,8 +172,13 @@ class HashTokenizer:
         return _word_hash(word) % self.vocab_size
 
     def encode(self, text: str) -> list[int]:
+        return self.encode_words(text.split())
+
+    def encode_words(self, words: Iterable[str]) -> list[int]:
+        """Ids of already split words; ``encode(text)`` is
+        ``encode_words(text.split())``."""
         vocab_size = self.vocab_size
-        return [_word_hash(word) % vocab_size for word in text.split()]
+        return [_word_hash(word) % vocab_size for word in words]
 
 
 def render_text(conv: Conversation) -> str:
@@ -177,6 +195,45 @@ def render_text(conv: Conversation) -> str:
     return "\n".join(lines)
 
 
+def _pieces(conv: Conversation) -> Iterator[_Piece]:
+    """The template's pieces in order, as ``(words, block_id, in_loss)``.
+
+    This is the one place the piece order is written: the system line;
+    per image its ``### Image k:`` header and its slot; per round the
+    question line, the answer prefix, the answer and the end-of-turn
+    token. A text piece holds its whitespace-separated words, one token
+    each; the end-of-turn piece is the single word END_OF_TURN. An image
+    slot has ``block_id`` k > 0 and holds its image id in place of words.
+    """
+    yield conv.system.split(), 0, False
+    image_number = 0
+    for rnd in conv.rounds:
+        for image_id in rnd.images:
+            image_number += 1
+            yield f"### Image {image_number}:".split(), 0, False
+            yield image_id, image_number, False
+        yield (_QUESTION_PREFIX + rnd.question).split(), 0, False
+        yield _ANSWER_WORDS, 0, False
+        yield rnd.answer.split(), 0, True
+        yield _END_OF_TURN_WORDS, 0, True
+
+
+def _length(pieces: Iterable[_Piece], image_token_count: int) -> int:
+    return sum(image_token_count if block_id else len(words) for words, block_id, _ in pieces)
+
+
+def count_tokens(conv: Conversation, layout: LayoutConfig) -> int:
+    """Length of ``render(conv, tokenizer, layout)``, found without hashing
+    a word.
+
+    Counts whitespace-separated words per text piece,
+    ``layout.image_token_count`` per image slot and one per end-of-turn
+    token. HashTokenizer maps whitespace words one to one, so the text
+    count equals ``len(tokenizer.encode(text))`` for any vocabulary size.
+    """
+    return _length(_pieces(conv), layout.image_token_count)
+
+
 def render(
     conv: Conversation, tokenizer: HashTokenizer, layout: LayoutConfig
 ) -> RenderedSample:
@@ -187,43 +244,35 @@ def render(
     loss mask covers each answer's tokens plus one end-of-turn token, and
     nothing else; headers and questions never contribute to the loss.
 
-    Raises OverLengthError when the result exceeds
-    ``layout.max_sequence_length``.
+    Raises OverLengthError when the result would exceed
+    ``layout.max_sequence_length``. The length is counted as in
+    ``count_tokens`` before any word is tokenized, so an over-long
+    conversation costs no hashing.
     """
-    token_ids: list[int] = []
-    block_ids: list[int] = []
-    loss_mask: list[bool] = []
-    image_ids: list[str] = []
-
-    def emit(ids: list[int], block_id: int = 0, in_loss: bool = False) -> None:
-        token_ids.extend(ids)
-        block_ids.extend([block_id] * len(ids))
-        loss_mask.extend([in_loss] * len(ids))
-
-    def emit_text(text: str, in_loss: bool = False) -> None:
-        emit(tokenizer.encode(text), in_loss=in_loss)
-
-    placeholder_id = tokenizer.word_id(_IMAGE_PLACEHOLDER)
-    end_of_turn_id = tokenizer.word_id(END_OF_TURN)
-
-    emit_text(conv.system)
-    image_number = 0
-    for rnd in conv.rounds:
-        for image_id in rnd.images:
-            image_number += 1
-            emit_text(f"### Image {image_number}:")
-            emit([placeholder_id] * layout.image_token_count, image_number)
-            image_ids.append(image_id)
-        emit_text(_QUESTION_PREFIX + rnd.question)
-        emit_text(_ANSWER_PREFIX)
-        emit_text(rnd.answer, in_loss=True)
-        emit([end_of_turn_id], in_loss=True)
-
-    if len(token_ids) > layout.max_sequence_length:
+    pieces = list(_pieces(conv))
+    d = _length(pieces, layout.image_token_count)
+    if d > layout.max_sequence_length:
         raise OverLengthError(
-            f"over_length: {len(token_ids)} tokens exceed the "
-            f"{layout.max_sequence_length} cap"
+            f"over_length: {d} tokens exceed the {layout.max_sequence_length} cap"
         )
+    # The count sizes every list: image slots keep the placeholder ids and
+    # only text pieces write token ids.
+    token_ids = [tokenizer.word_id(_IMAGE_PLACEHOLDER)] * d
+    block_ids = [0] * d
+    loss_mask = [False] * d
+    image_ids: list[str] = []
+    start = 0
+    for words, block_id, in_loss in pieces:
+        if block_id:
+            end = start + layout.image_token_count
+            block_ids[start:end] = [block_id] * layout.image_token_count
+            image_ids.append(words)
+        else:
+            end = start + len(words)
+            token_ids[start:end] = tokenizer.encode_words(words)
+            if in_loss:
+                loss_mask[start:end] = [True] * len(words)
+        start = end
     return RenderedSample(
         token_ids=tuple(token_ids),
         tags=ModalitySequence(tuple(block_ids)),

@@ -30,6 +30,7 @@ from oracles import (
     llava_record,
     otter_record,
     random_conversation,
+    token_count,
 )
 
 TOK = HashTokenizer(32)
@@ -212,6 +213,21 @@ def test_join_rejects_non_pair_third_argument():
         llava_otter_blend([], [], [llava_record(rng, "a")])
 
 
+def test_join_rejects_pair_record_in_first_argument():
+    rng = np.random.default_rng(3)
+    pair = otter_record(rng, "a", "b")
+    with pytest.raises(ValueError, match=r"first argument \(llava\) must contain single-image"):
+        llava_otter_blend([pair], [], [pair])
+
+
+def test_join_rejects_multi_image_record_in_second_argument():
+    rng = np.random.default_rng(3)
+    ids = ("a", "b", "c")
+    three = SourceRecord(Dataset.OTHER, ids, Conversation("s", (Round(ids, "q", "x"),)))
+    with pytest.raises(ValueError, match=r"second argument \(llava_dial\) must contain single-image"):
+        llava_otter_blend([], [three], [otter_record(rng, "a", "d")])
+
+
 def test_join_matches_oracle_on_synthetic_corpus():
     rng = np.random.default_rng(4)
     ids = [f"c{i}" for i in range(6)]
@@ -260,6 +276,22 @@ def test_filter_over_length():
     assert kept == [ok]
     assert samples == [render(ok.conversation, TOK, spec.layout)]
     assert dropped == {"too_many_images": 0, "over_length": 1}
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), image_tokens=st.integers(1, 4))
+def test_filter_keeps_a_record_at_the_cap_and_drops_one_past_it(seed, image_tokens):
+    conv = random_conversation(np.random.default_rng(seed))
+    record = SourceRecord(Dataset.OTHER, conv.image_ids(), conv)
+    length = token_count(conv, LayoutConfig(image_tokens, 4096))
+    for cap, outcome in ((length, ([record], {"too_many_images": 0, "over_length": 0})),
+                         (length - 1, ([], {"too_many_images": 0, "over_length": 1}))):
+        layout = LayoutConfig(image_token_count=image_tokens, max_sequence_length=cap)
+        spec = BlendSpec(min_group=1, max_group=1, seed=0, max_images=12, layout=layout)
+        samples = []
+        assert filter_limits([record], spec, TOK) == outcome
+        assert filter_limits([record], spec, TOK, samples.append) == outcome
+        assert [s.d for s in samples] == [length] * len(outcome[0])
 
 
 def test_filter_empty_and_idempotent():

@@ -7,11 +7,12 @@ from hypothesis import example, given, strategies as st
 
 import mmchat.attn as attn_module
 import mmchat.blend as blend_module
-from mmchat.blend import read_records, write_records
+import mmchat.template as template_module
+from mmchat.blend import Dataset, SourceRecord, read_records, write_records
 from mmchat.cli import _sample_line, main, parse_seq_spec
 from mmchat.mask import build_mask, render_mask
 from mmchat.modseq import ModalitySequence, TokenKind, build_sequence, image_blocks
-from mmchat.template import RenderedSample, parse, render_text
+from mmchat.template import Conversation, RenderedSample, Round, parse, render_text
 
 from oracles import join_oracle, llava_dial_record, llava_record, otter_record
 from test_template import edge_layouts
@@ -70,10 +71,13 @@ def test_blend_concat_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_blend_holds_one_rendered_sample_at_a_time(tmp_path, monkeypatch):
+def _track_renders(monkeypatch):
+    """Count ``blend.render`` calls and ``template._word_hash`` calls, and
+    record how many rendered samples are alive after each render."""
     alive = weakref.WeakSet()
     most = []
-    real_render = blend_module.render
+    hashes = []
+    real_render, real_hash = blend_module.render, template_module._word_hash
 
     def tracked_render(*args, **kwargs):
         sample = real_render(*args, **kwargs)
@@ -81,12 +85,46 @@ def test_blend_holds_one_rendered_sample_at_a_time(tmp_path, monkeypatch):
         most.append(len(alive))
         return sample
 
+    def tracked_hash(word):
+        hashes.append(word)
+        return real_hash(word)
+
     monkeypatch.setattr(blend_module, "render", tracked_render)
+    monkeypatch.setattr(template_module, "_word_hash", tracked_hash)
+    return most, hashes
+
+
+def test_blend_renders_nothing_and_hashes_no_word(tmp_path, monkeypatch):
+    most, hashes = _track_renders(monkeypatch)
     rng = np.random.default_rng(2)
-    src = _write_corpus(tmp_path / "in.jsonl", [llava_record(rng, f"img{i}") for i in range(12)])
-    argv = ["blend", "--mode", "concat", "--input", src, "--out", str(tmp_path / "o.jsonl")]
+    llava = _write_corpus(tmp_path / "l.jsonl", [llava_record(rng, f"img{i}") for i in range(12)])
+    dial = _write_corpus(tmp_path / "d.jsonl", [llava_dial_record(rng, "img1")])
+    otter = _write_corpus(
+        tmp_path / "p.jsonl", [otter_record(rng, "img0", "img1"), otter_record(rng, "img2", "x")]
+    )
+    out = str(tmp_path / "o.jsonl")
+    for mode in (["--mode", "concat", "--input", llava],
+                 ["--mode", "llava-otter", "--llava", llava, "--llava-dial", dial, "--otter", otter]):
+        assert main(["blend", *mode, "--out", out]) == 0
+        assert read_records(out)
+    assert most == [] and hashes == []
+
+
+def test_render_holds_one_rendered_sample_at_a_time(tmp_path, monkeypatch):
+    most, hashes = _track_renders(monkeypatch)
+    rng = np.random.default_rng(2)
+    records = [llava_record(rng, f"img{i}") for i in range(12)]
+    records.insert(5, SourceRecord(
+        Dataset.LLAVA, ("long",), Conversation("s", (Round(("long",), "q", "w " * 40),))
+    ))
+    src = _write_corpus(tmp_path / "in.jsonl", records)
+    out, stats = tmp_path / "o.jsonl", tmp_path / "s.json"
+    argv = ["render", "--input", src, "--out", str(out), "--stats-out", str(stats),
+            "--image-tokens", "4", "--max-seq-len", "40"]
     assert main(argv) == 0
-    assert len(most) >= 4 and max(most) == 1
+    assert json.loads(stats.read_text(encoding="utf-8"))["dropped"]["over_length"] == 1
+    assert len(most) == 12 and max(most) == 1  # each kept record rendered once
+    assert hashes
 
 
 def test_blend_concat_identity_grouping_is_permutation(tmp_path):
@@ -141,6 +179,17 @@ def test_blend_llava_otter_matches_oracle(tmp_path):
 def test_blend_concat_requires_input(tmp_path, capsys):
     assert main(["blend", "--mode", "concat", "--out", str(tmp_path / "x")]) == 2
     assert "requires --input" in capsys.readouterr().err
+
+
+def test_blend_llava_otter_rejects_a_pair_record_as_llava(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    pair = _write_corpus(tmp_path / "p.jsonl", [otter_record(rng, "a", "b")])
+    empty = _write_corpus(tmp_path / "d.jsonl", [])
+    argv = ["blend", "--mode", "llava-otter", "--llava", pair, "--llava-dial", empty,
+            "--otter", pair, "--out", str(tmp_path / "o.jsonl")]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: first argument (llava) must contain single-image records")
 
 
 def assert_malformed_input_reports_line(tmp_path, capsys, command):

@@ -14,6 +14,7 @@ from mmchat.template import (
     ParseError,
     RenderedSample,
     Round,
+    count_tokens,
     parse,
     render,
     render_text,
@@ -137,6 +138,16 @@ def test_render_length_matches_oracle():
         assert sample.d == token_count(conv, SMALL)
 
 
+def test_over_length_raises_before_hashing_a_word(monkeypatch):
+    hashed = []
+    monkeypatch.setattr(template, "_word_hash", lambda word: hashed.append(word) or 0)
+    conv = conv_1round(images=("a", "b"), answer="fresh words never hashed")
+    layout = LayoutConfig(image_token_count=4, max_sequence_length=10)
+    with pytest.raises(OverLengthError, match=f"over_length: {token_count(conv, layout)} tokens"):
+        render(conv, TOK, layout)
+    assert hashed == []
+
+
 def test_render_image_blocks_have_configured_width():
     conv = Conversation(
         system="s", rounds=(Round(("a", "b"), "q", "ans"),)
@@ -198,7 +209,9 @@ def test_loss_spans_never_overlap_image_blocks():
 @given(st.integers(0, 10**9), st.integers(1, 4))
 def test_render_invariants_random_conversations(seed, image_tokens):
     conv = random_conversation(np.random.default_rng(seed))
-    sample = render(conv, TOK, LayoutConfig(image_tokens, 4096))
+    layout = LayoutConfig(image_tokens, 4096)
+    sample = render(conv, TOK, layout)
+    assert count_tokens(conv, layout) == sample.d == token_count(conv, layout)
     ids = sample.tags.ids
     assert not any(flag and bid for flag, bid in zip(sample.loss_mask, ids))
     runs = [(bid, len(list(run))) for bid, run in itertools.groupby(ids) if bid]
