@@ -40,7 +40,9 @@ GRADCHECK_TOLERANCE = 1e-4
 def parse_seq_spec(spec: str) -> ModalitySequence:
     """Mini-grammar for modality layouts: comma-separated segments, each
     'iN' (an image block of N tokens) or 'tN' (N text tokens). Example:
-    "i3,t7" is a 3-token image block followed by 7 text tokens."""
+    "i3,t7" is a 3-token image block followed by 7 text tokens. A layout
+    longer than the package's sequence cap is rejected before any block id
+    is built."""
     segments = []
     for part in spec.split(","):
         match = _SEQ_SEGMENT.fullmatch(part.strip())
@@ -53,6 +55,10 @@ def parse_seq_spec(spec: str) -> ModalitySequence:
         if count < 1:
             raise ValueError(f"segment {part.strip()!r} must have count >= 1")
         segments.append((kind, count))
+    longest = LayoutConfig().max_sequence_length
+    total = sum(count for _, count in segments)
+    if total > longest:
+        raise ValueError(f"seq-spec has {total} tokens, more than the {longest}-token cap")
     return build_sequence(segments)
 
 
@@ -104,20 +110,48 @@ def cmd_blend(args: argparse.Namespace) -> int:
     return 0
 
 
+_LOSS_FLAG = {False: "0, ", True: "1, "}
+
+
 def _sample_line(sample: RenderedSample) -> str:
-    block_ids = sample.tags.ids
-    payload = {
-        "token_ids": list(sample.token_ids),
-        "kinds": "".join(
-            ("I" if bid else "T") * len(list(run))
-            for bid, run in itertools.groupby(block_ids)
-        ),
-        "block_ids": list(block_ids),
-        "loss_mask": list(map(int, sample.loss_mask)),
-        "image_count": sample.image_count,
-        "image_ids": list(sample.image_ids),
-    }
-    return json.dumps(payload, sort_keys=True) + "\n"
+    """One ``mmchat render`` line: the bytes of ``json.dumps(payload,
+    sort_keys=True) + "\\n"`` for the payload with keys ``block_ids``,
+    ``image_count``, ``image_ids``, ``kinds`` (an ``I``/``T`` string),
+    ``loss_mask`` (0/1) and ``token_ids``.
+
+    The domain is what ``render`` produces: Python ``int`` token ids and
+    ``bool`` loss flags. The per-token lists are written in one walk over
+    the runs of block ids: a run of n equal token ids (an image block's
+    placeholder) is one string repeated n times, and only the other runs
+    convert each id. ``image_ids`` goes through ``json.dumps``, so its
+    escaping is json's own.
+    """
+    tokens, mask = sample.token_ids, sample.loss_mask
+    token_text, block_text, loss_text, kinds = [], [], [], []
+    start = 0
+    for bid, run in itertools.groupby(sample.tags.ids):
+        n = len(list(run))
+        chunk = tokens[start : start + n]
+        if chunk.count(chunk[0]) == n:
+            token_text.append(f"{chunk[0]}, " * n)
+        else:
+            token_text.append(", ".join(map(str, chunk)) + ", ")
+        block_text.append(f"{bid}, " * n)
+        if bid:  # RenderedSample rejects loss on an image token
+            loss_text.append("0, " * n)
+            kinds.append("I" * n)
+        else:
+            loss_text.append("".join(map(_LOSS_FLAG.__getitem__, mask[start : start + n])))
+            kinds.append("T" * n)
+        start += n
+    return (
+        f'{{"block_ids": [{"".join(block_text)[:-2]}], '
+        f'"image_count": {sample.image_count}, '
+        f'"image_ids": {json.dumps(sample.image_ids)}, '
+        f'"kinds": "{"".join(kinds)}", '
+        f'"loss_mask": [{"".join(loss_text)[:-2]}], '
+        f'"token_ids": [{"".join(token_text)[:-2]}]}}\n'
+    )
 
 
 def cmd_render(args: argparse.Namespace) -> int:

@@ -7,11 +7,12 @@ from hypothesis import example, given, strategies as st
 
 import mmchat.attn as attn_module
 import mmchat.blend as blend_module
+import mmchat.cli as cli_module
 import mmchat.template as template_module
 from mmchat.blend import Dataset, SourceRecord, read_records, write_records
 from mmchat.cli import _sample_line, main, parse_seq_spec
 from mmchat.mask import build_mask, render_mask
-from mmchat.modseq import ModalitySequence, TokenKind, build_sequence, image_blocks
+from mmchat.modseq import ModalitySequence, TokenKind, build_sequence
 from mmchat.template import Conversation, RenderedSample, Round, parse, render_text
 
 from oracles import join_oracle, llava_dial_record, llava_record, otter_record
@@ -24,7 +25,8 @@ def test_parse_seq_spec():
     assert parse_seq_spec("i3,t7") == build_sequence([(I, 3), (T, 7)])
     assert parse_seq_spec("t4") == build_sequence([(T, 4)])
     assert parse_seq_spec(" i2 , t1 ") == build_sequence([(I, 2), (T, 1)])
-    for bad in ("x9", "", "i0", "i3 t7", "i"):
+    assert parse_seq_spec("i96,t4000").d == 4096
+    for bad in ("x9", "", "i0", "i3 t7", "i", "t4097", "i96,t4001"):
         with pytest.raises(ValueError):
             parse_seq_spec(bad)
 
@@ -45,6 +47,21 @@ def test_mask_command_causal(capsys):
 def test_mask_command_bad_spec(capsys):
     assert main(["mask", "x9"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_mask_command_rejects_a_layout_past_the_sequence_cap(monkeypatch, capsys):
+    """``i3,t4094`` is 4,097 tokens, one past the cap: the segment counts
+    are summed and rejected before a block id list or a mask is built."""
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("built a layout past the cap")
+
+    monkeypatch.setattr(cli_module, "build_sequence", not_reached)
+    monkeypatch.setattr(cli_module, "build_mask", not_reached)
+    assert main(["mask", "i3,t4094"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seq-spec has 4097 tokens, more than the 4096-token cap\n"
+    assert captured.out == ""
 
 
 def test_mask_command_writes_file(tmp_path):
@@ -302,33 +319,40 @@ def _text_sample(ids):
     d = len(ids)
     tokens = st.lists(st.integers(0, 2**31), min_size=d, max_size=d)
     mask = st.lists(st.booleans(), min_size=d, max_size=d)
-    return st.tuples(st.just(ids), tokens, mask)
+    blocks = len(set(ids) - {0})
+    names = st.lists(st.text(max_size=4), min_size=blocks, max_size=blocks)
+    return st.tuples(st.just(ids), tokens, mask, names)
 
 
 @given(edge_layouts().flatmap(_text_sample))
-@example(([0], [5], [True]))  # d=1, text
-@example(([3], [5], [False]))  # d=1, image
-@example(([0, 0, 0], [1, 2, 3], [False, True, True]))  # text-only
-@example(([1, 1, 2, 2, 2], [4] * 5, [False] * 5))  # image-only, adjacent blocks
-@example(([1, 2, 3], [4] * 3, [False] * 3))  # 1-token blocks
-@example(([0, 0, 1, 0, 3, 3, 0], list(range(7)), [True] * 7))  # text first
+@example(([0], [5], [True], []))  # d=1, text
+@example(([3], [5], [False], ["x"]))  # d=1, image
+@example(([0, 0, 0], [1, 2, 3], [False, True, True], []))  # text-only, loss to the end
+@example(([0, 0, 0], [77, 77, 77], [True, True, True], []))  # text run of one id
+@example(([1, 1, 2, 2, 2], [4] * 5, [False] * 5, ["a", "b"]))  # image-only, adjacent blocks
+@example(([1, 2, 3], [4] * 3, [False] * 3, ["a", "b", "c"]))  # 1-token blocks
+@example(([0, 0, 1, 0, 3, 3, 0], list(range(7)), [True] * 7, ["p", "q"]))  # text first
+@example(([1, 1, 0, 2, 2, 0, 3], [31999, 31999, 12, 31999, 31999, 405, 31999], [True] * 7,
+          ['say "hi"', "back\\slash", "ü图"]))  # 1-token text runs, escaped ids
+@example(([0, 1, 1, 0, 0, 0], [2**31, 7, 7, 123456, 98, 2**31], [False] * 4 + [True] * 2,
+          ["ü"]))  # multi-digit ids, loss to the last position
 def test_sample_line_fields_follow_the_sample(case):
-    ids, token_ids, mask = case
+    ids, token_ids, mask, image_ids = case
     mask = [flag and bid == 0 for flag, bid in zip(mask, ids)]
     tags = ModalitySequence(ids)
-    image_ids = tuple(f"img{k}" for k in range(len(image_blocks(tags))))
-    sample = RenderedSample(tuple(token_ids), tags, tuple(mask), image_ids)
+    sample = RenderedSample(tuple(token_ids), tags, tuple(mask), tuple(image_ids))
+    # the payload as a dict, written out here as the oracle of the line's bytes
+    payload = {
+        "token_ids": list(token_ids),
+        "kinds": "".join("I" if bid != 0 else "T" for bid in ids),
+        "block_ids": list(ids),
+        "loss_mask": [int(flag) for flag in mask],
+        "image_count": len(image_ids),
+        "image_ids": list(image_ids),
+    }
     line = _sample_line(sample)
-    assert line.endswith("\n") and line.count("\n") == 1
-    payload = json.loads(line)
-    assert len(payload["kinds"]) == len(ids)
-    for kind, bid in zip(payload["kinds"], ids):
-        assert kind == ("I" if bid != 0 else "T")
-    assert payload["loss_mask"] == [int(flag) for flag in sample.loss_mask]
-    assert payload["block_ids"] == ids
-    assert payload["token_ids"] == token_ids
-    assert payload["image_count"] == len(image_ids)
-    assert payload["image_ids"] == list(image_ids)
+    assert line == json.dumps(payload, sort_keys=True) + "\n"
+    assert json.loads(line) == payload
 
 
 def test_missing_input_file_exits_2_without_traceback(tmp_path, capsys):
@@ -396,9 +420,10 @@ def test_gradcheck_rejects_a_length_outside_the_sequence_cap(capsys, d):
     ["gradcheck", "--d", "2", "--seeds", "1", "--head-dim", "100000000000000000"],
 ])
 def test_sizes_too_large_to_allocate_exit_2_without_traceback(capsys, argv):
-    """Each command asks for more than any address space holds (a list of
-    1e17 block ids, or of 1e21, past the largest list index; a 2 x 1e17
-    float64 array), so it fails at once without touching memory."""
+    """Each command asks for more than any address space holds, so it fails
+    at once without touching memory: the two mask layouts (1e17 and 1e21
+    tokens) stop at the 4096-token sequence cap before any block id is
+    built, and gradcheck's 2 x 1e17 float64 array fails to allocate."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.strip() != "error:" and len(err.strip().splitlines()) == 1

@@ -1,12 +1,18 @@
 """The README's Python examples run against the public API, and its CLI
-tour's `mask` and `gradcheck` commands run through the CLI, so neither
-can drift from the code."""
+tour's `mask`, `gradcheck` and `render` commands run through the CLI, so
+neither can drift from the code."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
+from mmchat.blend import write_records
 from mmchat.cli import main
+
+from oracles import llava_record, otter_record
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -46,3 +52,18 @@ def test_readme_gradcheck_command_passes_in_the_readme_form(capsys):
     assert re.search(rf"^# {form}$", cli_tour(), re.M)
     assert main(tour_argv("gradcheck")) == 0
     assert re.fullmatch(form, capsys.readouterr().out.splitlines()[-1])
+
+
+def test_readme_render_command_writes_sorted_json_lines(tmp_path):
+    argv = tour_argv("render")
+    corpus = argv[argv.index("--input") + 1]
+    rng = np.random.default_rng(0)
+    write_records([llava_record(rng, "a"), otter_record(rng, "b", "c")], tmp_path / corpus)
+    # every file the line names is rewritten into tmp_path
+    argv = [str(tmp_path / arg) if arg.endswith((".json", ".jsonl")) else arg for arg in argv]
+    assert main(argv) == 0
+    out = Path(argv[argv.index("--out") + 1])
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert [json.loads(line)["image_count"] for line in lines] == [1, 2]
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
