@@ -23,10 +23,10 @@ at most ``max_sequence_length`` positions.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -389,37 +389,31 @@ def _bins(batch: list[RenderedSample], capacity: int) -> list[list[RenderedSampl
 # Optimizer
 
 
+_BETA2 = 0.95
+_WARMUP_FRACTION = 0.10
+_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
-    """Moment-based optimizer with decoupled weight decay and a linear
-    warmup over the first ``warmup_fraction`` of ``total_steps``. Moment
-    buffers exist only for trainable parameters."""
+    """RMSProp with bias correction after a linear warmup over the first
+    ``_WARMUP_FRACTION`` of ``total_steps``: step ``t`` moves each trainable
+    tensor by ``lr * grad / (sqrt(v / (1 - _BETA2**t)) + _EPS)``, where
+    ``v``, one buffer per tensor, is the running mean of squared gradients."""
 
     total_steps: int
     learning_rate: float = 1e-3
-    beta1: float = 0.0
-    beta2: float = 0.95
-    warmup_fraction: float = 0.10
-    weight_decay: float = 0.0
-    eps: float = 1e-8
     step: int = 0
-    m: GradDict = field(default_factory=dict)
     v: GradDict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _check_int("total_steps", self.total_steps)
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must lie in [0, 1]")
-        if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.weight_decay < math.inf):
-            raise ValueError("learning_rate and weight_decay must be finite and >= 0")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         _check_int("step", self.step, minimum=0)
 
     def current_learning_rate(self) -> float:
-        warmup_steps = math.ceil(self.warmup_fraction * self.total_steps)
+        warmup_steps = math.ceil(_WARMUP_FRACTION * self.total_steps)
         if self.step < warmup_steps:
             return self.learning_rate * (self.step + 1) / warmup_steps
         return self.learning_rate
@@ -457,17 +451,10 @@ def train_step(
     params = model.trainable_params()
     updated: GradDict = {}
     for name, grad in grads.items():
-        if name not in opt.m:
-            opt.m[name] = np.zeros_like(grad)
-            opt.v[name] = np.zeros_like(grad)
-        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * grad
-        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * grad * grad
-        m_hat = opt.m[name] / (1.0 - opt.beta1**t)
-        v_hat = opt.v[name] / (1.0 - opt.beta2**t)
-        param = params[name]
-        updated[name] = param - lr * (
-            m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * param
-        )
+        v = opt.v.get(name, 0.0)
+        opt.v[name] = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+        v_hat = opt.v[name] / (1.0 - _BETA2**t)
+        updated[name] = params[name] - lr * (grad / (np.sqrt(v_hat) + _EPS))
     return loss, replace(
         model, projection=updated["projection"], embedding=updated["embedding"]
     )
@@ -483,30 +470,6 @@ def frozen_fingerprint(model: ToyModel) -> str:
         digest.update(f"{name}:{contiguous.shape}".encode("utf-8"))
         digest.update(contiguous.tobytes())
     return digest.hexdigest()
-
-
-def train_loop(
-    model: ToyModel,
-    batch: list[RenderedSample],
-    steps: int,
-    opt: OptimState | None = None,
-    csv_path: str | Path | None = None,
-) -> tuple[ToyModel, list[float]]:
-    """Run ``steps`` full-batch updates; optionally write a (step, loss)
-    curve as CSV."""
-    if opt is None:
-        opt = OptimState(total_steps=steps)
-    losses: list[float] = []
-    for _ in range(steps):
-        loss, model = train_step(model, batch, opt)
-        losses.append(loss)
-    if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "loss"])
-            for step, loss in enumerate(losses):
-                writer.writerow([step, f"{loss:.10f}"])
-    return model, losses
 
 
 def make_copy_task(
@@ -548,7 +511,8 @@ def _config_from_dict(data: object) -> ModelConfig:
 
 
 def save_model(model: ToyModel, path: str | Path) -> None:
-    """Versioned checkpoint: named tensors plus a JSON manifest."""
+    """Versioned checkpoint at exactly ``path``: named tensors plus a JSON
+    manifest, as an ``.npz`` archive."""
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": {**asdict(model.config), "variant": model.config.variant.value},
@@ -559,7 +523,8 @@ def save_model(model: ToyModel, path: str | Path) -> None:
     arrays["__manifest__"] = np.frombuffer(
         json.dumps(manifest, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    np.savez(path, **arrays)
+    with open(path, "wb") as handle:  # np.savez appends .npz to a bare path name
+        np.savez(handle, **arrays)
 
 
 def _stored_tensor(data: np.lib.npyio.NpzFile, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -582,8 +547,15 @@ def load_model(path: str | Path) -> ToyModel:
     and each is copied into it. Each config size is first checked against
     a stored tensor of that size, so a manifest cannot make ``make_model``
     allocate more than the checkpoint holds. Otherwise ValueError names the
-    offending key or tensor."""
-    with np.load(path) as data:
+    offending key or tensor, or the path of a file that is no ``.npz``
+    archive; a file that cannot be opened is an ``OSError``."""
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path} is not a checkpoint archive: {err}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not a checkpoint archive: it holds a single array")
+    with data:
         if "__manifest__" not in data.files:
             raise ValueError("checkpoint has no __manifest__")
         try:

@@ -1,9 +1,9 @@
-import csv
 import json
 import math
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +26,6 @@ from mmchat.toy_model import (
     make_copy_task,
     make_model,
     save_model,
-    train_loop,
     train_step,
 )
 
@@ -471,16 +470,14 @@ def test_bins_follow_batch_order_and_capacity():
 def test_optim_state_validation_and_warmup():
     with pytest.raises(ValueError):
         OptimState(total_steps=0)
-    with pytest.raises(ValueError):
-        OptimState(total_steps=10, beta2=1.0)
     opt = OptimState(total_steps=200, learning_rate=1e-3)
     assert abs(opt.current_learning_rate() - 1e-3 / 20) < 1e-15
     opt.step = 19
     assert abs(opt.current_learning_rate() - 1e-3) < 1e-15
+    opt.step = 9
+    assert abs(opt.current_learning_rate() - 1e-3 / 2) < 1e-15  # linear over 20 of 200 steps
     opt.step = 100
     assert opt.current_learning_rate() == 1e-3
-    assert opt.beta1 == 0.0 and opt.beta2 == 0.95
-    assert opt.warmup_fraction == 0.10
 
 
 @pytest.mark.parametrize(
@@ -488,13 +485,9 @@ def test_optim_state_validation_and_warmup():
     [
         ({"total_steps": 2.5}, "total_steps must be an integer >= 1, got 2.5"),
         ({"total_steps": True}, "total_steps must be an integer >= 1, got True"),
-        ({"total_steps": 10, "learning_rate": math.nan}, "learning_rate and weight_decay must be finite"),
-        ({"total_steps": 10, "learning_rate": math.inf}, "learning_rate and weight_decay must be finite"),
-        ({"total_steps": 10, "weight_decay": math.nan}, "learning_rate and weight_decay must be finite"),
-        ({"total_steps": 10, "weight_decay": -1e-3}, "learning_rate and weight_decay must be finite"),
-        ({"total_steps": 10, "eps": math.nan}, "eps must be finite and > 0, got nan"),
-        ({"total_steps": 10, "eps": math.inf}, "eps must be finite and > 0, got inf"),
-        ({"total_steps": 10, "eps": 0.0}, "eps must be finite and > 0, got 0.0"),
+        ({"total_steps": 10, "learning_rate": math.nan}, "learning_rate must be finite and >= 0, got nan"),
+        ({"total_steps": 10, "learning_rate": math.inf}, "learning_rate must be finite and >= 0, got inf"),
+        ({"total_steps": 10, "learning_rate": -1e-3}, "learning_rate must be finite and >= 0, got -0.001"),
         ({"total_steps": 10, "step": -1}, "step must be an integer >= 0, got -1"),
         ({"total_steps": 10, "step": 1.5}, "step must be an integer >= 0, got 1.5"),
     ],
@@ -511,6 +504,31 @@ def test_train_step_zero_learning_rate_is_identity():
     _, model2 = train_step(model, [sample], opt)
     assert np.array_equal(model2.projection, model.projection)
     assert np.array_equal(model2.embedding, model.embedding)
+
+
+def test_train_step_applies_the_update_rule():
+    """Three steps against the rule written out from the gradients: v is
+    the 0.95-decayed sum of squared gradients, scaled by 0.05 and divided
+    by 1 - 0.95**t, and the rate ramps up over ceil(0.1 * 20) = 2 steps."""
+    model, sample = small_model(), small_sample()
+    opt = OptimState(total_steps=20, learning_rate=1e-2)
+    reference = model
+    history = {"projection": [], "embedding": []}
+    for t in (1, 2, 3):
+        expected_loss, grads = loss_and_param_grads(reference, sample)
+        loss, model = train_step(model, [sample], opt)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        rate = 1e-2 * min(t, 2) / 2
+        updated = {}
+        for name, grad in grads.items():
+            history[name].append(grad)
+            v = 0.05 * sum(0.95 ** (t - k) * g * g for k, g in enumerate(history[name], start=1))
+            np.testing.assert_allclose(opt.v[name], v, rtol=1e-12, atol=0)
+            v_hat = v / (1.0 - 0.95**t)
+            updated[name] = getattr(reference, name) - rate * grad / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_allclose(getattr(model, name), updated[name], rtol=1e-12, atol=0)
+        reference = replace(reference, **updated)
+    assert opt.step == 3
 
 
 def test_train_step_freezes_decoder():
@@ -533,40 +551,30 @@ def test_train_step_rejects_empty_batch():
         train_step(small_model(), [], OptimState(total_steps=1))
 
 
-def test_training_is_deterministic():
-    def run():
-        config = ModelConfig()
-        samples, ids = make_copy_task(config, num_images=4)
-        model = make_model(config, seed=0, known_images=ids)
-        trained, losses = train_loop(model, samples, 20)
-        return trained, losses
+def train_copy_task(config, num_images, steps):
+    """``steps`` full-batch train_steps on the copy task from a seed-0
+    model: the trained model and the loss of each step."""
+    samples, ids = make_copy_task(config, num_images=num_images)
+    model = make_model(config, seed=0, known_images=ids)
+    opt = OptimState(total_steps=steps)
+    losses = []
+    for _ in range(steps):
+        loss, model = train_step(model, samples, opt)
+        losses.append(loss)
+    return model, losses
 
-    a_model, a_losses = run()
-    b_model, b_losses = run()
+
+def test_training_is_deterministic():
+    a_model, a_losses = train_copy_task(ModelConfig(), 4, 20)
+    b_model, b_losses = train_copy_task(ModelConfig(), 4, 20)
     assert a_losses == b_losses
     assert np.array_equal(a_model.projection, b_model.projection)
     assert np.array_equal(a_model.embedding, b_model.embedding)
 
 
 def test_copy_task_loss_decreases():
-    config = ModelConfig()
-    samples, ids = make_copy_task(config)
-    model = make_model(config, seed=0, known_images=ids)
-    _, losses = train_loop(model, samples, 40)
+    _, losses = train_copy_task(ModelConfig(), 8, 40)
     assert losses[-1] < losses[0]
-
-
-def test_train_loop_writes_csv(tmp_path):
-    config = ModelConfig()
-    samples, ids = make_copy_task(config, num_images=2)
-    model = make_model(config, seed=0, known_images=ids)
-    path = tmp_path / "curve.csv"
-    _, losses = train_loop(model, samples, 5, csv_path=path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["step", "loss"]
-    assert len(rows) == 6
-    assert [float(r[1]) for r in rows[1:]] == pytest.approx(losses, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +588,9 @@ def test_checkpoint_roundtrip(tmp_path, variant, num_layers):
     images = ("a", "img1")
     model = small_model(config, seed=4, images=images)
     sample = small_sample(config, images=images)
-    path = tmp_path / "model.npz"
+    path = tmp_path / "model"
     save_model(model, path)
+    assert list(tmp_path.iterdir()) == [path]  # exactly the path given, no ".npz" added
     loaded = load_model(path)
     assert loaded.config == model.config and loaded.stub_seed == 4
     saved, restored = model.named_tensors(), loaded.named_tensors()
@@ -590,6 +599,35 @@ def test_checkpoint_roundtrip(tmp_path, variant, num_layers):
         assert np.array_equal(restored[name], array), name
     assert frozen_fingerprint(loaded) == frozen_fingerprint(model)
     assert np.array_equal(forward(loaded, sample), forward(model, sample))
+
+
+def single_array_file(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.zeros(3))
+
+
+def truncated_checkpoint(path):
+    save_model(small_model(), path)
+    path.write_bytes(path.read_bytes()[:200])
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        single_array_file,
+        lambda path: path.write_bytes(b""),
+        truncated_checkpoint,
+        lambda path: path.write_text("not a checkpoint\n", encoding="utf-8"),
+    ],
+    ids=["npy", "empty", "truncated-npz", "text"],
+)
+def test_load_model_rejects_a_file_that_is_not_an_archive(tmp_path, write):
+    path = tmp_path / "model.npz"
+    with pytest.raises(FileNotFoundError):  # a missing file stays an OSError
+        load_model(path)
+    write(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a checkpoint archive"):
+        load_model(path)
 
 
 def rewritten_checkpoint(tmp_path, change=None, encode=json.dumps):
