@@ -122,17 +122,26 @@ def _exp_in_place(s: np.ndarray, forbid: np.ndarray | None, check: bool) -> np.n
     ``s / total`` is the masked softmax. Forbidden entries come out exactly
     0, and rows with empty support all-zero with total 1. ``check`` first
     rejects non-finite scores; the kernel skips it when its inputs bound
-    every score."""
+    every score.
+
+    Only a masked term can have a row with empty support. An unmasked
+    term's rows read at least one key each, and its scores are finite
+    (checked here, or bounded by the kernel's ``_SCORE_BOUND``), so each
+    row's shift is finite and its largest entry's exponential is 1: the
+    empty-support fixups run only when ``forbid`` is given."""
     if check and not np.isfinite(s).all():
         raise ValueError("scores contain non-finite values")
-    if forbid is not None:
+    masked = forbid is not None
+    if masked:
         np.copyto(s, -np.inf, where=forbid)
     shift = s.max(axis=-1, keepdims=True)
-    np.copyto(shift, 0.0, where=np.isneginf(shift))  # empty support: every entry is -inf
+    if masked:
+        np.copyto(shift, 0.0, where=np.isneginf(shift))  # empty support: every entry is -inf
     s -= shift
     np.exp(s, out=s)
     total = s.sum(axis=-1, keepdims=True)
-    np.copyto(total, 1.0, where=total == 0.0)
+    if masked:
+        np.copyto(total, 1.0, where=total == 0.0)
     return total
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -171,8 +172,9 @@ class AttentionLayout:
     rows: np.ndarray
     keys: np.ndarray
 
-    @property
+    @cached_property
     def reads_cross(self) -> bool:
+        """Whether a term reads Kx/Vx; computed once per layout."""
         return any(term.cross for term in self.terms)
 
     def positions(self, term: Term) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,12 @@ are shared, bit-identical, between a model and its trained successors.
 
 ``forward`` and training run the same pass over a bin of samples
 (``_bin_pass``); ``train_step`` packs its batch, in order, into bins of
-at most ``max_sequence_length`` positions.
+at most ``max_sequence_length`` positions. A bin's layouts and index
+arrays depend on its samples and the attention rule, never on a weight,
+so each bin is planned once (``_BinPlan``) and the plan is reused across
+steps and scoring calls, the least recently used evicted first past a
+fixed byte budget (``_PlanCache``). Only the model's own checks of a bin
+(its image ids, block widths and token ids) run on every call.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ import hashlib
 import json
 import math
 import zipfile
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from tokenize import TokenError
 from typing import Iterator
 
 import numpy as np
@@ -40,8 +47,8 @@ from .attn import (
     multi_head_forward,
     multi_head_input_vjp,
 )
-from .mask import AttentionVariant, _check_image_self, build_layout
-from .modseq import LayoutConfig, ModalitySequence, _check_int, image_blocks
+from .mask import AttentionLayout, AttentionVariant, _check_image_self, build_layout
+from .modseq import LayoutConfig, _check_int, image_blocks
 from .template import Conversation, HashTokenizer, RenderedSample, Round, render
 
 GradDict = dict[str, np.ndarray]
@@ -186,15 +193,10 @@ def make_model(
     )
 
 
-def _sample_blocks(
-    model: ToyModel, sample: RenderedSample, at: int = 0
-) -> list[tuple[str, int, int]]:
-    """(image_id, start, end) for each image block, in the positions of a
-    bin where the sample starts at ``at``, validated against the stub and
-    the configured per-image token count."""
-    out = []
-    for index, (_, start, end) in enumerate(image_blocks(sample.tags)):
-        image_id = sample.image_ids[index]
+def _check_images(model: ToyModel, images: tuple[tuple[str, int, int], ...]) -> None:
+    """Each image block ``(image_id, start, end)`` must name an image of the
+    model's stub and be ``image_token_count`` tokens wide."""
+    for image_id, start, end in images:
         if image_id not in model.vision_stub:
             raise ValueError(f"unknown image id: {image_id!r}")
         if end - start != model.config.image_token_count:
@@ -202,15 +204,13 @@ def _sample_blocks(
                 f"image block has {end - start} tokens; "
                 f"model expects {model.config.image_token_count}"
             )
-        out.append((image_id, at + start, at + end))
-    return out
 
 
-def _embed(model: ToyModel, token_ids: np.ndarray, blocks: list[tuple[str, int, int]]) -> np.ndarray:
+def _embed(model: ToyModel, token_ids: np.ndarray, images: tuple[tuple[str, int, int], ...]) -> np.ndarray:
     if token_ids.min() < 0 or token_ids.max() >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    x = model.embedding[token_ids].copy()
-    for image_id, start, end in blocks:
+    x = model.embedding[token_ids]
+    for image_id, start, end in images:
         x[start:end] = model.vision_stub[image_id] @ model.projection
     return x
 
@@ -225,31 +225,118 @@ def _ffn_input_vjp(block: DecoderBlock, h_mid: np.ndarray, dh: np.ndarray) -> np
     return dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
 
 
+@dataclass(frozen=True)
+class _BinPlan:
+    """What a pass over a bin of samples needs that depends on the samples
+    and the attention rule alone, never on a weight: the bin's token ids,
+    its image blocks ``(image_id, start, end)`` in bin positions, its
+    layout, the last block's layout (``layout.restrict(rows)``) and the
+    rows the pass returns; for training, also the target token of each row,
+    the row weights and the text positions. Every array is read-only, and
+    ``nbytes`` counts each once."""
+
+    token_ids: np.ndarray
+    images: tuple[tuple[str, int, int], ...]
+    layout: AttentionLayout
+    last: AttentionLayout
+    rows: np.ndarray
+    targets: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    text: np.ndarray | None = None
+    nbytes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        arrays = [self.token_ids, self.rows, self.targets, self.weights, self.text]
+        for layout in (self.layout, self.last):
+            arrays += [layout.rows, layout.keys, *(term.forbid for term in layout.terms)]
+        unique = {id(array): array for array in arrays if array is not None}.values()
+        for array in unique:
+            array.setflags(write=False)
+        object.__setattr__(self, "nbytes", sum(array.nbytes for array in unique))
+
+
+def _make_plan(samples: tuple[RenderedSample, ...], variant: AttentionVariant,
+               image_self: str, training: bool) -> _BinPlan:
+    """The plan of ``samples`` laid end to end. A training plan's rows are
+    every sample's target rows, each weighing 1/n for a sample with n
+    targets; otherwise the rows are every position."""
+    starts = np.cumsum([0] + [sample.d for sample in samples[:-1]]).tolist()
+    images = tuple(
+        (sample.image_ids[index], at + start, at + end)
+        for sample, at in zip(samples, starts)
+        for index, (_, start, end) in enumerate(image_blocks(sample.tags))
+    )
+    token_ids = np.concatenate([np.asarray(sample.token_ids) for sample in samples])
+    layout = build_layout([sample.tags for sample in samples], variant, image_self)
+    if not training:
+        rows = np.arange(token_ids.size)
+        return _BinPlan(token_ids, images, layout, layout.restrict(rows), rows)
+    targets = [_target_positions(sample) for sample in samples]
+    rows = np.concatenate([at + positions for at, positions in zip(starts, targets)])
+    return _BinPlan(
+        token_ids, images, layout, layout.restrict(rows), rows,
+        targets=token_ids[rows + 1],
+        weights=np.concatenate([_mean_weights(positions.size) for positions in targets]),
+        text=np.flatnonzero(~np.concatenate([sample.tags.is_image() for sample in samples])),
+    )
+
+
+# Bytes of plan arrays the cache keeps: a 4,096-token text-only sample's
+# text x text ``forbid`` alone is 16 MiB.
+_PLAN_BUDGET = 32 << 20
+
+
+class _PlanCache:
+    """Bin plans by (samples, variant, image_self, training), least recently
+    used first, holding at most ``_PLAN_BUDGET`` bytes of plan arrays. A
+    plan over the budget is returned without being kept."""
+
+    def __init__(self) -> None:
+        self.plans: OrderedDict[tuple, _BinPlan] = OrderedDict()
+        self.nbytes = 0
+
+    def clear(self) -> None:
+        self.plans.clear()
+        self.nbytes = 0
+
+    def plan(self, samples: list[RenderedSample], config: ModelConfig, training: bool) -> _BinPlan:
+        key = (tuple(samples), config.variant, config.image_self, training)
+        plan = self.plans.get(key)
+        if plan is not None:
+            self.plans.move_to_end(key)
+            return plan
+        plan = _make_plan(key[0], config.variant, config.image_self, training)
+        if plan.nbytes <= _PLAN_BUDGET:
+            self.plans[key] = plan
+            self.nbytes += plan.nbytes
+            while self.nbytes > _PLAN_BUDGET:
+                self.nbytes -= self.plans.popitem(last=False)[1].nbytes
+        return plan
+
+
+_plans = _PlanCache()
+
+
 def _bin_pass(
     model: ToyModel,
-    token_ids: np.ndarray,
-    images: list[tuple[str, int, int]],
-    seqs: list[ModalitySequence],
-    rows: np.ndarray,
+    plan: _BinPlan,
     states: list[tuple[np.ndarray, SavedAttention, np.ndarray | slice]] | None,
 ) -> np.ndarray:
-    """The last block's output at positions ``rows`` of a bin: the
-    sequences ``seqs`` laid end to end, with these token ids and image
-    blocks (``(image_id, start, end)`` in bin positions). ``states``, when
-    given, receives each layer's (h_mid, SavedAttention, rows computed) in
-    block order, for the VJP.
+    """The last block's output at the plan's rows of its bin, after the
+    model's checks of the bin's image blocks and token ids. ``states``,
+    when given, receives each layer's (h_mid, SavedAttention, rows
+    computed) in block order, for the VJP.
 
-    One layout covers the bin (``build_layout`` of ``seqs``), so embedding
-    and every block run once per bin, and no attention term reads two
-    sequences. Every block but the last runs on every row; the last runs
-    its attention on the layout restricted to ``rows``
-    (``AttentionLayout.restrict``, which keeps the full layout when given
-    every row) and its feedforward on those rows alone. Each layer's
-    attention state is freed before the next block runs unless ``states``
-    keeps it."""
-    h = _embed(model, token_ids, images)
-    layout = build_layout(seqs, model.config.variant, model.config.image_self)
-    passes = [(layout, slice(None))] * (len(model.blocks) - 1) + [(layout.restrict(rows), rows)]
+    One layout covers the bin, so embedding and every block run once per
+    bin, and no attention term reads two sequences. Every block but the
+    last runs on every row; the last runs its attention on the plan's
+    restricted layout (``AttentionLayout.restrict``, which keeps the full
+    layout when given every row) and its feedforward on those rows alone.
+    Each layer's attention state is freed before the next block runs unless
+    ``states`` keeps it."""
+    _check_images(model, plan.images)
+    h = _embed(model, plan.token_ids, plan.images)
+    passes = [(plan.layout, slice(None))] * (len(model.blocks) - 1) + [(plan.last, plan.rows)]
     for block, (block_layout, kept) in zip(model.blocks, passes):
         attn_out, saved = multi_head_forward(h, block.attn, block_layout)
         h_mid = (h + attn_out)[kept]
@@ -265,8 +352,7 @@ def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     of a one-sample bin, then the head. Image positions enter as projected
     stub features, text positions as embedding rows; the head is the
     embedding transpose."""
-    h = _bin_pass(model, np.asarray(sample.token_ids), _sample_blocks(model, sample),
-                  [sample.tags], np.arange(sample.d), None)
+    h = _bin_pass(model, _plans.plan([sample], model.config, training=False), None)
     logits = h @ model.embedding.T
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
@@ -334,15 +420,10 @@ def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple
     targets, which makes the loss the sum of per-sample means. The
     embedding gradient collects both of its roles: output head (tied
     transpose) and input rows at text positions."""
-    starts = np.cumsum([0] + [sample.d for sample in samples[:-1]]).tolist()
-    images = [block for sample, at in zip(samples, starts) for block in _sample_blocks(model, sample, at)]
-    token_ids = np.concatenate([np.asarray(sample.token_ids) for sample in samples])
-    targets = [_target_positions(sample) for sample in samples]
-    positions = np.concatenate([at + rows for at, rows in zip(starts, targets)])
+    plan = _plans.plan(samples, model.config, training=True)
     states = []
-    h = _bin_pass(model, token_ids, images, [sample.tags for sample in samples], positions, states)
-    weights = np.concatenate([_mean_weights(rows.size) for rows in targets])
-    loss, dlogits = _target_loss(h @ model.embedding.T, token_ids[positions + 1], weights)
+    h = _bin_pass(model, plan, states)
+    loss, dlogits = _target_loss(h @ model.embedding.T, plan.targets, plan.weights)
     d_embedding = dlogits.T @ h
     dh = dlogits @ model.embedding
     for block in reversed(model.blocks):
@@ -355,10 +436,9 @@ def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple
         del saved  # free this layer's attention state before the next layer's VJP
 
     d_projection = np.zeros_like(model.projection)
-    for image_id, start, end in images:
+    for image_id, start, end in plan.images:
         d_projection += model.vision_stub[image_id].T @ dh[start:end]
-    text = np.flatnonzero(~np.concatenate([sample.tags.is_image() for sample in samples]))
-    np.add.at(d_embedding, token_ids[text], dh[text])
+    np.add.at(d_embedding, plan.token_ids[plan.text], dh[plan.text])
     return loss, {"projection": d_projection, "embedding": d_embedding}
 
 
@@ -537,6 +617,61 @@ def _stored_tensor(data: np.lib.npyio.NpzFile, name: str, shape: tuple[int, ...]
     return array
 
 
+# What opening a corrupt archive or reading a corrupt member raises, besides
+# ``ValueError``: a bad directory, CRC, local header or size (``BadZipFile``,
+# ``EOFError``), a version, flag or method zipfile cannot read
+# (``NotImplementedError``), or an ``.npy`` header numpy cannot tokenize
+# (``TokenError``).
+_CORRUPT_ARCHIVE = (zipfile.BadZipFile, EOFError, NotImplementedError, TokenError)
+
+
+def _read_checkpoint(data: np.lib.npyio.NpzFile) -> ToyModel:
+    """The model of an open checkpoint archive, as ``load_model`` states."""
+    if "__manifest__" not in data.files:
+        raise ValueError("checkpoint has no __manifest__")
+    try:
+        manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
+    except RecursionError:
+        raise ValueError("checkpoint manifest is nested too deeply to parse") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint manifest must be an object, got {type(manifest).__name__}")
+    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint format: {manifest.get('format_version')!r}"
+        )
+    missing = sorted({"config", "known_images", "stub_seed"} - manifest.keys())
+    if missing:
+        raise ValueError(f"checkpoint manifest is missing: {', '.join(missing)}")
+    config = _config_from_dict(manifest["config"])
+    known, stub_seed = manifest["known_images"], manifest["stub_seed"]
+    if not isinstance(known, list) or not all(isinstance(i, str) for i in known):
+        raise ValueError(f"checkpoint known_images must be a list of strings, got {known!r}")
+    if not isinstance(stub_seed, int) or isinstance(stub_seed, bool) or stub_seed < 0:
+        raise ValueError(f"checkpoint stub_seed must be an integer >= 0, got {stub_seed!r}")
+    c = config  # each size against a stored tensor of that size, before allocating any
+    for name, shape in {
+        "projection": (c.vision_dim, c.model_dim),
+        "embedding": (c.vocab_size, c.model_dim),
+        f"block{c.num_layers - 1}.w1": (c.model_dim, c.ffn_dim),
+        "block0.attn.wq": (c.num_heads, c.model_dim, c.model_dim // c.num_heads),
+        **{f"stub.{image_id}": (c.image_token_count, c.vision_dim) for image_id in known},
+    }.items():
+        _stored_tensor(data, name, shape)
+    model = make_model(config, stub_seed, tuple(known))
+    tensors = model.named_tensors()
+    unexpected = sorted(set(data.files) - tensors.keys() - {"__manifest__"})
+    if unexpected:
+        raise ValueError(f"checkpoint has unexpected tensors: {', '.join(unexpected)}")
+    for name, target in tensors.items():
+        array = _stored_tensor(data, name, target.shape)
+        if array.dtype != np.float64:
+            raise ValueError(f"tensor {name} has dtype {array.dtype}, expected float64")
+        if not np.isfinite(array).all():
+            raise ValueError(f"tensor {name} contains non-finite values")
+        target[...] = array
+    return model
+
+
 def load_model(path: str | Path) -> ToyModel:
     """Load a checkpoint written by save_model. The manifest must be an
     object of this format version holding a config with exactly
@@ -548,54 +683,16 @@ def load_model(path: str | Path) -> ToyModel:
     a stored tensor of that size, so a manifest cannot make ``make_model``
     allocate more than the checkpoint holds. Otherwise ValueError names the
     offending key or tensor, or the path of a file that is no ``.npz``
-    archive; a file that cannot be opened is an ``OSError``."""
+    archive or has a corrupt member; a file that cannot be opened is an
+    ``OSError``."""
     try:
         data = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+    except (ValueError, *_CORRUPT_ARCHIVE) as err:
         raise ValueError(f"{path} is not a checkpoint archive: {err}") from None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValueError(f"{path} is not a checkpoint archive: it holds a single array")
-    with data:
-        if "__manifest__" not in data.files:
-            raise ValueError("checkpoint has no __manifest__")
-        try:
-            manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
-        except RecursionError:
-            raise ValueError("checkpoint manifest is nested too deeply to parse") from None
-        if not isinstance(manifest, dict):
-            raise ValueError(f"checkpoint manifest must be an object, got {type(manifest).__name__}")
-        if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint format: {manifest.get('format_version')!r}"
-            )
-        missing = sorted({"config", "known_images", "stub_seed"} - manifest.keys())
-        if missing:
-            raise ValueError(f"checkpoint manifest is missing: {', '.join(missing)}")
-        config = _config_from_dict(manifest["config"])
-        known, stub_seed = manifest["known_images"], manifest["stub_seed"]
-        if not isinstance(known, list) or not all(isinstance(i, str) for i in known):
-            raise ValueError(f"checkpoint known_images must be a list of strings, got {known!r}")
-        if not isinstance(stub_seed, int) or isinstance(stub_seed, bool) or stub_seed < 0:
-            raise ValueError(f"checkpoint stub_seed must be an integer >= 0, got {stub_seed!r}")
-        c = config  # each size against a stored tensor of that size, before allocating any
-        for name, shape in {
-            "projection": (c.vision_dim, c.model_dim),
-            "embedding": (c.vocab_size, c.model_dim),
-            f"block{c.num_layers - 1}.w1": (c.model_dim, c.ffn_dim),
-            "block0.attn.wq": (c.num_heads, c.model_dim, c.model_dim // c.num_heads),
-            **{f"stub.{image_id}": (c.image_token_count, c.vision_dim) for image_id in known},
-        }.items():
-            _stored_tensor(data, name, shape)
-        model = make_model(config, stub_seed, tuple(known))
-        tensors = model.named_tensors()
-        unexpected = sorted(set(data.files) - tensors.keys() - {"__manifest__"})
-        if unexpected:
-            raise ValueError(f"checkpoint has unexpected tensors: {', '.join(unexpected)}")
-        for name, target in tensors.items():
-            array = _stored_tensor(data, name, target.shape)
-            if array.dtype != np.float64:
-                raise ValueError(f"tensor {name} has dtype {array.dtype}, expected float64")
-            if not np.isfinite(array).all():
-                raise ValueError(f"tensor {name} contains non-finite values")
-            target[...] = array
-    return model
+    try:
+        with data:
+            return _read_checkpoint(data)
+    except _CORRUPT_ARCHIVE as err:
+        raise ValueError(f"{path} is not a checkpoint archive: {err}") from None

@@ -724,6 +724,9 @@ def test_stacked_bin_matches_flat_terms_bit_for_bit_and_sums_its_samples(monkeyp
     model = make_model(config, seed=0, known_images=tuple(i for s in samples for i in s.image_ids))
     loss, grads = _bin_loss_and_grads(model, samples)
     monkeypatch.setattr(toy_model_module, "build_layout", flat_layout)
+    # an empty plan cache of this test's own: the flat pass builds its plan
+    # rather than reuse the stacked one, and no flat plan outlives the test
+    monkeypatch.setattr(toy_model_module, "_plans", toy_model_module._PlanCache())
     flat_loss, flat_grads = _bin_loss_and_grads(model, samples)
     assert loss == flat_loss and all(np.array_equal(grads[name], flat_grads[name]) for name in grads)
     alone = [loss_and_param_grads(model, sample) for sample in samples]
@@ -1041,6 +1044,7 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         config = ModelConfig(variant=variant)
         samples, ids = make_copy_task(config, num_images=3)
         model = make_model(config, seed=0, known_images=ids)
+        toy_model_module._plans.clear()  # another test may have planned these bins
         recorder.clear()
         train_step(model, samples, OptimState(total_steps=2))
         # the three samples fit one bin: one layout, not one per sample, layer, head or pass
@@ -1059,6 +1063,7 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         assert shapes and all(shape[-1] <= d for shape in shapes)
         if variant is not AttentionVariant.CAUSAL_ONLY:
             assert all(shape != (d, d) for shape in shapes)
+        toy_model_module._plans.clear()
         recorder.clear()
         loss_and_param_grads(model, samples[0])
         assert recorder.built == 1
@@ -1067,11 +1072,16 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         assert [len(shapes) for shapes in recorder.layers] == (
             [len(alone.terms)] * (config.num_layers - 1) + [len(alone_last.terms)]
         )
+        # a bin is planned once: repeating the pass builds no layout
+        recorder.clear()
+        loss_and_param_grads(model, samples[0])
+        assert recorder.built == 0
     # a batch past the bin capacity takes one layout per bin: 205 samples of
     # 20 positions fill a bin of 204 (4080 of 4096 positions) and one of 1
     config = ModelConfig()
     samples, ids = make_copy_task(config, num_images=205)
     assert {sample.d for sample in samples} == {20} and config.layout().max_sequence_length == 4096
+    toy_model_module._plans.clear()
     recorder.clear()
     train_step(make_model(config, seed=0, known_images=ids), samples, OptimState(total_steps=2))
     assert recorder.built == 2

@@ -329,10 +329,11 @@ def test_param_grads_match_finite_differences():
 
 
 def test_param_grads_scan_the_image_blocks_once_per_sample(monkeypatch):
-    """One ``loss_and_param_grads`` scans the sample's image blocks twice:
-    once for the model's inputs and projection gradient, once for the
-    attention layout; a ``train_step`` whose batch packs into one bin scans
-    each sample's blocks as often."""
+    """One ``loss_and_param_grads`` on a bin not yet planned scans the
+    sample's image blocks twice: once for the bin's image spans, once for
+    the attention layout; a ``train_step`` whose batch packs into one new
+    bin scans each sample's blocks as often. A planned bin is not scanned
+    again."""
     import mmchat.mask as mask_module
     import mmchat.toy_model as toy_model_module
 
@@ -349,6 +350,7 @@ def test_param_grads_scan_the_image_blocks_once_per_sample(monkeypatch):
     for variant in AttentionVariant:
         config = ModelConfig(**{**SMALL.__dict__, "variant": variant})
         sample = render(conv, HashTokenizer(config.vocab_size), config.layout())
+        toy_model_module._plans.clear()  # another test may have planned these bins
         calls.clear()
         loss_and_param_grads(make_model(config, known_images=("a", "b")), sample)
         # causal's layout ignores modality, so only the model scans the blocks
@@ -356,11 +358,16 @@ def test_param_grads_scan_the_image_blocks_once_per_sample(monkeypatch):
         assert len(calls) == scans
         assert all(seq is sample.tags for seq in calls)
         other = small_sample(config, images=("b",))
+        toy_model_module._plans.clear()
         calls.clear()
         train_step(make_model(config, known_images=("a", "b")), [sample, other], OptimState(total_steps=1))
         assert [seq is sample.tags for seq in calls].count(True) == scans
         assert [seq is other.tags for seq in calls].count(True) == scans
         assert len(calls) == 2 * scans
+        # a bin is planned once: repeating the step scans nothing
+        calls.clear()
+        train_step(make_model(config, known_images=("a", "b")), [sample, other], OptimState(total_steps=1))
+        assert calls == []
 
 
 def relative_gap(a, b):
@@ -461,6 +468,132 @@ def test_bins_follow_batch_order_and_capacity():
     assert bins([6, 5, 4, 1], capacity=10) == [[6], [5, 4, 1]]
     assert bins([20] * 8) == [[20] * 8]
     assert bins([3]) == [[3]]
+
+
+# ---------------------------------------------------------------------------
+# Bin plans
+
+
+def plan_arrays(plan):
+    """Every array a bin plan holds."""
+    arrays = [plan.token_ids, plan.rows, plan.targets, plan.weights, plan.text]
+    for layout in (plan.layout, plan.last):
+        arrays += [layout.rows, layout.keys, *(term.forbid for term in layout.terms)]
+    return [array for array in arrays if array is not None]
+
+
+def test_each_bin_is_planned_once(monkeypatch):
+    """Three steps on the copy task's one bin, then a forward pass of every
+    sample twice, lay out each distinct bin once: the step's bin and one
+    bin of one sample per scored sample."""
+    import mmchat.toy_model as toy_model_module
+
+    built = []
+    real = toy_model_module.build_layout
+
+    def counting(seqs, *args):
+        built.append(len(seqs))
+        return real(seqs, *args)
+
+    monkeypatch.setattr(toy_model_module, "build_layout", counting)
+    for variant in AttentionVariant:
+        config = ModelConfig(variant=variant)
+        samples, ids = make_copy_task(config)
+        model, opt = make_model(config, seed=0, known_images=ids), OptimState(total_steps=3)
+        toy_model_module._plans.clear()
+        built.clear()
+        for _ in range(3):
+            _, model = train_step(model, samples, opt)
+        for _ in range(2):
+            for sample in samples:
+                forward(model, sample)
+        assert built == [len(samples)] + [1] * len(samples)
+
+
+def test_plan_arrays_are_read_only():
+    import mmchat.toy_model as toy_model_module
+
+    samples = [small_sample(images=("a", "b")), small_sample(answer="z")]
+    for training in (False, True):
+        plan = toy_model_module._plans.plan(samples, SMALL, training)
+        arrays = plan_arrays(plan)
+        assert any(term.forbid is not None for term in plan.layout.terms)
+        assert plan.nbytes == sum(array.nbytes for array in {id(a): a for a in arrays}.values())
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+
+def test_a_cached_plan_still_checks_the_model(monkeypatch):
+    """A plan holds nothing of a model: a bin planned under one model is
+    checked again against each model's stub and image width."""
+    import mmchat.toy_model as toy_model_module
+
+    sample = small_sample(images=("a", "b"))
+    toy_model_module._plans.clear()
+    forward(small_model(images=("a", "b")), sample)
+    loss_and_param_grads(small_model(images=("a", "b")), sample)
+    assert len(toy_model_module._plans.plans) == 2
+    monkeypatch.setattr(toy_model_module, "build_layout", None)  # a cached plan builds nothing
+    wider = replace(SMALL, image_token_count=3)
+    for run in (forward, loss_and_param_grads):
+        with pytest.raises(ValueError, match="unknown image id: 'b'"):
+            run(small_model(images=("a",)), sample)
+        with pytest.raises(ValueError, match="image block has 2 tokens; model expects 3"):
+            run(small_model(wider, images=("a", "b")), sample)
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_cold_and_warm_plans_give_bit_identical_passes(variant):
+    import mmchat.toy_model as toy_model_module
+
+    config = replace(SMALL, variant=variant)
+    samples = [small_sample(config, images=("a", "b")), small_sample(config, answer="z"),
+               small_sample(config, images=("b",))]
+    model = small_model(config, images=("a", "b"))
+    runs = []
+    for cache in ("cold", "warm"):
+        if cache == "cold":
+            toy_model_module._plans.clear()
+        loss, grads = _bin_loss_and_grads(model, samples)
+        runs.append((loss, grads, [forward(model, sample) for sample in samples]))
+    (loss, grads, logits), (warm_loss, warm_grads, warm_logits) = runs
+    assert loss == warm_loss
+    assert all(np.array_equal(grads[name], warm_grads[name]) for name in grads)
+    assert all(np.array_equal(a, b) for a, b in zip(logits, warm_logits))
+
+
+def test_plan_cache_keeps_the_recently_used_plans_within_its_budget(monkeypatch):
+    import mmchat.toy_model as toy_model_module
+
+    cache = toy_model_module._plans
+    a, b, c = (small_sample(images=(image,)) for image in "abc")  # equal in size, not equal
+    cache.clear()
+    size = cache.plan([a], SMALL, True).nbytes
+    assert {cache.plan([s], SMALL, True).nbytes for s in (b, c)} == {size}
+    monkeypatch.setattr(toy_model_module, "_PLAN_BUDGET", 2 * size)
+
+    def kept():
+        assert cache.nbytes == sum(plan.nbytes for plan in cache.plans.values())
+        assert cache.nbytes <= toy_model_module._PLAN_BUDGET
+        return [key[0] for key in cache.plans]
+
+    cache.clear()
+    plan_a = cache.plan([a], SMALL, True)
+    cache.plan([b], SMALL, True)
+    assert cache.plan([a], SMALL, True) is plan_a  # a hit, and now the most recently used
+    cache.plan([c], SMALL, True)
+    assert kept() == [(a,), (c,)]  # b, the least recently used, went first
+    whole = cache.plan([a, b, c], SMALL, True)
+    assert whole.nbytes > 2 * size and kept() == [(a,), (c,)]  # over the budget: used, not kept
+    assert cache.plan([a, b, c], SMALL, True) is not whole
+    model = small_model(images=("a", "b", "c"))
+    loss = _bin_loss_and_grads(model, [a, b, c])[0]  # a plan that is not kept still runs
+    assert kept() == [(a,), (c,)]
+    monkeypatch.setattr(toy_model_module, "_PLAN_BUDGET", 3 * whole.nbytes)
+    assert _bin_loss_and_grads(model, [a, b, c])[0] == loss
+    assert kept() == [(a,), (c,), (a, b, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +760,25 @@ def test_load_model_rejects_a_file_that_is_not_an_archive(tmp_path, write):
         load_model(path)
     write(path)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a checkpoint archive"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(("where", "message"), [
+    ("100", "Bad CRC"), ("middle", "Bad CRC"), ("end-300", "Bad CRC"), ("version", "zip file version"),
+], ids=["100", "middle", "end-300", "version"])
+def test_load_model_rejects_a_corrupt_member(tmp_path, where, message):
+    """One flipped byte in a member's data fails that member's CRC when it
+    is read, after the archive opened; one in the version a member needs
+    fails the opening. Each is the same ``ValueError`` as a file that is no
+    archive."""
+    path = tmp_path / "model.npz"
+    save_model(make_model(ModelConfig()), path)
+    raw = bytearray(path.read_bytes())
+    offsets = {"100": 100, "middle": len(raw) // 2, "end-300": len(raw) - 300,
+               "version": raw.index(b"PK\x01\x02") + 6}  # the first directory entry's
+    raw[offsets[where]] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a checkpoint archive: {message}"):
         load_model(path)
 
 
