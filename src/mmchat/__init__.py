@@ -2,6 +2,8 @@
 conversation template with answer-only loss, data blending, and a toy
 frozen-decoder model."""
 
+import types as _types
+
 from .attn import (
     MultiHeadParams,
     attention_weights,
@@ -68,60 +70,10 @@ from .toy_model import (
     train_step,
 )
 
-__all__ = [
-    "AttentionLayout",
-    "AttentionVariant",
-    "BlendSpec",
-    "Conversation",
-    "Dataset",
-    "FORBIDDEN",
-    "HashTokenizer",
-    "IMAGE_KEY",
-    "LayoutConfig",
-    "MmcaMask",
-    "ModalitySequence",
-    "ModelConfig",
-    "MultiHeadParams",
-    "OptimState",
-    "OverLengthError",
-    "ParseError",
-    "RenderedSample",
-    "Round",
-    "SourceRecord",
-    "TEXT_KEY",
-    "TokenKind",
-    "ToyModel",
-    "answer_loss",
-    "attention_weights",
-    "build_layout",
-    "build_mask",
-    "build_sequence",
-    "concat_blend",
-    "dataset_stats",
-    "filter_limits",
-    "forward",
-    "frozen_fingerprint",
-    "grad_check",
-    "image_blocks",
-    "init_multi_head_params",
-    "llava_otter_blend",
-    "load_model",
-    "loss_and_param_grads",
-    "make_copy_task",
-    "make_model",
-    "multi_head_forward",
-    "multi_head_input_vjp",
-    "parse",
-    "read_records",
-    "render",
-    "render_mask",
-    "render_text",
-    "save_model",
-    "segment_attention",
-    "segment_attention_vjp",
-    "train_step",
-    "variant_grad_check",
-    "write_records",
-]
+# Every public name bound above, and nothing else: no second list to keep in step.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)
 
 __version__ = "0.1.0"

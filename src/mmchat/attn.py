@@ -15,17 +15,22 @@ Masking is realized by restricting each softmax to its support (-inf fill
 before normalization). Multiplying scores by a 0/1 mask inside the softmax
 would still leak weight exp(0) = 1 to forbidden positions, so support
 restriction is the only reading under which forbidden edges carry exactly
-zero weight. Rows with empty support produce all-zero rows rather than
-NaN, which keeps image-free text prefixes well-defined.
+zero weight. A text row before its sequence's first image has no image
+term, and a layout rejects a term row that allows no key, so no softmax
+is empty.
 
 ``segment_attention`` and ``segment_attention_vjp`` work from an
 ``AttentionLayout`` built once per sequence or bin of sequences, one
 softmax term (a stack of blocks) at a time. No d x d array is formed. A
 pass gathers Q along the layout's row order and K/V (and Kx/Vx) along
-its key order once, runs every term on basic-slice views of those (a
-term's slice seen as its blocks, each cut to the term's ``row_part`` or
+its key order, runs every term on basic-slice views of those (a term's
+slice seen as its blocks, each cut to the term's ``row_part`` or
 ``key_part``), reads and accumulates through the same views, and
-scatters its output, or each gradient, back to sequence order once. Each
+scatters its output, or each gradient, back to sequence order. It
+gathers and scatters each side at most once, and not at all where the
+side is already in order (``AttentionLayout.gathers``). A causal layout
+is in order; the toy model keeps a bin in its layout's order for the
+whole pass, so it gathers only the rows of its restricted last block. Each
 term's scores are computed from the pre-scaled Q into a fresh buffer
 that is masked and turned into max-shifted exponentials E in place.
 Normalization is deferred (FlashAttention, Dao et al., arXiv
@@ -55,13 +60,9 @@ carry ``wkx``/``wvx`` exactly when the layout is the cross variant.
 ``grad_check`` compares analytic gradients against central finite
 differences; ``variant_grad_check`` points it at the segment kernel.
 
-Heap policy: on glibc, importing this module fixes malloc's mmap
-threshold at 32 MiB and its trim threshold at 64 MiB, the values glibc's
-own dynamic rule stops at on 64-bit, so the heap keeps the pages one
-training step or scoring pass frees for the next instead of trimming
-them. The process's RSS stays at its heap high-water mark instead of
-falling after each step. Off glibc, or where ``mallopt`` refuses a
-value, nothing is set.
+Heap policy: importing this module fixes glibc's malloc mmap and trim
+thresholds (``_HEAP_POLICY``, see ``_keep_heap_pages``), so the process's
+RSS stays at its heap high-water mark instead of falling after each step.
 """
 
 from __future__ import annotations
@@ -120,29 +121,20 @@ def _exp_in_place(s: np.ndarray, forbid: np.ndarray | None, check: bool) -> np.n
     ``forbid`` (``None``: every key; leading axes such as heads share it).
     Returns the row totals (``s``'s shape with a last axis of 1), so
     ``s / total`` is the masked softmax. Forbidden entries come out exactly
-    0, and rows with empty support all-zero with total 1. ``check`` first
-    rejects non-finite scores; the kernel skips it when its inputs bound
-    every score.
+    0. ``check`` first rejects non-finite scores; the kernel skips it when
+    its inputs bound every score.
 
-    Only a masked term can have a row with empty support. An unmasked
-    term's rows read at least one key each, and its scores are finite
-    (checked here, or bounded by the kernel's ``_SCORE_BOUND``), so each
-    row's shift is finite and its largest entry's exponential is 1: the
-    empty-support fixups run only when ``forbid`` is given."""
+    Every row reads at least one key (``AttentionLayout`` rejects a
+    ``forbid`` row that allows none) and its scores are finite (checked
+    here, or bounded by the kernel's ``_SCORE_BOUND``), so each row's shift
+    is finite and its largest entry's exponential is 1."""
     if check and not np.isfinite(s).all():
         raise ValueError("scores contain non-finite values")
-    masked = forbid is not None
-    if masked:
+    if forbid is not None:
         np.copyto(s, -np.inf, where=forbid)
-    shift = s.max(axis=-1, keepdims=True)
-    if masked:
-        np.copyto(shift, 0.0, where=np.isneginf(shift))  # empty support: every entry is -inf
-    s -= shift
+    s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
-    total = s.sum(axis=-1, keepdims=True)
-    if masked:
-        np.copyto(total, 1.0, where=total == 0.0)
-    return total
+    return s.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +163,21 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _gather(a: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """``a``'s rows along ``order`` (``None``: ``a`` itself)."""
+    return a if order is None else a[..., order, :]
+
+
+def _scatter(a: np.ndarray, order: np.ndarray | None, d: int) -> np.ndarray:
+    """``a``'s rows put back at positions ``order`` of ``d``, zero elsewhere
+    (``None``: ``a`` itself)."""
+    if order is None:
+        return a
+    full = np.zeros((*a.shape[:-2], d, a.shape[-1]))
+    full[..., order, :] = a
+    return full
+
+
 def _blocks(a: np.ndarray, stack: int, part: slice) -> np.ndarray:
     """Rows ``part`` of each of ``stack`` equal blocks of ``a``'s rows, as a
     view with a block axis before the rows."""
@@ -182,7 +189,8 @@ class SavedAttention:
     """State of one ``segment_attention`` pass, which ``segment_attention_vjp``
     and ``attention_weights`` read: the layout, the score scale, the inputs
     in the layout's order (Q along ``layout.rows``; K/V, plus Kx/Vx when
-    passed, along ``layout.keys``) and, per ``layout.terms`` entry, its
+    passed, along ``layout.keys``; a side already in order keeps the given
+    array itself) and, per ``layout.terms`` entry, its
     max-shifted exponentials E, their row totals and its own output
     O = (E @ V) / total."""
 
@@ -210,8 +218,7 @@ def segment_attention(
     peaks = _check_inputs(layout, given)
     keys_peak = max(peaks["k"], peaks.get("kx", 0.0))
     check = q.shape[-1] * abs(scale) * peaks["q"] * keys_peak >= _SCORE_BOUND
-    inputs = {name: a[..., layout.rows if name == "q" else layout.keys, :]
-              for name, a in given.items()}
+    inputs = {name: _gather(a, layout.gathers[name != "q"]) for name, a in given.items()}
     sources = {False: (inputs["k"], inputs["v"]), True: (inputs.get("kx"), inputs.get("vx"))}
     q = scale * inputs["q"]  # scale the thin side, not the rows x keys scores
     out = np.zeros(q.shape)
@@ -225,8 +232,7 @@ def segment_attention(
         term_rows = _blocks(out[..., rows, :], stack, row_part)
         term_rows += term_out
         terms.append((e, total, term_out))
-    full = np.zeros(given["q"].shape)
-    full[..., layout.rows, :] = out
+    full = _scatter(out, layout.gathers[0], layout.d)
     return full, SavedAttention(layout, scale, inputs, tuple(terms))
 
 
@@ -253,7 +259,7 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
         raise ValueError(f"dout must have the output's shape {shape}, got {dout.shape}")
     if not np.isfinite(dout).all():
         raise ValueError("dout contains non-finite values")
-    dout = dout[..., layout.rows, :]
+    dout = _gather(dout, layout.gathers[0])
     grads = {name: np.zeros_like(a) for name, a in inputs.items()}
     for (e, total, term_out), term in zip(saved.terms, layout.terms):
         rows, keys, _, cross, stack, row_part, key_part = term
@@ -274,13 +280,10 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
             gq_part += ds @ k
             gk += _swap(ds) @ q_part
             del ds  # free this chunk before the next is allocated, which then reuses it
-    full = {}
-    for name, grad in grads.items():
-        if name in ("q", "k", "kx"):
-            grad *= saved.scale
-        full[name] = np.zeros(shape)
-        full[name][..., layout.rows if name == "q" else layout.keys, :] = grad
-    return full
+    for name in ("q", "k", "kx"):
+        if name in grads:
+            grads[name] *= saved.scale
+    return {name: _scatter(g, layout.gathers[name != "q"], layout.d) for name, g in grads.items()}
 
 
 def attention_weights(saved: SavedAttention) -> tuple[np.ndarray, np.ndarray]:

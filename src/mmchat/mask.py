@@ -163,7 +163,8 @@ class AttentionLayout:
     number n of image tokens before them, whose ``row_part`` picks those
     rows and ``key_part`` the first n image keys of each sequence (through
     Kx/Vx for cross). Text rows before a sequence's first image have no
-    image term. The kernel sums the terms' outputs.
+    image term. The kernel sums the terms' outputs. A ``forbid`` row that
+    allows no key is a ``ValueError``: no softmax the kernel takes is empty.
     """
 
     d: int
@@ -172,10 +173,21 @@ class AttentionLayout:
     rows: np.ndarray
     keys: np.ndarray
 
+    def __post_init__(self) -> None:
+        if any(term.forbid is not None and term.forbid.all(axis=-1).any() for term in self.terms):
+            raise ValueError("a term's forbid has a row that allows no key")
+
     @cached_property
     def reads_cross(self) -> bool:
         """Whether a term reads Kx/Vx; computed once per layout."""
         return any(term.cross for term in self.terms)
+
+    @cached_property
+    def gathers(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``rows`` and ``keys``, each ``None`` if it is 0..d-1 (nothing to
+        gather or scatter); computed once per layout."""
+        identity = np.arange(self.d)
+        return tuple(None if np.array_equal(a, identity) else a for a in (self.rows, self.keys))
 
     def positions(self, term: Term) -> tuple[np.ndarray, np.ndarray]:
         """The sequence positions of ``term``'s rows and keys, as (stack,

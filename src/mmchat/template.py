@@ -223,14 +223,9 @@ def _length(pieces: Iterable[_Piece], image_token_count: int) -> int:
 
 
 def count_tokens(conv: Conversation, layout: LayoutConfig) -> int:
-    """Length of ``render(conv, tokenizer, layout)``, found without hashing
-    a word.
-
-    Counts whitespace-separated words per text piece,
-    ``layout.image_token_count`` per image slot and one per end-of-turn
-    token. HashTokenizer maps whitespace words one to one, so the text
-    count equals ``len(tokenizer.encode(text))`` for any vocabulary size.
-    """
+    """Length of ``render(conv, tokenizer, layout)`` for any vocabulary
+    size, summed over ``_pieces`` without hashing a word (HashTokenizer maps
+    whitespace words one to one)."""
     return _length(_pieces(conv), layout.image_token_count)
 
 

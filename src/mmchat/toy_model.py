@@ -23,14 +23,20 @@ arrays depend on its samples and the attention rule, never on a weight,
 so each bin is planned once (``_BinPlan``) and the plan is reused across
 steps and scoring calls, the least recently used evicted first past a
 fixed byte budget (``_PlanCache``). Only the model's own checks of a bin
-(its image ids, block widths and token ids) run on every call.
+(its image ids, block widths and token ids) run on every call. A plan lays
+its bin out once in its layout's key order (image positions, then text),
+and every block runs in that order: the attention kernel gathers and
+scatters only the rows of the training pass's last block, which keeps the
+target rows alone, and forward un-permutes once, in its last row gather.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
+import sys
 import zipfile
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -225,16 +231,25 @@ def _ffn_input_vjp(block: DecoderBlock, h_mid: np.ndarray, dh: np.ndarray) -> np
     return dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
 
 
-@dataclass(frozen=True)
+# An array's shape and strides, per axis: numpy allocates them apart from
+# the array object that ``sys.getsizeof`` measures.
+_SHAPE_BYTES = 2 * np.dtype(np.intp).itemsize
+
+
+@dataclass(frozen=True, slots=True)
 class _BinPlan:
     """What a pass over a bin of samples needs that depends on the samples
-    and the attention rule alone, never on a weight: the bin's token ids,
-    its image blocks ``(image_id, start, end)`` in bin positions, its
-    layout, the last block's layout (``layout.restrict(rows)``) and the
-    rows the pass returns; for training, also the target token of each row,
-    the row weights and the text positions. Every array is read-only, and
-    ``nbytes`` counts each once."""
+    and the attention rule alone, never on a weight, over the bin laid out
+    in its layout's key order: the cache ``key`` it was planned from, the
+    token ids, the image blocks ``(image_id, start, end)``, the layout
+    (its ``rows`` and ``keys`` 0..d-1), the last block's layout
+    (``layout.restrict(rows)``) and the rows the pass returns; for
+    training, also the target token of each row, the row weights and the
+    text positions. Every array owns its data and is read-only. ``nbytes``
+    is ``sys.getsizeof`` of each Python object the plan keeps, arrays (with
+    their data) included."""
 
+    key: tuple
     token_ids: np.ndarray
     images: tuple[tuple[str, int, int], ...]
     layout: AttentionLayout
@@ -247,48 +262,62 @@ class _BinPlan:
 
     def __post_init__(self) -> None:
         arrays = [self.token_ids, self.rows, self.targets, self.weights, self.text]
-        for layout in (self.layout, self.last):
+        objects = [self, self.key, self.key[0], self.images, *self.images]
+        for layout in {id(layout): layout for layout in (self.layout, self.last)}.values():
             arrays += [layout.rows, layout.keys, *(term.forbid for term in layout.terms)]
-        unique = {id(array): array for array in arrays if array is not None}.values()
-        for array in unique:
+            # a copy of its instance dict: what sys.getsizeof says of the dict
+            # itself depends on how many instances share its keys
+            objects += [layout, dict(vars(layout)), layout.terms, layout.gathers, *layout.terms]
+            objects += [part for term in layout.terms for part in term if isinstance(part, slice)]
+        arrays = {id(array): array for array in arrays if array is not None}.values()
+        for array in arrays:
             array.setflags(write=False)
-        object.__setattr__(self, "nbytes", sum(array.nbytes for array in unique))
+        objects = {id(obj): obj for obj in [*objects, *arrays]}.values()  # an array with its data
+        shapes = _SHAPE_BYTES * sum(array.ndim for array in arrays)
+        object.__setattr__(self, "nbytes", shapes + sum(map(sys.getsizeof, objects)))
 
 
-def _make_plan(samples: tuple[RenderedSample, ...], variant: AttentionVariant,
-               image_self: str, training: bool) -> _BinPlan:
-    """The plan of ``samples`` laid end to end. A training plan's rows are
-    every sample's target rows, each weighing 1/n for a sample with n
-    targets; otherwise the rows are every position."""
+def _make_plan(key: tuple[tuple[RenderedSample, ...], AttentionVariant, str, bool]) -> _BinPlan:
+    """The plan of the (samples, variant, image_self, training) ``key``: the
+    samples laid end to end, then in their layout's key order. A training
+    plan's rows are every sample's target rows, each weighing 1/n for a
+    sample with n targets; otherwise the rows are every position in
+    sequence order, so the last block un-permutes the bin."""
+    samples, variant, image_self, training = key
     starts = np.cumsum([0] + [sample.d for sample in samples[:-1]]).tolist()
+    layout = build_layout([sample.tags for sample in samples], variant, image_self)
+    order = layout.keys
+    inverse = np.empty_like(order)
+    inverse[order] = positions = np.arange(order.size)
+    at = inverse.tolist()  # each sequence position's place in the layout's order
     images = tuple(
-        (sample.image_ids[index], at + start, at + end)
-        for sample, at in zip(samples, starts)
+        (sample.image_ids[index], at[first + start], at[first + start] + end - start)
+        for sample, first in zip(samples, starts)
         for index, (_, start, end) in enumerate(image_blocks(sample.tags))
     )
     token_ids = np.concatenate([np.asarray(sample.token_ids) for sample in samples])
-    layout = build_layout([sample.tags for sample in samples], variant, image_self)
+    layout = replace(layout, rows=positions, keys=positions)
     if not training:
-        rows = np.arange(token_ids.size)
-        return _BinPlan(token_ids, images, layout, layout.restrict(rows), rows)
+        return _BinPlan(key, token_ids[order], images, layout, layout, inverse)
     targets = [_target_positions(sample) for sample in samples]
-    rows = np.concatenate([at + positions for at, positions in zip(starts, targets)])
+    rows = np.concatenate([first + positions for first, positions in zip(starts, targets)])
+    text = np.flatnonzero(~np.concatenate([sample.tags.is_image() for sample in samples]))
     return _BinPlan(
-        token_ids, images, layout, layout.restrict(rows), rows,
+        key, token_ids[order], images, layout, layout.restrict(inverse[rows]), inverse[rows],
         targets=token_ids[rows + 1],
         weights=np.concatenate([_mean_weights(positions.size) for positions in targets]),
-        text=np.flatnonzero(~np.concatenate([sample.tags.is_image() for sample in samples])),
+        text=inverse[text],
     )
 
 
-# Bytes of plan arrays the cache keeps: a 4,096-token text-only sample's
-# text x text ``forbid`` alone is 16 MiB.
+# Bytes of plans (``_BinPlan.nbytes``) the cache keeps: a 4,096-token
+# text-only sample's text x text ``forbid`` alone is 16 MiB.
 _PLAN_BUDGET = 32 << 20
 
 
 class _PlanCache:
     """Bin plans by (samples, variant, image_self, training), least recently
-    used first, holding at most ``_PLAN_BUDGET`` bytes of plan arrays. A
+    used first, holding plans of at most ``_PLAN_BUDGET`` bytes in all. A
     plan over the budget is returned without being kept."""
 
     def __init__(self) -> None:
@@ -305,7 +334,7 @@ class _PlanCache:
         if plan is not None:
             self.plans.move_to_end(key)
             return plan
-        plan = _make_plan(key[0], config.variant, config.image_self, training)
+        plan = _make_plan(key)
         if plan.nbytes <= _PLAN_BUDGET:
             self.plans[key] = plan
             self.nbytes += plan.nbytes
@@ -324,16 +353,14 @@ def _bin_pass(
 ) -> np.ndarray:
     """The last block's output at the plan's rows of its bin, after the
     model's checks of the bin's image blocks and token ids. ``states``,
-    when given, receives each layer's (h_mid, SavedAttention, rows
-    computed) in block order, for the VJP.
+    when given, receives each layer's (h_mid, SavedAttention, rows kept:
+    a slice for every row) in block order, for the VJP.
 
     One layout covers the bin, so embedding and every block run once per
-    bin, and no attention term reads two sequences. Every block but the
-    last runs on every row; the last runs its attention on the plan's
-    restricted layout (``AttentionLayout.restrict``, which keeps the full
-    layout when given every row) and its feedforward on those rows alone.
-    Each layer's attention state is freed before the next block runs unless
-    ``states`` keeps it."""
+    bin, in the plan's order. Every block but the last runs on every row;
+    the last runs its attention on the plan's restricted layout and its
+    feedforward on the plan's rows alone. Each layer's attention state is
+    freed before the next block runs unless ``states`` keeps it."""
     _check_images(model, plan.images)
     h = _embed(model, plan.token_ids, plan.images)
     passes = [(plan.layout, slice(None))] * (len(model.blocks) - 1) + [(plan.last, plan.rows)]
@@ -429,8 +456,10 @@ def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple
     for block in reversed(model.blocks):
         h_mid, saved, kept = states.pop()
         dh_mid = _ffn_input_vjp(block, h_mid, dh)
-        dattn = np.zeros((saved.layout.d, dh_mid.shape[1]))
-        dattn[kept] = dh_mid
+        dattn = dh_mid
+        if not isinstance(kept, slice):  # the block kept some rows: the others get no gradient
+            dattn = np.zeros((saved.layout.d, dh_mid.shape[1]))
+            dattn[kept] = dh_mid
         dh = multi_head_input_vjp(block.attn, saved, dattn)
         dh[kept] += dh_mid
         del saved  # free this layer's attention state before the next layer's VJP
@@ -620,9 +649,17 @@ def _stored_tensor(data: np.lib.npyio.NpzFile, name: str, shape: tuple[int, ...]
 # What opening a corrupt archive or reading a corrupt member raises, besides
 # ``ValueError``: a bad directory, CRC, local header or size (``BadZipFile``,
 # ``EOFError``), a version, flag or method zipfile cannot read
-# (``NotImplementedError``), or an ``.npy`` header numpy cannot tokenize
-# (``TokenError``).
-_CORRUPT_ARCHIVE = (zipfile.BadZipFile, EOFError, NotImplementedError, TokenError)
+# (``NotImplementedError``), an ``.npy`` header numpy cannot tokenize
+# (``TokenError``), or a directory offset before the file's start, whose
+# seek fails with ``EINVAL`` (``OSError``).
+_CORRUPT_ARCHIVE = (zipfile.BadZipFile, EOFError, NotImplementedError, TokenError, OSError)
+
+
+def _not_an_archive(path: str | Path, err: Exception) -> ValueError:
+    """The error for a corrupt archive; re-raises any other ``OSError``."""
+    if isinstance(err, OSError) and err.errno != errno.EINVAL:
+        raise err
+    return ValueError(f"{path} is not a checkpoint archive: {err}")
 
 
 def _read_checkpoint(data: np.lib.npyio.NpzFile) -> ToyModel:
@@ -688,11 +725,11 @@ def load_model(path: str | Path) -> ToyModel:
     try:
         data = np.load(path)
     except (ValueError, *_CORRUPT_ARCHIVE) as err:
-        raise ValueError(f"{path} is not a checkpoint archive: {err}") from None
+        raise _not_an_archive(path, err) from None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValueError(f"{path} is not a checkpoint archive: it holds a single array")
     try:
         with data:
             return _read_checkpoint(data)
     except _CORRUPT_ARCHIVE as err:
-        raise ValueError(f"{path} is not a checkpoint archive: {err}") from None
+        raise _not_an_archive(path, err) from None

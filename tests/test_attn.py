@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import resource
@@ -69,12 +70,25 @@ def test_masked_softmax_uniform(softmax):
     assert np.array_equal(out, np.full((2, 2), 0.5))
 
 
-@SOFTMAXES
+@pytest.mark.parametrize("softmax", [masked_softmax], ids=["reference"])
 def test_masked_softmax_empty_row_is_zero(softmax):
     allow = np.array([[False, False], [True, True]])
     out = softmax(np.array([[5.0, -3.0], [0.0, 0.0]]), allow)
     assert np.array_equal(out[0], [0.0, 0.0])
     assert np.allclose(out[1], [0.5, 0.5])
+
+
+def test_layout_rejects_a_term_row_that_allows_no_key():
+    """The kernel's softmax has no empty-row case: a layout whose term
+    forbids every key of a row is rejected when built, and so never
+    reaches the kernel."""
+    layout = build_layout(build_sequence([(T, 3)]), AttentionVariant.CAUSAL_ONLY)
+    (term,) = layout.terms
+    forbid = term.forbid.copy()
+    forbid[1] = True
+    with pytest.raises(ValueError, match="allows no key"):
+        dataclasses.replace(layout, terms=(term._replace(forbid=forbid),))
+    assert not term.forbid.all(axis=1).any()  # build_layout's own forbid allows the diagonal
 
 
 @SOFTMAXES

@@ -856,10 +856,12 @@ class IndexRecorder(np.ndarray):
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 def test_kernel_gathers_each_input_once_and_slices_every_term(variant):
-    """The forward pass takes one integer-array index of each input (its
-    gather into the layout's order) and the VJP one of ``dout``; every
-    other index of them or of anything computed from them, per term or
-    not, is basic. The outputs and gradients land in fresh arrays."""
+    """The forward pass takes at most one integer-array index of each input
+    (its gather into the layout's order) and none of an input whose side of
+    the layout is already in order (Q: the rows; the rest: the keys); the
+    VJP takes at most one of ``dout``, none when the rows are in order.
+    Every other index of them or of anything computed from them, per term
+    or not, is basic. The outputs and gradients land in fresh arrays."""
     seq = build_sequence([(T, 2), (I, 3), (T, 1), (I, 3), (I, 2), (T, 2), (I, 3), (T, 1)])
     rng = np.random.default_rng(10)
 
@@ -869,17 +871,65 @@ def test_kernel_gathers_each_input_once_and_slices_every_term(variant):
         return a
 
     layout = build_layout(seq, variant)
+    positions = np.arange(seq.d)
+    in_order = dataclasses.replace(layout, rows=positions, keys=positions)  # as the toy model runs it
+    assert in_order.gathers == (None, None)
+    assert all(order is None for order in layout.gathers) is (variant is AttentionVariant.CAUSAL_ONLY)
     names = ("q", "k", "v", "kx", "vx") if layout.reads_cross else ("q", "k", "v")
-    for part in (layout, layout.restrict([3, 5, 6, 9, 10, 13])):
+    for part in (layout, layout.restrict([3, 5, 6, 9, 10, 13]), in_order, in_order.restrict([3, 5, 13])):
+        rows, keys = (order is not None for order in part.gathers)
         IndexRecorder.log.clear()
         out, saved = segment_attention(part, 0.5, **{name: recorded(name, (2, seq.d, 3)) for name in names})
-        assert sorted(name for name, basic in IndexRecorder.log if not basic) == sorted(names)
+        gathered = sorted(name for name, basic in IndexRecorder.log if not basic)
+        assert gathered == sorted(name for name in names if (rows if name == "q" else keys))
         assert len(IndexRecorder.log) > 2 * len(part.terms)  # every term was read, by slices
         IndexRecorder.log.clear()
         segment_attention_vjp(saved, recorded("dout", out.shape))
-        assert [name for name, basic in IndexRecorder.log if not basic] == ["dout"]
+        assert [name for name, basic in IndexRecorder.log if not basic] == (["dout"] if rows else [])
         assert len(IndexRecorder.log) > 2 * len(part.terms)
+        if part is in_order:  # in order on both sides: no integer-array index at all
+            assert gathered == []
     assert variant is AttentionVariant.CAUSAL_ONLY or len(layout.terms) >= 6
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_model_passes_gather_only_the_restricted_last_q(monkeypatch, variant):
+    """The toy model keeps each bin in its layout's order for the whole
+    pass: in a training step and in scoring, the kernel takes no
+    integer-array index of K/V (or Kx/Vx) in any layer, and of Q only in
+    the training pass's last block, which runs on the target rows alone."""
+    real_project = attn_module._project_heads
+    layers = []
+
+    def recording_project(x, params, layout):
+        layers.append(layout)
+        heads = real_project(x, params, layout)
+        for name, a in heads.items():
+            heads[name] = a.view(IndexRecorder)
+            heads[name].name = (len(layers) - 1, name)
+        return heads
+
+    def gathered():  # (layer, input) of every integer-array index of a projected head
+        return {name for name, basic in IndexRecorder.log if name is not None and not basic}
+
+    monkeypatch.setattr(attn_module, "_project_heads", recording_project)
+    config = ModelConfig(variant=variant, num_layers=3, image_token_count=3)
+    tokenizer = HashTokenizer(config.vocab_size)
+    chat = Conversation("look", (
+        Round(("a", "b"), "compare them", "the first is red"),
+        Round((), "and now", "still red"),
+        Round(("c",), "and this one", "blue"),
+    ))
+    other = Conversation("s", (Round(("d",), "q w", "x y"),))
+    samples = [render(conv, tokenizer, config.layout()) for conv in (chat, other, chat)]
+    model = make_model(config, seed=0, known_images=("a", "b", "c", "d"))
+    IndexRecorder.log.clear()
+    train_step(model, samples, OptimState(total_steps=1))
+    assert len(layers) == 3 and gathered() == {(2, "q")}
+    layers.clear()
+    IndexRecorder.log.clear()
+    toy_model_module.forward(model, samples[0])
+    assert len(layers) == 3 and IndexRecorder.log and gathered() == set()
 
 
 def test_vjp_holds_its_score_gradient_one_row_chunk_at_a_time():
@@ -1114,12 +1164,14 @@ def test_last_block_scores_only_the_target_rows(monkeypatch, variant):
     targets = target_rows(sample)
     last_layout = recorder.layouts[-1]
     last_positions = [last_layout.positions(t) for t in last_layout.terms]
+    # the pass runs in the layout's order: its position p is sequence position order[p]
+    order = full.keys
     assert all(t.stack == 1 for t in last_layout.terms)  # no image-block stack is left
-    assert not sample.tags.is_image()[np.concatenate([rows.ravel() for rows, _ in last_positions])].any()
+    assert not sample.tags.is_image()[order[np.concatenate([rows.ravel() for rows, _ in last_positions])]].any()
     assert last == [heads + (1, rows.size, keys.size) for rows, keys in last_positions]
     # every target row reads text keys in one term and, after the first
     # image (every target here), image keys in one more: no other row is scored
-    key_rows = [rows.ravel() for rows, _ in last_positions]
+    key_rows = [order[rows.ravel()] for rows, _ in last_positions]
     assert np.array_equal(np.unique(np.concatenate(key_rows)), targets)
     reads = 1 if variant is AttentionVariant.CAUSAL_ONLY else 2
     assert sum(shape[-2] for shape in last) == reads * targets.size

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mmchat.attn import grad_check
 from mmchat.mask import AttentionVariant
 from mmchat.template import Conversation, HashTokenizer, RenderedSample, Round, render
 from mmchat.modseq import ModalitySequence
@@ -163,6 +164,46 @@ def test_forward_matches_naive_reference():
     assert np.allclose(
         forward(cross_model, sample), naive_model_logits(cross_model, sample), atol=1e-10
     )
+
+
+def edge_samples(config, rng):
+    """Samples whose layouts the permuted pass must get right: random
+    multi-round chats (text before the first image, as the template
+    writes), a text-only chat, and built token sequences with adjacent
+    image blocks, one of them opening with an image; with their image ids."""
+    tokenizer = HashTokenizer(config.vocab_size)
+    ids = IdPool(rng)
+    convs = [random_conversation(rng, ids) for _ in range(4)]
+    convs.append(Conversation("s", (Round((), "only text", "no image"),)))
+    samples = [render(conv, tokenizer, config.layout()) for conv in convs]
+    n = config.image_token_count
+    for blocks, text in (((0, 1, 2), 3), ((1, 2, 3), 4)):  # (0: a text token, k: image block k)
+        block_ids = [k for b in blocks for k in ([b] * (n if b else 1))] + [0] * text
+        loss = [False] * (len(block_ids) - 2) + [True, True]
+        tokens = rng.integers(0, config.vocab_size, len(block_ids)).tolist()
+        images = tuple(ids.next() for b in blocks if b)
+        samples.append(RenderedSample(tokens, ModalitySequence(block_ids), loss, images))
+    return samples, tuple(i for sample in samples for i in sample.image_ids)
+
+
+@pytest.mark.parametrize("image_token_count", [1, 3])
+@pytest.mark.parametrize("image_self", ["block", "diagonal"])
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_permuted_pass_matches_the_oracle(variant, image_self, image_token_count):
+    """The pass runs each bin in its layout's order and un-permutes once:
+    ``forward`` matches the layer-by-layer oracle on every sample, and the
+    training pass's gradients over a bin of distinct samples (target rows,
+    text rows and image spans all permuted) match finite differences."""
+    config = replace(SMALL, variant=variant, image_self=image_self,
+                     image_token_count=image_token_count, num_layers=2)
+    samples, images = edge_samples(config, np.random.default_rng(31 + image_token_count))
+    model = make_model(config, seed=4, known_images=images)
+    for sample in samples:
+        assert np.allclose(forward(model, sample), naive_model_logits(model, sample), atol=1e-10)
+    bin_ = samples[-3:] + samples[:1]  # text-only, both built samples and a chat
+    params = model.trainable_params()  # the model's own arrays: the probes move them in place
+    _, grads = _bin_loss_and_grads(model, bin_)
+    assert grad_check(lambda _: _bin_loss_and_grads(model, bin_)[0], grads, params, eps=1e-6) < 1e-4
 
 
 def test_forward_frees_each_layer_attention_state(monkeypatch):
@@ -518,9 +559,10 @@ def test_plan_arrays_are_read_only():
         plan = toy_model_module._plans.plan(samples, SMALL, training)
         arrays = plan_arrays(plan)
         assert any(term.forbid is not None for term in plan.layout.terms)
-        assert plan.nbytes == sum(array.nbytes for array in {id(a): a for a in arrays}.values())
+        # each array's data once, plus the plan's Python objects (array objects included)
+        assert plan.nbytes > sum(array.nbytes for array in {id(a): a for a in arrays}.values())
         for array in arrays:
-            assert not array.flags.writeable
+            assert array.flags.owndata and not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
 
@@ -585,15 +627,52 @@ def test_plan_cache_keeps_the_recently_used_plans_within_its_budget(monkeypatch)
     assert cache.plan([a], SMALL, True) is plan_a  # a hit, and now the most recently used
     cache.plan([c], SMALL, True)
     assert kept() == [(a,), (c,)]  # b, the least recently used, went first
-    whole = cache.plan([a, b, c], SMALL, True)
+    many = [a, b, c] * 4  # a bin of twelve samples: each plan's objects weigh as much as its arrays
+    whole = cache.plan(many, SMALL, True)
     assert whole.nbytes > 2 * size and kept() == [(a,), (c,)]  # over the budget: used, not kept
-    assert cache.plan([a, b, c], SMALL, True) is not whole
+    assert cache.plan(many, SMALL, True) is not whole
     model = small_model(images=("a", "b", "c"))
-    loss = _bin_loss_and_grads(model, [a, b, c])[0]  # a plan that is not kept still runs
+    loss = _bin_loss_and_grads(model, many)[0]  # a plan that is not kept still runs
     assert kept() == [(a,), (c,)]
     monkeypatch.setattr(toy_model_module, "_PLAN_BUDGET", 3 * whole.nbytes)
-    assert _bin_loss_and_grads(model, [a, b, c])[0] == loss
-    assert kept() == [(a,), (c,), (a, b, c)]
+    assert _bin_loss_and_grads(model, many)[0] == loss
+    assert kept() == [(a,), (c,), tuple(many)]
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_a_full_plan_cache_holds_no_more_memory_than_its_budget(monkeypatch, variant):
+    """Every byte a kept plan holds is charged, its Python objects as well
+    as its arrays: after scoring or training on more distinct copy-task
+    samples than the budget can plan, the memory that clearing the cache
+    frees, as tracemalloc traces it, stays within the budget. What the
+    cache's own table (its ``sys.getsizeof``) frees is not a plan's and is
+    left out."""
+    import gc
+    import sys
+
+    import mmchat.toy_model as toy_model_module
+
+    cache = toy_model_module._plans
+    config = ModelConfig(variant=variant)
+    samples, ids = make_copy_task(config, num_images=200)
+    model = make_model(config, seed=0, known_images=ids)
+    monkeypatch.setattr(toy_model_module, "_PLAN_BUDGET", 64 << 10)
+    for run in (forward, loss_and_param_grads):
+        cache.clear()
+        tracemalloc.start()
+        try:
+            for sample in samples:
+                run(model, sample)
+            assert 0 < len(cache.plans) < len(samples)  # full: some plans were evicted
+            gc.collect()  # also empties the interpreter's free lists, which hold freed objects
+            full, table = tracemalloc.get_traced_memory()[0], sys.getsizeof(cache.plans)
+            cache.clear()
+            gc.collect()
+            freed = full - tracemalloc.get_traced_memory()[0]
+            held = freed - (table - sys.getsizeof(cache.plans))
+        finally:
+            tracemalloc.stop()
+        assert cache.nbytes == 0 and held <= toy_model_module._PLAN_BUDGET, (held, full)
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +858,24 @@ def test_load_model_rejects_a_corrupt_member(tmp_path, where, message):
     raw[offsets[where]] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a checkpoint archive: {message}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("back", [4, 3])
+def test_load_model_rejects_a_directory_offset_before_the_file(tmp_path, back):
+    """Bytes 4 and 3 from the end hold the high half of the directory's
+    offset in the end-of-central-directory record; one flipped puts every
+    member before the start of the file, whose seek fails with EINVAL. That
+    is the same ``ValueError`` as any corrupt archive, while a missing file
+    stays an ``OSError``."""
+    path = tmp_path / "model.npz"
+    with pytest.raises(FileNotFoundError):
+        load_model(path)
+    save_model(make_model(ModelConfig()), path)
+    raw = bytearray(path.read_bytes())
+    raw[-back] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a checkpoint archive: .*Invalid argument"):
         load_model(path)
 
 
