@@ -23,9 +23,9 @@ is empty.
 ``AttentionLayout`` built once per sequence or bin of sequences, one
 softmax term (a stack of blocks) at a time. No d x d array is formed. A
 pass gathers Q along the layout's row order and K/V (and Kx/Vx) along
-its key order, runs every term on basic-slice views of those (a term's
-slice seen as its blocks, each cut to the term's ``row_part`` or
-``key_part``), reads and accumulates through the same views, and
+its key order, runs every term on the term's views of those, built once
+per layout (``AttentionLayout.views``: one basic index per input for a
+one-block term), reads and accumulates through the same views, and
 scatters its output, or each gradient, back to sequence order. It
 gathers and scatters each side at most once, and not at all where the
 side is already in order (``AttentionLayout.gathers``). A causal layout
@@ -127,14 +127,15 @@ def _exp_in_place(s: np.ndarray, forbid: np.ndarray | None, check: bool) -> np.n
     Every row reads at least one key (``AttentionLayout`` rejects a
     ``forbid`` row that allows none) and its scores are finite (checked
     here, or bounded by the kernel's ``_SCORE_BOUND``), so each row's shift
-    is finite and its largest entry's exponential is 1."""
+    is finite and its largest entry's exponential is 1. It calls the ufunc
+    reductions behind ``ndarray.max`` and ``sum`` directly."""
     if check and not np.isfinite(s).all():
         raise ValueError("scores contain non-finite values")
     if forbid is not None:
         np.copyto(s, -np.inf, where=forbid)
-    s -= s.max(axis=-1, keepdims=True)
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     np.exp(s, out=s)
-    return s.sum(axis=-1, keepdims=True)
+    return np.add.reduce(s, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +154,10 @@ def _check_inputs(layout: AttentionLayout, inputs: dict[str, np.ndarray]) -> dic
     for name, a in inputs.items():
         if a.shape != shape:
             raise ValueError("Q, K, V (and Kx, Vx) must have equal shapes")
-        peaks[name] = float(np.abs(a).max(initial=0.0))  # NaN and inf propagate
+        peaks[name] = float(np.maximum.reduce(np.abs(a), None, initial=0.0))  # NaN and inf propagate
         if not math.isfinite(peaks[name]):
             raise ValueError(f"{name.capitalize()} contains non-finite values")
     return peaks
-
-
-def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
 
 
 def _gather(a: np.ndarray, order: np.ndarray | None) -> np.ndarray:
@@ -176,12 +173,6 @@ def _scatter(a: np.ndarray, order: np.ndarray | None, d: int) -> np.ndarray:
     full = np.zeros((*a.shape[:-2], d, a.shape[-1]))
     full[..., order, :] = a
     return full
-
-
-def _blocks(a: np.ndarray, stack: int, part: slice) -> np.ndarray:
-    """Rows ``part`` of each of ``stack`` equal blocks of ``a``'s rows, as a
-    view with a block axis before the rows."""
-    return a.reshape(*a.shape[:-2], stack, -1, a.shape[-1])[..., part, :]
 
 
 @dataclass(frozen=True)
@@ -223,13 +214,13 @@ def segment_attention(
     q = scale * inputs["q"]  # scale the thin side, not the rows x keys scores
     out = np.zeros(q.shape)
     terms = []
-    for rows, keys, forbid, cross, stack, row_part, key_part in layout.terms:
-        kk, vv = (_blocks(a[..., keys, :], stack, key_part) for a in sources[cross])
-        e = _blocks(q[..., rows, :], stack, row_part) @ _swap(kk)
-        total = _exp_in_place(e, forbid, check)
-        term_out = e @ vv
+    for term, (row_view, key_view) in zip(layout.terms, layout.views):
+        k, v = sources[term.cross]
+        e = row_view(q) @ key_view(k).swapaxes(-1, -2)
+        total = _exp_in_place(e, term.forbid, check)
+        term_out = e @ key_view(v)
         term_out /= total  # normalize the thin rows x head_dim output, not E
-        term_rows = _blocks(out[..., rows, :], stack, row_part)
+        term_rows = row_view(out)
         term_rows += term_out
         terms.append((e, total, term_out))
     full = _scatter(out, layout.gathers[0], layout.d)
@@ -260,25 +251,26 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
     if not np.isfinite(dout).all():
         raise ValueError("dout contains non-finite values")
     dout = _gather(dout, layout.gathers[0])
-    grads = {name: np.zeros_like(a) for name, a in inputs.items()}
-    for (e, total, term_out), term in zip(saved.terms, layout.terms):
-        rows, keys, _, cross, stack, row_part, key_part = term
-        q, gq = (_blocks(a[..., rows, :], stack, row_part) for a in (inputs["q"], grads["q"]))
-        kn, vn = ("kx", "vx") if cross else ("k", "v")
-        k, gk, v, gv = (_blocks(a[name][..., keys, :], stack, key_part)
-                        for name in (kn, vn) for a in (inputs, grads))
-        g = _blocks(dout[..., rows, :], stack, row_part) / total
-        gv += _swap(e) @ g
+    grads = {name: np.zeros(a.shape) for name, a in inputs.items()}
+    for (e, total, term_out), term, (row_view, key_view) in zip(saved.terms, layout.terms, layout.views):
+        kn, vn = ("kx", "vx") if term.cross else ("k", "v")
+        k, v = key_view(inputs[kn]), key_view(inputs[vn])
+        gk, gv = key_view(grads[kn]), key_view(grads[vn])
+        g = row_view(dout) / total
+        gv += e.swapaxes(-1, -2) @ g
         row_term = (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
-        step = max(_SCRATCH_SIZE * e.shape[-2] // e.size, 1)  # rows whose dS fits one chunk
-        for start in range(0, e.shape[-2], step):
-            e_part, g_part, d_part, q_part, gq_part = (a[..., start : start + step, :]
-                                                       for a in (e, g, row_term, q, gq))
-            ds = g_part @ _swap(v)
+        chunks = [(e, g, row_term, row_view(inputs["q"]), row_view(grads["q"]))]
+        size = e.shape[-2]
+        step = max(_SCRATCH_SIZE * size // e.size, 1)  # rows whose dS fits one chunk
+        if step < size:  # a term of one chunk is not sliced
+            chunks = [tuple(a[..., start : start + step, :] for a in chunks[0])
+                      for start in range(0, size, step)]
+        for e_part, g_part, d_part, q_part, gq_part in chunks:
+            ds = g_part @ v.swapaxes(-1, -2)
             ds -= d_part
             ds *= e_part
             gq_part += ds @ k
-            gk += _swap(ds) @ q_part
+            gk += ds.swapaxes(-1, -2) @ q_part
             del ds  # free this chunk before the next is allocated, which then reuses it
     for name in ("q", "k", "kx"):
         if name in grads:
@@ -354,11 +346,6 @@ def init_multi_head_params(
     return params
 
 
-def _score_scale(params: MultiHeadParams) -> float:
-    """1/sqrt(head_dim), head_dim being the last axis of ``params.wq``."""
-    return 1.0 / math.sqrt(params.wq.shape[2])
-
-
 def _check_cross_params(params: MultiHeadParams, layout: AttentionLayout) -> None:
     cross = layout.variant is AttentionVariant.CAUSAL_PLUS_CROSS
     if any((w is not None) != cross for w in (params.wkx, params.wvx)):
@@ -395,8 +382,8 @@ def multi_head_forward(
     shape and so the 1/sqrt(head_dim) score scale."""
     x = np.asarray(x, dtype=np.float64)
     heads = _project_heads(x, params, layout)
-    out, saved = segment_attention(layout, _score_scale(params), **heads)
-    return np.concatenate(out, axis=1) @ params.wo, saved
+    out, saved = segment_attention(layout, 1.0 / math.sqrt(params.wq.shape[2]), **heads)
+    return out.transpose(1, 0, 2).reshape(layout.d, -1) @ params.wo, saved
 
 
 def multi_head_input_vjp(
@@ -420,8 +407,10 @@ def multi_head_input_vjp(
         raise ValueError("dout must have the saved pass's row count and model_dim columns")
     dheads = (dout @ params.wo.T).reshape(-1, num_heads, head_dim)
     grads = segment_attention_vjp(saved, dheads.transpose(1, 0, 2))
-    weights = dict(params.weights())
-    return sum((g @ _swap(weights["w" + name])).sum(axis=0) for name, g in grads.items())
+    dx = (grads.pop("q") @ params.wq.swapaxes(1, 2)).sum(axis=0)
+    for name, g in grads.items():  # k, v, then kx, vx for the cross variant
+        dx += (g @ getattr(params, "w" + name).swapaxes(1, 2)).sum(axis=0)
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ dense builder for the three attention variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,6 +142,21 @@ class Term(NamedTuple):
     key_part: slice = slice(None)
 
 
+
+def _stack_view(whole: tuple, stack: int, part: tuple, a: np.ndarray) -> np.ndarray:
+    return a[whole].reshape(*a.shape[:-2], stack, -1, a.shape[-1])[part]
+
+
+def _view(whole: slice, stack: int, part: slice) -> Callable[[np.ndarray], np.ndarray]:
+    """The view of rows ``part`` of each of ``stack`` equal blocks over rows
+    ``whole`` of an array (..., n, h), as (..., stack, rows, h): one basic
+    index for one block, else slice, reshape and part."""
+    if stack == 1:
+        start, stop, _ = part.indices(whole.stop - whole.start)
+        return itemgetter((..., None, slice(whole.start + start, whole.start + stop), slice(None)))
+    return partial(_stack_view, (..., whole, slice(None)), stack, (..., part, slice(None)))
+
+
 @dataclass(frozen=True)
 class AttentionLayout:
     """The attention pattern of one sequence, or of a bin of sequences laid
@@ -165,6 +180,11 @@ class AttentionLayout:
     Kx/Vx for cross). Text rows before a sequence's first image have no
     image term. The kernel sums the terms' outputs. A ``forbid`` row that
     allows no key is a ``ValueError``: no softmax the kernel takes is empty.
+
+    ``views`` holds each term's (row view, key view), built from its fields
+    with the layout: each views an array's rows in ``rows`` (or ``keys``)
+    order as (..., stack, size, h), reading ``positions(term)``; a one-block
+    term's view is one basic index.
     """
 
     d: int
@@ -172,10 +192,13 @@ class AttentionLayout:
     terms: tuple[Term, ...]
     rows: np.ndarray
     keys: np.ndarray
+    views: tuple[tuple[Callable, Callable], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(term.forbid is not None and term.forbid.all(axis=-1).any() for term in self.terms):
             raise ValueError("a term's forbid has a row that allows no key")
+        views = ((_view(t.rows, t.stack, t.row_part), _view(t.keys, t.stack, t.key_part)) for t in self.terms)
+        object.__setattr__(self, "views", tuple(views))
 
     @cached_property
     def reads_cross(self) -> bool:

@@ -33,6 +33,7 @@ target rows alone, and forward un-permutes once, in its last row gather.
 from __future__ import annotations
 
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -40,6 +41,8 @@ import sys
 import zipfile
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from tokenize import TokenError
 from typing import Iterator
@@ -199,10 +202,12 @@ def make_model(
     )
 
 
-def _check_images(model: ToyModel, images: tuple[tuple[str, int, int], ...]) -> None:
-    """Each image block ``(image_id, start, end)`` must name an image of the
-    model's stub and be ``image_token_count`` tokens wide."""
-    for image_id, start, end in images:
+def _embed(model: ToyModel, plan: _BinPlan) -> np.ndarray:
+    """The plan's embedded tokens and projected images, after the model's
+    checks of the plan: each image block ``(image_id, start, end)`` must
+    name an image of the model's stub and be ``image_token_count`` tokens
+    wide, and every token id must lie in the vocabulary."""
+    for image_id, start, end in plan.images:
         if image_id not in model.vision_stub:
             raise ValueError(f"unknown image id: {image_id!r}")
         if end - start != model.config.image_token_count:
@@ -210,25 +215,13 @@ def _check_images(model: ToyModel, images: tuple[tuple[str, int, int], ...]) -> 
                 f"image block has {end - start} tokens; "
                 f"model expects {model.config.image_token_count}"
             )
-
-
-def _embed(model: ToyModel, token_ids: np.ndarray, images: tuple[tuple[str, int, int], ...]) -> np.ndarray:
-    if token_ids.min() < 0 or token_ids.max() >= model.config.vocab_size:
+    lowest, highest = plan.id_range
+    if lowest < 0 or highest >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    x = model.embedding[token_ids]
-    for image_id, start, end in images:
-        x[start:end] = model.vision_stub[image_id] @ model.projection
-    return x
-
-
-def _ffn(block: DecoderBlock, h_mid: np.ndarray) -> np.ndarray:
-    """The block's feedforward with its residual connection."""
-    return h_mid + np.tanh(h_mid @ block.w1 + block.b1) @ block.w2 + block.b2
-
-
-def _ffn_input_vjp(block: DecoderBlock, h_mid: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    a = np.tanh(h_mid @ block.w1 + block.b1)
-    return dh + ((dh @ block.w2.T) * (1.0 - a * a)) @ block.w1.T
+    h = model.embedding[plan.token_ids]
+    for image_id, start, end in plan.images:
+        h[start:end] = model.vision_stub[image_id] @ model.projection
+    return h
 
 
 # An array's shape and strides, per axis: numpy allocates them apart from
@@ -241,8 +234,9 @@ class _BinPlan:
     """What a pass over a bin of samples needs that depends on the samples
     and the attention rule alone, never on a weight, over the bin laid out
     in its layout's key order: the cache ``key`` it was planned from, the
-    token ids, the image blocks ``(image_id, start, end)``, the layout
-    (its ``rows`` and ``keys`` 0..d-1), the last block's layout
+    token ids and their (lowest, highest) id, the image blocks
+    ``(image_id, start, end)``, the layout (its ``rows`` and ``keys``
+    0..d-1), the last block's layout
     (``layout.restrict(rows)``) and the rows the pass returns; for
     training, also the target token of each row, the row weights and the
     text positions. Every array owns its data and is read-only. ``nbytes``
@@ -251,6 +245,7 @@ class _BinPlan:
 
     key: tuple
     token_ids: np.ndarray
+    id_range: tuple[int, int]
     images: tuple[tuple[str, int, int], ...]
     layout: AttentionLayout
     last: AttentionLayout
@@ -262,13 +257,18 @@ class _BinPlan:
 
     def __post_init__(self) -> None:
         arrays = [self.token_ids, self.rows, self.targets, self.weights, self.text]
-        objects = [self, self.key, self.key[0], self.images, *self.images]
+        objects = [self, self.key, self.key[0], self.id_range, *self.id_range, self.images, *self.images]
         for layout in {id(layout): layout for layout in (self.layout, self.last)}.values():
             arrays += [layout.rows, layout.keys, *(term.forbid for term in layout.terms)]
             # a copy of its instance dict: what sys.getsizeof says of the dict
             # itself depends on how many instances share its keys
             objects += [layout, dict(vars(layout)), layout.terms, layout.gathers, *layout.terms]
             objects += [part for term in layout.terms for part in term if isinstance(part, slice)]
+            views = [layout.views]
+            for view in views:  # the views (``mask._view``) and the tuples, slices and dicts they hold
+                views += [part for part in gc.get_referents(view)
+                          if type(part) in (tuple, slice, dict, itemgetter, partial)]
+            objects += views
         arrays = {id(array): array for array in arrays if array is not None}.values()
         for array in arrays:
             array.setflags(write=False)
@@ -296,14 +296,15 @@ def _make_plan(key: tuple[tuple[RenderedSample, ...], AttentionVariant, str, boo
         for index, (_, start, end) in enumerate(image_blocks(sample.tags))
     )
     token_ids = np.concatenate([np.asarray(sample.token_ids) for sample in samples])
+    id_range = (int(token_ids.min()), int(token_ids.max()))
     layout = replace(layout, rows=positions, keys=positions)
     if not training:
-        return _BinPlan(key, token_ids[order], images, layout, layout, inverse)
+        return _BinPlan(key, token_ids[order], id_range, images, layout, layout, inverse)
     targets = [_target_positions(sample) for sample in samples]
     rows = np.concatenate([first + positions for first, positions in zip(starts, targets)])
     text = np.flatnonzero(~np.concatenate([sample.tags.is_image() for sample in samples]))
     return _BinPlan(
-        key, token_ids[order], images, layout, layout.restrict(inverse[rows]), inverse[rows],
+        key, token_ids[order], id_range, images, layout, layout.restrict(inverse[rows]), inverse[rows],
         targets=token_ids[rows + 1],
         weights=np.concatenate([_mean_weights(positions.size) for positions in targets]),
         text=inverse[text],
@@ -353,23 +354,23 @@ def _bin_pass(
 ) -> np.ndarray:
     """The last block's output at the plan's rows of its bin, after the
     model's checks of the bin's image blocks and token ids. ``states``,
-    when given, receives each layer's (h_mid, SavedAttention, rows kept:
-    a slice for every row) in block order, for the VJP.
+    when given, receives each layer's (tanh activation, SavedAttention,
+    rows kept: a slice for every row) in block order, for the VJP.
 
     One layout covers the bin, so embedding and every block run once per
     bin, in the plan's order. Every block but the last runs on every row;
     the last runs its attention on the plan's restricted layout and its
     feedforward on the plan's rows alone. Each layer's attention state is
     freed before the next block runs unless ``states`` keeps it."""
-    _check_images(model, plan.images)
-    h = _embed(model, plan.token_ids, plan.images)
+    h = _embed(model, plan)
     passes = [(plan.layout, slice(None))] * (len(model.blocks) - 1) + [(plan.last, plan.rows)]
     for block, (block_layout, kept) in zip(model.blocks, passes):
         attn_out, saved = multi_head_forward(h, block.attn, block_layout)
         h_mid = (h + attn_out)[kept]
-        h = _ffn(block, h_mid)
+        activation = np.tanh(h_mid @ block.w1 + block.b1)  # all that the VJP reads of the feedforward
+        h = h_mid + activation @ block.w2 + block.b2  # the feedforward with its residual
         if states is not None:
-            states.append((h_mid, saved, kept))
+            states.append((activation, saved, kept))
         del saved  # free this layer's attention state, unless kept, before the next block
     return h
 
@@ -400,26 +401,20 @@ def _target_loss(
     logits: np.ndarray, targets: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy of target-row logits, row i predicting token
-    ``targets[i]`` with weight ``weights[i]``, summed over the rows, and its
-    gradient w.r.t. those logits. The logits must have one row per target,
-    more columns than the largest target id, and finite values."""
+    ``targets[i]`` with weight ``weights[i]``, summed over the rows, and the
+    rows' log-probabilities, from which training forms the gradient. The
+    logits must have one row per target, more columns than the largest
+    target id, and finite values."""
     if logits.ndim != 2 or logits.shape[0] != targets.size:
         raise ValueError(f"logits must have one row per target ({targets.size})")
-    if logits.shape[1] <= targets.max():
-        raise ValueError(
-            f"logits have {logits.shape[1]} columns; target id {targets.max()} needs more"
-        )
+    highest = np.maximum.reduce(targets)
+    if logits.shape[1] <= highest:
+        raise ValueError(f"logits have {logits.shape[1]} columns; target id {highest} needs more")
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
-    rows = np.arange(targets.size)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    loss = -float(log_probs[rows, targets] @ weights)
-    dlogits = np.exp(log_probs)
-    dlogits[rows, targets] -= 1.0
-    dlogits *= weights[:, None]
-    return loss, dlogits
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1))[:, None]
+    return -float(log_probs[np.arange(targets.size), targets] @ weights), log_probs
 
 
 def _mean_weights(count: int) -> np.ndarray:
@@ -450,12 +445,15 @@ def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple
     plan = _plans.plan(samples, model.config, training=True)
     states = []
     h = _bin_pass(model, plan, states)
-    loss, dlogits = _target_loss(h @ model.embedding.T, plan.targets, plan.weights)
+    loss, log_probs = _target_loss(h @ model.embedding.T, plan.targets, plan.weights)
+    dlogits = np.exp(log_probs, out=log_probs)  # the softmax, over the log-probabilities
+    dlogits[np.arange(plan.targets.size), plan.targets] -= 1.0
+    dlogits *= plan.weights[:, None]
     d_embedding = dlogits.T @ h
     dh = dlogits @ model.embedding
     for block in reversed(model.blocks):
-        h_mid, saved, kept = states.pop()
-        dh_mid = _ffn_input_vjp(block, h_mid, dh)
+        activation, saved, kept = states.pop()
+        dh_mid = dh + ((dh @ block.w2.T) * (1.0 - activation * activation)) @ block.w1.T
         dattn = dh_mid
         if not isinstance(kept, slice):  # the block kept some rows: the others get no gradient
             dattn = np.zeros((saved.layout.d, dh_mid.shape[1]))

@@ -509,6 +509,41 @@ def test_terms_account_for_every_allowed_edge_once(variant, image_self, by_value
         assert_terms_account_for_mask([sample.tags for sample in samples], variant, image_self, targets, by_value)
 
 
+def assert_views_read_positions(layout):
+    """Each term's row view, applied to the layout's ``rows`` as a column,
+    and its key view, applied to its ``keys``, are views that give exactly
+    ``layout.positions(term)``: for a layout in order, to ``np.arange(d)``."""
+    assert len(layout.views) == len(layout.terms)
+    for term, (row_view, key_view) in zip(layout.terms, layout.views):
+        for view, order, expected in zip((row_view, key_view), (layout.rows, layout.keys), layout.positions(term)):
+            column = order[:, None]
+            got = view(column)
+            assert got.shape == (*expected.shape, 1) and np.array_equal(got[..., 0], expected)
+            assert np.shares_memory(got, column)
+
+
+@BY_VALUE
+@pytest.mark.parametrize(("variant", "image_self"), CONFIGS)
+def test_term_views_read_exactly_the_term_positions(variant, image_self, by_value):
+    """On random sequences and bins, their layouts in order and restricted,
+    and the copy task's stacked bin, restricted to its target rows."""
+    rng = np.random.default_rng(2441)
+    for _ in range(60):
+        seqs = random_layout(rng) if rng.random() < 0.5 else [random_layout(rng) for _ in range(3)]
+        layout = build_layout(seqs, as_given(variant, by_value), image_self)
+        in_order = dataclasses.replace(layout, rows=np.arange(layout.d), keys=np.arange(layout.d))
+        for part in (layout, in_order):
+            assert_views_read_positions(part)
+            for rows in row_subsets(seqs, rng):
+                assert_views_read_positions(part.restrict(rows))
+    samples, _ = make_copy_task(ModelConfig(variant=variant, image_self=image_self))
+    layout = build_layout([sample.tags for sample in samples], as_given(variant, by_value), image_self)
+    targets = np.concatenate([i * samples[0].d + target_rows(sample) for i, sample in enumerate(samples)])
+    assert any(term.stack == 8 for term in layout.terms)
+    assert_views_read_positions(layout)
+    assert_views_read_positions(layout.restrict(targets))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     segments=_segments,
@@ -837,10 +872,12 @@ def _is_basic(index):
 class IndexRecorder(np.ndarray):
     """An array that logs every index taken of it, or of any array computed
     from it, into ``log`` as (``name``, whether the index is basic: slices,
-    ``Ellipsis``, ``None`` and ints only). ``name`` is the kernel input an
-    array was given as, and ``None`` for arrays computed from one."""
+    ``Ellipsis``, ``None`` and ints only), and every reshape into
+    ``reshapes`` as ``name``. ``name`` is the kernel input an array was
+    given as, and ``None`` for arrays computed from one."""
 
     log = []
+    reshapes = []
 
     def __array_finalize__(self, obj):
         self.name = None
@@ -853,6 +890,10 @@ class IndexRecorder(np.ndarray):
         IndexRecorder.log.append((self.name, _is_basic(index)))
         super().__setitem__(index, value)
 
+    def reshape(self, *shape, **kwargs):
+        IndexRecorder.reshapes.append(self.name)
+        return super().reshape(*shape, **kwargs)
+
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 def test_kernel_gathers_each_input_once_and_slices_every_term(variant):
@@ -861,7 +902,9 @@ def test_kernel_gathers_each_input_once_and_slices_every_term(variant):
     the layout is already in order (Q: the rows; the rest: the keys); the
     VJP takes at most one of ``dout``, none when the rows are in order.
     Every other index of them or of anything computed from them, per term
-    or not, is basic. The outputs and gradients land in fresh arrays."""
+    or not, is basic. A one-block term takes one index of each input it
+    reads and no reshape; a stack slices, reshapes and cuts out its part.
+    The outputs and gradients land in fresh arrays."""
     seq = build_sequence([(T, 2), (I, 3), (T, 1), (I, 3), (I, 2), (T, 2), (I, 3), (T, 1)])
     rng = np.random.default_rng(10)
 
@@ -878,18 +921,25 @@ def test_kernel_gathers_each_input_once_and_slices_every_term(variant):
     names = ("q", "k", "v", "kx", "vx") if layout.reads_cross else ("q", "k", "v")
     for part in (layout, layout.restrict([3, 5, 6, 9, 10, 13]), in_order, in_order.restrict([3, 5, 13])):
         rows, keys = (order is not None for order in part.gathers)
+        stacks = sum(term.stack > 1 for term in part.terms)
         IndexRecorder.log.clear()
+        IndexRecorder.reshapes.clear()
         out, saved = segment_attention(part, 0.5, **{name: recorded(name, (2, seq.d, 3)) for name in names})
         gathered = sorted(name for name, basic in IndexRecorder.log if not basic)
         assert gathered == sorted(name for name in names if (rows if name == "q" else keys))
-        assert len(IndexRecorder.log) > 2 * len(part.terms)  # every term was read, by slices
+        # every term reads Q and its K, V (or Kx, Vx) by slices: once each for one block, twice for a stack
+        assert len(IndexRecorder.log) == len(gathered) + 3 * (len(part.terms) + stacks)
+        assert len(IndexRecorder.reshapes) == 3 * stacks
         IndexRecorder.log.clear()
+        IndexRecorder.reshapes.clear()
         segment_attention_vjp(saved, recorded("dout", out.shape))
         assert [name for name, basic in IndexRecorder.log if not basic] == (["dout"] if rows else [])
         assert len(IndexRecorder.log) > 2 * len(part.terms)
+        assert len(IndexRecorder.reshapes) == 4 * stacks  # Q, K, V and dout: no reshape for one block
         if part is in_order:  # in order on both sides: no integer-array index at all
             assert gathered == []
     assert variant is AttentionVariant.CAUSAL_ONLY or len(layout.terms) >= 6
+    assert [term.stack for term in layout.terms].count(2) == (variant is not AttentionVariant.CAUSAL_ONLY)
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))

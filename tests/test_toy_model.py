@@ -586,6 +586,24 @@ def test_a_cached_plan_still_checks_the_model(monkeypatch):
             run(small_model(wider, images=("a", "b")), sample)
 
 
+def test_a_cached_plan_still_checks_the_vocabulary(monkeypatch):
+    """A plan keeps its token ids' range, not a verdict on it: a bin planned
+    under one model is rejected by a model whose vocabulary is too small
+    for its ids."""
+    import mmchat.toy_model as toy_model_module
+
+    sample = small_sample()
+    toy_model_module._plans.clear()
+    forward(small_model(), sample)
+    loss_and_param_grads(small_model(), sample)
+    assert len(toy_model_module._plans.plans) == 2
+    monkeypatch.setattr(toy_model_module, "build_layout", None)  # a cached plan builds nothing
+    smaller = replace(SMALL, vocab_size=max(sample.token_ids))
+    for run in (forward, loss_and_param_grads):
+        with pytest.raises(ValueError, match="token id out of vocabulary range"):
+            run(small_model(smaller), sample)
+
+
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 def test_cold_and_warm_plans_give_bit_identical_passes(variant):
     import mmchat.toy_model as toy_model_module
