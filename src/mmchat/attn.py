@@ -115,24 +115,24 @@ def _keep_heap_pages() -> None:
 _keep_heap_pages()
 
 
-def _exp_in_place(s: np.ndarray, forbid: np.ndarray | None, check: bool) -> np.ndarray:
+def _exp_in_place(s: np.ndarray, limit: np.ndarray | None, check: bool) -> np.ndarray:
     """Max-shifted exponentials of the scores ``s`` over the last axis,
-    written into ``s``, restricted to the support given by its complement
-    ``forbid`` (``None``: every key; leading axes such as heads share it).
-    Returns the row totals (``s``'s shape with a last axis of 1), so
-    ``s / total`` is the masked softmax. Forbidden entries come out exactly
-    0. ``check`` first rejects non-finite scores; the kernel skips it when
-    its inputs bound every score.
+    written into ``s``, row r restricted to its first ``limit[r]`` keys
+    (``None``: every key; leading axes such as heads share it). Returns the
+    row totals (``s``'s shape with a last axis of 1), so ``s / total`` is
+    the masked softmax. Forbidden entries come out exactly 0. ``check``
+    first rejects non-finite scores; the kernel skips it when its inputs
+    bound every score.
 
     Every row reads at least one key (``AttentionLayout`` rejects a
-    ``forbid`` row that allows none) and its scores are finite (checked
-    here, or bounded by the kernel's ``_SCORE_BOUND``), so each row's shift
-    is finite and its largest entry's exponential is 1. It calls the ufunc
-    reductions behind ``ndarray.max`` and ``sum`` directly."""
+    ``limit`` below 1) and its scores are finite (checked here, or bounded
+    by the kernel's ``_SCORE_BOUND``), so each row's shift is finite and its
+    largest entry's exponential is 1. It calls the ufunc reductions behind
+    ``ndarray.max`` and ``sum`` directly."""
     if check and not np.isfinite(s).all():
         raise ValueError("scores contain non-finite values")
-    if forbid is not None:
-        np.copyto(s, -np.inf, where=forbid)
+    if limit is not None:
+        np.copyto(s, -np.inf, where=np.arange(s.shape[-1]) >= limit[:, None])
     s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     np.exp(s, out=s)
     return np.add.reduce(s, axis=-1, keepdims=True)
@@ -217,7 +217,7 @@ def segment_attention(
     for term, (row_view, key_view) in zip(layout.terms, layout.views):
         k, v = sources[term.cross]
         e = row_view(q) @ key_view(k).swapaxes(-1, -2)
-        total = _exp_in_place(e, term.forbid, check)
+        total = _exp_in_place(e, term.limit, check)
         term_out = e @ key_view(v)
         term_out /= total  # normalize the thin rows x head_dim output, not E
         term_rows = row_view(out)
@@ -282,15 +282,15 @@ def attention_weights(saved: SavedAttention) -> tuple[np.ndarray, np.ndarray]:
     """(text_weights, image_weights): each term's softmax, normalized from
     the E and row totals in ``saved``, placed into a d x d view of the
     weight every row puts on every key, with the terms' leading head axes
-    kept. A term reads image keys iff it forbids nothing (causal's one term
-    always forbids later keys, so causal puts all its weight in the text
-    view). Rows without a term (a restricted layout's) are zero."""
+    kept. A term reads image keys iff it has no ``limit`` (causal's one term
+    always has one, so causal puts all its weight in the text view). Rows
+    without a term (a restricted layout's) are zero."""
     layout = saved.layout
     lead = saved.inputs["q"].shape[:-2]
     text, image = np.zeros((2, *lead, layout.d, layout.d))
     for (e, total, _), term in zip(saved.terms, layout.terms):
         rows, keys = layout.positions(term)
-        view = text if term.forbid is not None else image
+        view = text if term.limit is not None else image
         view[..., rows[..., :, None], keys[..., None, :]] = e * (1.0 / total)
     return text, image
 

@@ -128,14 +128,13 @@ class Term(NamedTuple):
     """One softmax term: a stack of ``stack`` >= 1 equal-size blocks, each
     its own softmax, laid over slices of the layout's ``rows`` and ``keys``.
     Each block reads rows ``row_part`` of its rows over keys ``key_part`` of
-    its keys (default: all of them); ``forbid`` is the (rows, keys) entries
-    of that part a block may not read, shared by every block (``None``:
-    every row reads every key), and ``cross`` reads the keys through Kx/Vx
-    instead of K/V."""
+    its keys (default: all of them); row r of that part reads the first
+    ``limit[r]`` keys of it, in every block (``None``: every row reads every
+    key), and ``cross`` reads the keys through Kx/Vx instead of K/V."""
 
     rows: slice
     keys: slice
-    forbid: np.ndarray | None
+    limit: np.ndarray | None
     cross: bool
     stack: int = 1
     row_part: slice = slice(None)
@@ -173,13 +172,13 @@ class AttentionLayout:
     ``image_self="diagonal"`` every image token is a one-token block). Each
     run of adjacent equal sequences (a run of one included) shares its text
     terms as stacks with one block per sequence: text rows over text keys,
-    forbidding later keys (causal: every row over every key), and a
-    staircase of one unmasked term per run of text rows with the same
+    each reading the keys up to itself (causal: every row over every key),
+    and a staircase of one unmasked term per run of text rows with the same
     number n of image tokens before them, whose ``row_part`` picks those
     rows and ``key_part`` the first n image keys of each sequence (through
     Kx/Vx for cross). Text rows before a sequence's first image have no
-    image term. The kernel sums the terms' outputs. A ``forbid`` row that
-    allows no key is a ``ValueError``: no softmax the kernel takes is empty.
+    image term. The kernel sums the terms' outputs. A ``limit`` below 1 is a
+    ``ValueError``: no softmax the kernel takes is empty.
 
     ``views`` holds each term's (row view, key view), built from its fields
     with the layout: each views an array's rows in ``rows`` (or ``keys``)
@@ -195,8 +194,8 @@ class AttentionLayout:
     views: tuple[tuple[Callable, Callable], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(term.forbid is not None and term.forbid.all(axis=-1).any() for term in self.terms):
-            raise ValueError("a term's forbid has a row that allows no key")
+        if any(term.limit is not None and (term.limit < 1).any() for term in self.terms):
+            raise ValueError("a term's limit has a row that allows no key")
         views = ((_view(t.rows, t.stack, t.row_part), _view(t.keys, t.stack, t.key_part)) for t in self.terms)
         object.__setattr__(self, "views", tuple(views))
 
@@ -224,7 +223,7 @@ class AttentionLayout:
         the query rows in ``rows`` (non-empty, each in [0, d)), in the old
         row order. Within each term, each run of adjacent blocks that keep
         the same rows becomes one stack over those rows, with its
-        ``row_part`` renumbered and its ``forbid`` cut to the kept rows it
+        ``row_part`` renumbered and its ``limit`` cut to the kept rows it
         reads; a run that reads no kept row is dropped. Every allowed edge
         of a kept row stays in exactly one term; the kernel gives every
         other row zero output. Keeping every row returns this layout."""
@@ -253,7 +252,7 @@ class AttentionLayout:
                 terms.append(term._replace(
                     rows=slice(at[term.rows.start + start * size], at[term.rows.start + stop * size]),
                     keys=slice(term.keys.start + start * width, term.keys.start + stop * width),
-                    forbid=term.forbid if term.forbid is None or read.all() else term.forbid[read],
+                    limit=term.limit if term.limit is None or read.all() else term.limit[read],
                     stack=stop - start,
                     row_part=slice(None) if (first, last) == (0, block.sum()) else slice(first, last),
                 ))
@@ -301,9 +300,9 @@ def build_layout(
         n_image = sum(end - start for _, start, end in blocks)
         text_rows = slice(text_at, text_at + count * (seq.d - n_image))
         image_keys = slice(img_at, img_at + count * n_image)
-        if seq.d > n_image:  # text positions ascend, so a later text key is a later column
+        if seq.d > n_image:  # text positions ascend, so text row r reads the first r + 1 text keys
             columns = positions[: seq.d - n_image]
-            terms.append(Term(text_rows, text_rows, columns[None, :] > columns[:, None], False, count))
+            terms.append(Term(text_rows, text_rows, columns + 1, False, count))
         n = 0
         stops = [start for _, start, _ in blocks[1:]] + [seq.d]
         for (_, start, end), stop in zip(blocks, stops):

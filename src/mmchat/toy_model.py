@@ -20,29 +20,25 @@ are shared, bit-identical, between a model and its trained successors.
 (``_bin_pass``); ``train_step`` packs its batch, in order, into bins of
 at most ``max_sequence_length`` positions. A bin's layouts and index
 arrays depend on its samples and the attention rule, never on a weight,
-so each bin is planned once (``_BinPlan``) and the plan is reused across
-steps and scoring calls, the least recently used evicted first past a
-fixed byte budget (``_PlanCache``). Only the model's own checks of a bin
-(its image ids, block widths and token ids) run on every call. A plan lays
-its bin out once in its layout's key order (image positions, then text),
-and every block runs in that order: the attention kernel gathers and
-scatters only the rows of the training pass's last block, which keeps the
-target rows alone, and forward un-permutes once, in its last row gather.
+so each bin is planned once (``_BinPlan``, O(d) in size) and the plan is
+reused across steps and scoring calls: ``_make_plan`` is an ``lru_cache``
+of ``_PLANS`` plans. Only the model's own checks of a bin (its image ids,
+block widths and token ids) run on every call. A plan lays its bin out
+once in its layout's key order (image positions, then text), and every
+block runs in that order: the attention kernel gathers and scatters only
+the rows of the training pass's last block, which keeps the target rows
+alone, and forward un-permutes once, in its last row gather.
 """
 
 from __future__ import annotations
 
 import errno
-import gc
 import hashlib
 import json
 import math
-import sys
 import zipfile
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
-from operator import itemgetter
+from functools import lru_cache
 from pathlib import Path
 from tokenize import TokenError
 from typing import Iterator
@@ -224,26 +220,19 @@ def _embed(model: ToyModel, plan: _BinPlan) -> np.ndarray:
     return h
 
 
-# An array's shape and strides, per axis: numpy allocates them apart from
-# the array object that ``sys.getsizeof`` measures.
-_SHAPE_BYTES = 2 * np.dtype(np.intp).itemsize
-
-
 @dataclass(frozen=True, slots=True)
 class _BinPlan:
     """What a pass over a bin of samples needs that depends on the samples
     and the attention rule alone, never on a weight, over the bin laid out
-    in its layout's key order: the cache ``key`` it was planned from, the
-    token ids and their (lowest, highest) id, the image blocks
-    ``(image_id, start, end)``, the layout (its ``rows`` and ``keys``
-    0..d-1), the last block's layout
+    in its layout's key order: the token ids and their (lowest, highest)
+    id, the image blocks ``(image_id, start, end)``, the layout (its
+    ``rows`` and ``keys`` 0..d-1), the last block's layout
     (``layout.restrict(rows)``) and the rows the pass returns; for
     training, also the target token of each row, the row weights and the
-    text positions. Every array owns its data and is read-only. ``nbytes``
-    is ``sys.getsizeof`` of each Python object the plan keeps, arrays (with
-    their data) included."""
+    text positions. Every array owns its data and is read-only, and none
+    has more than d entries: a term stores one key count per row
+    (``Term.limit``), not a rows x keys mask."""
 
-    key: tuple
     token_ids: np.ndarray
     id_range: tuple[int, int]
     images: tuple[tuple[str, int, int], ...]
@@ -253,37 +242,30 @@ class _BinPlan:
     targets: np.ndarray | None = None
     weights: np.ndarray | None = None
     text: np.ndarray | None = None
-    nbytes: int = field(init=False)
 
     def __post_init__(self) -> None:
         arrays = [self.token_ids, self.rows, self.targets, self.weights, self.text]
-        objects = [self, self.key, self.key[0], self.id_range, *self.id_range, self.images, *self.images]
-        for layout in {id(layout): layout for layout in (self.layout, self.last)}.values():
-            arrays += [layout.rows, layout.keys, *(term.forbid for term in layout.terms)]
-            # a copy of its instance dict: what sys.getsizeof says of the dict
-            # itself depends on how many instances share its keys
-            objects += [layout, dict(vars(layout)), layout.terms, layout.gathers, *layout.terms]
-            objects += [part for term in layout.terms for part in term if isinstance(part, slice)]
-            views = [layout.views]
-            for view in views:  # the views (``mask._view``) and the tuples, slices and dicts they hold
-                views += [part for part in gc.get_referents(view)
-                          if type(part) in (tuple, slice, dict, itemgetter, partial)]
-            objects += views
-        arrays = {id(array): array for array in arrays if array is not None}.values()
+        for layout in (self.layout, self.last):
+            arrays += [layout.rows, layout.keys, *(term.limit for term in layout.terms)]
         for array in arrays:
-            array.setflags(write=False)
-        objects = {id(obj): obj for obj in [*objects, *arrays]}.values()  # an array with its data
-        shapes = _SHAPE_BYTES * sum(array.ndim for array in arrays)
-        object.__setattr__(self, "nbytes", shapes + sum(map(sys.getsizeof, objects)))
+            if array is not None:
+                array.setflags(write=False)
 
 
-def _make_plan(key: tuple[tuple[RenderedSample, ...], AttentionVariant, str, bool]) -> _BinPlan:
-    """The plan of the (samples, variant, image_self, training) ``key``: the
-    samples laid end to end, then in their layout's key order. A training
-    plan's rows are every sample's target rows, each weighing 1/n for a
-    sample with n targets; otherwise the rows are every position in
-    sequence order, so the last block un-permutes the bin."""
-    samples, variant, image_self, training = key
+# Bin plans ``_make_plan`` keeps, least recently used evicted first. A plan is O(d)
+# (a 4,096-token text-only forward plan holds about 136 KB); its key keeps its samples alive.
+_PLANS = 128
+
+
+@lru_cache(maxsize=_PLANS)
+def _make_plan(samples: tuple[RenderedSample, ...], variant: AttentionVariant, image_self: str,
+               training: bool) -> _BinPlan:
+    """The plan of ``samples`` under the attention rule (``variant``,
+    ``image_self``), for training or not: the samples laid end to end, then
+    in their layout's key order. A training plan's rows are every sample's
+    target rows, each weighing 1/n for a sample with n targets; otherwise
+    the rows are every position in sequence order, so the last block
+    un-permutes the bin."""
     starts = np.cumsum([0] + [sample.d for sample in samples[:-1]]).tolist()
     layout = build_layout([sample.tags for sample in samples], variant, image_self)
     order = layout.keys
@@ -299,52 +281,21 @@ def _make_plan(key: tuple[tuple[RenderedSample, ...], AttentionVariant, str, boo
     id_range = (int(token_ids.min()), int(token_ids.max()))
     layout = replace(layout, rows=positions, keys=positions)
     if not training:
-        return _BinPlan(key, token_ids[order], id_range, images, layout, layout, inverse)
+        return _BinPlan(token_ids[order], id_range, images, layout, layout, inverse)
     targets = [_target_positions(sample) for sample in samples]
     rows = np.concatenate([first + positions for first, positions in zip(starts, targets)])
     text = np.flatnonzero(~np.concatenate([sample.tags.is_image() for sample in samples]))
     return _BinPlan(
-        key, token_ids[order], id_range, images, layout, layout.restrict(inverse[rows]), inverse[rows],
+        token_ids[order], id_range, images, layout, layout.restrict(inverse[rows]), inverse[rows],
         targets=token_ids[rows + 1],
         weights=np.concatenate([_mean_weights(positions.size) for positions in targets]),
         text=inverse[text],
     )
 
 
-# Bytes of plans (``_BinPlan.nbytes``) the cache keeps: a 4,096-token
-# text-only sample's text x text ``forbid`` alone is 16 MiB.
-_PLAN_BUDGET = 32 << 20
-
-
-class _PlanCache:
-    """Bin plans by (samples, variant, image_self, training), least recently
-    used first, holding plans of at most ``_PLAN_BUDGET`` bytes in all. A
-    plan over the budget is returned without being kept."""
-
-    def __init__(self) -> None:
-        self.plans: OrderedDict[tuple, _BinPlan] = OrderedDict()
-        self.nbytes = 0
-
-    def clear(self) -> None:
-        self.plans.clear()
-        self.nbytes = 0
-
-    def plan(self, samples: list[RenderedSample], config: ModelConfig, training: bool) -> _BinPlan:
-        key = (tuple(samples), config.variant, config.image_self, training)
-        plan = self.plans.get(key)
-        if plan is not None:
-            self.plans.move_to_end(key)
-            return plan
-        plan = _make_plan(key)
-        if plan.nbytes <= _PLAN_BUDGET:
-            self.plans[key] = plan
-            self.nbytes += plan.nbytes
-            while self.nbytes > _PLAN_BUDGET:
-                self.nbytes -= self.plans.popitem(last=False)[1].nbytes
-        return plan
-
-
-_plans = _PlanCache()
+def _plan(samples: list[RenderedSample], config: ModelConfig, training: bool) -> _BinPlan:
+    """The cached plan of ``samples`` under ``config``'s attention rule."""
+    return _make_plan(tuple(samples), config.variant, config.image_self, training)
 
 
 def _bin_pass(
@@ -380,7 +331,7 @@ def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     of a one-sample bin, then the head. Image positions enter as projected
     stub features, text positions as embedding rows; the head is the
     embedding transpose."""
-    h = _bin_pass(model, _plans.plan([sample], model.config, training=False), None)
+    h = _bin_pass(model, _plan([sample], model.config, training=False), None)
     logits = h @ model.embedding.T
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
@@ -442,7 +393,7 @@ def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple
     targets, which makes the loss the sum of per-sample means. The
     embedding gradient collects both of its roles: output head (tied
     transpose) and input rows at text positions."""
-    plan = _plans.plan(samples, model.config, training=True)
+    plan = _plan(samples, model.config, training=True)
     states = []
     h = _bin_pass(model, plan, states)
     loss, log_probs = _target_loss(h @ model.embedding.T, plan.targets, plan.weights)

@@ -9,8 +9,10 @@ and, after each step, every sample's ``forward`` logits, ``answer_loss``
 and ``loss_and_param_grads`` loss and gradients; then the ``forward``
 logits, ``answer_loss`` and gradients of the trained model on
 ``oracles.random_conversation`` chats, and the loss of one ``train_step``
-on those chats as one batch. The file name keeps pytest from collecting
-it: it is a tool, not a test.
+on those chats as one batch; then the same for one long text-only chat
+(``long_chat``: over 1,000 words in four answered rounds), so that a large
+text triangle and its restriction to the target rows are hashed too. The
+file name keeps pytest from collecting it: it is a tool, not a test.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import IdPool, random_conversation  # noqa: E402
 
 from mmchat.mask import AttentionVariant  # noqa: E402
-from mmchat.template import HashTokenizer, render  # noqa: E402
+from mmchat.template import Conversation, HashTokenizer, Round, render  # noqa: E402
 from mmchat.toy_model import (  # noqa: E402
     ModelConfig,
     OptimState,
@@ -41,6 +43,16 @@ from mmchat.toy_model import (  # noqa: E402
 STEPS = 4
 LEARNING_RATE = 1e-2
 CHATS = 6
+
+
+def long_chat(rng: np.random.Generator) -> Conversation:
+    """A text-only chat of 1,120 words: a 40-word system line, then four
+    rounds of a 150-word question and a 120-word answer."""
+
+    def words(count: int) -> str:
+        return " ".join(f"w{i}" for i in rng.integers(0, 1000, count))
+
+    return Conversation(words(40), tuple(Round((), words(150), words(120)) for _ in range(4)))
 
 
 def numerics_digest() -> str:
@@ -71,8 +83,9 @@ def numerics_digest() -> str:
                 loss, model = train_step(model, batch, opt)
                 put(loss)
                 score(model, batch)
-            score(model, chats)
-            put(train_step(model, chats, OptimState(total_steps=1, learning_rate=LEARNING_RATE))[0])
+            for samples in (chats, [render(long_chat(rng), tokenizer, config.layout())]):
+                score(model, samples)
+                put(train_step(model, samples, OptimState(total_steps=1, learning_rate=LEARNING_RATE))[0])
     return digest.hexdigest()
 
 

@@ -52,10 +52,13 @@ def rand_inputs(rng, d, h):
 
 def kernel_softmax(scores, allow):
     """The kernel's masked exponentials on a copy, with the support given as
-    ``allow`` and the finiteness check on, divided by their row totals as
+    ``allow`` (each row a prefix of its keys, as a layout's ``limit``
+    states it) and the finiteness check on, divided by their row totals as
     the kernel's normalization does on its outputs."""
+    limit = allow.sum(axis=1)
+    assert np.array_equal(allow, np.arange(allow.shape[1]) < limit[:, None])
     e = np.array(scores, dtype=np.float64)
-    total = attn_module._exp_in_place(e, ~allow, check=True)
+    total = attn_module._exp_in_place(e, limit, check=True)
     return e / total
 
 
@@ -80,15 +83,15 @@ def test_masked_softmax_empty_row_is_zero(softmax):
 
 def test_layout_rejects_a_term_row_that_allows_no_key():
     """The kernel's softmax has no empty-row case: a layout whose term
-    forbids every key of a row is rejected when built, and so never
-    reaches the kernel."""
+    allows no key to a row (a ``limit`` of 0) is rejected when built, and
+    so never reaches the kernel."""
     layout = build_layout(build_sequence([(T, 3)]), AttentionVariant.CAUSAL_ONLY)
     (term,) = layout.terms
-    forbid = term.forbid.copy()
-    forbid[1] = True
+    limit = term.limit.copy()
+    limit[1] = 0
     with pytest.raises(ValueError, match="allows no key"):
-        dataclasses.replace(layout, terms=(term._replace(forbid=forbid),))
-    assert not term.forbid.all(axis=1).any()  # build_layout's own forbid allows the diagonal
+        dataclasses.replace(layout, terms=(term._replace(limit=limit),))
+    assert term.limit.tolist() == [1, 2, 3]  # build_layout's own limit allows the diagonal
 
 
 @SOFTMAXES

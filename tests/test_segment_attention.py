@@ -8,6 +8,7 @@ softmax, so the kernel's softmax is checked too.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -65,6 +66,15 @@ BY_VALUE = pytest.mark.parametrize("by_value", (False, True))
 
 def as_given(variant, by_value):
     return variant.value if by_value else variant
+
+
+def forbid(term):
+    """The (rows, keys) entries of ``term``'s part that no block may read:
+    the boolean complement of its ``limit`` (``None``: it reads every key)."""
+    if term.limit is None:
+        return None
+    width = len(range((term.keys.stop - term.keys.start) // term.stack)[term.key_part])
+    return np.arange(width) >= term.limit[:, None]
 
 
 def head_shape(config):
@@ -243,13 +253,13 @@ def test_layout_structure():
     (three_rows, three_keys), (two_rows, two_keys) = mmca.positions(three), mmca.positions(two)
     assert three_rows.tolist() == [[2, 3, 4], [6, 7, 8]] and two_rows.tolist() == [[9, 10], [12, 13]]
     assert np.array_equal(three_keys, three_rows) and np.array_equal(two_keys, two_rows)
-    assert three.forbid is None and two.forbid is None
+    assert forbid(three) is None and forbid(two) is None
     assert [p.tolist() for p in mmca.positions(text)] == [[[0, 1, 5, 11]]] * 2
-    assert np.array_equal(~text.forbid, np.tril(np.ones((4, 4), dtype=bool)))
+    assert np.array_equal(~forbid(text), np.tril(np.ones((4, 4), dtype=bool)))
     # the image keys each text row reads: none for rows 0 and 1 (before every
     # image), three for row 5, all eight for row 11; the trailing block comes
     # after the last text row, so no row reads it
-    assert [(*(p.tolist() for p in mmca.positions(t)), t.forbid) for t in stairs] == [
+    assert [(*(p.tolist() for p in mmca.positions(t)), forbid(t)) for t in stairs] == [
         ([[5]], [[2, 3, 4]], None), ([[11]], [[2, 3, 4, 6, 7, 8, 9, 10]], None)
     ]
     # each step is one block over all four text rows and all ten image keys,
@@ -271,7 +281,7 @@ def test_layout_structure():
     (causal,) = causal_layout.terms
     assert causal_layout.keys.tolist() == list(range(seq.d))  # causal's order is the identity
     assert [p.tolist() for p in causal_layout.positions(causal)] == [[list(range(seq.d))]] * 2
-    assert np.array_equal(~causal.forbid, np.tril(np.ones((seq.d, seq.d), dtype=bool)))
+    assert np.array_equal(~forbid(causal), np.tril(np.ones((seq.d, seq.d), dtype=bool)))
     with pytest.raises(ValueError, match="image_self"):
         build_layout(seq, AttentionVariant.MMCA, "row")
 
@@ -367,7 +377,7 @@ def test_bin_layout_lays_sequences_end_to_end():
         (slice(10, 11), slice(10, 11), 1, False, every, every),  # second's text over its text
         (slice(10, 11), slice(2, 7), 1, True, slice(0, 1), slice(0, 5)),  # over its five image keys
     ]
-    assert np.array_equal(layout.terms[2].forbid, np.triu(np.ones((3, 3), dtype=bool), 1))
+    assert np.array_equal(forbid(layout.terms[2]), np.triu(np.ones((3, 3), dtype=bool), 1))
     for variant, image_self in CONFIGS:
         one, alone = build_layout([first], variant, image_self), build_layout(first, variant, image_self)
         assert one.d == alone.d and np.array_equal(one.keys, alone.keys)
@@ -384,7 +394,7 @@ def test_bin_layout_lays_sequences_end_to_end():
         (slice(32, 160), slice(32, 160), 8, slice(None), slice(None)),
         (slice(32, 160), slice(0, 32), 8, slice(6, 16), slice(0, 4)),
     ]
-    assert np.array_equal(copy.terms[1].forbid, np.triu(np.ones((16, 16), dtype=bool), 1))
+    assert np.array_equal(forbid(copy.terms[1]), np.triu(np.ones((16, 16), dtype=bool), 1))
     with pytest.raises(ValueError, match="at least one sequence"):
         build_layout([], "mmca")
 
@@ -434,8 +444,8 @@ def assert_terms_account_for_mask(seqs, variant, image_self, rows=None, by_value
         for rows, keys in zip(term_rows, term_keys):
             assert np.unique(owner[np.concatenate([rows, keys])]).size == 1  # one sequence per softmax
             allowed = np.ones((rows.size, keys.size), dtype=bool)
-            if term.forbid is not None:
-                allowed = ~term.forbid
+            if term.limit is not None:
+                allowed = ~forbid(term)
             labels = entries[np.ix_(rows, keys)][allowed]
             assert labels.size and (labels == labels[0]).all()  # one key class per term
             key_class = int(labels[0])
@@ -443,7 +453,7 @@ def assert_terms_account_for_mask(seqs, variant, image_self, rows=None, by_value
             seen[key_class][np.ix_(rows, keys)] += allowed
             groups[key_class][rows] += 1
             if key_class == 2:
-                assert term.forbid is None
+                assert term.limit is None
             text_rows_reading_images = key_class == 2 and not is_image[rows].any()
             assert term.cross == (variant is AttentionVariant.CAUSAL_PLUS_CROSS and text_rows_reading_images)
     for key_class in (1, 2):
@@ -623,7 +633,7 @@ def assert_same_terms(terms, expected):
         (t.rows, t.keys, t.stack, t.cross, t.row_part, t.key_part) for t in expected
     ]
     for t, e in zip(terms, expected):
-        assert t.forbid is e.forbid is None or np.array_equal(t.forbid, e.forbid)
+        assert t.limit is e.limit is None or np.array_equal(forbid(t), forbid(e))
 
 
 @settings(max_examples=100, deadline=None)
@@ -761,7 +771,9 @@ def test_stacked_bin_matches_flat_terms_bit_for_bit_and_sums_its_samples(monkeyp
     monkeypatch.setattr(toy_model_module, "build_layout", flat_layout)
     # an empty plan cache of this test's own: the flat pass builds its plan
     # rather than reuse the stacked one, and no flat plan outlives the test
-    monkeypatch.setattr(toy_model_module, "_plans", toy_model_module._PlanCache())
+    plans = toy_model_module._make_plan.cache_info().maxsize
+    monkeypatch.setattr(toy_model_module, "_make_plan",
+                        functools.lru_cache(maxsize=plans)(toy_model_module._make_plan.__wrapped__))
     flat_loss, flat_grads = _bin_loss_and_grads(model, samples)
     assert loss == flat_loss and all(np.array_equal(grads[name], flat_grads[name]) for name in grads)
     alone = [loss_and_param_grads(model, sample) for sample in samples]
@@ -1114,9 +1126,9 @@ class ScoreRecorder:
         real_exp, real_forward = attn_module._exp_in_place, toy_model_module.multi_head_forward
         real_layout = mask_module.build_layout
 
-        def recording_exp(scores, forbid, check):
+        def recording_exp(scores, limit, check):
             self.layers[-1].append(scores.shape)
-            return real_exp(scores, forbid, check)
+            return real_exp(scores, limit, check)
 
         def recording_forward(x, params, layout):
             self.layouts.append(layout)
@@ -1144,7 +1156,7 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         config = ModelConfig(variant=variant)
         samples, ids = make_copy_task(config, num_images=3)
         model = make_model(config, seed=0, known_images=ids)
-        toy_model_module._plans.clear()  # another test may have planned these bins
+        toy_model_module._make_plan.cache_clear()  # another test may have planned these bins
         recorder.clear()
         train_step(model, samples, OptimState(total_steps=2))
         # the three samples fit one bin: one layout, not one per sample, layer, head or pass
@@ -1163,7 +1175,7 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
         assert shapes and all(shape[-1] <= d for shape in shapes)
         if variant is not AttentionVariant.CAUSAL_ONLY:
             assert all(shape != (d, d) for shape in shapes)
-        toy_model_module._plans.clear()
+        toy_model_module._make_plan.cache_clear()
         recorder.clear()
         loss_and_param_grads(model, samples[0])
         assert recorder.built == 1
@@ -1181,7 +1193,7 @@ def test_hot_path_builds_no_dense_mask(monkeypatch):
     config = ModelConfig()
     samples, ids = make_copy_task(config, num_images=205)
     assert {sample.d for sample in samples} == {20} and config.layout().max_sequence_length == 4096
-    toy_model_module._plans.clear()
+    toy_model_module._make_plan.cache_clear()
     recorder.clear()
     train_step(make_model(config, seed=0, known_images=ids), samples, OptimState(total_steps=2))
     assert recorder.built == 2
@@ -1233,9 +1245,9 @@ def test_score_check_runs_only_when_the_inputs_cannot_bound_the_scores(monkeypat
     checks = []
     real_exp = attn_module._exp_in_place
 
-    def recording_exp(scores, forbid, check):
+    def recording_exp(scores, limit, check):
         checks.append(check)
-        return real_exp(scores, forbid, check)
+        return real_exp(scores, limit, check)
 
     monkeypatch.setattr(attn_module, "_exp_in_place", recording_exp)
     seq = build_sequence([(T, 1), (I, 2), (T, 2)])

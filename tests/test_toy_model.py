@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -391,7 +392,7 @@ def test_param_grads_scan_the_image_blocks_once_per_sample(monkeypatch):
     for variant in AttentionVariant:
         config = ModelConfig(**{**SMALL.__dict__, "variant": variant})
         sample = render(conv, HashTokenizer(config.vocab_size), config.layout())
-        toy_model_module._plans.clear()  # another test may have planned these bins
+        toy_model_module._make_plan.cache_clear()  # another test may have planned these bins
         calls.clear()
         loss_and_param_grads(make_model(config, known_images=("a", "b")), sample)
         # causal's layout ignores modality, so only the model scans the blocks
@@ -399,7 +400,7 @@ def test_param_grads_scan_the_image_blocks_once_per_sample(monkeypatch):
         assert len(calls) == scans
         assert all(seq is sample.tags for seq in calls)
         other = small_sample(config, images=("b",))
-        toy_model_module._plans.clear()
+        toy_model_module._make_plan.cache_clear()
         calls.clear()
         train_step(make_model(config, known_images=("a", "b")), [sample, other], OptimState(total_steps=1))
         assert [seq is sample.tags for seq in calls].count(True) == scans
@@ -519,7 +520,7 @@ def plan_arrays(plan):
     """Every array a bin plan holds."""
     arrays = [plan.token_ids, plan.rows, plan.targets, plan.weights, plan.text]
     for layout in (plan.layout, plan.last):
-        arrays += [layout.rows, layout.keys, *(term.forbid for term in layout.terms)]
+        arrays += [layout.rows, layout.keys, *(term.limit for term in layout.terms)]
     return [array for array in arrays if array is not None]
 
 
@@ -541,7 +542,7 @@ def test_each_bin_is_planned_once(monkeypatch):
         config = ModelConfig(variant=variant)
         samples, ids = make_copy_task(config)
         model, opt = make_model(config, seed=0, known_images=ids), OptimState(total_steps=3)
-        toy_model_module._plans.clear()
+        toy_model_module._make_plan.cache_clear()
         built.clear()
         for _ in range(3):
             _, model = train_step(model, samples, opt)
@@ -556,12 +557,11 @@ def test_plan_arrays_are_read_only():
 
     samples = [small_sample(images=("a", "b")), small_sample(answer="z")]
     for training in (False, True):
-        plan = toy_model_module._plans.plan(samples, SMALL, training)
+        plan = toy_model_module._plan(samples, SMALL, training)
         arrays = plan_arrays(plan)
-        assert any(term.forbid is not None for term in plan.layout.terms)
-        # each array's data once, plus the plan's Python objects (array objects included)
-        assert plan.nbytes > sum(array.nbytes for array in {id(a): a for a in arrays}.values())
+        assert any(term.limit is not None for term in plan.layout.terms)
         for array in arrays:
+            assert array.size <= plan.layout.d  # no rows x keys array
             assert array.flags.owndata and not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
@@ -573,10 +573,10 @@ def test_a_cached_plan_still_checks_the_model(monkeypatch):
     import mmchat.toy_model as toy_model_module
 
     sample = small_sample(images=("a", "b"))
-    toy_model_module._plans.clear()
+    toy_model_module._make_plan.cache_clear()
     forward(small_model(images=("a", "b")), sample)
     loss_and_param_grads(small_model(images=("a", "b")), sample)
-    assert len(toy_model_module._plans.plans) == 2
+    assert toy_model_module._make_plan.cache_info().currsize == 2
     monkeypatch.setattr(toy_model_module, "build_layout", None)  # a cached plan builds nothing
     wider = replace(SMALL, image_token_count=3)
     for run in (forward, loss_and_param_grads):
@@ -593,10 +593,10 @@ def test_a_cached_plan_still_checks_the_vocabulary(monkeypatch):
     import mmchat.toy_model as toy_model_module
 
     sample = small_sample()
-    toy_model_module._plans.clear()
+    toy_model_module._make_plan.cache_clear()
     forward(small_model(), sample)
     loss_and_param_grads(small_model(), sample)
-    assert len(toy_model_module._plans.plans) == 2
+    assert toy_model_module._make_plan.cache_info().currsize == 2
     monkeypatch.setattr(toy_model_module, "build_layout", None)  # a cached plan builds nothing
     smaller = replace(SMALL, vocab_size=max(sample.token_ids))
     for run in (forward, loss_and_param_grads):
@@ -615,7 +615,7 @@ def test_cold_and_warm_plans_give_bit_identical_passes(variant):
     runs = []
     for cache in ("cold", "warm"):
         if cache == "cold":
-            toy_model_module._plans.clear()
+            toy_model_module._make_plan.cache_clear()
         loss, grads = _bin_loss_and_grads(model, samples)
         runs.append((loss, grads, [forward(model, sample) for sample in samples]))
     (loss, grads, logits), (warm_loss, warm_grads, warm_logits) = runs
@@ -624,73 +624,73 @@ def test_cold_and_warm_plans_give_bit_identical_passes(variant):
     assert all(np.array_equal(a, b) for a, b in zip(logits, warm_logits))
 
 
-def test_plan_cache_keeps_the_recently_used_plans_within_its_budget(monkeypatch):
+def test_plan_cache_keeps_the_most_recently_used_plans(monkeypatch):
+    """A cache of two plans: a hit returns the kept plan and makes it the
+    most recently used, and a new plan evicts the least recently used."""
     import mmchat.toy_model as toy_model_module
 
-    cache = toy_model_module._plans
+    wrapped = toy_model_module._make_plan.__wrapped__
+    monkeypatch.setattr(toy_model_module, "_make_plan", functools.lru_cache(maxsize=2)(wrapped))
     a, b, c = (small_sample(images=(image,)) for image in "abc")  # equal in size, not equal
-    cache.clear()
-    size = cache.plan([a], SMALL, True).nbytes
-    assert {cache.plan([s], SMALL, True).nbytes for s in (b, c)} == {size}
-    monkeypatch.setattr(toy_model_module, "_PLAN_BUDGET", 2 * size)
 
-    def kept():
-        assert cache.nbytes == sum(plan.nbytes for plan in cache.plans.values())
-        assert cache.nbytes <= toy_model_module._PLAN_BUDGET
-        return [key[0] for key in cache.plans]
+    def plan(sample):
+        return toy_model_module._plan([sample], SMALL, True)
 
-    cache.clear()
-    plan_a = cache.plan([a], SMALL, True)
-    cache.plan([b], SMALL, True)
-    assert cache.plan([a], SMALL, True) is plan_a  # a hit, and now the most recently used
-    cache.plan([c], SMALL, True)
-    assert kept() == [(a,), (c,)]  # b, the least recently used, went first
-    many = [a, b, c] * 4  # a bin of twelve samples: each plan's objects weigh as much as its arrays
-    whole = cache.plan(many, SMALL, True)
-    assert whole.nbytes > 2 * size and kept() == [(a,), (c,)]  # over the budget: used, not kept
-    assert cache.plan(many, SMALL, True) is not whole
-    model = small_model(images=("a", "b", "c"))
-    loss = _bin_loss_and_grads(model, many)[0]  # a plan that is not kept still runs
-    assert kept() == [(a,), (c,)]
-    monkeypatch.setattr(toy_model_module, "_PLAN_BUDGET", 3 * whole.nbytes)
-    assert _bin_loss_and_grads(model, many)[0] == loss
-    assert kept() == [(a,), (c,), tuple(many)]
+    def misses():
+        return toy_model_module._make_plan.cache_info().misses
+
+    plan_a, plan_b = plan(a), plan(b)
+    assert plan(a) is plan_a and misses() == 2  # a hit, and now the most recently used
+    plan_c = plan(c)  # evicts b, the least recently used
+    assert plan(a) is plan_a and plan(c) is plan_c and misses() == 3
+    assert plan(b) is not plan_b and misses() == 4  # b was gone: planned again, evicting a
+    assert plan(c) is plan_c and misses() == 4
+    assert plan(a) is not plan_a and misses() == 5
+    assert toy_model_module._make_plan.cache_info().currsize == 2
 
 
-@pytest.mark.parametrize("variant", list(AttentionVariant))
-def test_a_full_plan_cache_holds_no_more_memory_than_its_budget(monkeypatch, variant):
-    """Every byte a kept plan holds is charged, its Python objects as well
-    as its arrays: after scoring or training on more distinct copy-task
-    samples than the budget can plan, the memory that clearing the cache
-    frees, as tracemalloc traces it, stays within the budget. What the
-    cache's own table (its ``sys.getsizeof``) frees is not a plan's and is
-    left out."""
+def long_text_sample(first):
+    """A 4,096-token text-only sample (one per ``first`` token id) that
+    ``forward`` can plan: one text term whose triangle spans every row."""
+    ids = (first, *range(4095))
+    tags = ModalitySequence((0,) * len(ids))
+    return RenderedSample(ids, tags, (False,) * (len(ids) - 1) + (True,), ())
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_a_plan_holds_no_rows_by_keys_array(training):
+    """A term stores one key count per row, so a forward or training plan
+    of a 4,096-token text-only sample holds under 1 MiB, where its dense
+    rows x keys mask alone would take 16 MiB, and a full cache of
+    ``_PLANS`` such distinct bins frees at most 32 MiB when cleared, as
+    tracemalloc traces it."""
     import gc
-    import sys
 
     import mmchat.toy_model as toy_model_module
 
-    cache = toy_model_module._plans
-    config = ModelConfig(variant=variant)
-    samples, ids = make_copy_task(config, num_images=200)
-    model = make_model(config, seed=0, known_images=ids)
-    monkeypatch.setattr(toy_model_module, "_PLAN_BUDGET", 64 << 10)
-    for run in (forward, loss_and_param_grads):
-        cache.clear()
-        tracemalloc.start()
-        try:
-            for sample in samples:
-                run(model, sample)
-            assert 0 < len(cache.plans) < len(samples)  # full: some plans were evicted
-            gc.collect()  # also empties the interpreter's free lists, which hold freed objects
-            full, table = tracemalloc.get_traced_memory()[0], sys.getsizeof(cache.plans)
-            cache.clear()
-            gc.collect()
-            freed = full - tracemalloc.get_traced_memory()[0]
-            held = freed - (table - sys.getsizeof(cache.plans))
-        finally:
-            tracemalloc.stop()
-        assert cache.nbytes == 0 and held <= toy_model_module._PLAN_BUDGET, (held, full)
+    count = toy_model_module._PLANS
+    assert toy_model_module._make_plan.cache_info().maxsize == count
+    samples = [long_text_sample(first) for first in range(count)]
+    toy_model_module._make_plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = toy_model_module._plan(samples[:1], ModelConfig(), training)
+        one = tracemalloc.get_traced_memory()[0] - before
+        for sample in samples[1:]:
+            toy_model_module._plan([sample], ModelConfig(), training)
+        assert toy_model_module._make_plan.cache_info().currsize == count  # full: nothing evicted
+        del plan
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        toy_model_module._make_plan.cache_clear()
+        gc.collect()
+        freed = full - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert one < 1 << 20, one
+    assert freed <= 32 << 20, freed
 
 
 # ---------------------------------------------------------------------------
