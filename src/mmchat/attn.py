@@ -1,68 +1,14 @@
-"""Attention for the three variants, in double precision: one
-segment-structured kernel with a hand-derived backward pass, the
-multi-head wrapper around it, and a finite-difference check harness.
+"""Attention for the three variants, in double precision: the segment
+kernel (``segment_attention``) and its hand-derived VJP
+(``segment_attention_vjp``), the multi-head wrapper around them, and a
+central-difference gradient check (``grad_check``).
 
-The multi-modal variant computes two independently normalized attention
-distributions per text query, one over its allowed text keys and one
-over its allowed image keys, and sums them before the value product:
-
-    out = (softmax_text(S) + softmax_image(S)) @ V,   S = scale * Q @ K^T
-
-It is the literal sum, so a text row that reads both modalities carries
-total weight 2.
-
-Masking is realized by restricting each softmax to its support (-inf fill
-before normalization). Multiplying scores by a 0/1 mask inside the softmax
-would still leak weight exp(0) = 1 to forbidden positions, so support
-restriction is the only reading under which forbidden edges carry exactly
-zero weight. A text row before its sequence's first image has no image
-term, and a layout rejects a term row that allows no key, so no softmax
-is empty.
-
-``segment_attention`` and ``segment_attention_vjp`` work from an
-``AttentionLayout`` built once per sequence or bin of sequences, one
-softmax term (a stack of blocks) at a time. No d x d array is formed. A
-pass gathers Q along the layout's row order and K/V (and Kx/Vx) along
-its key order, runs every term on the term's views of those, built once
-per layout (``AttentionLayout.views``: one basic index per input for a
-one-block term), reads and accumulates through the same views, and
-scatters its output, or each gradient, back to sequence order. It
-gathers and scatters each side at most once, and not at all where the
-side is already in order (``AttentionLayout.gathers``). A causal layout
-is in order; the toy model keeps a bin in its layout's order for the
-whole pass, so it gathers only the rows of its restricted last block. Each
-term's scores are computed from the pre-scaled Q into a fresh buffer
-that is masked and turned into max-shifted exponentials E in place.
-Normalization is deferred (FlashAttention, Dao et al., arXiv
-2205.14135): the thin output E @ V is divided by the row totals, never
-the rows x keys E. The forward pass returns one ``SavedAttention``: its
-layout, scale and ordered inputs and each term's E, row totals and
-output. The VJP reads it and nothing else, so a backward pass takes no
-inputs that could disagree with the forward pass, forms no scores, takes
-no softmax and needs no rowsum(P * dP) pass over the rows x keys arrays;
-it forms each term's score gradients one row chunk of at most
-``_SCRATCH_SIZE`` entries at a time. A restricted layout
-(``AttentionLayout.restrict``) runs unchanged: rows without a term come
-out zero. ``attention_weights`` places the normalized weights of a
-``SavedAttention`` back into per-key-class d x d views for inspection.
-
-No score can overflow when head_dim * |scale| * max|Q| * max|K| (K or Kx)
-is below ``_SCORE_BOUND``; the input check takes those maxima in the pass
-that rejects non-finite inputs, and the rows x keys finiteness check of the
-scores runs only when that bound does not hold.
-
-The multi-head wrapper (``multi_head_forward``, ``multi_head_input_vjp``)
-takes the attention rule (variant and ``image_self``) from the layout
-alone and the head shape from the weights alone: ``wq`` is (num_heads,
-model_dim, head_dim), and the score scale is 1/sqrt(head_dim). Weights
-carry ``wkx``/``wvx`` exactly when the layout is the cross variant.
-
-``grad_check`` compares analytic gradients against central finite
-differences; ``variant_grad_check`` points it at the segment kernel.
-
-Heap policy: importing this module fixes glibc's malloc mmap and trim
-thresholds (``_HEAP_POLICY``, see ``_keep_heap_pages``), so the process's
-RSS stays at its heap high-water mark instead of falling after each step.
+Where each rule lives: the attention rule, views and gathers in
+``mask.AttentionLayout``; masking, the -inf support and empty rows in
+``_exp_in_place``; deferred normalization and the FlashAttention row term in
+``segment_attention_vjp``; the skipped score check in ``_SCORE_BOUND``; the
+head shape in ``multi_head_forward``; the heap policy this module sets on
+import in ``_keep_heap_pages``.
 """
 
 from __future__ import annotations
@@ -80,9 +26,11 @@ from .mask import AttentionLayout, AttentionVariant
 GradDict = dict[str, np.ndarray]
 
 
-# No score can overflow while head_dim * |scale| * max|Q| * max|K| stays
-# below this: it is far below the float64 maximum, ~1.8e308, even with the
-# rounding of the products and sums that form a score.
+# No score can overflow while head_dim * |scale| * max|Q| * max|K| (K or Kx)
+# stays below this, far below the float64 maximum ~1.8e308 even with the
+# rounding of a score's products and sums. The kernel takes those maxima in
+# the input pass that rejects NaN and inf, and checks the rows x keys scores
+# for finiteness only when the bound fails.
 _SCORE_BOUND = 1e300
 
 # glibc's mallopt parameters (malloc.h) and the values its dynamic rule
@@ -96,9 +44,10 @@ _HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
 def _keep_heap_pages() -> None:
     """Fix glibc's malloc thresholds at the ends of its own dynamic rule, so
     the heap keeps the pages that one training step or scoring pass frees
-    for the next instead of trimming them and faulting them in again. Both
-    are set: setting either one stops glibc from adjusting the other. A
-    silent no-op off glibc, or where ``mallopt`` refuses a value."""
+    for the next instead of trimming them and faulting them in again; RSS
+    stays at the heap's high-water mark. Both are set: setting either one
+    stops glibc from adjusting the other. A silent no-op off glibc, or where
+    ``mallopt`` refuses a value."""
     try:
         if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
             return
@@ -119,16 +68,14 @@ def _exp_in_place(s: np.ndarray, limit: np.ndarray | None, check: bool) -> np.nd
     """Max-shifted exponentials of the scores ``s`` over the last axis,
     written into ``s``, row r restricted to its first ``limit[r]`` keys
     (``None``: every key; leading axes such as heads share it). Returns the
-    row totals (``s``'s shape with a last axis of 1), so ``s / total`` is
-    the masked softmax. Forbidden entries come out exactly 0. ``check``
-    first rejects non-finite scores; the kernel skips it when its inputs
-    bound every score.
+    row totals (last axis 1), so ``s / total`` is the masked softmax.
+    ``check`` first rejects non-finite scores (see ``_SCORE_BOUND``).
 
-    Every row reads at least one key (``AttentionLayout`` rejects a
-    ``limit`` below 1) and its scores are finite (checked here, or bounded
-    by the kernel's ``_SCORE_BOUND``), so each row's shift is finite and its
-    largest entry's exponential is 1. It calls the ufunc reductions behind
-    ``ndarray.max`` and ``sum`` directly."""
+    Forbidden scores become -inf before the shift rather than being
+    multiplied by a 0/1 mask, which would leave them weight exp(0) = 1, so
+    they carry exactly zero weight and zero gradient. No row is empty
+    (``AttentionLayout`` rejects a ``limit`` below 1) and its scores are
+    finite, so each row's shift is finite and its largest entry is 1."""
     if check and not np.isfinite(s).all():
         raise ValueError("scores contain non-finite values")
     if limit is not None:
@@ -177,12 +124,10 @@ def _scatter(a: np.ndarray, order: np.ndarray | None, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SavedAttention:
-    """State of one ``segment_attention`` pass, which ``segment_attention_vjp``
-    and ``attention_weights`` read: the layout, the score scale, the inputs
-    in the layout's order (Q along ``layout.rows``; K/V, plus Kx/Vx when
-    passed, along ``layout.keys``; a side already in order keeps the given
-    array itself) and, per ``layout.terms`` entry, its
-    max-shifted exponentials E, their row totals and its own output
+    """State of one ``segment_attention`` pass, all that
+    ``segment_attention_vjp`` and ``attention_weights`` read: the layout, the
+    score scale, the inputs in the layout's order (``layout.gathers``) and,
+    per term, its exponentials E, their row totals and its output
     O = (E @ V) / total."""
 
     layout: AttentionLayout
@@ -201,9 +146,10 @@ def segment_attention(
     vx: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SavedAttention]:
     """Attention output for Q/K/V (and Kx/Vx when the layout reads them),
-    all of one shape (..., d, h); leading axes are independent heads.
-    Matches the dense reference of the layout's variant. Also returns the
-    pass's ``SavedAttention``."""
+    all of one shape (..., d, h) in sequence order; leading axes are
+    independent heads. Matches the dense reference of the layout's variant.
+    Also returns the pass's ``SavedAttention``. No d x d array is formed:
+    every term runs on the layout's views of its inputs."""
     given = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
     given = {name: a for name, a in given.items() if a is not None}
     peaks = _check_inputs(layout, given)
@@ -227,10 +173,9 @@ def segment_attention(
     return full, SavedAttention(layout, scale, inputs, tuple(terms))
 
 
-# Entries (1 MiB of float64) of one row chunk of the VJP's score gradient:
-# each term's dS is computed chunk by chunk (a term that fits is one chunk),
+# Entries (1 MiB of float64) of one row chunk of the VJP's score gradient dS,
 # so a large term never adds a whole rows x keys array to training's peak
-# memory.
+# memory; a term that fits is one chunk.
 _SCRATCH_SIZE = 1 << 17
 
 
@@ -239,11 +184,12 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
     returned ``out, saved``. ``dout`` must have ``out``'s shape and be
     finite.
 
-    Each term's exponentials E, row totals and output O are read from
-    ``saved``; the softmax is P = E / total, but only the thin dO rows are
-    divided: with G = dO / total, P^T dO = E^T G, and the score gradient
-    P * (dO V^T - D) with the row term D = rowsum(dO * O) (FlashAttention,
-    Dao et al. 2022) is E * (G V^T - rowsum(G * O))."""
+    Normalization is deferred, as in FlashAttention (Dao et al., arXiv
+    2205.14135): the softmax is P = E / total, but the forward pass divides
+    only the thin output E @ V and this pass only the thin dO rows. With
+    G = dO / total, P^T dO = E^T G, and the score gradient P * (dO V^T - D)
+    with the row term D = rowsum(dO * O) is E * (G V^T - rowsum(G * O)), so
+    no scores, softmax or rows x keys rowsum are formed here."""
     inputs, layout = saved.inputs, saved.layout
     shape = inputs["k"].shape
     if dout.shape != shape:
@@ -301,10 +247,9 @@ def attention_weights(saved: SavedAttention) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class MultiHeadParams:
-    """Per-head projection weights. ``wq/wk/wv`` have shape
-    (num_heads, model_dim, head_dim); ``wo`` is (model_dim, model_dim).
-    ``wkx/wvx`` exist only for the causal-plus-cross variant; that variant
-    is the only one that adds parameters."""
+    """Per-head projection weights: ``wq/wk/wv`` (num_heads, model_dim,
+    head_dim), ``wo`` (model_dim, model_dim), and ``wkx/wvx`` for the cross
+    variant only, the one variant that adds parameters."""
 
     wq: np.ndarray
     wk: np.ndarray
@@ -373,13 +318,12 @@ def _project_heads(
 def multi_head_forward(
     x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> tuple[np.ndarray, SavedAttention]:
-    """Per-head projections, the segment kernel over ``layout`` (built
-    once per sequence or bin and reused for every layer and pass),
-    concatenation of the heads, output projection; plus the kernel's saved
-    pass, whose inputs are the per-head projections in the layout's order,
-    for the input VJP. The layout carries the attention rule;
-    ``params.wq``'s shape (num_heads, model_dim, head_dim) carries the head
-    shape and so the 1/sqrt(head_dim) score scale."""
+    """Per-head projections, the segment kernel over ``layout``, the heads
+    concatenated and the output projection; plus the kernel's saved pass
+    for the input VJP. The layout carries the attention rule, and
+    ``params.wq``'s shape (num_heads, model_dim, head_dim) the head shape
+    and so the 1/sqrt(head_dim) score scale; params carry ``wkx``/``wvx``
+    exactly when the layout is the cross variant."""
     x = np.asarray(x, dtype=np.float64)
     heads = _project_heads(x, params, layout)
     out, saved = segment_attention(layout, 1.0 / math.sqrt(params.wq.shape[2]), **heads)
@@ -390,11 +334,9 @@ def multi_head_input_vjp(
     params: MultiHeadParams, saved: SavedAttention, dout: np.ndarray
 ) -> np.ndarray:
     """Gradient of multi_head_forward w.r.t. its input activations, from
-    the ``saved`` state of that forward pass with the same ``params``. Head
-    parameters receive no gradient here; the decoder that uses this wrapper
-    keeps them frozen. ``params`` that do not match the saved pass (head
-    count, head width, or Kx/Vx projections for the cross variant) are a
-    ``ValueError``."""
+    the ``saved`` state of that forward pass with the same ``params`` (head
+    parameters get none: the decoder keeps them frozen). ``params`` that do
+    not match the saved pass are a ``ValueError``."""
     num_heads, model_dim, head_dim = params.wq.shape
     saved_heads, _, saved_width = saved.inputs["q"].shape
     if (num_heads, head_dim) != (saved_heads, saved_width):
@@ -423,12 +365,9 @@ def grad_check(
     params: GradDict,
     eps: float = 1e-5,
 ) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    ``analytic`` is the gradient of ``loss`` at ``params``; the probes
-    call ``loss`` alone. Returns the max over all parameter entries of
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    """
+    """Compare ``analytic``, the gradient of ``loss`` at ``params``,
+    against central finite differences: the max over all parameter entries
+    of |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)."""
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     if not np.isfinite(loss(params)):
@@ -457,8 +396,7 @@ def variant_grad_check(
 ) -> float:
     """Run grad_check on the segment kernel over ``layout``, on random
     Q/K/V (plus Kx/Vx when the layout reads them) with the loss
-    sum(output) and the scale 1/sqrt(head_dim).
-    """
+    sum(output) and the scale 1/sqrt(head_dim)."""
     if head_dim < 1:
         raise ValueError("head_dim must be >= 1")
     scale = 1.0 / math.sqrt(head_dim)

@@ -1,29 +1,15 @@
-"""Synthesis of multi-round multi-image conversations from single-image
-and image-pair corpora.
-
-Two procedures are provided:
-
-* concat_blend: shuffle the records with a seeded generator, then greedily
-  group them with group sizes drawn uniformly from [min_group, max_group]
-  and concatenate each group round-by-round into one record. Every input
-  record lands in exactly one output record; a trailing group smaller than
-  min_group is kept rather than dropped.
-* llava_otter_blend: join single-image records onto image-pair records
-  that share an image id: for each pair (a, b), all single-image rounds for
-  a, then for b, then the pair's own round. Matching is by image id, not
-  consumption, so a single-image record may contribute to several outputs;
-  pairs with no match pass through unchanged.
-
-Records travel as JSON lines: one object per line with fields
-{dataset, image_ids, system, rounds: [{images, question, answer}]}.
-"""
+"""Multi-image records from single-image and image-pair corpora: the two
+blend procedures (``concat_blend``, ``llava_otter_blend``), the admission
+filter, corpus stats and JSON-lines IO."""
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -115,11 +101,11 @@ def _merge_group(group: list[SourceRecord]) -> SourceRecord:
 
 
 def concat_blend(records: list[SourceRecord], spec: BlendSpec) -> list[SourceRecord]:
-    """Seeded shuffle, then greedy grouping with uniform group sizes.
-
-    Deterministic for a fixed (records, seed); every input record appears
-    in exactly one output record.
-    """
+    """Shuffle the records with a generator seeded by ``spec.seed``, then cut
+    them into groups whose sizes are drawn uniformly from [min_group,
+    max_group] and merge each group round by round into one record. Every
+    input record lands in exactly one output record; a trailing group
+    smaller than min_group is kept."""
     if not records:
         raise ValueError("concat_blend needs a non-empty record list")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
@@ -144,10 +130,11 @@ def llava_otter_blend(
     For each pair record (a, b): emit the matched single-image rounds for
     a, then for b (llava before llava_dial, each in input order), then the
     pair's own round, with images introduced once each and the record's
-    image list kept as [a, b]. Pairs with no match pass through unchanged.
-    Raises ValueError, naming the argument, unless each record of the
-    first two arguments carries exactly one image id and each record of
-    the third is an image-pair record.
+    image list kept as [a, b]. Matching is by image id, not consumption, so
+    a single-image record may join several pairs; pairs with no match pass
+    through unchanged. Raises ValueError, naming the argument, unless each
+    record of the first two arguments carries exactly one image id and
+    each record of the third is an image-pair record.
     """
     by_image: dict[str, list[SourceRecord]] = {}
     for argument, records in (("first argument (llava)", llava),
@@ -192,16 +179,12 @@ def filter_limits(
     tokenizer: HashTokenizer,
     emit: Callable[[RenderedSample], object] | None = None,
 ) -> tuple[list[SourceRecord], dict[str, int]]:
-    """Drop records with too many images or an over-long rendering.
-
-    Returns the kept records and per-reason drop counts. The length test
-    is ``count_tokens``, which hashes no word and equals the rendered
-    length under the whitespace HashTokenizer, so nothing is rendered
-    unless ``emit`` is given. Then the test is ``render``'s own count,
-    taken before it tokenizes, and each kept record is rendered once and
-    its sample passed to ``emit`` in order. No rendering outlives its
-    record's turn, so memory does not grow with the number of records.
-    Idempotent: the kept list passes the same filter untouched.
+    """Drop records with too many images or an over-long rendering;
+    return the kept records and per-reason drop counts. Nothing is
+    rendered unless ``emit`` is given: the length test is ``count_tokens``.
+    With ``emit``, each kept record is rendered once (an over-long one is
+    only counted) and its sample passed to ``emit`` in order, and freed
+    before the next record. Idempotent: the kept list passes untouched.
     """
     kept: list[SourceRecord] = []
     dropped = {"too_many_images": 0, "over_length": 0}
@@ -214,8 +197,6 @@ def filter_limits(
                 dropped["over_length"] += 1
                 continue
         else:
-            # render counts before it tokenizes: an over-long record costs
-            # a count here too, and a kept one is walked once, not twice.
             try:
                 sample = render(record.conversation, tokenizer, spec.layout)
             except OverLengthError:
@@ -256,6 +237,53 @@ def record_to_dict(record: SourceRecord) -> dict:
     }
 
 
+# JSON's name for each type ``json.loads`` returns
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+_RECORD_KEYS = ("dataset", "image_ids", "system", "rounds")
+_ROUND_KEYS = ("images", "question", "answer")
+_RECORD_FIELDS, _ROUND_FIELDS = itemgetter(*_RECORD_KEYS), itemgetter(*_ROUND_KEYS)
+_DATASETS = tuple(dataset.value for dataset in Dataset)
+
+# What an undecodable byte becomes under the ``surrogateescape`` error handler
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _json_type(value: object) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _field_error(data: object) -> str:
+    """The first field of ``data`` that is missing or not of its JSON type
+    (the record and each round are objects, ``rounds`` is an array)."""
+    if not isinstance(data, dict):
+        return f"record must be a JSON object, got {_json_type(data)}"
+    for key in _RECORD_KEYS:
+        if key not in data:
+            return f"{key} is missing"
+    if not isinstance(data["rounds"], list):
+        return f"rounds must be a JSON array, got {_json_type(data['rounds'])}"
+    for index, value in enumerate(data["rounds"]):
+        if not isinstance(value, dict):
+            return f"rounds[{index}] must be a JSON object, got {_json_type(value)}"
+        for key in _ROUND_KEYS:
+            if key not in value:
+                return f"rounds[{index}].{key} is missing"
+
+
+def _fields(data: object) -> tuple:
+    """(dataset, image_ids, system, [(images, question, answer) per round])
+    of a record's JSON object; else a ValueError naming the field."""
+    try:
+        dataset, image_ids, system, rounds = _RECORD_FIELDS(data)
+        if isinstance(rounds, list):
+            return dataset, image_ids, system, list(map(_ROUND_FIELDS, rounds))
+    except (KeyError, TypeError):
+        pass
+    raise ValueError(_field_error(data))
+
+
 def _image_ids(value: object, key: str) -> tuple[str, ...]:
     """A JSON array of string or integer ids, as strings; else a ValueError."""
     if not isinstance(value, list) or not all(type(i) in (str, int) for i in value):
@@ -264,27 +292,30 @@ def _image_ids(value: object, key: str) -> tuple[str, ...]:
 
 
 def record_from_dict(data: dict) -> SourceRecord:
-    rounds = tuple(
-        Round(_image_ids(r["images"], "images"), r["question"], r["answer"])
-        for r in data["rounds"]
-    )
-    return SourceRecord(
-        dataset=Dataset(data["dataset"]),
-        image_ids=_image_ids(data["image_ids"], "image_ids"),
-        conversation=Conversation(system=data["system"], rounds=rounds),
-    )
+    """The record of one decoded JSON line; a ValueError names the field
+    that is missing or has the wrong type."""
+    dataset, image_ids, system, rounds = _fields(data)
+    rounds = tuple(Round(_image_ids(images, "images"), question, answer) for images, question, answer in rounds)
+    if dataset not in _DATASETS:
+        raise ValueError(f"dataset must be one of {', '.join(_DATASETS)}, got {dataset!r}")
+    return SourceRecord(Dataset(dataset), _image_ids(image_ids, "image_ids"), Conversation(system, rounds))
 
 
 def read_records(path: str | Path) -> list[SourceRecord]:
-    """Read a JSON-lines record file. Malformed lines, nesting too deep to
-    parse included, raise a ValueError carrying the 1-based line number."""
+    """Read a JSON-lines file of ``{dataset, image_ids, system, rounds:
+    [{images, question, answer}]}`` records. A malformed line, nesting too
+    deep to parse or a byte that is not UTF-8 included, is a ValueError
+    carrying the path and the 1-based line number."""
     records: list[SourceRecord] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                bad = None if line.isascii() else _UNDECODED.search(line)
+                if bad:
+                    raise ValueError(f"not valid UTF-8 (byte 0x{ord(bad.group()) - 0xDC00:02x})")
                 records.append(record_from_dict(json.loads(line)))
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}: malformed record on line {number}: {exc}") from exc

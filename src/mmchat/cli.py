@@ -1,10 +1,9 @@
-"""Command-line surface: mask rendering, data blending, template
-rendering and gradient checking.
+"""Command-line surface: ``mask``, ``blend``, ``render`` and ``gradcheck``.
 
-Every command is deterministic for fixed flags and seed. Exit status is
-0 only when no errors occurred and all checks passed; a data or file
-error (bad value, unreadable input, unwritable output, a size too large
-to allocate) prints one ``error:`` line and exits 2.
+Every command is deterministic for fixed flags and seed. It exits 0 on
+success, 1 when a check fails, and 2 with one ``error:`` line on a data or
+file error (bad value, unreadable input, unwritable output, a size too
+large to allocate).
 """
 
 from __future__ import annotations
@@ -63,10 +62,11 @@ def parse_seq_spec(spec: str) -> ModalitySequence:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -114,18 +114,11 @@ _LOSS_FLAG = {False: "0, ", True: "1, "}
 
 
 def _sample_line(sample: RenderedSample) -> str:
-    """One ``mmchat render`` line: the bytes of ``json.dumps(payload,
-    sort_keys=True) + "\\n"`` for the payload with keys ``block_ids``,
-    ``image_count``, ``image_ids``, ``kinds`` (an ``I``/``T`` string),
-    ``loss_mask`` (0/1) and ``token_ids``.
-
-    The domain is what ``render`` produces: Python ``int`` token ids and
-    ``bool`` loss flags. The per-token lists are written in one walk over
-    the runs of block ids: a run of n equal token ids (an image block's
-    placeholder) is one string repeated n times, and only the other runs
-    convert each id. ``image_ids`` goes through ``json.dumps``, so its
-    escaping is json's own.
-    """
+    """One ``mmchat render`` line, byte for byte the ``json.dumps`` line
+    that docs/template-grammar.md states, for a sample as ``render`` makes
+    it (``int`` token ids, ``bool`` loss flags). It is written per run of
+    block ids, not per token: a run of n equal token ids (an image block's
+    placeholder) is one string repeated n times."""
     tokens, mask = sample.token_ids, sample.loss_mask
     token_text, block_text, loss_text, kinds = [], [], [], []
     start = 0

@@ -1,32 +1,9 @@
-"""Modality-aware attention masks.
-
-The integer mask M over {0, 1, 2} encodes, per (query, key) edge, whether
-attention is forbidden (0), allowed with a text key (1), or allowed with an
-image key (2). A text row's dual softmax takes one softmax over its 1
-entries and one over its 2 entries, and the two are summed.
-
-The dense mask is the inspectable reference (``mmchat mask`` prints it).
-Attention uses ``build_layout`` instead: the same edges as a tuple of
-softmax terms, each a stack of equal-size blocks over one slice of the
-positions in modality order, with no d x d array (``AttentionLayout``
-states the rule). The variant and ``image_self`` are the whole attention
-rule, and both ``build_mask`` and ``build_layout`` take both.
-``build_layout`` also takes a bin of sequences laid end to end (sequence
-packing without cross-contamination, Krell et al., arXiv 2107.02027): no
-block reads two sequences, so the absence of a term is the document mask.
-``AttentionLayout.restrict`` keeps only chosen query rows, for a pass
-whose other rows reach nothing (the toy model's last block, whose only
-consumers are the loss's target rows).
-
-The entry value encodes the KEY token's modality; the query's modality
-determines which rows can carry which values. ``build_mask`` is the one
-dense builder for the three attention variants:
-
-* causal      - plain lower-triangular mask, modality ignored (all 1s).
-* mmca, cross - image queries attend only within their own image block;
-                text queries attend causally, with text keys labeled 1 and
-                image keys labeled 2. The cross variant differs from mmca
-                only in how attention consumes the mask.
+"""Attention patterns of the three variants over a ``ModalitySequence``.
+``build_mask`` gives the dense d x d mask, the inspectable form
+(``mmchat mask``) and the tests' oracle; ``build_layout`` gives the same
+edges as the softmax terms the kernel runs (``AttentionLayout``), for one
+sequence or a packed bin of them. Both take the whole attention rule: the
+variant and ``image_self``.
 """
 
 from __future__ import annotations
@@ -57,7 +34,9 @@ class AttentionVariant(str, Enum):
 
 @dataclass(frozen=True)
 class MmcaMask:
-    """d x d integer mask with values in {0, 1, 2}; row i is query i."""
+    """d x d integer mask; row i is query i. An entry is 0 (forbidden), 1
+    (allowed, a text key) or 2 (allowed, an image key); a text row takes
+    one softmax over each allowed label."""
 
     entries: np.ndarray
 
@@ -101,8 +80,9 @@ def build_mask(
     or its value) and ``image_self`` rule; anything else is a
     ``ValueError``.
 
-    Causal: key j allowed for query i iff j <= i, labeled 1. Mmca and
-    cross: a text query i reads keys j <= i, an image query in block b
+    Causal: key j allowed for query i iff j <= i, labeled 1, modality
+    ignored. Mmca and cross (which differ only in how attention reads the
+    mask): a text query i reads keys j <= i, an image query in block b
     only the keys of block b (with ``image_self="diagonal"`` only itself),
     and every allowed key is labeled by its modality: 1 text, 2 image.
     Image tokens never attend to text, and text never sees a later image.
@@ -159,13 +139,13 @@ def _view(whole: slice, stack: int, part: slice) -> Callable[[np.ndarray], np.nd
 @dataclass(frozen=True)
 class AttentionLayout:
     """The attention pattern of one sequence, or of a bin of sequences laid
-    end to end (``d`` positions in all), for one variant, as a sum of
-    softmax terms rather than a d x d mask.
+    end to end (``d`` positions in all), as a sum of softmax terms, each
+    allowed edge in exactly one, rather than a d x d mask.
 
-    ``keys`` orders the positions by modality: every image position of
-    every sequence, then every text position (for causal, the identity);
-    ``rows`` lists the computed query rows in that order. Every term reads
-    slices of both, and no block of a term reads two sequences.
+    ``keys`` orders the positions by modality: every image position, then
+    every text position (for causal, the identity); ``rows`` lists the
+    computed query rows in that order. In that order every term's support
+    is a slice of each, and no block of a term reads two sequences.
 
     Each run of adjacent equal-size image blocks, across sequences too, is
     one stack, every image row reading its own block through K/V (with
@@ -180,10 +160,11 @@ class AttentionLayout:
     image term. The kernel sums the terms' outputs. A ``limit`` below 1 is a
     ``ValueError``: no softmax the kernel takes is empty.
 
-    ``views`` holds each term's (row view, key view), built from its fields
-    with the layout: each views an array's rows in ``rows`` (or ``keys``)
-    order as (..., stack, size, h), reading ``positions(term)``; a one-block
-    term's view is one basic index.
+    The kernel gathers its inputs along ``rows`` and ``keys`` once per pass,
+    or not at all where ``gathers`` says a side is in order, and runs every
+    term on ``views``: per term a (row view, key view), built with the
+    layout, each viewing an array in that order as (..., stack, size, h) at
+    ``positions(term)``; a one-block term's view is one basic index.
     """
 
     d: int
@@ -267,10 +248,12 @@ def build_layout(
     """Layout of one sequence, or of a bin of sequences laid end to end, for
     the given variant (an ``AttentionVariant`` or its value) and
     ``image_self`` rule: the edges of each sequence's ``build_mask``, each
-    in exactly one term, and no edge between two sequences. Build it once
-    per sequence or bin and reuse it for every layer, head and pass. An
-    mmca text row's two softmaxes are summed, so a text row that reads both
-    modalities carries total weight 2."""
+    in exactly one term, and no edge between two sequences (packing without
+    cross-contamination, Krell et al., arXiv 2107.02027: the absence of a
+    term is the document mask). Build it once per sequence or bin and reuse
+    it for every layer, head and pass. A text row's two softmaxes are the
+    paper's literal sum, so a row that reads both modalities carries total
+    weight 2."""
     variant = AttentionVariant(variant)
     _check_image_self(image_self)
     seqs = (seqs,) if isinstance(seqs, ModalitySequence) else tuple(seqs)

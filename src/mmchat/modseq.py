@@ -1,10 +1,6 @@
-"""Interleaved image/text token sequences and their segment structure.
-
-A ModalitySequence is the shared input of mask building, attention, and
-template rendering: one integer per token, 0 for a text token and the
-1-based id of its image block for an image token. That vector is the whole
-layout. Image blocks are contiguous by construction; a layout that splits
-one image's tokens across several runs is rejected.
+"""Interleaved image/text token sequences: ``ModalitySequence``, the one
+layout input of mask building, attention and template rendering, its image
+blocks, and the token-layout constants (``LayoutConfig``).
 """
 
 from __future__ import annotations

@@ -1,26 +1,7 @@
-"""Instruction template for interleaved image-text conversations.
-
-A Conversation renders to two coordinated forms:
-
-* a text form: system line, then per round a blank line, one
-  ``### Image k: <image:ID>`` line per image (k counts images globally
-  across rounds, 1-based), a ``### Question: ...`` line and an
-  ``### Answer: ...`` line. ``parse`` inverts this form exactly.
-* a token form (RenderedSample): the same content tokenized, with each
-  image slot expanded to ``image_token_count`` consecutive image tokens
-  sharing one block id (a ModalitySequence: 0 on text, k on image k), plus
-  a per-token loss mask that is true exactly on answer bodies and the
-  end-of-turn token that closes each answer. Header strings are tokenized
-  as ordinary text; there are no special tokens.
-
-The token form is written once, as an ordered walk over the template's
-pieces, with two consumers: ``render`` tokenizes the pieces, and
-``count_tokens`` sums their lengths without hashing a word, which is all
-the blend filter needs to admit or drop a record.
-
-Field texts are single-line; ids contain no whitespace or angle brackets.
-That restriction is what makes the text form a bijection (see
-docs/template-grammar.md for the grammar).
+"""The conversation template: its records (``Conversation``, ``Round``),
+the text form (``render_text``, ``parse``) and the token form (``render``,
+``count_tokens``). docs/template-grammar.md states the grammar of both
+forms; ``_pieces`` is the one statement in code of the token form's order.
 """
 
 from __future__ import annotations
@@ -153,16 +134,10 @@ def _word_hash(word: str) -> int:
 
 
 class HashTokenizer:
-    """Deterministic whitespace tokenizer with a stable string-to-id hash.
-
-    Splits on whitespace and maps each word to blake2b(word) mod
-    vocab_size, one id per word, so a text's token count is its
-    whitespace word count; ``count_tokens`` relies on this. Collisions are
-    fine for desk-scale runs; an external tokenizer with a deterministic
-    text-to-ids mapping can be substituted only if it keeps that count.
-    Word hashes (before the modulo) are memoised process-wide for the
-    4,096 most recent words (~0.7 MB); ids are the same as without it.
-    """
+    """Deterministic whitespace tokenizer: each word becomes
+    blake2b(word) mod vocab_size, one id per word, so a text's token count
+    is its word count (``count_tokens`` relies on this). Word hashes are
+    memoised process-wide for the 4,096 most recent words (~0.7 MB)."""
 
     def __init__(self, vocab_size: int = 32) -> None:
         _check_int("vocab_size", vocab_size)
@@ -196,15 +171,12 @@ def render_text(conv: Conversation) -> str:
 
 
 def _pieces(conv: Conversation) -> Iterator[_Piece]:
-    """The template's pieces in order, as ``(words, block_id, in_loss)``.
-
-    This is the one place the piece order is written: the system line;
-    per image its ``### Image k:`` header and its slot; per round the
-    question line, the answer prefix, the answer and the end-of-turn
-    token. A text piece holds its whitespace-separated words, one token
-    each; the end-of-turn piece is the single word END_OF_TURN. An image
-    slot has ``block_id`` k > 0 and holds its image id in place of words.
-    """
+    """The template's pieces in order, as ``(words, block_id, in_loss)``:
+    the system line; per image its ``### Image k:`` header and its slot; per
+    round the question line, the answer prefix, the answer and the
+    end-of-turn token. A text piece holds its whitespace-separated words,
+    one token each; the end-of-turn piece is the single word END_OF_TURN.
+    An image slot has ``block_id`` k > 0 and holds its image id instead."""
     yield conv.system.split(), 0, False
     image_number = 0
     for rnd in conv.rounds:
@@ -224,26 +196,17 @@ def _length(pieces: Iterable[_Piece], image_token_count: int) -> int:
 
 def count_tokens(conv: Conversation, layout: LayoutConfig) -> int:
     """Length of ``render(conv, tokenizer, layout)`` for any vocabulary
-    size, summed over ``_pieces`` without hashing a word (HashTokenizer maps
-    whitespace words one to one)."""
+    size, summed over ``_pieces`` without hashing a word."""
     return _length(_pieces(conv), layout.image_token_count)
 
 
 def render(
     conv: Conversation, tokenizer: HashTokenizer, layout: LayoutConfig
 ) -> RenderedSample:
-    """Tokenize a conversation into a RenderedSample.
-
-    Image headers are numbered globally; each image slot becomes
-    ``layout.image_token_count`` image tokens with a fresh block id. The
-    loss mask covers each answer's tokens plus one end-of-turn token, and
-    nothing else; headers and questions never contribute to the loss.
-
-    Raises OverLengthError when the result would exceed
-    ``layout.max_sequence_length``. The length is counted as in
-    ``count_tokens`` before any word is tokenized, so an over-long
-    conversation costs no hashing.
-    """
+    """The token form of ``conv``: ``_pieces`` tokenized, each image slot
+    ``layout.image_token_count`` tokens of its block id. Raises
+    OverLengthError, before it hashes a word, when the length exceeds
+    ``layout.max_sequence_length``."""
     pieces = list(_pieces(conv))
     d = _length(pieces, layout.image_token_count)
     if d > layout.max_sequence_length:

@@ -1,33 +1,11 @@
-"""Desk-scale end-to-end model with a frozen backbone and a two-tensor
-trainable set.
+"""Desk-scale end-to-end model: a frozen vision-feature stub, a trainable
+projection and embedding (the whole trainable set; the output head is the
+embedding transpose), frozen decoder blocks, the answer-only loss with
+hand-written gradients, RMSProp training (``train_step``) and checkpoints.
 
-Structure: a frozen per-image feature stub stands in for a vision encoder;
-a trainable linear projection lifts its features to the decoder width;
-text positions use a trainable embedding; a stack of frozen decoder blocks
-(multi-head attention in a chosen variant, then a tanh feedforward, both
-with residual connections) runs over the mixed sequence; the output head
-is tied to the embedding transpose, so the trainable set is exactly
-{projection, embedding}.
-
-The loss is next-token cross-entropy restricted to positions whose target
-token carries the loss mask, i.e. answer tokens only. Gradients are
-hand-written (double precision; the backward pass reads each block's
-saved attention state from the forward pass) and reach only the two
-trainable tensors; frozen parameters have no gradient storage and
-are shared, bit-identical, between a model and its trained successors.
-
-``forward`` and training run the same pass over a bin of samples
-(``_bin_pass``); ``train_step`` packs its batch, in order, into bins of
-at most ``max_sequence_length`` positions. A bin's layouts and index
-arrays depend on its samples and the attention rule, never on a weight,
-so each bin is planned once (``_BinPlan``, O(d) in size) and the plan is
-reused across steps and scoring calls: ``_make_plan`` is an ``lru_cache``
-of ``_PLANS`` plans. Only the model's own checks of a bin (its image ids,
-block widths and token ids) run on every call. A plan lays its bin out
-once in its layout's key order (image positions, then text), and every
-block runs in that order: the attention kernel gathers and scatters only
-the rows of the training pass's last block, which keeps the target rows
-alone, and forward un-permutes once, in its last row gather.
+Where each rule lives: what a bin's plan holds in ``_BinPlan``, its cache
+in ``_PLANS``, the block loop and its un-permute in ``_bin_pass``, the loss
+and its gradients in ``_bin_loss_and_grads``.
 """
 
 from __future__ import annotations
@@ -113,7 +91,8 @@ class DecoderBlock:
 @dataclass
 class ToyModel:
     """Parameter store split into a trainable part (projection, embedding)
-    and a frozen part (decoder blocks, vision stub)."""
+    and a frozen part (decoder blocks, vision stub), which has no gradient
+    storage and is shared, bit-identical, with every trained successor."""
 
     config: ModelConfig
     projection: np.ndarray
@@ -162,60 +141,44 @@ def make_model(
     covering ``known_images``; any other image id is rejected at forward
     time."""
     rng = np.random.default_rng(seed)
-    projection = rng.standard_normal(
-        (config.vision_dim, config.model_dim)
-    ) / math.sqrt(config.vision_dim)
-    embedding = rng.standard_normal(
-        (config.vocab_size, config.model_dim)
-    ) / math.sqrt(config.model_dim)
-    blocks = []
-    for _ in range(config.num_layers):
-        blocks.append(
-            DecoderBlock(
-                attn=init_multi_head_params(
-                    config.variant, config.num_heads, config.model_dim, rng
-                ),
-                w1=rng.standard_normal((config.model_dim, config.ffn_dim))
-                / math.sqrt(config.model_dim),
-                b1=np.zeros(config.ffn_dim),
-                w2=rng.standard_normal((config.ffn_dim, config.model_dim))
-                / math.sqrt(config.ffn_dim),
-                b2=np.zeros(config.model_dim),
-            )
+    c = config
+
+    def normal(rows: int, cols: int, fan_in: int) -> np.ndarray:
+        return rng.standard_normal((rows, cols)) / math.sqrt(fan_in)
+
+    projection = normal(c.vision_dim, c.model_dim, c.vision_dim)
+    embedding = normal(c.vocab_size, c.model_dim, c.model_dim)
+    blocks = tuple(
+        DecoderBlock(
+            attn=init_multi_head_params(c.variant, c.num_heads, c.model_dim, rng),
+            w1=normal(c.model_dim, c.ffn_dim, c.model_dim),
+            b1=np.zeros(c.ffn_dim),
+            w2=normal(c.ffn_dim, c.model_dim, c.ffn_dim),
+            b2=np.zeros(c.model_dim),
         )
-    stub_shape = (config.image_token_count, config.vision_dim)
-    stub = {
-        image_id: vision_features(seed, image_id, stub_shape)
-        for image_id in known_images
-    }
-    return ToyModel(
-        config=config,
-        projection=projection,
-        embedding=embedding,
-        blocks=tuple(blocks),
-        vision_stub=stub,
-        stub_seed=seed,
+        for _ in range(c.num_layers)
     )
+    stub_shape = (c.image_token_count, c.vision_dim)
+    stub = {image_id: vision_features(seed, image_id, stub_shape) for image_id in known_images}
+    return ToyModel(config, projection, embedding, blocks, stub, stub_seed=seed)
 
 
 def _embed(model: ToyModel, plan: _BinPlan) -> np.ndarray:
     """The plan's embedded tokens and projected images, after the model's
-    checks of the plan: each image block ``(image_id, start, end)`` must
-    name an image of the model's stub and be ``image_token_count`` tokens
-    wide, and every token id must lie in the vocabulary."""
-    for image_id, start, end in plan.images:
-        if image_id not in model.vision_stub:
-            raise ValueError(f"unknown image id: {image_id!r}")
-        if end - start != model.config.image_token_count:
-            raise ValueError(
-                f"image block has {end - start} tokens; "
-                f"model expects {model.config.image_token_count}"
-            )
+    checks of the plan, which run on every call: every token id must lie in
+    the vocabulary, and each image block ``(image_id, start, end)`` must
+    name an image of the model's stub and be ``image_token_count`` wide."""
     lowest, highest = plan.id_range
     if lowest < 0 or highest >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     h = model.embedding[plan.token_ids]
     for image_id, start, end in plan.images:
+        if image_id not in model.vision_stub:
+            raise ValueError(f"unknown image id: {image_id!r}")
+        if end - start != model.config.image_token_count:
+            raise ValueError(
+                f"image block has {end - start} tokens; model expects {model.config.image_token_count}"
+            )
         h[start:end] = model.vision_stub[image_id] @ model.projection
     return h
 
@@ -223,15 +186,15 @@ def _embed(model: ToyModel, plan: _BinPlan) -> np.ndarray:
 @dataclass(frozen=True, slots=True)
 class _BinPlan:
     """What a pass over a bin of samples needs that depends on the samples
-    and the attention rule alone, never on a weight, over the bin laid out
-    in its layout's key order: the token ids and their (lowest, highest)
-    id, the image blocks ``(image_id, start, end)``, the layout (its
-    ``rows`` and ``keys`` 0..d-1), the last block's layout
-    (``layout.restrict(rows)``) and the rows the pass returns; for
-    training, also the target token of each row, the row weights and the
-    text positions. Every array owns its data and is read-only, and none
-    has more than d entries: a term stores one key count per row
-    (``Term.limit``), not a rows x keys mask."""
+    and the attention rule alone, never on a weight, so it is planned once
+    and reused across steps and scoring calls. Positions are those of the
+    bin laid out once in its layout's key order (image positions, then
+    text): the token ids and their (lowest, highest) id, the image blocks
+    ``(image_id, start, end)``, the layout (its ``rows`` and ``keys``
+    0..d-1), the last block's layout (``layout.restrict(rows)``) and the
+    rows the pass returns; for training, also the target token of each row,
+    the row weights and the text positions. Every array is read-only and
+    has at most d entries (``Term.limit`` is one key count per row)."""
 
     token_ids: np.ndarray
     id_range: tuple[int, int]
@@ -260,12 +223,10 @@ _PLANS = 128
 @lru_cache(maxsize=_PLANS)
 def _make_plan(samples: tuple[RenderedSample, ...], variant: AttentionVariant, image_self: str,
                training: bool) -> _BinPlan:
-    """The plan of ``samples`` under the attention rule (``variant``,
-    ``image_self``), for training or not: the samples laid end to end, then
-    in their layout's key order. A training plan's rows are every sample's
-    target rows, each weighing 1/n for a sample with n targets; otherwise
-    the rows are every position in sequence order, so the last block
-    un-permutes the bin."""
+    """The plan of ``samples`` laid end to end under the attention rule
+    (``variant``, ``image_self``). A training plan's rows are every
+    sample's target rows, each weighing 1/n for a sample with n targets;
+    otherwise they are every position in sequence order."""
     starts = np.cumsum([0] + [sample.d for sample in samples[:-1]]).tolist()
     layout = build_layout([sample.tags for sample in samples], variant, image_self)
     order = layout.keys
@@ -303,16 +264,17 @@ def _bin_pass(
     plan: _BinPlan,
     states: list[tuple[np.ndarray, SavedAttention, np.ndarray | slice]] | None,
 ) -> np.ndarray:
-    """The last block's output at the plan's rows of its bin, after the
-    model's checks of the bin's image blocks and token ids. ``states``,
-    when given, receives each layer's (tanh activation, SavedAttention,
-    rows kept: a slice for every row) in block order, for the VJP.
+    """The last block's output at the plan's rows. ``states``, when given,
+    receives each layer's (tanh activation, SavedAttention, rows kept: a
+    slice for every row) in block order, for the VJP.
 
-    One layout covers the bin, so embedding and every block run once per
-    bin, in the plan's order. Every block but the last runs on every row;
-    the last runs its attention on the plan's restricted layout and its
-    feedforward on the plan's rows alone. Each layer's attention state is
-    freed before the next block runs unless ``states`` keeps it."""
+    Embedding and every block run once per bin, in the plan's order. Every
+    block but the last runs on every row; the last runs its attention on
+    the plan's restricted layout and its feedforward on the plan's rows
+    alone, so the only gather out of that order is the last block's rows
+    (for ``forward``, every row in sequence order: its one un-permute).
+    Each layer's attention state is freed before the next block runs
+    unless ``states`` keeps it."""
     h = _embed(model, plan)
     passes = [(plan.layout, slice(None))] * (len(model.blocks) - 1) + [(plan.last, plan.rows)]
     for block, (block_layout, kept) in zip(model.blocks, passes):
@@ -328,9 +290,7 @@ def _bin_pass(
 
 def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     """Logits (d x vocab_size) for every position: the pass over every row
-    of a one-sample bin, then the head. Image positions enter as projected
-    stub features, text positions as embedding rows; the head is the
-    embedding transpose."""
+    of a one-sample bin, then the head."""
     h = _bin_pass(model, _plan([sample], model.config, training=False), None)
     logits = h @ model.embedding.T
     if not np.isfinite(logits).all():
@@ -387,10 +347,9 @@ def answer_loss(logits: np.ndarray, sample: RenderedSample) -> float:
 
 
 def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple[float, GradDict]:
-    """The sum of the samples' answer losses and its gradients w.r.t. the
-    two trainable tensors, from one ``_bin_pass`` over the bin's target
-    rows and its VJP. Each target row weighs 1/n for a sample with n
-    targets, which makes the loss the sum of per-sample means. The
+    """The sum of the samples' answer losses (each a mean over its targets)
+    and its gradients w.r.t. the two trainable tensors, from one
+    ``_bin_pass`` over the bin's target rows and its hand-written VJP. The
     embedding gradient collects both of its roles: output head (tied
     transpose) and input rows at text positions."""
     plan = _plan(samples, model.config, training=True)
@@ -480,11 +439,10 @@ class OptimState:
 def train_step(
     model: ToyModel, batch: list[RenderedSample], opt: OptimState
 ) -> tuple[float, ToyModel]:
-    """One optimizer step on the batch-mean loss. The batch runs as bins of
-    samples packed in order up to the configured ``max_sequence_length``,
-    one training pass per bin. Returns the loss and a successor model whose
-    frozen parts are the very same arrays; only the two trainable tensors
-    are replaced."""
+    """One optimizer step on the batch-mean loss, one training pass per bin
+    of ``_bins(batch, max_sequence_length)``. Returns the loss and a
+    successor model whose frozen parts are the very same arrays; only the
+    two trainable tensors are replaced."""
     if not batch:
         raise ValueError("train_step needs a non-empty batch")
     total_loss = 0.0
@@ -662,13 +620,11 @@ def load_model(path: str | Path) -> ToyModel:
     """Load a checkpoint written by save_model. The manifest must be an
     object of this format version holding a config with exactly
     ``ModelConfig``'s fields, the known images (a list of strings) and the
-    stub seed (an integer >= 0). The expected tensors are those of the
-    model ``make_model`` builds from the manifest: the checkpoint must hold
-    exactly their names, each float64, finite and of that model's shape,
-    and each is copied into it. Each config size is first checked against
-    a stored tensor of that size, so a manifest cannot make ``make_model``
-    allocate more than the checkpoint holds. Otherwise ValueError names the
-    offending key or tensor, or the path of a file that is no ``.npz``
+    stub seed (an integer >= 0). The checkpoint must hold exactly the
+    tensors of the model ``make_model`` builds from it, each float64,
+    finite and of that shape; each config size is checked against a stored
+    tensor before that model is allocated. Otherwise a ValueError names
+    the offending key or tensor, or the path of a file that is no ``.npz``
     archive or has a corrupt member; a file that cannot be opened is an
     ``OSError``."""
     try:

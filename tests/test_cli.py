@@ -230,6 +230,34 @@ def test_render_malformed_input_reports_line(tmp_path, capsys):
     assert_malformed_input_reports_line(tmp_path, capsys, ["render"])
 
 
+_GOOD_RECORD = {"dataset": "llava", "image_ids": ["a"], "system": "s",
+                "rounds": [{"images": ["a"], "question": "q", "answer": "x"}]}
+
+
+@pytest.mark.parametrize(("line", "message"), [
+    (b"[1, 2]", "record must be a JSON object, got an array"),
+    (json.dumps({k: v for k, v in _GOOD_RECORD.items() if k != "rounds"}).encode(), "rounds is missing"),
+    (json.dumps({**_GOOD_RECORD, "rounds": 3}).encode(), "rounds must be a JSON array, got a number"),
+    (json.dumps({**_GOOD_RECORD, "rounds": [3]}).encode(), "rounds[0] must be a JSON object, got a number"),
+    (json.dumps({**_GOOD_RECORD, "rounds": [{"images": [], "question": "q"}]}).encode(),
+     "rounds[0].answer is missing"),
+    (json.dumps({**_GOOD_RECORD, "dataset": "coco"}).encode(),
+     "dataset must be one of llava, llava_dial, otter_cgd, other, got 'coco'"),
+    (b'{"dataset": "ll\xffava"}', "not valid UTF-8 (byte 0xff)"),
+], ids=["not-an-object", "missing-key", "rounds-not-an-array", "round-not-an-object",
+        "round-missing-key", "unknown-dataset", "undecodable-byte"])
+@pytest.mark.parametrize("command", [["render"], ["blend", "--mode", "concat"]], ids=["render", "blend"])
+def test_malformed_record_names_the_field(tmp_path, capsys, command, line, message):
+    """A record that is no object, lacks a field or has one of the wrong
+    type, or a line that is not UTF-8, exits 2 with one ``error:`` line
+    naming the path, the line and the field, not Python's own message."""
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(json.dumps(_GOOD_RECORD).encode() + b"\n" + line + b"\n")
+    assert main([*command, "--input", str(src), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {src}: malformed record on line 2: {message}\n"
+
+
 def test_render_command(tmp_path):
     rng = np.random.default_rng(3)
     ok = llava_record(rng, "fine")

@@ -207,6 +207,39 @@ def test_permuted_pass_matches_the_oracle(variant, image_self, image_token_count
     assert grad_check(lambda _: _bin_loss_and_grads(model, bin_)[0], grads, params, eps=1e-6) < 1e-4
 
 
+def image_logits_in_contexts(config):
+    """``forward``'s logits at image "x"'s block in three chats that put
+    different text and other images before and around it."""
+    chats = [
+        Conversation("s", (Round(("x",), "what is it", "a cat"),)),
+        Conversation("a longer system line", (Round(("y",), "first", "one"),
+                                              Round(("x",), "and this one", "two"))),
+        Conversation("", (Round((), "no image yet " * 5, "ok"),
+                          Round(("z", "x", "w"), "three more", "fine"))),
+    ]
+    model = make_model(config, seed=2, known_images=("w", "x", "y", "z"))
+    logits = []
+    for chat in chats:
+        sample = render(chat, HashTokenizer(config.vocab_size), config.layout())
+        block = sample.image_ids.index("x") + 1
+        logits.append(forward(model, sample)[np.asarray(sample.tags.ids) == block])
+    return logits
+
+
+@pytest.mark.parametrize("image_self", ["block", "diagonal"])
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_an_image_block_reads_only_itself(variant, image_self):
+    """The paper's image isolation: under mmca and cross an image block's
+    rows read only that block at every layer, and the feedforward and the
+    residuals work row by row, so its logits are bit for bit the same
+    whatever text and images surround it. Under causal they read the text
+    before them and differ."""
+    config = replace(ModelConfig(), variant=variant, image_self=image_self)
+    first, *others = image_logits_in_contexts(config)
+    same = [np.array_equal(first, other) for other in others]
+    assert same == [variant is not AttentionVariant.CAUSAL_ONLY] * len(others)
+
+
 def test_forward_frees_each_layer_attention_state(monkeypatch):
     import mmchat.toy_model as toy_model_module
 
@@ -895,6 +928,32 @@ def test_load_model_rejects_a_directory_offset_before_the_file(tmp_path, back):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a checkpoint archive: .*Invalid argument"):
         load_model(path)
+
+
+def test_load_model_corruption_sweep_raises_only_value_error(tmp_path):
+    """Every 20th byte of a checkpoint, and every byte of its 22-byte
+    end-of-central-directory record, flipped one at a time: each load
+    raises ``ValueError`` and nothing else, or returns the saved model
+    (the flip hit a byte no check reads)."""
+    path = tmp_path / "model.npz"
+    saved = make_model(ModelConfig())
+    save_model(saved, path)
+    raw, expected = path.read_bytes(), saved.named_tensors()
+    offsets = sorted({*range(0, len(raw), 20), *range(len(raw) - 22, len(raw))})
+    rejected = 0
+    for offset in offsets:
+        flipped = bytearray(raw)
+        flipped[offset] ^= 0xFF
+        path.write_bytes(bytes(flipped))
+        try:
+            loaded = load_model(path)
+        except ValueError:
+            rejected += 1
+            continue
+        tensors = loaded.named_tensors()
+        assert loaded.config == saved.config and loaded.stub_seed == saved.stub_seed
+        assert all(np.array_equal(tensors[name], a) for name, a in expected.items())
+    assert 0 < rejected < len(offsets)  # the sweep reaches both outcomes
 
 
 def rewritten_checkpoint(tmp_path, change=None, encode=json.dumps):
