@@ -5,10 +5,10 @@ central-difference gradient check (``grad_check``).
 
 Where each rule lives: the attention rule, views and gathers in
 ``mask.AttentionLayout``; masking, the -inf support and empty rows in
-``_exp_in_place``; deferred normalization and the FlashAttention row term in
-``segment_attention_vjp``; the skipped score check in ``_SCORE_BOUND``; the
-head shape in ``multi_head_forward``; the heap policy this module sets on
-import in ``_keep_heap_pages``.
+``_exp_in_place``; finite inputs and outputs in ``segment_attention``;
+deferred normalization, the FlashAttention row term and finite gradients in
+``segment_attention_vjp``; the head shape in ``multi_head_forward``; the
+heap policy this module sets on import in ``_keep_heap_pages``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ from .mask import AttentionLayout, AttentionVariant
 
 GradDict = dict[str, np.ndarray]
 
-
-# No score can overflow while head_dim * |scale| * max|Q| * max|K| (K or Kx)
-# stays below this, far below the float64 maximum ~1.8e308 even with the
-# rounding of a score's products and sums. The kernel takes those maxima in
-# the input pass that rejects NaN and inf, and checks the rows x keys scores
-# for finiteness only when the bound fails.
-_SCORE_BOUND = 1e300
 
 # glibc's mallopt parameters (malloc.h) and the values its dynamic rule
 # stops at on 64-bit: an mmap threshold capped at 32 MiB, paired with a
@@ -64,20 +57,17 @@ def _keep_heap_pages() -> None:
 _keep_heap_pages()
 
 
-def _exp_in_place(s: np.ndarray, limit: np.ndarray | None, check: bool) -> np.ndarray:
+def _exp_in_place(s: np.ndarray, limit: np.ndarray | None) -> np.ndarray:
     """Max-shifted exponentials of the scores ``s`` over the last axis,
     written into ``s``, row r restricted to its first ``limit[r]`` keys
     (``None``: every key; leading axes such as heads share it). Returns the
     row totals (last axis 1), so ``s / total`` is the masked softmax.
-    ``check`` first rejects non-finite scores (see ``_SCORE_BOUND``).
 
     Forbidden scores become -inf before the shift rather than being
     multiplied by a 0/1 mask, which would leave them weight exp(0) = 1, so
     they carry exactly zero weight and zero gradient. No row is empty
-    (``AttentionLayout`` rejects a ``limit`` below 1) and its scores are
-    finite, so each row's shift is finite and its largest entry is 1."""
-    if check and not np.isfinite(s).all():
-        raise ValueError("scores contain non-finite values")
+    (``AttentionLayout`` rejects a ``limit`` below 1), so finite scores give
+    each row a largest entry of 1; ``segment_attention`` rejects NaN rows."""
     if limit is not None:
         np.copyto(s, -np.inf, where=np.arange(s.shape[-1]) >= limit[:, None])
     s -= np.maximum.reduce(s, axis=-1, keepdims=True)
@@ -89,22 +79,17 @@ def _exp_in_place(s: np.ndarray, limit: np.ndarray | None, check: bool) -> np.nd
 # Segment-structured kernel
 
 
-def _check_inputs(layout: AttentionLayout, inputs: dict[str, np.ndarray]) -> dict[str, float]:
-    """Validate the kernel's given inputs; return max|a| per input, taken in
-    the same pass that rejects non-finite values."""
+def _check_inputs(layout: AttentionLayout, inputs: dict[str, np.ndarray]) -> None:
     if layout.reads_cross and not {"kx", "vx"} <= inputs.keys():
         raise ValueError("this layout reads Kx and Vx; pass both")
     shape = inputs["q"].shape
     if len(shape) < 2 or shape[-2] != layout.d:
         raise ValueError(f"inputs must have {layout.d} rows (the layout dimension)")
-    peaks = {}
     for name, a in inputs.items():
         if a.shape != shape:
             raise ValueError("Q, K, V (and Kx, Vx) must have equal shapes")
-        peaks[name] = float(np.maximum.reduce(np.abs(a), None, initial=0.0))  # NaN and inf propagate
-        if not math.isfinite(peaks[name]):
+        if not np.isfinite(a).all():
             raise ValueError(f"{name.capitalize()} contains non-finite values")
-    return peaks
 
 
 def _gather(a: np.ndarray, order: np.ndarray | None) -> np.ndarray:
@@ -149,12 +134,11 @@ def segment_attention(
     all of one shape (..., d, h) in sequence order; leading axes are
     independent heads. Matches the dense reference of the layout's variant.
     Also returns the pass's ``SavedAttention``. No d x d array is formed:
-    every term runs on the layout's views of its inputs."""
+    every term runs on the layout's views of its inputs. Non-finite inputs
+    or output (from a NaN scale or an overflow) are a ``ValueError``."""
     given = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
     given = {name: a for name, a in given.items() if a is not None}
-    peaks = _check_inputs(layout, given)
-    keys_peak = max(peaks["k"], peaks.get("kx", 0.0))
-    check = q.shape[-1] * abs(scale) * peaks["q"] * keys_peak >= _SCORE_BOUND
+    _check_inputs(layout, given)
     inputs = {name: _gather(a, layout.gathers[name != "q"]) for name, a in given.items()}
     sources = {False: (inputs["k"], inputs["v"]), True: (inputs.get("kx"), inputs.get("vx"))}
     q = scale * inputs["q"]  # scale the thin side, not the rows x keys scores
@@ -163,12 +147,14 @@ def segment_attention(
     for term, (row_view, key_view) in zip(layout.terms, layout.views):
         k, v = sources[term.cross]
         e = row_view(q) @ key_view(k).swapaxes(-1, -2)
-        total = _exp_in_place(e, term.limit, check)
+        total = _exp_in_place(e, term.limit)
         term_out = e @ key_view(v)
         term_out /= total  # normalize the thin rows x head_dim output, not E
         term_rows = row_view(out)
         term_rows += term_out
         terms.append((e, total, term_out))
+    if not np.isfinite(out).all():
+        raise ValueError("output contains non-finite values")
     full = _scatter(out, layout.gathers[0], layout.d)
     return full, SavedAttention(layout, scale, inputs, tuple(terms))
 
@@ -182,7 +168,7 @@ _SCRATCH_SIZE = 1 << 17
 def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
     """Gradients of ``sum(dout * out)`` for every input of the pass that
     returned ``out, saved``. ``dout`` must have ``out``'s shape and be
-    finite.
+    finite; a non-finite gradient is a ``ValueError``.
 
     Normalization is deferred, as in FlashAttention (Dao et al., arXiv
     2205.14135): the softmax is P = E / total, but the forward pass divides
@@ -218,9 +204,11 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
             gq_part += ds @ k
             gk += ds.swapaxes(-1, -2) @ q_part
             del ds  # free this chunk before the next is allocated, which then reuses it
-    for name in ("q", "k", "kx"):
-        if name in grads:
-            grads[name] *= saved.scale
+    for name, g in grads.items():
+        if name in ("q", "k", "kx"):
+            g *= saved.scale
+        if not np.isfinite(g).all():
+            raise ValueError(f"the gradient of {name.capitalize()} contains non-finite values")
     return {name: _scatter(g, layout.gathers[name != "q"], layout.d) for name, g in grads.items()}
 
 

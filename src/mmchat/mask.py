@@ -208,9 +208,11 @@ class AttentionLayout:
         reads; a run that reads no kept row is dropped. Every allowed edge
         of a kept row stays in exactly one term; the kernel gives every
         other row zero output. Keeping every row returns this layout."""
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = np.asarray(rows)
         if rows.size == 0:
             raise ValueError("restrict needs at least one row")
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be integer positions, got dtype {rows.dtype}")
         if rows.min() < 0 or rows.max() >= self.d:
             raise ValueError(f"rows must lie in [0, {self.d})")
         keep = np.zeros(self.d, dtype=bool)

@@ -316,8 +316,6 @@ def _target_loss(
     rows' log-probabilities, from which training forms the gradient. The
     logits must have one row per target, more columns than the largest
     target id, and finite values."""
-    if logits.ndim != 2 or logits.shape[0] != targets.size:
-        raise ValueError(f"logits must have one row per target ({targets.size})")
     highest = np.maximum.reduce(targets)
     if logits.shape[1] <= highest:
         raise ValueError(f"logits have {logits.shape[1]} columns; target id {highest} needs more")

@@ -1,4 +1,4 @@
-"""Print one sha256 over the toy model's numerics, to show that a change
+"""Print two sha256s over the toy model's numerics, to show that a change
 keeps them bit-identical: run it on both trees and compare the hashes.
 
     PYTHONPATH=src python tests/numerics_digest.py
@@ -12,7 +12,10 @@ logits, ``answer_loss`` and gradients of the trained model on
 on those chats as one batch; then the same for one long text-only chat
 (``long_chat``: over 1,000 words in four answered rounds), so that a large
 text triangle and its restriction to the target rows are hashed too. The
-file name keeps pytest from collecting it: it is a tool, not a test.
+first line is that digest; the second is the same digest with
+``attn._SCRATCH_SIZE`` set to 16, so that every VJP term runs in row
+chunks. The file name keeps pytest from collecting it: it is a tool, not a
+test.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from oracles import IdPool, random_conversation  # noqa: E402
 
+from mmchat import attn  # noqa: E402
 from mmchat.mask import AttentionVariant  # noqa: E402
 from mmchat.template import Conversation, HashTokenizer, Round, render  # noqa: E402
 from mmchat.toy_model import (  # noqa: E402
@@ -91,3 +95,9 @@ def numerics_digest() -> str:
 
 if __name__ == "__main__":
     print(numerics_digest())
+    default = attn._SCRATCH_SIZE
+    attn._SCRATCH_SIZE = 16  # every VJP term runs in row chunks
+    try:
+        print(numerics_digest())
+    finally:
+        attn._SCRATCH_SIZE = default

@@ -53,12 +53,12 @@ def rand_inputs(rng, d, h):
 def kernel_softmax(scores, allow):
     """The kernel's masked exponentials on a copy, with the support given as
     ``allow`` (each row a prefix of its keys, as a layout's ``limit``
-    states it) and the finiteness check on, divided by their row totals as
-    the kernel's normalization does on its outputs."""
+    states it), divided by their row totals as the kernel's normalization
+    does on its outputs."""
     limit = allow.sum(axis=1)
     assert np.array_equal(allow, np.arange(allow.shape[1]) < limit[:, None])
     e = np.array(scores, dtype=np.float64)
-    total = attn_module._exp_in_place(e, limit, check=True)
+    total = attn_module._exp_in_place(e, limit)
     return e / total
 
 
@@ -105,10 +105,24 @@ def test_masked_softmax_partial_row(softmax):
     assert np.allclose(out[1], [0.2689, 0.7311], atol=1e-4)
 
 
-@SOFTMAXES
+@pytest.mark.parametrize("softmax", [masked_softmax], ids=["reference"])
 def test_masked_softmax_rejects_nonfinite(softmax):
     with pytest.raises(ValueError, match="non-finite"):
         softmax(np.array([[np.inf, 0.0]]), np.ones((1, 2), dtype=bool))
+
+
+def test_segment_attention_rejects_nonfinite_scores():
+    """The kernel's softmax does not check its scores: an infinite score
+    makes its row NaN, and the pass rejects that output."""
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(kernel_softmax(np.array([[np.inf, 0.0]]), np.ones((1, 2), dtype=bool))).all()
+    layout = build_layout(build_sequence([(T, 2)]), AttentionVariant.CAUSAL_ONLY)
+    q = np.array([[0.0], [1.0]])  # row 1 scores key 0 at 1e200 * 1e200 = inf, row 0 at 0
+    k = np.array([[1e200], [0.0]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="output contains non-finite values"
+    ):
+        attn_module.segment_attention(layout, 1e200, q, k, np.ones((2, 1)))
 
 
 def test_masked_softmax_vjp_matches_finite_differences():

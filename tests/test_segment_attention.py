@@ -805,6 +805,19 @@ def test_restrict_to_every_row_is_bit_identical(variant):
         layout.restrict([sample.d])
 
 
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_restrict_takes_only_integer_rows(variant):
+    """A boolean mask or float rows are rejected by dtype rather than read
+    as the positions 0 and 1 or truncated; integer lists, ranges and
+    arrays of any integer width are positions."""
+    layout = build_layout(build_sequence([(I, 2), (T, 3)]), variant)
+    for rows, dtype in (([False, False, True, False, True], "bool"), (np.array([2.7, 4.2]), "float64")):
+        with pytest.raises(ValueError, match=f"rows must be integer positions, got dtype {dtype}"):
+            layout.restrict(rows)
+    for rows in ([2, 4], range(2, 5, 2), np.array([2, 4], dtype=np.int32), np.array([2, 4], dtype=np.uint8)):
+        assert layout.restrict(rows).rows.tolist() == [2, 4]
+
+
 @BY_VALUE
 @pytest.mark.parametrize(("variant", "image_self"), CONFIGS)
 def test_restricted_layout_matches_full_layout_on_kept_rows(variant, image_self, by_value):
@@ -1047,7 +1060,9 @@ def test_nonfinite_inputs_and_scores_rejected():
     with pytest.raises(ValueError, match="Kx and Vx"):
         segment_attention(cross, 1.0, ok, ok, ok)
     huge = np.full((4, 2), 1e200)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="scores contain non-finite"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="output contains non-finite"
+    ):
         segment_attention(layout, 1.0, huge, huge, ok)
 
 
@@ -1059,7 +1074,7 @@ def test_overflowing_scores_and_bad_dout_rejected(variant):
     params = init_multi_head_params(variant, 2, 4, rng)
     layout = build_layout(seq, variant)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        ValueError, match="scores contain non-finite"
+        ValueError, match="output contains non-finite"
     ):
         multi_head_forward(1e200 * x, params, layout)
     q, k, v, kx, vx = (rng.standard_normal((5, 2)) for _ in range(5))
@@ -1126,9 +1141,9 @@ class ScoreRecorder:
         real_exp, real_forward = attn_module._exp_in_place, toy_model_module.multi_head_forward
         real_layout = mask_module.build_layout
 
-        def recording_exp(scores, limit, check):
+        def recording_exp(scores, limit):
             self.layers[-1].append(scores.shape)
-            return real_exp(scores, limit, check)
+            return real_exp(scores, limit)
 
         def recording_forward(x, params, layout):
             self.layouts.append(layout)
@@ -1240,36 +1255,96 @@ def test_last_block_scores_only_the_target_rows(monkeypatch, variant):
     assert sum(np.prod(s) for s in last) < sum(np.prod(s) for s in full_shapes)
 
 
+def nonfinite_cases():
+    """Three calls whose result is not finite, each (segments, scale, q, k,
+    v, dout): a NaN scale; E @ V overflowing before the division by the row
+    total, although the true output is 1e307; and a VJP whose score
+    gradient overflows."""
+    rng = np.random.default_rng(0)
+    normal, zeros = rng.standard_normal((5, 4)), np.zeros((20, 4))
+    q, k = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    return [
+        ([(I, 2), (T, 3)], math.nan, normal, normal, normal, np.ones((5, 4))),
+        ([(T, 20)], 0.5, zeros, zeros, np.full((20, 4), 1e307), np.ones((20, 4))),
+        ([(T, 6)], 0.5, q, k, 1e10 * rng.standard_normal((6, 4)), np.full((6, 4), 1e300)),
+    ]
+
+
+def run_pass(layout, scale, q, k, v):
+    """``segment_attention``, with K and V also as Kx and Vx when the layout
+    reads them."""
+    return segment_attention(layout, scale, q, k, v, *((k, v) if layout.reads_cross else ()))
+
+
 @pytest.mark.parametrize("variant", list(AttentionVariant))
-def test_score_check_runs_only_when_the_inputs_cannot_bound_the_scores(monkeypatch, variant):
-    checks = []
-    real_exp = attn_module._exp_in_place
-
-    def recording_exp(scores, limit, check):
-        checks.append(check)
-        return real_exp(scores, limit, check)
-
-    monkeypatch.setattr(attn_module, "_exp_in_place", recording_exp)
-    seq = build_sequence([(T, 1), (I, 2), (T, 2)])
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((5, 4))
-    params = init_multi_head_params(variant, 2, 4, rng)
-    layout = build_layout(seq, variant)
-    out, _ = multi_head_forward(x, params, layout)  # ordinary inputs: the bounded path
-    assert checks and not any(checks) and np.isfinite(out).all()
-    checks.clear()
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        ValueError, match="scores contain non-finite"
-    ):
-        multi_head_forward(1e200 * x, params, layout)
-    assert checks == [True]  # the first term's scores overflow and are caught
-    checks.clear()
-    # a bound at or above 1e300 runs the check, which finite scores pass
+def test_nonfinite_outputs_and_gradients_rejected(variant):
+    nan_scale, overflow, vjp_overflow = nonfinite_cases()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for segments, scale, q, k, v, _ in (nan_scale, overflow):
+            with pytest.raises(ValueError, match="output contains non-finite values"):
+                run_pass(build_layout(build_sequence(segments), variant), scale, q, k, v)
+        segments, scale, q, k, v, dout = vjp_overflow
+        out, saved = run_pass(build_layout(build_sequence(segments), variant), scale, q, k, v)
+        assert np.isfinite(out).all()
+        with pytest.raises(ValueError, match="the gradient of Q contains non-finite values"):
+            segment_attention_vjp(saved, dout)
+    # inputs this large pass while their scores (here 4e300) stay finite
+    layout = build_layout(build_sequence([(T, 1), (I, 2), (T, 2)]), variant)
     ones = np.ones((2, 5, 1))
-    q, k, v = 2e150 * ones, 2e150 * ones, ones
-    cross = (k, v) if layout.reads_cross else ()
-    out, _ = segment_attention(layout, 1.0, q, k, v, *cross)
-    assert checks and all(checks) and np.isfinite(out).all()
+    out, saved = run_pass(layout, 1.0, 2e150 * ones, 2e150 * ones, ones)
+    assert np.isfinite(out).all()
+    assert all(np.isfinite(g).all() for g in segment_attention_vjp(saved, ones).values())
+
+
+@st.composite
+def _kernel_calls(draw):
+    """(segments, rows, scale, arrays): a sequence from ``_segments``, rows
+    to restrict its layouts to, a scale from {1/sqrt(head_dim), 1e300, NaN,
+    inf}, and Q, K, V, Kx, Vx and dout of random normals, each scaled by its
+    own 10**e with e in [0, 308]."""
+    segments = draw(_segments)
+    d = build_sequence(segments).d
+    rows = sorted(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=8, unique=True)))
+    head_dim = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1 / math.sqrt(head_dim), 1e300, math.nan, math.inf]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    with np.errstate(over="ignore"):
+        arrays = [10.0 ** draw(st.integers(0, 308)) * rng.standard_normal((d, head_dim)) for _ in range(6)]
+    return segments, rows, scale, arrays
+
+
+def as_call(segments, scale, q, k, v, dout):
+    """One of ``nonfinite_cases`` as a ``_kernel_calls`` draw, restricted to
+    its last row, with K and V also as Kx and Vx."""
+    return segments, [q.shape[0] - 1], scale, [q, k, v, k, v, dout]
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=_kernel_calls())
+@example(call=as_call(*nonfinite_cases()[0]))  # a NaN scale
+@example(call=as_call(*nonfinite_cases()[1]))  # E @ V overflows before the division
+@example(call=as_call(*nonfinite_cases()[2]))  # the VJP's score gradient overflows
+def test_no_kernel_call_returns_nonfinite_arrays(call):
+    """Under every variant, on the full layout and on it restricted to some
+    rows, each ``segment_attention``, ``attention_weights`` and
+    ``segment_attention_vjp`` call raises ``ValueError`` or returns only
+    finite arrays."""
+    segments, rows, scale, (q, k, v, kx, vx, dout) = call
+    for variant in AttentionVariant:
+        full = build_layout(build_sequence(segments), variant)
+        for layout in (full, full.restrict(rows)):
+            cross = (kx, vx) if layout.reads_cross else ()
+            with np.errstate(all="ignore"):
+                try:
+                    out, saved = segment_attention(layout, scale, q, k, v, *cross)
+                except ValueError:
+                    continue
+                results = [out, *attention_weights(saved)]
+                try:
+                    results += segment_attention_vjp(saved, dout).values()
+                except ValueError:
+                    pass
+            assert all(np.isfinite(a).all() for a in results)
 
 
 def test_masked_softmax_shares_allow_across_leading_axes():
