@@ -5,10 +5,12 @@ central-difference gradient check (``grad_check``).
 
 Where each rule lives: the attention rule, views and gathers in
 ``mask.AttentionLayout``; masking, the -inf support and empty rows in
-``_exp_in_place``; finite inputs and outputs in ``segment_attention``;
-deferred normalization, the FlashAttention row term and finite gradients in
-``segment_attention_vjp``; the head shape in ``multi_head_forward``; the
-heap policy this module sets on import in ``_keep_heap_pages``.
+``_exp_in_place``; public kernel inputs in ``segment_attention(_vjp)``,
+multi-head arguments in ``_project_heads`` and ``multi_head_input_vjp``,
+weight shapes (so equal Q/K/V shapes) in ``MultiHeadParams``; finite
+outputs and gradients, deferred normalization and the FlashAttention row
+term in the cores ``_attend`` and ``_attend_vjp``, which the wrapper calls
+directly; the heap policy this module sets on import in ``_keep_heap_pages``.
 """
 
 from __future__ import annotations
@@ -139,7 +141,15 @@ def segment_attention(
     given = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
     given = {name: a for name, a in given.items() if a is not None}
     _check_inputs(layout, given)
-    inputs = {name: _gather(a, layout.gathers[name != "q"]) for name, a in given.items()}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the output check, not warnings
+        return _attend(layout, scale, given)
+
+
+def _attend(layout: AttentionLayout, scale: float, inputs: dict[str, np.ndarray]
+            ) -> tuple[np.ndarray, SavedAttention]:
+    """``segment_attention`` after its input checks: checks only the output."""
+    if layout.gathers[0] is not None or layout.gathers[1] is not None:
+        inputs = {name: _gather(a, layout.gathers[name != "q"]) for name, a in inputs.items()}
     sources = {False: (inputs["k"], inputs["v"]), True: (inputs.get("kx"), inputs.get("vx"))}
     q = scale * inputs["q"]  # scale the thin side, not the rows x keys scores
     out = np.zeros(q.shape)
@@ -168,7 +178,18 @@ _SCRATCH_SIZE = 1 << 17
 def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
     """Gradients of ``sum(dout * out)`` for every input of the pass that
     returned ``out, saved``. ``dout`` must have ``out``'s shape and be
-    finite; a non-finite gradient is a ``ValueError``.
+    finite; a non-finite gradient is a ``ValueError``."""
+    shape = saved.inputs["k"].shape
+    if dout.shape != shape:
+        raise ValueError(f"dout must have the output's shape {shape}, got {dout.shape}")
+    if not np.isfinite(dout).all():
+        raise ValueError("dout contains non-finite values")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the gradient check, not warnings
+        return _attend_vjp(saved, dout)
+
+
+def _attend_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
+    """``segment_attention_vjp`` after its dout checks: checks only the gradients.
 
     Normalization is deferred, as in FlashAttention (Dao et al., arXiv
     2205.14135): the softmax is P = E / total, but the forward pass divides
@@ -177,11 +198,6 @@ def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
     with the row term D = rowsum(dO * O) is E * (G V^T - rowsum(G * O)), so
     no scores, softmax or rows x keys rowsum are formed here."""
     inputs, layout = saved.inputs, saved.layout
-    shape = inputs["k"].shape
-    if dout.shape != shape:
-        raise ValueError(f"dout must have the output's shape {shape}, got {dout.shape}")
-    if not np.isfinite(dout).all():
-        raise ValueError("dout contains non-finite values")
     dout = _gather(dout, layout.gathers[0])
     grads = {name: np.zeros(a.shape) for name, a in inputs.items()}
     for (e, total, term_out), term, (row_view, key_view) in zip(saved.terms, layout.terms, layout.views):
@@ -233,11 +249,12 @@ def attention_weights(saved: SavedAttention) -> tuple[np.ndarray, np.ndarray]:
 # Multi-head wrapper
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiHeadParams:
     """Per-head projection weights: ``wq/wk/wv`` (num_heads, model_dim,
-    head_dim), ``wo`` (model_dim, model_dim), and ``wkx/wvx`` for the cross
-    variant only, the one variant that adds parameters."""
+    head_dim), ``wo`` (num_heads * head_dim, model_dim), and ``wkx/wvx``
+    (as ``wq``) for the cross variant only, the one variant that adds
+    parameters; any other shape is a ``ValueError`` naming the tensor."""
 
     wq: np.ndarray
     wk: np.ndarray
@@ -246,12 +263,18 @@ class MultiHeadParams:
     wkx: np.ndarray | None = None
     wvx: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        if self.wq.ndim != 3:
+            raise ValueError(f"wq must be (num_heads, model_dim, head_dim), got shape {self.wq.shape}")
+        heads, model_dim, head_dim = self.wq.shape
+        for name, array in self.weights():
+            shape = (heads * head_dim, model_dim) if name == "wo" else self.wq.shape
+            if array.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+
     def weights(self) -> Iterator[tuple[str, np.ndarray]]:
         """(name, array) for every present weight, in field order."""
-        for f in fields(self):
-            array = getattr(self, f.name)
-            if array is not None:
-                yield f.name, array
+        return ((f.name, a) for f in fields(self) if (a := getattr(self, f.name)) is not None)
 
     def param_count(self) -> int:
         return sum(array.size for _, array in self.weights())
@@ -272,16 +295,14 @@ def init_multi_head_params(
     def w(*shape: int) -> np.ndarray:
         return scale * rng.standard_normal(shape)
 
-    params = MultiHeadParams(wq=w(h, dm, hd), wk=w(h, dm, hd), wv=w(h, dm, hd), wo=w(dm, dm))
-    if AttentionVariant(variant) is AttentionVariant.CAUSAL_PLUS_CROSS:
-        params.wkx = w(h, dm, hd)
-        params.wvx = w(h, dm, hd)
-    return params
+    cross = AttentionVariant(variant) is AttentionVariant.CAUSAL_PLUS_CROSS
+    return MultiHeadParams(wq=w(h, dm, hd), wk=w(h, dm, hd), wv=w(h, dm, hd), wo=w(dm, dm),
+                           wkx=w(h, dm, hd) if cross else None, wvx=w(h, dm, hd) if cross else None)
 
 
 def _check_cross_params(params: MultiHeadParams, layout: AttentionLayout) -> None:
     cross = layout.variant is AttentionVariant.CAUSAL_PLUS_CROSS
-    if any((w is not None) != cross for w in (params.wkx, params.wvx)):
+    if (params.wkx is None) == cross or (params.wvx is None) == cross:
         raise ValueError("params must carry wkx/wvx exactly when the layout is the cross variant")
 
 
@@ -314,7 +335,7 @@ def multi_head_forward(
     exactly when the layout is the cross variant."""
     x = np.asarray(x, dtype=np.float64)
     heads = _project_heads(x, params, layout)
-    out, saved = segment_attention(layout, 1.0 / math.sqrt(params.wq.shape[2]), **heads)
+    out, saved = _attend(layout, 1.0 / math.sqrt(params.wq.shape[2]), heads)
     return out.transpose(1, 0, 2).reshape(layout.d, -1) @ params.wo, saved
 
 
@@ -328,15 +349,13 @@ def multi_head_input_vjp(
     num_heads, model_dim, head_dim = params.wq.shape
     saved_heads, _, saved_width = saved.inputs["q"].shape
     if (num_heads, head_dim) != (saved_heads, saved_width):
-        raise ValueError(
-            f"params have {num_heads} heads of width {head_dim}; "
-            f"the saved pass has {saved_heads} of width {saved_width}"
-        )
+        raise ValueError(f"params have {num_heads} heads of width {head_dim}; "
+                         f"the saved pass has {saved_heads} of width {saved_width}")
     _check_cross_params(params, saved.layout)
     if dout.shape != (saved.layout.d, model_dim):
         raise ValueError("dout must have the saved pass's row count and model_dim columns")
     dheads = (dout @ params.wo.T).reshape(-1, num_heads, head_dim)
-    grads = segment_attention_vjp(saved, dheads.transpose(1, 0, 2))
+    grads = _attend_vjp(saved, dheads.transpose(1, 0, 2))
     dx = (grads.pop("q") @ params.wq.swapaxes(1, 2)).sum(axis=0)
     for name, g in grads.items():  # k, v, then kx, vx for the cross variant
         dx += (g @ getattr(params, "w" + name).swapaxes(1, 2)).sum(axis=0)

@@ -493,16 +493,9 @@ def make_copy_task(
     image's id, so predicting the answer token requires reading the image
     block through attention. Learnable by projection + embedding alone."""
     image_ids = tuple(f"img{i}" for i in range(num_images))
-    tokenizer = HashTokenizer(config.vocab_size)
-    layout = config.layout()
-    samples = []
-    for image_id in image_ids:
-        conv = Conversation(
-            system="Name the image.",
-            rounds=(Round(images=(image_id,), question="Which image is this?", answer=image_id),),
-        )
-        samples.append(render(conv, tokenizer, layout))
-    return samples, image_ids
+    tokenizer, layout = HashTokenizer(config.vocab_size), config.layout()
+    chats = [Conversation("Name the image.", (Round((i,), "Which image is this?", i),)) for i in image_ids]
+    return [render(chat, tokenizer, layout) for chat in chats], image_ids
 
 
 # ---------------------------------------------------------------------------

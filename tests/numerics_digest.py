@@ -11,8 +11,11 @@ logits, ``answer_loss`` and gradients of the trained model on
 ``oracles.random_conversation`` chats, and the loss of one ``train_step``
 on those chats as one batch; then the same for one long text-only chat
 (``long_chat``: over 1,000 words in four answered rounds), so that a large
-text triangle and its restriction to the target rows are hashed too. The
-first line is that digest; the second is the same digest with
+text triangle and its restriction to the target rows are hashed too; then
+the ``forward`` logits, ``answer_loss`` and gradients of one paper-shaped
+chat (``paper_chat``: two images of 256 tokens each, under a seed-0 model
+of that image size), so that the 256 x 256 image terms ``paper_train``
+runs are hashed as well. The first line is that digest; the second is the same digest with
 ``attn._SCRATCH_SIZE`` set to 16, so that every VJP term runs in row
 chunks. The file name keeps pytest from collecting it: it is a tool, not a
 test.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +51,7 @@ from mmchat.toy_model import (  # noqa: E402
 STEPS = 4
 LEARNING_RATE = 1e-2
 CHATS = 6
+PAPER_IMAGE_TOKENS = 256
 
 
 def long_chat(rng: np.random.Generator) -> Conversation:
@@ -57,6 +62,17 @@ def long_chat(rng: np.random.Generator) -> Conversation:
         return " ".join(f"w{i}" for i in rng.integers(0, 1000, count))
 
     return Conversation(words(40), tuple(Round((), words(150), words(120)) for _ in range(4)))
+
+
+def paper_chat(rng: np.random.Generator) -> Conversation:
+    """A two-image chat of 80 words: a 20-word system line and one round
+    that shows both images, with a 40-word question and a 20-word
+    answer."""
+
+    def words(count: int) -> str:
+        return " ".join(f"w{i}" for i in rng.integers(0, 1000, count))
+
+    return Conversation(words(20), (Round(("img0", "img1"), words(40), words(20)),))
 
 
 def numerics_digest() -> str:
@@ -90,6 +106,9 @@ def numerics_digest() -> str:
             for samples in (chats, [render(long_chat(rng), tokenizer, config.layout())]):
                 score(model, samples)
                 put(train_step(model, samples, OptimState(total_steps=1, learning_rate=LEARNING_RATE))[0])
+            paper = replace(config, image_token_count=PAPER_IMAGE_TOKENS)
+            sample = render(paper_chat(rng), tokenizer, paper.layout())
+            score(make_model(paper, seed=0, known_images=sample.image_ids), [sample])
     return digest.hexdigest()
 
 

@@ -111,17 +111,17 @@ def test_masked_softmax_rejects_nonfinite(softmax):
         softmax(np.array([[np.inf, 0.0]]), np.ones((1, 2), dtype=bool))
 
 
+@pytest.mark.filterwarnings("error")
 def test_segment_attention_rejects_nonfinite_scores():
     """The kernel's softmax does not check its scores: an infinite score
-    makes its row NaN, and the pass rejects that output."""
+    makes its row NaN, and the pass rejects that output without a NumPy
+    warning."""
     with np.errstate(invalid="ignore"):
         assert np.isnan(kernel_softmax(np.array([[np.inf, 0.0]]), np.ones((1, 2), dtype=bool))).all()
     layout = build_layout(build_sequence([(T, 2)]), AttentionVariant.CAUSAL_ONLY)
     q = np.array([[0.0], [1.0]])  # row 1 scores key 0 at 1e200 * 1e200 = inf, row 0 at 0
     k = np.array([[1e200], [0.0]])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        ValueError, match="output contains non-finite values"
-    ):
+    with pytest.raises(ValueError, match="output contains non-finite values"):
         attn_module.segment_attention(layout, 1e200, q, k, np.ones((2, 1)))
 
 
@@ -429,6 +429,27 @@ def test_cross_params_allocated_only_for_cross_variant():
     assert cross.wkx is not None and cross.wvx is not None
     assert mmca.param_count() == causal.param_count()
     assert cross.param_count() > mmca.param_count()
+
+
+@pytest.mark.parametrize(("name", "shape", "message"), [
+    ("wq", (2, 6, 3, 1), r"wq must be \(num_heads, model_dim, head_dim\), got shape \(2, 6, 3, 1\)"),
+    ("wk", (2, 6, 2), r"wk must have shape \(2, 6, 3\), got \(2, 6, 2\)"),
+    ("wv", (1, 6, 3), r"wv must have shape \(2, 6, 3\), got \(1, 6, 3\)"),
+    ("wo", (6, 5), r"wo must have shape \(6, 6\), got \(6, 5\)"),
+    ("wkx", (2, 5, 3), r"wkx must have shape \(2, 6, 3\), got \(2, 5, 3\)"),
+    ("wvx", (6, 3), r"wvx must have shape \(2, 6, 3\), got \(6, 3\)"),
+])
+def test_multi_head_params_reject_a_malformed_tensor(name, shape, message):
+    """Every weight is checked against ``wq``'s (heads, model_dim,
+    head_dim) once, when the params are made, and none can be rebound
+    later, so the Q/K/V the wrapper projects always share a shape."""
+    cross = init_multi_head_params(AttentionVariant.CAUSAL_PLUS_CROSS, 2, 6, np.random.default_rng(16))
+    weights = dict(cross.weights())
+    weights[name] = np.zeros(shape)
+    with pytest.raises(ValueError, match=message):
+        MultiHeadParams(**weights)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cross, name, weights[name])
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))

@@ -258,6 +258,27 @@ def test_malformed_record_names_the_field(tmp_path, capsys, command, line, messa
     assert err == f"error: {src}: malformed record on line 2: {message}\n"
 
 
+def test_every_byte_flip_of_a_record_exits_0_or_2_with_one_error_line(tmp_path, capsys):
+    """Each byte of a good record's line set to NUL, a quote, 0xff or its
+    own value with the low bit flipped: ``mmchat render`` and ``mmchat
+    blend --mode concat`` exit 0 with nothing on stderr, or 2 with exactly
+    one ``error:`` line, never a traceback."""
+    good = json.dumps(_GOOD_RECORD).encode()
+    assert len(good) == 118
+    src, out = tmp_path / "in.jsonl", str(tmp_path / "o")
+    exits = []
+    for at, byte in enumerate(good):
+        for value in sorted({0x00, ord('"'), 0xFF, byte ^ 1} - {byte}):
+            src.write_bytes(good[:at] + bytes([value]) + good[at + 1:] + b"\n")
+            for command in (["render"], ["blend", "--mode", "concat"]):
+                code = main([*command, "--input", str(src), "--out", out])
+                err = capsys.readouterr().err
+                one_error = err.startswith("error: ") and err.count("\n") == 1
+                assert (code, err) == (0, "") or (code == 2 and one_error), (at, value, command, err)
+                exits.append(code)
+    assert exits.count(2) > exits.count(0) > 0  # most flips break the record, some do not
+
+
 def test_render_command(tmp_path):
     rng = np.random.default_rng(3)
     ok = llava_record(rng, "fine")

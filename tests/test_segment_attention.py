@@ -1044,6 +1044,7 @@ def test_vjp_in_row_chunks_matches_dense_reference(monkeypatch, scratch_size):
             assert max(max_gaps(config, random_layout(rng), seed=trial)) <= TOLERANCE
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_inputs_and_scores_rejected():
     seq = build_sequence([(I, 2), (T, 2)])
     layout = build_layout(seq, AttentionVariant.MMCA)
@@ -1060,9 +1061,7 @@ def test_nonfinite_inputs_and_scores_rejected():
     with pytest.raises(ValueError, match="Kx and Vx"):
         segment_attention(cross, 1.0, ok, ok, ok)
     huge = np.full((4, 2), 1e200)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        ValueError, match="output contains non-finite"
-    ):
+    with pytest.raises(ValueError, match="output contains non-finite"):
         segment_attention(layout, 1.0, huge, huge, ok)
 
 
@@ -1276,18 +1275,18 @@ def run_pass(layout, scale, q, k, v):
     return segment_attention(layout, scale, q, k, v, *((k, v) if layout.reads_cross else ()))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 def test_nonfinite_outputs_and_gradients_rejected(variant):
     nan_scale, overflow, vjp_overflow = nonfinite_cases()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for segments, scale, q, k, v, _ in (nan_scale, overflow):
-            with pytest.raises(ValueError, match="output contains non-finite values"):
-                run_pass(build_layout(build_sequence(segments), variant), scale, q, k, v)
-        segments, scale, q, k, v, dout = vjp_overflow
-        out, saved = run_pass(build_layout(build_sequence(segments), variant), scale, q, k, v)
-        assert np.isfinite(out).all()
-        with pytest.raises(ValueError, match="the gradient of Q contains non-finite values"):
-            segment_attention_vjp(saved, dout)
+    for segments, scale, q, k, v, _ in (nan_scale, overflow):
+        with pytest.raises(ValueError, match="output contains non-finite values"):
+            run_pass(build_layout(build_sequence(segments), variant), scale, q, k, v)
+    segments, scale, q, k, v, dout = vjp_overflow
+    out, saved = run_pass(build_layout(build_sequence(segments), variant), scale, q, k, v)
+    assert np.isfinite(out).all()
+    with pytest.raises(ValueError, match="the gradient of Q contains non-finite values"):
+        segment_attention_vjp(saved, dout)
     # inputs this large pass while their scores (here 4e300) stay finite
     layout = build_layout(build_sequence([(T, 1), (I, 2), (T, 2)]), variant)
     ones = np.ones((2, 5, 1))
@@ -1319,6 +1318,7 @@ def as_call(segments, scale, q, k, v, dout):
     return segments, [q.shape[0] - 1], scale, [q, k, v, k, v, dout]
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None)
 @given(call=_kernel_calls())
 @example(call=as_call(*nonfinite_cases()[0]))  # a NaN scale
@@ -1328,20 +1328,60 @@ def test_no_kernel_call_returns_nonfinite_arrays(call):
     """Under every variant, on the full layout and on it restricted to some
     rows, each ``segment_attention``, ``attention_weights`` and
     ``segment_attention_vjp`` call raises ``ValueError`` or returns only
-    finite arrays."""
+    finite arrays, without a NumPy warning."""
     segments, rows, scale, (q, k, v, kx, vx, dout) = call
     for variant in AttentionVariant:
         full = build_layout(build_sequence(segments), variant)
         for layout in (full, full.restrict(rows)):
             cross = (kx, vx) if layout.reads_cross else ()
-            with np.errstate(all="ignore"):
+            try:
+                out, saved = segment_attention(layout, scale, q, k, v, *cross)
+            except ValueError:
+                continue
+            results = [out, *attention_weights(saved)]
+            try:
+                results += segment_attention_vjp(saved, dout).values()
+            except ValueError:
+                pass
+            assert all(np.isfinite(a).all() for a in results)
+
+
+@st.composite
+def _multi_head_calls(draw):
+    """(segments, rows, seed, x, dout): a sequence from ``_segments``, rows
+    to restrict its layouts to, a seed for the weights, and x and dout of
+    random normals (d x 4), each scaled by its own 10**e with e in
+    [0, 308]."""
+    segments = draw(_segments)
+    d = build_sequence(segments).d
+    rows = sorted(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=8, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    with np.errstate(over="ignore"):
+        x, dout = (10.0 ** draw(st.integers(0, 308)) * rng.standard_normal((d, 4)) for _ in range(2))
+    return segments, rows, draw(st.integers(0, 2**16)), x, dout
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=_multi_head_calls())
+def test_no_multi_head_call_returns_nonfinite_arrays(call):
+    """The multi-head wrapper runs the kernel's cores without their input
+    checks, so the cores' output and gradient checks carry the same
+    contract: under every variant, on the full layout and on it restricted
+    to some rows, each ``multi_head_forward`` and ``multi_head_input_vjp``
+    call raises ``ValueError`` or returns only finite arrays."""
+    segments, rows, seed, x, dout = call
+    for variant in AttentionVariant:
+        params = init_multi_head_params(variant, 2, 4, np.random.default_rng(seed))
+        full = build_layout(build_sequence(segments), variant)
+        for layout in (full, full.restrict(rows)):
+            with np.errstate(all="ignore"):  # the projections may overflow before a check
                 try:
-                    out, saved = segment_attention(layout, scale, q, k, v, *cross)
+                    out, saved = multi_head_forward(x, params, layout)
                 except ValueError:
                     continue
-                results = [out, *attention_weights(saved)]
+                results = [out]
                 try:
-                    results += segment_attention_vjp(saved, dout).values()
+                    results.append(multi_head_input_vjp(params, saved, dout))
                 except ValueError:
                     pass
             assert all(np.isfinite(a).all() for a in results)
