@@ -207,18 +207,16 @@ def _attend_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
         g = row_view(dout) / total
         gv += e.swapaxes(-1, -2) @ g
         row_term = (g[..., None, :] @ term_out[..., :, None])[..., 0]  # rowsum(G * O), one per row
-        chunks = [(e, g, row_term, row_view(inputs["q"]), row_view(grads["q"]))]
+        q, gq = row_view(inputs["q"]), row_view(grads["q"])
         size = e.shape[-2]
         step = max(_SCRATCH_SIZE * size // e.size, 1)  # rows whose dS fits one chunk
-        if step < size:  # a term of one chunk is not sliced
-            chunks = [tuple(a[..., start : start + step, :] for a in chunks[0])
-                      for start in range(0, size, step)]
-        for e_part, g_part, d_part, q_part, gq_part in chunks:
-            ds = g_part @ v.swapaxes(-1, -2)
-            ds -= d_part
-            ds *= e_part
-            gq_part += ds @ k
-            gk += ds.swapaxes(-1, -2) @ q_part
+        for start in range(0, size, step):
+            rows = np.s_[..., start : start + step, :]
+            ds = g[rows] @ v.swapaxes(-1, -2)
+            ds -= row_term[rows]
+            ds *= e[rows]
+            gq[rows] += ds @ k
+            gk += ds.swapaxes(-1, -2) @ q[rows]
             del ds  # free this chunk before the next is allocated, which then reuses it
     for name, g in grads.items():
         if name in ("q", "k", "kx"):

@@ -1,13 +1,15 @@
 """Multi-image records from single-image and image-pair corpora: the two
-blend procedures (``concat_blend``, ``llava_otter_blend``), the admission
-filter, corpus stats and JSON-lines IO."""
+blend procedures (``concat_blend``, grouped as a ``BlendSpec`` says, and
+``llava_otter_blend``), the admission filter on image count and length
+(``filter_limits``, which takes its own limits), corpus stats and
+JSON-lines IO."""
 
 from __future__ import annotations
 
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
@@ -16,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .modseq import LayoutConfig, _check_int
-from .template import Conversation, HashTokenizer, OverLengthError, RenderedSample, Round, count_tokens, render
+from .template import Conversation, OverLengthError, Round, count_tokens
 
 
 class Dataset(str, Enum):
@@ -57,20 +59,21 @@ class SourceRecord:
 
 @dataclass(frozen=True)
 class BlendSpec:
-    """Grouping range, seed, and the filter limits."""
+    """``concat_blend``'s group-size range and shuffle seed. ``max_group``
+    stays below 2**63, the bound of the generator's int64 draws."""
 
     min_group: int
     max_group: int
     seed: int
-    max_images: int = 8
-    layout: LayoutConfig = field(default_factory=LayoutConfig)
 
     def __post_init__(self) -> None:
-        for name in ("min_group", "max_group", "max_images"):
-            _check_int(name, getattr(self, name))
+        _check_int("min_group", self.min_group)
+        _check_int("max_group", self.max_group)
         _check_int("seed", self.seed, minimum=0)
         if self.min_group > self.max_group:
             raise ValueError("need 1 <= min_group <= max_group")
+        if self.max_group >= 2**63:
+            raise ValueError(f"max_group must be below 2**63, got {self.max_group!r}")
 
 
 def _merge_group(group: list[SourceRecord]) -> SourceRecord:
@@ -175,35 +178,33 @@ def llava_otter_blend(
 
 def filter_limits(
     records: list[SourceRecord],
-    spec: BlendSpec,
-    tokenizer: HashTokenizer,
-    emit: Callable[[RenderedSample], object] | None = None,
+    max_images: int,
+    layout: LayoutConfig,
+    emit: Callable[[SourceRecord], object] | None = None,
 ) -> tuple[list[SourceRecord], dict[str, int]]:
-    """Drop records with too many images or an over-long rendering;
-    return the kept records and per-reason drop counts. Nothing is
-    rendered unless ``emit`` is given: the length test is ``count_tokens``.
-    With ``emit``, each kept record is rendered once (an over-long one is
-    only counted) and its sample passed to ``emit`` in order, and freed
-    before the next record. Idempotent: the kept list passes untouched.
-    """
+    """Drop records with more than ``max_images`` images or more than
+    ``layout.max_sequence_length`` tokens; return the kept records and
+    per-reason drop counts. Without ``emit`` the length test is
+    ``count_tokens`` and nothing is rendered. With ``emit``, each record
+    under the image limit is passed to ``emit`` in order to be rendered,
+    and one for which it raises ``OverLengthError`` (as ``render`` does
+    under ``layout``) is dropped as over-long. Idempotent: the kept list
+    passes untouched."""
+    _check_int("max_images", max_images)
     kept: list[SourceRecord] = []
     dropped = {"too_many_images": 0, "over_length": 0}
     for record in records:
-        if len(record.image_ids) > spec.max_images:
+        if len(record.image_ids) > max_images:
             dropped["too_many_images"] += 1
             continue
-        if emit is None:
-            if count_tokens(record.conversation, spec.layout) > spec.layout.max_sequence_length:
-                dropped["over_length"] += 1
-                continue
-        else:
-            try:
-                sample = render(record.conversation, tokenizer, spec.layout)
-            except OverLengthError:
-                dropped["over_length"] += 1
-                continue
-            emit(sample)
-            del sample  # freed before the next record renders
+        try:
+            if emit is not None:
+                emit(record)
+            elif count_tokens(record.conversation, layout) > layout.max_sequence_length:
+                raise OverLengthError
+        except OverLengthError:
+            dropped["over_length"] += 1
+            continue
         kept.append(record)
     return kept, dropped
 

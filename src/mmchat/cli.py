@@ -29,7 +29,7 @@ from .blend import (
 )
 from .mask import AttentionVariant, build_layout, build_mask, render_mask
 from .modseq import LayoutConfig, ModalitySequence, TokenKind, build_sequence
-from .template import HashTokenizer, RenderedSample
+from .template import HashTokenizer, RenderedSample, render
 
 _SEQ_SEGMENT = re.compile(r"([it])([0-9]+)")
 
@@ -80,18 +80,9 @@ def cmd_mask(args: argparse.Namespace) -> int:
     return 0
 
 
-def _blend_spec(args: argparse.Namespace) -> BlendSpec:
-    return BlendSpec(
-        min_group=args.min_group,
-        max_group=args.max_group,
-        seed=args.seed,
-        max_images=args.max_images,
-        layout=LayoutConfig(args.image_tokens, args.max_seq_len),
-    )
-
-
 def cmd_blend(args: argparse.Namespace) -> int:
-    spec = _blend_spec(args)
+    layout = LayoutConfig(args.image_tokens, args.max_seq_len)
+    spec = BlendSpec(args.min_group, args.max_group, args.seed)
     if args.mode == "concat":
         if args.input is None:
             raise ValueError("--mode concat requires --input")
@@ -104,7 +95,7 @@ def cmd_blend(args: argparse.Namespace) -> int:
             read_records(args.llava_dial),
             read_records(args.otter),
         )
-    kept, dropped = filter_limits(blended, spec, HashTokenizer())
+    kept, dropped = filter_limits(blended, args.max_images, layout)
     write_records(kept, args.out)
     _write_json(args.stats_out, {"kept": dataset_stats(kept), "dropped": dropped})
     return 0
@@ -148,18 +139,13 @@ def _sample_line(sample: RenderedSample) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    spec = BlendSpec(
-        min_group=1,
-        max_group=1,
-        seed=0,
-        max_images=args.max_images,
-        layout=LayoutConfig(args.image_tokens, args.max_seq_len),
-    )
+    layout = LayoutConfig(args.image_tokens, args.max_seq_len)
     tokenizer = HashTokenizer(args.vocab_size)
     records = read_records(args.input)
     with open(args.out, "w", encoding="utf-8") as handle:
         kept, dropped = filter_limits(
-            records, spec, tokenizer, lambda sample: handle.write(_sample_line(sample))
+            records, args.max_images, layout,
+            lambda record: handle.write(_sample_line(render(record.conversation, tokenizer, layout))),
         )
     _write_json(args.stats_out, {"rendered": len(kept), "dropped": dropped})
     return 0
@@ -234,30 +220,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--out", default=None)
     p_mask.set_defaults(func=cmd_mask)
 
-    p_blend = sub.add_parser("blend", help="synthesize multi-round multi-image records")
+    # the output files and admission limits that blend and render share
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--out", required=True)
+    limits.add_argument("--stats-out", default=None)
+    limits.add_argument("--max-images", type=int, default=8)
+    limits.add_argument("--image-tokens", type=int, default=256)
+    limits.add_argument("--max-seq-len", type=int, default=4096)
+
+    p_blend = sub.add_parser("blend", parents=[limits], help="synthesize multi-round multi-image records")
     p_blend.add_argument("--mode", choices=["concat", "llava-otter"], required=True)
     p_blend.add_argument("--input", default=None, help="records for --mode concat")
     p_blend.add_argument("--llava", default=None)
     p_blend.add_argument("--llava-dial", default=None)
     p_blend.add_argument("--otter", default=None)
-    p_blend.add_argument("--out", required=True)
-    p_blend.add_argument("--stats-out", default=None)
     p_blend.add_argument("--seed", type=int, default=0)
     p_blend.add_argument("--min-group", type=int, default=1)
     p_blend.add_argument("--max-group", type=int, default=3)
-    p_blend.add_argument("--max-images", type=int, default=8)
-    p_blend.add_argument("--image-tokens", type=int, default=256)
-    p_blend.add_argument("--max-seq-len", type=int, default=4096)
     p_blend.set_defaults(func=cmd_blend)
 
-    p_render = sub.add_parser("render", help="tokenize records into rendered samples")
+    p_render = sub.add_parser("render", parents=[limits], help="tokenize records into rendered samples")
     p_render.add_argument("--input", required=True)
-    p_render.add_argument("--out", required=True)
-    p_render.add_argument("--stats-out", default=None)
     p_render.add_argument("--vocab-size", type=int, default=32)
-    p_render.add_argument("--max-images", type=int, default=8)
-    p_render.add_argument("--image-tokens", type=int, default=256)
-    p_render.add_argument("--max-seq-len", type=int, default=4096)
     p_render.set_defaults(func=cmd_render)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")

@@ -207,7 +207,7 @@ class AttentionLayout:
         ``row_part`` renumbered and its ``limit`` cut to the kept rows it
         reads; a run that reads no kept row is dropped. Every allowed edge
         of a kept row stays in exactly one term; the kernel gives every
-        other row zero output. Keeping every row returns this layout."""
+        other row zero output."""
         rows = np.asarray(rows)
         if rows.size == 0:
             raise ValueError("restrict needs at least one row")
@@ -217,8 +217,6 @@ class AttentionLayout:
             raise ValueError(f"rows must lie in [0, {self.d})")
         keep = np.zeros(self.d, dtype=bool)
         keep[rows] = True
-        if np.count_nonzero(keep) == self.d:
-            return self
         kept = keep[self.rows]
         at = [0, *np.cumsum(kept).tolist()]  # new index of each old row index
         terms = []

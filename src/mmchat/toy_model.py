@@ -288,6 +288,12 @@ def _bin_pass(
     return h
 
 
+# A model call ends in its own typed error (the kernel's output and gradient
+# checks, the logits and loss checks), not in NumPy's warnings on the way.
+_typed_errors_only = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_typed_errors_only
 def forward(model: ToyModel, sample: RenderedSample) -> np.ndarray:
     """Logits (d x vocab_size) for every position: the pass over every row
     of a one-sample bin, then the head."""
@@ -377,6 +383,7 @@ def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple
     return loss, {"projection": d_projection, "embedding": d_embedding}
 
 
+@_typed_errors_only
 def loss_and_param_grads(
     model: ToyModel, sample: RenderedSample
 ) -> tuple[float, GradDict]:
@@ -434,6 +441,7 @@ class OptimState:
         return self.learning_rate
 
 
+@_typed_errors_only
 def train_step(
     model: ToyModel, batch: list[RenderedSample], opt: OptimState
 ) -> tuple[float, ToyModel]:

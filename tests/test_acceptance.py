@@ -324,16 +324,13 @@ def test_criterion_08_blending_determinism_and_conservation(tmp_path):
         roll = rng.random()
         num_images = int(rng.integers(9, 11)) if roll < 0.2 else int(rng.integers(1, 9))
         mixed.append(_multi_image_record(rng, pool, num_images, long_answer=roll > 0.8))
-    filter_spec = BlendSpec(
-        min_group=1, max_group=1, seed=0, max_images=8,
-        layout=LayoutConfig(image_token_count=8, max_sequence_length=160),
-    )
-    kept, dropped = filter_limits(mixed, filter_spec, HashTokenizer())
+    filter_layout = LayoutConfig(image_token_count=8, max_sequence_length=160)
+    kept, dropped = filter_limits(mixed, 8, filter_layout)
     expect_kept, expect_too_many, expect_long = [], 0, 0
     for record in mixed:
-        if len(record.image_ids) > filter_spec.max_images:
+        if len(record.image_ids) > 8:
             expect_too_many += 1
-        elif token_count(record.conversation, filter_spec.layout) > 160:
+        elif token_count(record.conversation, filter_layout) > 160:
             expect_long += 1
         else:
             expect_kept.append(record)

@@ -36,14 +36,16 @@ from oracles import (
 TOK = HashTokenizer(32)
 
 
-def small_spec(min_group=1, max_group=3, seed=0, max_images=8):
-    return BlendSpec(
-        min_group=min_group,
-        max_group=max_group,
-        seed=seed,
-        max_images=max_images,
-        layout=LayoutConfig(image_token_count=4, max_sequence_length=4096),
-    )
+SMALL_LAYOUT = LayoutConfig(image_token_count=4, max_sequence_length=4096)
+
+
+def small_spec(min_group=1, max_group=3, seed=0):
+    return BlendSpec(min_group=min_group, max_group=max_group, seed=seed)
+
+
+def rendering(samples, layout=SMALL_LAYOUT):
+    """A ``filter_limits`` emit that renders each record into ``samples``."""
+    return lambda record: samples.append(render(record.conversation, TOK, layout))
 
 
 def make_llava_corpus(n, seed=0):
@@ -78,8 +80,6 @@ def test_blend_spec_validation():
         BlendSpec(min_group=3, max_group=2, seed=0)
     with pytest.raises(ValueError, match="min_group"):
         BlendSpec(min_group=0, max_group=2, seed=0)
-    with pytest.raises(ValueError, match="max_images"):
-        BlendSpec(min_group=1, max_group=1, seed=0, max_images=0)
 
 
 @pytest.mark.parametrize(
@@ -87,14 +87,28 @@ def test_blend_spec_validation():
     [
         ({"min_group": 1.5}, "min_group must be an integer >= 1, got 1.5"),
         ({"max_group": 2.0}, "max_group must be an integer >= 1, got 2.0"),
-        ({"max_images": True}, "max_images must be an integer >= 1, got True"),
         ({"seed": 0.5}, "seed must be an integer >= 0, got 0.5"),
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"max_group": 2**63}, "max_group must be below 2**63, got 9223372036854775808"),
+        ({"max_group": 10**20}, "max_group must be below 2**63, got 100000000000000000000"),
     ],
 )
 def test_blend_spec_rejects_non_integer_fields(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BlendSpec(**{"min_group": 1, "max_group": 2, "seed": 0, **kwargs})
+
+
+def test_concat_blend_draws_the_largest_group_size_below_2_63():
+    records = make_llava_corpus(3)
+    out = concat_blend(records, BlendSpec(min_group=2**63 - 2, max_group=2**63 - 1, seed=0))
+    assert len(out) == 1 and sorted(out[0].image_ids) == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("max_images", [0, True, 1.5])
+def test_filter_limits_rejects_a_max_images_below_one_or_not_an_integer(max_images):
+    message = f"max_images must be an integer >= 1, got {max_images!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        filter_limits([], max_images, SMALL_LAYOUT)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +266,9 @@ def test_filter_too_many_images():
     big = SourceRecord(Dataset.OTHER, ids, conv)
     ok = llava_record(rng, "fine")
     samples = []
-    kept, dropped = filter_limits([big, ok], small_spec(max_images=8), TOK, samples.append)
+    kept, dropped = filter_limits([big, ok], 8, SMALL_LAYOUT, rendering(samples))
     assert kept == [ok]
-    assert samples == [render(ok.conversation, TOK, small_spec().layout)]
+    assert samples == [render(ok.conversation, TOK, SMALL_LAYOUT)]
     assert dropped == {"too_many_images": 1, "over_length": 0}
 
 
@@ -263,18 +277,13 @@ def test_filter_over_length():
     ok = llava_record(rng, "fine")
     long_answer = " ".join(["w"] * 50)
     conv = Conversation("s", (Round(("v",), "q", long_answer),))
-    spec = BlendSpec(
-        min_group=1,
-        max_group=1,
-        seed=0,
-        layout=LayoutConfig(image_token_count=4, max_sequence_length=30),
-    )
+    layout = LayoutConfig(image_token_count=4, max_sequence_length=30)
     samples = []
     kept, dropped = filter_limits(
-        [SourceRecord(Dataset.LLAVA, ("v",), conv), ok], spec, TOK, samples.append
+        [SourceRecord(Dataset.LLAVA, ("v",), conv), ok], 8, layout, rendering(samples, layout)
     )
     assert kept == [ok]
-    assert samples == [render(ok.conversation, TOK, spec.layout)]
+    assert samples == [render(ok.conversation, TOK, layout)]
     assert dropped == {"too_many_images": 0, "over_length": 1}
 
 
@@ -287,20 +296,19 @@ def test_filter_keeps_a_record_at_the_cap_and_drops_one_past_it(seed, image_toke
     for cap, outcome in ((length, ([record], {"too_many_images": 0, "over_length": 0})),
                          (length - 1, ([], {"too_many_images": 0, "over_length": 1}))):
         layout = LayoutConfig(image_token_count=image_tokens, max_sequence_length=cap)
-        spec = BlendSpec(min_group=1, max_group=1, seed=0, max_images=12, layout=layout)
         samples = []
-        assert filter_limits([record], spec, TOK) == outcome
-        assert filter_limits([record], spec, TOK, samples.append) == outcome
+        assert filter_limits([record], 12, layout) == outcome
+        assert filter_limits([record], 12, layout, rendering(samples, layout)) == outcome
         assert [s.d for s in samples] == [length] * len(outcome[0])
 
 
 def test_filter_empty_and_idempotent():
     empty = ([], {"too_many_images": 0, "over_length": 0})
-    assert filter_limits([], small_spec(), TOK) == empty
+    assert filter_limits([], 8, SMALL_LAYOUT) == empty
     records = make_llava_corpus(5)
     samples, again_samples = [], []
-    kept, _ = filter_limits(records, small_spec(), TOK, samples.append)
-    again, dropped = filter_limits(kept, small_spec(), TOK, again_samples.append)
+    kept, _ = filter_limits(records, 8, SMALL_LAYOUT, rendering(samples))
+    again, dropped = filter_limits(kept, 8, SMALL_LAYOUT, rendering(again_samples))
     assert again == kept
     assert again_samples == samples
     assert dropped == {"too_many_images": 0, "over_length": 0}
@@ -505,11 +513,8 @@ def test_concat_blend_partitions_and_conserves_the_input(
     max_len=st.integers(20, 120),
 )
 def test_filter_limits_is_idempotent(seed, size, max_images, max_len):
-    spec = BlendSpec(
-        min_group=1, max_group=1, seed=0, max_images=max_images,
-        layout=LayoutConfig(image_token_count=4, max_sequence_length=max_len),
-    )
+    layout = LayoutConfig(image_token_count=4, max_sequence_length=max_len)
     records = tagged_corpus(seed, size)
-    kept, dropped = filter_limits(records, spec, TOK)
+    kept, dropped = filter_limits(records, max_images, layout)
     assert len(kept) + sum(dropped.values()) == len(records)
-    assert filter_limits(kept, spec, TOK) == (kept, {"too_many_images": 0, "over_length": 0})
+    assert filter_limits(kept, max_images, layout) == (kept, {"too_many_images": 0, "over_length": 0})

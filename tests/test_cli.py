@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import mmchat.attn as attn_module
-import mmchat.blend as blend_module
 import mmchat.cli as cli_module
 import mmchat.template as template_module
 from mmchat.blend import Dataset, SourceRecord, read_records, write_records
@@ -89,12 +88,12 @@ def test_blend_concat_deterministic(tmp_path):
 
 
 def _track_renders(monkeypatch):
-    """Count ``blend.render`` calls and ``template._word_hash`` calls, and
-    record how many rendered samples are alive after each render."""
+    """Count ``render`` calls made by the CLI and ``template._word_hash``
+    calls, and record how many rendered samples are alive after each render."""
     alive = weakref.WeakSet()
     most = []
     hashes = []
-    real_render, real_hash = blend_module.render, template_module._word_hash
+    real_render, real_hash = cli_module.render, template_module._word_hash
 
     def tracked_render(*args, **kwargs):
         sample = real_render(*args, **kwargs)
@@ -106,7 +105,7 @@ def _track_renders(monkeypatch):
         hashes.append(word)
         return real_hash(word)
 
-    monkeypatch.setattr(blend_module, "render", tracked_render)
+    monkeypatch.setattr(cli_module, "render", tracked_render)
     monkeypatch.setattr(template_module, "_word_hash", tracked_hash)
     return most, hashes
 
@@ -207,6 +206,24 @@ def test_blend_llava_otter_rejects_a_pair_record_as_llava(tmp_path, capsys):
     assert main(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: first argument (llava) must contain single-image records")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["render", "--input", "{llava}", "--max-images", "0"],
+     "max_images must be an integer >= 1, got 0"),
+    (["blend", "--mode", "concat", "--input", "{llava}", "--max-images", "0"],
+     "max_images must be an integer >= 1, got 0"),
+    (["blend", "--mode", "llava-otter", "--llava", "{llava}", "--llava-dial", "{llava}",
+      "--otter", "{otter}", "--min-group", "0"], "min_group must be an integer >= 1, got 0"),
+    (["blend", "--mode", "concat", "--input", "{llava}", "--max-group", "100000000000000000000"],
+     "max_group must be below 2**63, got 100000000000000000000"),
+])
+def test_a_bad_limit_or_group_flag_exits_2_naming_it(tmp_path, capsys, argv, message):
+    rng = np.random.default_rng(3)
+    paths = {"llava": _write_corpus(tmp_path / "l.jsonl", [llava_record(rng, "img0")]),
+             "otter": _write_corpus(tmp_path / "p.jsonl", [otter_record(rng, "img0", "img1")])}
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def assert_malformed_input_reports_line(tmp_path, capsys, command):

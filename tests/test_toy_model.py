@@ -840,6 +840,7 @@ def test_copy_task_loss_decreases():
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("variant", list(AttentionVariant))
 @pytest.mark.parametrize("tensor", ["block0.attn.wq", "block1.attn.wk", "block0.attn.wv",
@@ -848,37 +849,36 @@ def test_a_nonfinite_frozen_tensor_is_an_error_never_a_value(tensor, variant, va
     """The multi-head wrapper does not check the Q/K/V it projects; a NaN or
     inf in any frozen tensor the copy task reads still ends ``forward`` and
     ``train_step`` in an error (the kernel's output or gradient check, or
-    the logits check), never in a non-finite value. The one call that
-    returns is ``forward`` with an infinite ``w1`` entry: tanh saturates,
-    so its logits are finite, and its gradient is the error."""
+    the logits check), never in a non-finite value or a NumPy warning. The
+    one call that returns is ``forward`` with an infinite ``w1`` entry:
+    tanh saturates, so its logits are finite, and its gradient is the error."""
     config = ModelConfig(variant=variant)
     batch, image_ids = make_copy_task(config)
     model = make_model(config, seed=0, known_images=image_ids)
     model.named_tensors()[tensor].flat[0] = value  # frozen arrays are shared: this edits the model
-    with np.errstate(all="ignore"):  # the model path may overflow before a check
+    with pytest.raises((ValueError, FloatingPointError)):
+        train_step(model, batch, OptimState(total_steps=1))
+    if value == math.inf and tensor == "block0.w1":
+        assert np.isfinite(forward(model, batch[0])).all()
+    else:
         with pytest.raises((ValueError, FloatingPointError)):
-            train_step(model, batch, OptimState(total_steps=1))
-        if value == math.inf and tensor == "block0.w1":
-            assert np.isfinite(forward(model, batch[0])).all()
-        else:
-            with pytest.raises((ValueError, FloatingPointError)):
-                forward(model, batch[0])
+            forward(model, batch[0])
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_step_that_overflows_the_parameters_fails_the_next_step():
     """At learning rate 1e308 one copy-task step still returns finite
     parameters; the next step's first attention pass rejects what they
-    project to."""
+    project to, with no NumPy warning from the matmuls that overflow first."""
     config = ModelConfig()
     batch, image_ids = make_copy_task(config)
     model = make_model(config, seed=0, known_images=image_ids)
     opt = OptimState(total_steps=2, learning_rate=1e308)
-    with np.errstate(all="ignore"):  # the embedding and projection matmuls overflow first
-        loss, model = train_step(model, batch, opt)
-        assert math.isfinite(loss)
-        assert all(np.isfinite(a).all() for a in model.trainable_params().values())
-        with pytest.raises(ValueError, match="contains non-finite values"):
-            train_step(model, batch, opt)
+    loss, model = train_step(model, batch, opt)
+    assert math.isfinite(loss)
+    assert all(np.isfinite(a).all() for a in model.trainable_params().values())
+    with pytest.raises(ValueError, match="contains non-finite values"):
+        train_step(model, batch, opt)
 
 
 # ---------------------------------------------------------------------------
