@@ -111,16 +111,17 @@ def _scatter(a: np.ndarray, order: np.ndarray | None, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SavedAttention:
-    """State of one ``segment_attention`` pass, all that
-    ``segment_attention_vjp`` and ``attention_weights`` read: the layout, the
-    score scale, the inputs in the layout's order (``layout.gathers``) and,
-    per term, its exponentials E, their row totals and its output
-    O = (E @ V) / total."""
+    """State of one pass, all that both VJPs and ``attention_weights`` read:
+    the layout, the score scale, the inputs in the layout's order
+    (``layout.gathers``), per term its exponentials E, their row totals and
+    its output O = (E @ V) / total, and a ``multi_head_forward`` pass's
+    weights (``None`` for a ``segment_attention`` pass)."""
 
     layout: AttentionLayout
     scale: float
     inputs: dict[str, np.ndarray]
     terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    params: MultiHeadParams | None = None
 
 
 def segment_attention(
@@ -136,17 +137,18 @@ def segment_attention(
     all of one shape (..., d, h) in sequence order; leading axes are
     independent heads. Matches the dense reference of the layout's variant.
     Also returns the pass's ``SavedAttention``. No d x d array is formed:
-    every term runs on the layout's views of its inputs. Non-finite inputs
-    or output (from a NaN scale or an overflow) are a ``ValueError``."""
+    every term runs on the layout's views of its inputs (array-likes).
+    Non-finite inputs or output (from a NaN scale or an overflow) are a
+    ``ValueError``."""
     given = {"q": q, "k": k, "v": v, "kx": kx, "vx": vx}
-    given = {name: a for name, a in given.items() if a is not None}
+    given = {name: np.asanyarray(a) for name, a in given.items() if a is not None}
     _check_inputs(layout, given)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the output check, not warnings
         return _attend(layout, scale, given)
 
 
-def _attend(layout: AttentionLayout, scale: float, inputs: dict[str, np.ndarray]
-            ) -> tuple[np.ndarray, SavedAttention]:
+def _attend(layout: AttentionLayout, scale: float, inputs: dict[str, np.ndarray],
+            params: MultiHeadParams | None = None) -> tuple[np.ndarray, SavedAttention]:
     """``segment_attention`` after its input checks: checks only the output."""
     if layout.gathers[0] is not None or layout.gathers[1] is not None:
         inputs = {name: _gather(a, layout.gathers[name != "q"]) for name, a in inputs.items()}
@@ -166,7 +168,7 @@ def _attend(layout: AttentionLayout, scale: float, inputs: dict[str, np.ndarray]
     if not np.isfinite(out).all():
         raise ValueError("output contains non-finite values")
     full = _scatter(out, layout.gathers[0], layout.d)
-    return full, SavedAttention(layout, scale, inputs, tuple(terms))
+    return full, SavedAttention(layout, scale, inputs, tuple(terms), params)
 
 
 # Entries (1 MiB of float64) of one row chunk of the VJP's score gradient dS,
@@ -177,8 +179,9 @@ _SCRATCH_SIZE = 1 << 17
 
 def segment_attention_vjp(saved: SavedAttention, dout: np.ndarray) -> GradDict:
     """Gradients of ``sum(dout * out)`` for every input of the pass that
-    returned ``out, saved``. ``dout`` must have ``out``'s shape and be
-    finite; a non-finite gradient is a ``ValueError``."""
+    returned ``out, saved``. ``dout`` (any array-like) must have ``out``'s
+    shape and be finite; a non-finite gradient is a ``ValueError``."""
+    dout = np.asanyarray(dout)
     shape = saved.inputs["k"].shape
     if dout.shape != shape:
         raise ValueError(f"dout must have the output's shape {shape}, got {dout.shape}")
@@ -298,12 +301,6 @@ def init_multi_head_params(
                            wkx=w(h, dm, hd) if cross else None, wvx=w(h, dm, hd) if cross else None)
 
 
-def _check_cross_params(params: MultiHeadParams, layout: AttentionLayout) -> None:
-    cross = layout.variant is AttentionVariant.CAUSAL_PLUS_CROSS
-    if (params.wkx is None) == cross or (params.wvx is None) == cross:
-        raise ValueError("params must carry wkx/wvx exactly when the layout is the cross variant")
-
-
 def _project_heads(
     x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> dict[str, np.ndarray]:
@@ -314,7 +311,9 @@ def _project_heads(
         raise ValueError(f"x must be d x {model_dim}")
     if x.shape[0] != layout.d:
         raise ValueError("x row count must match the sequence length")
-    _check_cross_params(params, layout)
+    cross = layout.variant is AttentionVariant.CAUSAL_PLUS_CROSS
+    if (params.wkx is None) == cross or (params.wvx is None) == cross:
+        raise ValueError("params must carry wkx/wvx exactly when the layout is the cross variant")
     heads = {"q": x @ params.wq, "k": x @ params.wk, "v": x @ params.wv}
     if layout.reads_cross:
         heads["kx"] = x @ params.wkx
@@ -326,32 +325,31 @@ def multi_head_forward(
     x: np.ndarray, params: MultiHeadParams, layout: AttentionLayout
 ) -> tuple[np.ndarray, SavedAttention]:
     """Per-head projections, the segment kernel over ``layout``, the heads
-    concatenated and the output projection; plus the kernel's saved pass
-    for the input VJP. The layout carries the attention rule, and
-    ``params.wq``'s shape (num_heads, model_dim, head_dim) the head shape
-    and so the 1/sqrt(head_dim) score scale; params carry ``wkx``/``wvx``
-    exactly when the layout is the cross variant."""
+    concatenated and the output projection; plus the kernel's saved pass,
+    with ``params``, for the input VJP. The layout carries the attention
+    rule, and ``params.wq``'s shape (num_heads, model_dim, head_dim) the
+    head shape and so the 1/sqrt(head_dim) score scale; params carry
+    ``wkx``/``wvx`` exactly when the layout is the cross variant."""
     x = np.asarray(x, dtype=np.float64)
     heads = _project_heads(x, params, layout)
-    out, saved = _attend(layout, 1.0 / math.sqrt(params.wq.shape[2]), heads)
+    out, saved = _attend(layout, 1.0 / math.sqrt(params.wq.shape[2]), heads, params)
     return out.transpose(1, 0, 2).reshape(layout.d, -1) @ params.wo, saved
 
 
-def multi_head_input_vjp(
-    params: MultiHeadParams, saved: SavedAttention, dout: np.ndarray
-) -> np.ndarray:
-    """Gradient of multi_head_forward w.r.t. its input activations, from
-    the ``saved`` state of that forward pass with the same ``params`` (head
-    parameters get none: the decoder keeps them frozen). ``params`` that do
-    not match the saved pass are a ``ValueError``."""
+def multi_head_input_vjp(saved: SavedAttention, dout: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum(dout * out)`` w.r.t. the input of the
+    ``multi_head_forward`` pass that returned ``out, saved``, read from
+    ``saved`` with its weights (frozen: they get none). ``dout`` is as in
+    ``segment_attention_vjp``; a pass without weights is a ``ValueError``."""
+    params = saved.params
+    if params is None:
+        raise ValueError("saved holds no weights: pass the state of a multi_head_forward pass")
+    dout = np.asanyarray(dout)
     num_heads, model_dim, head_dim = params.wq.shape
-    saved_heads, _, saved_width = saved.inputs["q"].shape
-    if (num_heads, head_dim) != (saved_heads, saved_width):
-        raise ValueError(f"params have {num_heads} heads of width {head_dim}; "
-                         f"the saved pass has {saved_heads} of width {saved_width}")
-    _check_cross_params(params, saved.layout)
     if dout.shape != (saved.layout.d, model_dim):
         raise ValueError("dout must have the saved pass's row count and model_dim columns")
+    if not np.isfinite(dout).all():
+        raise ValueError("dout contains non-finite values")
     dheads = (dout @ params.wo.T).reshape(-1, num_heads, head_dim)
     grads = _attend_vjp(saved, dheads.transpose(1, 0, 2))
     dx = (grads.pop("q") @ params.wq.swapaxes(1, 2)).sum(axis=0)

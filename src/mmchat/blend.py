@@ -32,10 +32,10 @@ class Dataset(str, Enum):
 class SourceRecord:
     """One corpus record: a conversation plus the image ids it uses.
 
-    Single-image corpora (llava, llava_dial) carry exactly one image id;
-    the image-pair corpus (otter_cgd) carries exactly two. The ids
-    referenced by the conversation's rounds must be exactly the record's
-    image ids.
+    ``dataset`` may be given as its value (``"llava"``). Single-image
+    corpora (llava, llava_dial) carry exactly one image id; the image-pair
+    corpus (otter_cgd) carries exactly two. The ids referenced by the
+    conversation's rounds must be exactly the record's image ids.
     """
 
     dataset: Dataset
@@ -43,6 +43,11 @@ class SourceRecord:
     conversation: Conversation
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "dataset", Dataset(self.dataset))
+        except ValueError:
+            names = ", ".join(dataset.value for dataset in Dataset)
+            raise ValueError(f"dataset must be one of {names}, got {self.dataset!r}") from None
         object.__setattr__(self, "image_ids", tuple(self.image_ids))
         if self.dataset in (Dataset.LLAVA, Dataset.LLAVA_DIAL):
             if len(self.image_ids) != 1:
@@ -245,7 +250,6 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a num
 _RECORD_KEYS = ("dataset", "image_ids", "system", "rounds")
 _ROUND_KEYS = ("images", "question", "answer")
 _RECORD_FIELDS, _ROUND_FIELDS = itemgetter(*_RECORD_KEYS), itemgetter(*_ROUND_KEYS)
-_DATASETS = tuple(dataset.value for dataset in Dataset)
 
 # What an undecodable byte becomes under the ``surrogateescape`` error handler
 _UNDECODED = re.compile("[\udc80-\udcff]")
@@ -297,9 +301,7 @@ def record_from_dict(data: dict) -> SourceRecord:
     that is missing or has the wrong type."""
     dataset, image_ids, system, rounds = _fields(data)
     rounds = tuple(Round(_image_ids(images, "images"), question, answer) for images, question, answer in rounds)
-    if dataset not in _DATASETS:
-        raise ValueError(f"dataset must be one of {', '.join(_DATASETS)}, got {dataset!r}")
-    return SourceRecord(Dataset(dataset), _image_ids(image_ids, "image_ids"), Conversation(system, rounds))
+    return SourceRecord(dataset, _image_ids(image_ids, "image_ids"), Conversation(system, rounds))
 
 
 def read_records(path: str | Path) -> list[SourceRecord]:

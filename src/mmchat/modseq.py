@@ -98,7 +98,8 @@ class LayoutConfig:
 def build_sequence(segments: Iterable[tuple[TokenKind, int]]) -> ModalitySequence:
     """Build a sequence from an ordered list of (kind, token_count) segments.
 
-    Image segments receive block ids 1, 2, ... in order of appearance.
+    Image segments receive block ids 1, 2, ... in order of appearance; a
+    kind may be given as its value (``"image"``).
     """
     segs = list(segments)
     if not segs:
@@ -108,7 +109,7 @@ def build_sequence(segments: Iterable[tuple[TokenKind, int]]) -> ModalitySequenc
     for kind, count in segs:
         if count < 1:
             raise ValueError(f"segment token_count must be >= 1, got {count}")
-        if kind is TokenKind.IMAGE:
+        if TokenKind(kind) is TokenKind.IMAGE:
             ids.extend([next_block] * count)
             next_block += 1
         else:

@@ -84,9 +84,6 @@ class DecoderBlock:
             yield f"attn.{name}", array
         yield from (("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2))
 
-    def param_count(self) -> int:
-        return sum(array.size for _, array in self.tensors())
-
 
 @dataclass
 class ToyModel:
@@ -104,24 +101,15 @@ class ToyModel:
     def trainable_params(self) -> GradDict:
         return {"projection": self.projection, "embedding": self.embedding}
 
-    def trainable_param_count(self) -> int:
-        return self.projection.size + self.embedding.size
-
-    def decoder_param_count(self) -> int:
-        return sum(block.param_count() for block in self.blocks)
-
-    def frozen_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        """All frozen tensors under stable names, in a fixed order."""
-        for i, block in enumerate(self.blocks):
-            for name, array in block.tensors():
-                yield f"block{i}.{name}", array
-        for image_id in sorted(self.vision_stub):
-            yield f"stub.{image_id}", self.vision_stub[image_id]
-
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Every tensor under its checkpoint name: the trainable pair, then
-        the frozen tensors in ``frozen_arrays`` order."""
-        return {**self.trainable_params(), **dict(self.frozen_arrays())}
+        each block's ``tensors()`` in block order, then the stub in image-id
+        order."""
+        tensors = self.trainable_params()
+        for i, block in enumerate(self.blocks):
+            tensors.update((f"block{i}.{name}", array) for name, array in block.tensors())
+        tensors.update((f"stub.{image_id}", self.vision_stub[image_id]) for image_id in sorted(self.vision_stub))
+        return tensors
 
 
 def vision_features(stub_seed: int, image_id: str, shape: tuple[int, int]) -> np.ndarray:
@@ -372,7 +360,7 @@ def _bin_loss_and_grads(model: ToyModel, samples: list[RenderedSample]) -> tuple
         if not isinstance(kept, slice):  # the block kept some rows: the others get no gradient
             dattn = np.zeros((saved.layout.d, dh_mid.shape[1]))
             dattn[kept] = dh_mid
-        dh = multi_head_input_vjp(block.attn, saved, dattn)
+        dh = multi_head_input_vjp(saved, dattn)
         dh[kept] += dh_mid
         del saved  # free this layer's attention state before the next layer's VJP
 
@@ -421,18 +409,18 @@ class OptimState:
     """RMSProp with bias correction after a linear warmup over the first
     ``_WARMUP_FRACTION`` of ``total_steps``: step ``t`` moves each trainable
     tensor by ``lr * grad / (sqrt(v / (1 - _BETA2**t)) + _EPS)``, where
-    ``v``, one buffer per tensor, is the running mean of squared gradients."""
+    ``v``, one buffer per tensor, is the running mean of squared gradients.
+    ``step`` (the steps taken) and ``v`` are its state, not settings."""
 
     total_steps: int
     learning_rate: float = 1e-3
-    step: int = 0
-    v: GradDict = field(default_factory=dict)
+    step: int = field(default=0, init=False)
+    v: GradDict = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         _check_int("total_steps", self.total_steps)
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
-        _check_int("step", self.step, minimum=0)
 
     def current_learning_rate(self) -> float:
         warmup_steps = math.ceil(_WARMUP_FRACTION * self.total_steps)
@@ -487,7 +475,10 @@ def frozen_fingerprint(model: ToyModel) -> str:
     by any number of training steps."""
     digest = hashlib.sha256()
     digest.update(f"stub_seed={model.stub_seed}".encode("utf-8"))
-    for name, array in model.frozen_arrays():
+    trainable = model.trainable_params()
+    for name, array in model.named_tensors().items():
+        if name in trainable:
+            continue
         contiguous = np.ascontiguousarray(array, dtype=np.float64)
         digest.update(f"{name}:{contiguous.shape}".encode("utf-8"))
         digest.update(contiguous.tobytes())

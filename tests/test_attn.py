@@ -379,35 +379,21 @@ def test_params_carry_cross_projections_iff_the_layout_is_cross():
     assert multi_head_forward(x, cross, text_only_cross)[0].shape == (5, 4)
 
 
-def _saved_pass(variant, num_heads, seed):
-    """A 2-image, 5-token pass of ``variant`` with ``num_heads`` heads."""
-    seq = build_sequence([(I, 2), (T, 3)])
-    rng = np.random.default_rng(seed)
-    params = init_multi_head_params(variant, num_heads, 4, rng)
-    _, saved = multi_head_forward(rng.standard_normal((5, 4)), params, build_layout(seq, variant))
-    return saved, np.ones((5, 4))
-
-
-def test_input_vjp_rejects_params_without_the_cross_pass_projections():
-    saved, dout = _saved_pass(AttentionVariant.CAUSAL_PLUS_CROSS, 2, 30)
-    plain = init_multi_head_params(AttentionVariant.MMCA, 2, 4, np.random.default_rng(31))
-    with pytest.raises(ValueError, match="wkx/wvx exactly when the layout is the cross"):
-        multi_head_input_vjp(plain, saved, dout)
-
-
-def test_input_vjp_rejects_params_of_another_head_shape():
-    saved, dout = _saved_pass(AttentionVariant.MMCA, 2, 32)
-    one_head = init_multi_head_params(AttentionVariant.MMCA, 1, 4, np.random.default_rng(33))
-    with pytest.raises(ValueError, match="1 heads of width 4; the saved pass has 2 of width 2"):
-        multi_head_input_vjp(one_head, saved, dout)
-
-
-def test_input_vjp_rejects_cross_params_after_an_mmca_pass():
-    saved, dout = _saved_pass(AttentionVariant.MMCA, 2, 34)
-    rng = np.random.default_rng(35)
-    cross = init_multi_head_params(AttentionVariant.CAUSAL_PLUS_CROSS, 2, 4, rng)
-    with pytest.raises(ValueError, match="wkx/wvx exactly when the layout is the cross"):
-        multi_head_input_vjp(cross, saved, dout)
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_input_vjp_reads_the_weights_of_its_saved_pass(variant):
+    """``multi_head_forward`` saves its params with the pass and the input
+    VJP reads them there; a ``segment_attention`` pass saves none, so the
+    multi-head VJP rejects it."""
+    layout = build_layout(build_sequence([(I, 2), (T, 3)]), variant)
+    rng = np.random.default_rng(30)
+    params = init_multi_head_params(variant, 2, 4, rng)
+    _, saved = multi_head_forward(rng.standard_normal((5, 4)), params, layout)
+    assert saved.params is params
+    _, kernel_saved = attn_module.segment_attention(layout, 1.0, **{
+        name: rng.standard_normal((5, 2)) for name in saved.inputs})
+    assert kernel_saved.params is None
+    with pytest.raises(ValueError, match="saved holds no weights"):
+        multi_head_input_vjp(kernel_saved, np.ones((5, 4)))
 
 
 def test_multi_head_shape_validation():
@@ -460,7 +446,7 @@ def test_multi_head_input_vjp_matches_finite_differences(variant):
     x = rng.standard_normal((5, 4))
     dout = np.ones((5, 4))
     _, saved = multi_head_forward(x, params, layout)
-    analytic = multi_head_input_vjp(params, saved, dout)
+    analytic = multi_head_input_vjp(saved, dout)
     eps = 1e-6
     for i in range(5):
         for j in range(4):

@@ -75,6 +75,25 @@ def test_source_record_validation():
     assert ok.image_ids == ("a",)
 
 
+def test_source_record_owns_the_dataset_rule(tmp_path):
+    """A dataset given by its value is the member, so a record built that
+    way counts and writes as one built from the member; any other value is
+    the error ``record_from_dict`` reports for a JSON line."""
+    conv = Conversation("s", (Round(("a",), "q", "x"),))
+    by_value = SourceRecord("llava", ("a",), conv)
+    assert by_value.dataset is Dataset.LLAVA
+    assert by_value == SourceRecord(Dataset.LLAVA, ("a",), conv)
+    assert dataset_stats([by_value])["per_dataset"] == {"llava": 1}
+    write_records([by_value], tmp_path / "records.jsonl")
+    assert read_records(tmp_path / "records.jsonl") == [by_value]
+    message = "dataset must be one of llava, llava_dial, otter_cgd, other, got "
+    for value in ("bogus", None, ["llava"]):
+        with pytest.raises(ValueError, match=re.escape(message + repr(value))):
+            SourceRecord(value, ("a",), conv)
+        with pytest.raises(ValueError, match=re.escape(message + repr(value))):
+            record_from_dict({**record_to_dict(by_value), "dataset": value})
+
+
 def test_blend_spec_validation():
     with pytest.raises(ValueError, match="min_group"):
         BlendSpec(min_group=3, max_group=2, seed=0)

@@ -45,6 +45,13 @@ def test_build_sequence_zero_count_error():
         build_sequence([(T, 0)])
 
 
+def test_build_sequence_takes_kinds_by_value():
+    assert build_sequence([("image", 2), ("text", 1)]) == build_sequence([(I, 2), (T, 1)])
+    for kind in ("Image", "img", None):
+        with pytest.raises(ValueError, match=re.escape(f"{kind!r} is not a valid TokenKind")):
+            build_sequence([(T, 1), (kind, 2)])
+
+
 def test_image_blocks_single_front():
     assert image_blocks(build_sequence([(I, 3), (T, 7)])) == [(1, 0, 3)]
 

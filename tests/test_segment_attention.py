@@ -192,7 +192,7 @@ def max_gaps(config, seq, seed, rows=None):
     out, saved = multi_head_forward(x, params, layout)
     fwd = np.abs(out - np.where(kept[:, None], dense_forward(config, x, params, seq), 0.0))
     vjp = np.abs(
-        multi_head_input_vjp(params, saved, dout)
+        multi_head_input_vjp(saved, dout)
         - dense_input_vjp(config, x, params, seq, dout)
     )
     views = np.stack(attention_weights(saved), axis=1)  # heads lead
@@ -857,7 +857,7 @@ def test_prebuilt_layout_reused_and_checked():
     rebuilt = build_layout(seq, AttentionVariant.MMCA)
     assert np.array_equal(out, multi_head_forward(x, params, rebuilt)[0])
     with pytest.raises(ValueError, match="row count"):
-        multi_head_input_vjp(params, saved, np.ones((4, 4)))
+        multi_head_input_vjp(saved, np.ones((4, 4)))
 
 
 @pytest.mark.parametrize("variant", list(AttentionVariant))
@@ -1082,11 +1082,39 @@ def test_overflowing_scores_and_bad_dout_rejected(variant):
     for wrong in (np.ones((4, 2)), np.ones((5, 3)), np.ones((1, 5, 2)), np.ones(10)):
         with pytest.raises(ValueError, match=r"dout must have the output's shape \(5, 2\)"):
             segment_attention_vjp(saved, wrong)
+    _, multi_head_saved = multi_head_forward(x, params, layout)
     for value in (np.nan, np.inf, -np.inf):
         dout = np.ones((5, 2))
         dout[3, 1] = value
         with pytest.raises(ValueError, match="dout contains non-finite values"):
             segment_attention_vjp(saved, dout)
+        with pytest.raises(ValueError, match="^dout contains non-finite values$"):
+            multi_head_input_vjp(multi_head_saved, np.repeat(dout, 2, axis=1))
+
+
+@pytest.mark.parametrize("variant", list(AttentionVariant))
+def test_public_entries_read_array_likes(variant):
+    """The kernel and both VJPs read their inputs and ``dout`` as arrays, so
+    nested lists give the arrays' results bit for bit, or the documented
+    ``ValueError`` for a wrong shape."""
+    layout = build_layout(build_sequence([(T, 1), (I, 2), (T, 2)]), variant)
+    rng = np.random.default_rng(8)
+    inputs = [rng.standard_normal((5, 2)) for _ in range(5 if layout.reads_cross else 3)]
+    out, saved = segment_attention(layout, 0.5, *inputs)
+    assert np.array_equal(segment_attention(layout, 0.5, *(a.tolist() for a in inputs))[0], out)
+    dout = rng.standard_normal(out.shape)
+    grads, listed = segment_attention_vjp(saved, dout), segment_attention_vjp(saved, dout.tolist())
+    assert all(np.array_equal(listed[name], grads[name]) for name in grads)
+    with pytest.raises(ValueError, match="inputs must have 5 rows"):
+        segment_attention(layout, 0.5, *(a[:4].tolist() for a in inputs))
+    with pytest.raises(ValueError, match=r"dout must have the output's shape \(5, 2\)"):
+        segment_attention_vjp(saved, dout[:4].tolist())
+    params = init_multi_head_params(variant, 2, 4, rng)
+    _, saved = multi_head_forward(rng.standard_normal((5, 4)), params, layout)
+    dout = rng.standard_normal((5, 4))
+    assert np.array_equal(multi_head_input_vjp(saved, dout.tolist()), multi_head_input_vjp(saved, dout))
+    with pytest.raises(ValueError, match="row count"):
+        multi_head_input_vjp(saved, dout[:4].tolist())
 
 
 def test_empty_support_and_forbidden_edges_exactly_zero():
@@ -1381,7 +1409,7 @@ def test_no_multi_head_call_returns_nonfinite_arrays(call):
                     continue
                 results = [out]
                 try:
-                    results.append(multi_head_input_vjp(params, saved, dout))
+                    results.append(multi_head_input_vjp(saved, dout))
                 except ValueError:
                     pass
             assert all(np.isfinite(a).all() for a in results)

@@ -90,10 +90,18 @@ def test_config_takes_the_variant_by_value_and_checks_the_rule():
         ModelConfig(image_self="full")
 
 
+def param_counts(model):
+    """(trainable, decoder) parameter counts, over ``named_tensors``."""
+    trainable = model.trainable_params()
+    sizes = {name: array.size for name, array in model.named_tensors().items()}
+    return (sum(sizes[name] for name in trainable),
+            sum(size for name, size in sizes.items() if name.startswith("block")))
+
+
 def test_trainable_param_count_formula():
     model = small_model()
     expected = SMALL.vision_dim * SMALL.model_dim + SMALL.vocab_size * SMALL.model_dim
-    assert model.trainable_param_count() == expected
+    assert param_counts(model)[0] == expected
     assert set(model.trainable_params()) == {"projection", "embedding"}
 
 
@@ -105,9 +113,11 @@ def test_variant_plug_compatibility_param_counts():
     cross = small_model(
         ModelConfig(**{**SMALL.__dict__, "variant": AttentionVariant.CAUSAL_PLUS_CROSS})
     )
-    assert base.trainable_param_count() == causal.trainable_param_count() == cross.trainable_param_count()
-    assert base.decoder_param_count() == causal.decoder_param_count()
-    assert cross.decoder_param_count() > base.decoder_param_count()
+    (base_trainable, base_decoder), (causal_trainable, causal_decoder), (cross_trainable, cross_decoder) = map(
+        param_counts, (base, causal, cross))
+    assert base_trainable == causal_trainable == cross_trainable
+    assert base_decoder == causal_decoder
+    assert cross_decoder > base_decoder
 
 
 def test_fingerprint_stability_and_sensitivity():
@@ -512,10 +522,10 @@ def test_training_pass_frees_each_layer_attention_state_before_the_next_vjp(monk
         refs.append(weakref.ref(saved))
         return out, saved
 
-    def recording_vjp(params, saved, dout):
+    def recording_vjp(saved, dout):
         vjp_layers.append(next(i for i, ref in enumerate(refs) if ref() is saved))
         vjp_alive.append(sum(ref() is not None for ref in refs))
-        return real_vjp(params, saved, dout)
+        return real_vjp(saved, dout)
 
     monkeypatch.setattr(toy_model_module, "multi_head_forward", recording_forward)
     monkeypatch.setattr(toy_model_module, "multi_head_input_vjp", recording_vjp)
@@ -751,8 +761,6 @@ def test_optim_state_validation_and_warmup():
         ({"total_steps": 10, "learning_rate": math.nan}, "learning_rate must be finite and >= 0, got nan"),
         ({"total_steps": 10, "learning_rate": math.inf}, "learning_rate must be finite and >= 0, got inf"),
         ({"total_steps": 10, "learning_rate": -1e-3}, "learning_rate must be finite and >= 0, got -0.001"),
-        ({"total_steps": 10, "step": -1}, "step must be an integer >= 0, got -1"),
-        ({"total_steps": 10, "step": 1.5}, "step must be an integer >= 0, got 1.5"),
     ],
 )
 def test_optim_state_rejects_non_integer_steps_and_non_finite_rates(kwargs, message):
@@ -803,9 +811,10 @@ def test_train_step_freezes_decoder():
     for _ in range(10):
         _, current = train_step(current, [sample], opt)
     assert frozen_fingerprint(current) == fp
-    for (na, a), (nb, b) in zip(model.frozen_arrays(), current.frozen_arrays()):
+    trainable = model.trainable_params()
+    for (na, a), (nb, b) in zip(model.named_tensors().items(), current.named_tensors().items()):
         assert na == nb
-        assert a is b  # frozen tensors are shared, not copied
+        assert (a is b) is (na not in trainable)  # frozen tensors are shared, not copied
     assert not np.array_equal(current.projection, model.projection)
 
 
@@ -851,14 +860,16 @@ def test_a_nonfinite_frozen_tensor_is_an_error_never_a_value(tensor, variant, va
     ``train_step`` in an error (the kernel's output or gradient check, or
     the logits check), never in a non-finite value or a NumPy warning. The
     one call that returns is ``forward`` with an infinite ``w1`` entry:
-    tanh saturates, so its logits are finite, and its gradient is the error."""
+    tanh saturates, so its logits are finite, and the feedforward VJP's
+    0 * inf makes the attention VJP's ``dout`` NaN, which it names."""
     config = ModelConfig(variant=variant)
     batch, image_ids = make_copy_task(config)
     model = make_model(config, seed=0, known_images=image_ids)
     model.named_tensors()[tensor].flat[0] = value  # frozen arrays are shared: this edits the model
-    with pytest.raises((ValueError, FloatingPointError)):
+    with pytest.raises((ValueError, FloatingPointError)) as caught:
         train_step(model, batch, OptimState(total_steps=1))
     if value == math.inf and tensor == "block0.w1":
+        assert str(caught.value) == "dout contains non-finite values"
         assert np.isfinite(forward(model, batch[0])).all()
     else:
         with pytest.raises((ValueError, FloatingPointError)):
